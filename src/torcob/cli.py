@@ -6,7 +6,7 @@ exit status 0 on success, 1 on mathematical failure (non-divisibility, not a
 class, no expansion), 2 on usage or parse errors.
 
 When --deg is omitted the default truncation is computed per command (for
-integrate: the total Euler degree plus two) and announced on a header line;
+integrate: the dimension plus one) and announced on a header line;
 COBORDISM_DEFAULT_DEG overrides the computed default.
 """
 
@@ -108,8 +108,11 @@ def _cmd_fgl(args, out, stdin):
         ctx = fgl_build(args.coeff_deg, deg, _parse_spec(args.spec))
         print(str(ctx.n_series(args.n)), file=out)
     elif args.sub == "acoeff":
+        spec = _parse_spec(args.spec)
+        if args.i + args.j < 1 or args.coeff_deg < 0:
+            raise UsageError("need --i + --j >= 1 and --coeff-deg >= 0")
         deg = _default_deg(args, args.i + args.j, out)
-        ctx = fgl_build(args.coeff_deg, deg, _parse_spec(args.spec))
+        ctx = fgl_build(args.coeff_deg, deg, spec)
         print(str(ctx.a_coeff(args.i, args.j)), file=out)
     return 0
 
@@ -149,7 +152,7 @@ def _cmd_gkm(args, out, stdin):
         print("true" if ok else "false", file=out)
         return 0 if ok else 1
     if args.sub == "integrate":
-        deg = _default_deg(args, len(g.vertices) * g.dim + 2, out)
+        deg = _default_deg(args, gkm.required_guarantee(g, None), out)
         ctx = _torus_for(g, deg, args)
         alpha = _eval_class(ctx, g, values)
         print(str(gkm.integrate(ctx, g, alpha)), file=out)
@@ -195,7 +198,8 @@ def _cmd_flag(args, out, stdin):
         print(str(flagmod.normal_form(n, p)), file=out)
         return 0
     if args.sub == "kernel":
-        computed = max(p.max_degree() or 0, 1) + 1
+        # the Artin basis is restricted up to degree n(n-1)/2
+        computed = max(max(p.max_degree() or 0, 1) + 1, n * (n - 1) // 2)
         deg = _default_deg(args, computed, out)
         ctx = TorusContext(n, fgl_build(args.coeff_deg, deg, spec))
         ok = flagmod.kernel_check(ctx, n, p)

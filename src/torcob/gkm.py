@@ -7,14 +7,22 @@ with isolated fixed points and finitely many invariant curves.
 
 A piecewise class assigns a series to each fixed point; it is an honest
 equivariant class when every edge difference is divisible by the Chern class
-of the edge character.  Integration runs the fixed-point residue sum: add
-the fractions alpha_v / euler_v by cross-multiplication, clear the final
-denominator by exact division, and push down to the Lazard ring.
+of the edge character.
+
+Integration runs the fixed-point residue sum along a generic one-parameter
+subgroup (Ellingsrud-Stromme): pick a cocharacter lambda pairing nonzero
+with every edge character and restrict along t_i -> [lambda_i](u).  The
+Euler class at v becomes u^dim times a unit U_v(u), a product of
+[k](u)/u, so the integral is the coefficient of u^dim in the one-variable
+series sum_v alpha_v(u) / U_v(u); the coefficients below u^dim must vanish,
+which certifies the sum.  Only series through u^dim are needed, so the
+truncation demand is the dimension plus one.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 
 from torcob.coeff import GradedCoeff
 from torcob.errors import (
@@ -177,47 +185,88 @@ def pushforward_point(ctx: TorusContext, g: GKMGraph, v, s: TruncSeries) -> Piec
 
 
 def required_guarantee(g: GKMGraph, alpha: PiecewiseClass) -> int:
-    """Up-front truncation demand: total Euler degree plus the class degree."""
-    margin = 0
-    for s in alpha.values.values():
-        j = s.homogeneous_degree()
-        if j is None:
-            j = s.max_degree() or 0
-        margin = max(margin, j)
-    return len(g.vertices) * g.dim + max(0, margin)
+    """Up-front truncation demand of ``integrate``: the dimension plus one.
+
+    The residue sum reads its series through u^dim, and the unit [k](u)/u is
+    exact one degree below the truncation.  The demand does not depend on
+    the class; ``alpha`` is accepted so that callers can pass the one they
+    are about to integrate.
+    """
+    return g.dim + 1
+
+
+def _generic_cocharacter(g: GKMGraph) -> tuple:
+    """Smallest lambda with <chi, lambda> != 0 on every edge character.
+
+    Smallest by max-norm, then lexicographically with the entries ordered
+    0, 1, -1, 2, -2, ...; a depth-first search tests each character as soon
+    as its last nonzero entry is assigned.
+    """
+    checks = [[] for _ in range(g.rank)]
+    for chi in {chi for _, _, chi in g.edges}:
+        checks[max(i for i, x in enumerate(chi) if x)].append(chi)
+
+    def search(lam, values):
+        if len(lam) == g.rank:
+            return tuple(lam)
+        for x in values:
+            lam.append(x)
+            if all(_pairing(chi, lam) for chi in checks[len(lam) - 1]):
+                found = search(lam, values)
+                if found:
+                    return found
+            lam.pop()
+        return None
+
+    radius = 0
+    while True:
+        values = [0] + [s * k for k in range(1, radius + 1) for s in (1, -1)]
+        found = search([], values)
+        if found:
+            return found
+        radius += 1
+
+
+def _pairing(chi, lam) -> int:
+    return sum(a * b for a, b in zip(chi, lam))
+
+
+def _residue_along(ctx: TorusContext, g: GKMGraph, alpha: PiecewiseClass, lam) -> TruncSeries:
+    """sum_v alpha_v(u) / U_v(u) through u^dim, restricted along lambda.
+
+    Here e_v(u) = prod_chi [<chi, lambda>](u) = u^dim * U_v(u).  Every pairing
+    must be nonzero and the guarantees must reach dim.
+    """
+    dim = g.dim
+    restrict = {t: ctx.fgl.n_series(x) for t, x in zip(ctx.vars, lam)}
+    total = TruncSeries.zero(("u",), ctx.D, dim)
+    for v in g.vertices:
+        term = alpha.values[v].truncated(dim).substitute(restrict)
+        weights = Counter(_pairing(chi, lam) for _, chi in g.incident(v))
+        for k, d in weights.items():
+            term = term * ctx._unit_inverse_power(k, d)
+        total = total + term
+    return total
 
 
 def integrate(ctx: TorusContext, g: GKMGraph, alpha: PiecewiseClass, check_class=True) -> GradedCoeff:
     """Fixed-point residue sum pushed down to the Lazard ring.
 
-    Adds the localized fractions pairwise, clears the denominator by exact
-    division, and applies the forgetful augmentation t -> 0.  Exact over Q;
-    the combination order cannot affect the result.
+    Restricts along the generic cocharacter of ``_generic_cocharacter`` and
+    returns the coefficient of u^dim of ``_residue_along``; a nonzero
+    coefficient below u^dim raises NotDivisible.  Exact over Q; the answer
+    does not depend on the cocharacter or on the vertex order.
     """
     need = required_guarantee(g, alpha)
-    if alpha.guarantee < need:
-        raise TruncationInsufficient(
-            f"guarantee {alpha.guarantee} below required {need}"
-        )
+    have = min(alpha.guarantee, ctx.D)
+    if have < need:
+        raise TruncationInsufficient(f"guarantee {have} below required {need}")
     if check_class and not is_class(ctx, g, alpha):
         raise NotAClass("piecewise values violate an edge congruence")
-    num = None
-    den = None
-    for v in g.vertices:
-        ev = euler_class(ctx, g, v)
-        av = alpha.values[v]
-        if num is None:
-            num, den = av, ev
-        else:
-            num = num * ev + av * den
-            den = den * ev
-    try:
-        quotient = num.divide_exact(den)
-    except NotDivisible as exc:
-        raise NotDivisible(
-            "residue sum not divisible; class condition or guarantee violated"
-        ) from exc
-    return quotient.constant_term()
+    total = _residue_along(ctx, g, alpha, _generic_cocharacter(g))
+    if any(k < g.dim for (k,) in total.coeffs):
+        raise NotDivisible("residue sum not divisible; class condition or guarantee violated")
+    return total.coefficient((g.dim,))
 
 
 def basis_expand(ctx: TorusContext, g: GKMGraph, basis, alpha: PiecewiseClass):

@@ -116,6 +116,45 @@ def test_gkm_class_truncation_field():
     assert code == 0 and out == "2*m1\n"
 
 
+def test_integrate_default_deg_is_dimension_plus_one(monkeypatch):
+    # a degree-3 class on P^2 needs no extra truncation: it integrates to 0
+    monkeypatch.delenv("COBORDISM_DEFAULT_DEG", raising=False)
+    _, graph, _ = run(["gkm", "gen", "pn", "--n", "2"])
+    code, out, _ = run(
+        ["gkm", "integrate", "--graph", graph, "--class", '{"0":"0","1":"t1^3","2":"t2^3"}']
+    )
+    assert code == 0 and out == "# deg 3\n0\n"
+
+
+def test_integrate_specialized_point_class(monkeypatch):
+    monkeypatch.delenv("COBORDISM_DEFAULT_DEG", raising=False)
+    _, graph, _ = run(["gkm", "gen", "p1", "--char", "-1"])
+    argv = ["gkm", "integrate", "--graph", graph, "--class", '{"0":"chern(-1)","inf":"0"}',
+            "--spec", "multiplicative:1"]
+    code, out, _ = run(argv + ["--deg", "12"])
+    assert code == 0 and out == "1\n"
+    code, out, _ = run(argv)
+    assert code == 0 and out == "# deg 2\n1\n"
+
+
+def test_flag_kernel_default_deg_covers_artin_basis(monkeypatch):
+    monkeypatch.delenv("COBORDISM_DEFAULT_DEG", raising=False)
+    code, out, _ = run(["flag", "kernel", "x1+x2+x3", "--rank", "3"])
+    assert code == 0 and out == "# deg 3\ntrue\n"
+    code, out, _ = run(["flag", "kernel", "x1^4+x2", "--rank", "4"])
+    assert code == 0 and out == "# deg 6\nfalse\n"
+
+
+def test_acoeff_validates_before_header(monkeypatch):
+    monkeypatch.delenv("COBORDISM_DEFAULT_DEG", raising=False)
+    code, out, err = run(["fgl", "acoeff", "--i", "0", "--j", "0"])
+    assert code == 2 and out == "" and "usage error" in err
+    code, out, _ = run(["fgl", "acoeff", "--i", "1", "--j", "2", "--spec", "bogus"])
+    assert code == 2 and out == ""
+    code, out, _ = run(["fgl", "acoeff", "--i", "1", "--j", "2"])
+    assert code == 0 and out == "# deg 3\n4*m1^2 - 3*m2\n"
+
+
 def test_flag_commands():
     code, out, _ = run(["flag", "nf", "x2", "--rank", "2"])
     assert code == 0 and out == "-x1\n"

@@ -1,0 +1,201 @@
+"""Bott residue integration: the one-parameter route against the all-vertex sum."""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
+
+from torcob import gkm
+from torcob.accept import _P1_CHARS
+from torcob.coeff import GradedCoeff
+from torcob.errors import NotDivisible
+from torcob.fgl import build
+from torcob.torus import TorusContext
+
+
+def residue_sum_oracle(ctx, g, alpha):
+    """The all-vertex common-denominator residue sum in S(T).
+
+    Cross-multiplies the fractions alpha_v / e_v over every vertex, clears
+    the denominator by exact division and takes the constant term.  It needs
+    the truncation ``old_truncation`` and shares no step with the
+    one-parameter route beyond the Euler classes.
+    """
+    num = den = None
+    for v in g.vertices:
+        ev = gkm.euler_class(ctx, g, v)
+        av = alpha.values[v]
+        if num is None:
+            num, den = av, ev
+        else:
+            num = num * ev + av * den
+            den = den * ev
+    return num.divide_exact(den).constant_term()
+
+
+def old_truncation(g, class_degree):
+    """Truncation of the all-vertex sum: total Euler degree plus the class degree."""
+    return len(g.vertices) * g.dim + class_degree
+
+
+def power(alpha, k, one):
+    out = one
+    for _ in range(k):
+        out = out * alpha
+    return out
+
+
+def flag_monomial(T, g, exps):
+    out = gkm.constant_class(T, g, 1)
+    for k, e in enumerate(exps):
+        out = out * power(gkm.flag_tautological(T, g, k + 1), e, gkm.constant_class(T, g, 1))
+    return out
+
+
+def both_routes(g, class_degree, make, dc, law=None):
+    T = TorusContext(g.rank, build(dc, old_truncation(g, class_degree), law))
+    alpha = make(T, g)
+    return gkm.integrate(T, g, alpha), residue_sum_oracle(T, g, alpha)
+
+
+# -- cross-checks against the all-vertex sum -----------------------------------------
+
+
+@pytest.mark.parametrize(
+    "chi", [chi for chars in _P1_CHARS.values() for chi in chars], ids=str
+)
+def test_p1_battery_characters_match_oracle(chi):
+    g = gkm.p1_graph(chi)
+    cases = [
+        (0, lambda T, g: gkm.constant_class(T, g, 1)),
+        (1, lambda T, g: gkm.pushforward_point(T, g, "0", T.one())),
+        (1, lambda T, g: gkm.pushforward_point(T, g, "inf", T.one())),
+    ]
+    for deg, make in cases:
+        new, old = both_routes(g, deg, make, 1)
+        assert new == old
+
+
+@pytest.mark.parametrize("n, top", [(2, 3), (3, 1)])
+def test_pn_matches_oracle(n, top):
+    g = gkm.pn_graph(n)
+    for k in range(top + 1):
+        new, old = both_routes(
+            g, k, lambda T, g: power(gkm.pn_hyperplane(T, g), k, gkm.constant_class(T, g, 1)), n
+        )
+        assert new == old
+    if n == 2:
+        new, old = both_routes(g, n, lambda T, g: gkm.pushforward_point(T, g, "1", T.one()), n)
+        assert new == old == GradedCoeff.one()
+
+
+def test_flag2_matches_oracle():
+    g = gkm.flag_graph(2)
+    for exps in [(0, 0), (1, 0), (0, 1)]:
+        new, old = both_routes(g, sum(exps), lambda T, g: flag_monomial(T, g, exps), 1)
+        assert new == old
+
+
+@pytest.mark.parametrize("law", ["additive", ("multiplicative", Fraction(2, 5))], ids=str)
+def test_flag3_specialized_matches_oracle(law):
+    g = gkm.flag_graph(3)
+    for exps in [(0, 0, 0), (1, 1, 0), (2, 1, 0)]:
+        new, old = both_routes(g, sum(exps), lambda T, g: flag_monomial(T, g, exps), 0, law)
+        assert new == old
+
+
+# -- the choice of cocharacter -------------------------------------------------------
+
+
+def _lambda_cases():
+    cases = []
+    T = TorusContext(3, build(3, 4))
+    g = gkm.flag_graph(3)
+    cases.append((T, g, gkm.constant_class(T, g, 1)))
+    cases.append((T, g, flag_monomial(T, g, (1, 0, 0))))
+    T2 = TorusContext(2, build(2, 3))
+    g2 = gkm.pn_graph(2)
+    cases.append((T2, g2, gkm.pn_hyperplane(T2, g2)))
+    g3 = gkm.p1_graph((2, 3))
+    cases.append((T2, g3, gkm.pushforward_point(T2, g3, "inf", T2.one())))
+    return cases
+
+
+LAMBDA_CASES = _lambda_cases()
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(st.sampled_from(range(len(LAMBDA_CASES))), st.lists(st.integers(-4, 4), min_size=3, max_size=3))
+def test_answer_independent_of_cocharacter(index, entries):
+    T, g, alpha = LAMBDA_CASES[index]
+    lam = tuple(entries[: g.rank])
+    assume(all(gkm._pairing(chi, lam) for _, _, chi in g.edges))
+    total = gkm._residue_along(T, g, alpha, lam)
+    assert all(k >= g.dim for (k,) in total.coeffs)
+    assert total.coefficient((g.dim,)) == gkm.integrate(T, g, alpha)
+
+
+def test_generic_cocharacter_pairs_nonzero():
+    for g in [gkm.p1_graph((2, 3, 5)), gkm.pn_graph(4), gkm.flag_graph(4)]:
+        lam = gkm._generic_cocharacter(g)
+        assert all(gkm._pairing(chi, lam) for _, _, chi in g.edges)
+    assert gkm._generic_cocharacter(gkm.flag_graph(3)) == (0, 1, -1)
+
+
+def test_non_class_fails_the_certificate():
+    T = TorusContext(1, build(1, 2))
+    g = gkm.p1_graph((1,))
+    alpha = gkm.PiecewiseClass({"0": T.one(), "inf": T.zero()})
+    with pytest.raises(NotDivisible):
+        gkm.integrate(T, g, alpha, check_class=False)
+
+
+def test_required_guarantee_is_dimension_plus_one():
+    T = TorusContext(3, build(0, 4, "additive"))
+    g = gkm.flag_graph(3)
+    assert gkm.required_guarantee(g, flag_monomial(T, g, (2, 1, 0))) == 4
+    assert gkm.required_guarantee(gkm.pn_graph(4), None) == 5
+
+
+# -- reach ---------------------------------------------------------------------------
+
+
+FL4 = (
+    GradedCoeff.monomial((6,), 1280)
+    + GradedCoeff.monomial((4, 1), -3200)
+    + GradedCoeff.monomial((3, 0, 1), 1360)
+    + GradedCoeff.monomial((2, 2), 1296)
+    + GradedCoeff.monomial((2, 0, 0, 1), -480)
+    + GradedCoeff.monomial((1, 1, 1), -288)
+    + GradedCoeff.monomial((1, 0, 0, 0, 1), 80)
+    + GradedCoeff.monomial((0, 0, 2), -24)
+)
+
+
+def test_p4_fundamental_class():
+    T = TorusContext(4, build(4, 5))
+    g = gkm.pn_graph(4)
+    got = gkm.integrate(T, g, gkm.constant_class(T, g, 1))
+    assert got == GradedCoeff.generator(4).scale(5)
+
+
+def test_flag4_universal_fundamental_class():
+    T = TorusContext(4, build(6, 7))
+    g = gkm.flag_graph(4)
+    one = gkm.constant_class(T, g, 1)
+    assert gkm.integrate(T, g, one) == FL4
+    other = gkm._residue_along(T, g, one, (3, -1, 5, 2))
+    assert all(k >= g.dim for (k,) in other.coeffs)
+    assert other.coefficient((g.dim,)) == FL4
+
+
+def test_flag4_value_specializations():
+    # the multiplicative genus of a 6-fold is beta^6 (Todd genus 1 at beta = 1)
+    g = gkm.flag_graph(4)
+    for beta in (Fraction(1), Fraction(2, 5), Fraction(-3, 7)):
+        value = FL4.specialize(lambda i: beta ** i / (i + 1))
+        assert value == GradedCoeff.from_rational(beta ** 6)
+        T = TorusContext(4, build(0, 7, ("multiplicative", beta)))
+        assert gkm.integrate(T, g, gkm.constant_class(T, g, 1)) == value
+    assert FL4.specialize(lambda i: Fraction(0)).is_zero()
