@@ -1,23 +1,18 @@
 #!/usr/bin/env python3
-"""Benchmark the compiled convolution kernel against the pure-Python fallback.
+"""Time the exact convolution kernel, ``torcob.kernels.convolve``.
 
 The kernel (truncated sparse convolution over exact rationals) is the hot
 inner loop of every series multiplication, Euler-class product, and residue
-division.  Run from the repository root after building the extension:
+division.  Run from the repository root:
 
-    python benchmarks/bench_kernels.py
+    PYTHONPATH=src python benchmarks/bench_kernels.py
 """
 
 import random
 import time
 from fractions import Fraction
 
-from torcob import _convolve_py
-
-try:
-    from torcob import _convolve_c
-except ImportError:
-    _convolve_c = None
+from torcob.kernels import convolve
 
 
 def rand_table(rng, nvars, maxdeg, nterms, mterms):
@@ -65,7 +60,7 @@ def workload_euler_chain(rng):
     """Chained products imitating an Euler-class denominator build."""
     tables = [rand_table(rng, 3, 2, 8, 2) for _ in range(6)]
 
-    def chain(convolve):
+    def chain():
         acc = tables[0]
         for t in tables[1:]:
             acc = convolve(acc, t, 12)
@@ -81,27 +76,12 @@ def main():
         ("series mul (3 vars, deg 6)", workload_series_mul),
         ("polynomial mul (uncapped)", workload_polynomial_mul),
     ]:
-        args = make(rng)
-        t_py = timeit(_convolve_py.convolve, *args)
-        if _convolve_c is not None:
-            t_c = timeit(_convolve_c.convolve, *args)
-            assert _convolve_py.convolve(*args) == _convolve_c.convolve(*args)
-        else:
-            t_c = None
-        rows.append((name, t_py, t_c))
-    chain = workload_euler_chain(rng)
-    t_py = timeit(chain, _convolve_py.convolve)
-    t_c = timeit(chain, _convolve_c.convolve) if _convolve_c is not None else None
-    rows.append(("euler chain (6 factors)", t_py, t_c))
+        rows.append((name, timeit(convolve, *make(rng))))
+    rows.append(("euler chain (6 factors)", timeit(workload_euler_chain(rng))))
 
-    print(f"{'workload':34s} {'python':>10s} {'cython':>10s} {'speedup':>8s}")
-    for name, t_py, t_c in rows:
-        if t_c is None:
-            print(f"{name:34s} {t_py * 1e3:9.2f}ms {'n/a':>10s} {'':>8s}")
-        else:
-            print(f"{name:34s} {t_py * 1e3:9.2f}ms {t_c * 1e3:9.2f}ms {t_py / t_c:7.2f}x")
-    if _convolve_c is None:
-        print("compiled kernel not built; install with Cython for the comparison")
+    print(f"{'workload':34s} {'convolve':>10s}")
+    for name, t in rows:
+        print(f"{name:34s} {t * 1e3:9.2f}ms")
 
 
 if __name__ == "__main__":

@@ -5,9 +5,7 @@ Layers, bottom up: ``coeff`` (the rationalized Lazard ring), ``series``
 ``torus`` (S(T), characters, Chern-class division), ``gkm`` (moment graphs,
 localization, Bott residues), ``flag`` (GL_n coinvariants), ``exprs``/``cli``
 (front end), ``accept`` (the acceptance battery behind ``torcob selftest``).
-
-The sparse convolution kernel runs compiled when the Cython extension is
-available; ``torcob.kernels.BACKEND`` names the active implementation.
+Every exact product runs through ``kernels``.
 """
 
 from torcob.coeff import GradedCoeff

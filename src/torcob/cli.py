@@ -90,27 +90,34 @@ def _eval_class(ctx, g, values) -> gkm.PiecewiseClass:
     return gkm.PiecewiseClass(out)
 
 
-def _torus_for(g: gkm.GKMGraph, deg, args) -> TorusContext:
-    ctx = fgl_build(args.coeff_deg, deg, _parse_spec(args.spec))
-    return TorusContext(g.rank, ctx)
+def _law(args):
+    """Parsed --spec, after checking --coeff-deg; runs before any header is printed."""
+    spec = _parse_spec(args.spec)
+    if args.coeff_deg < 0:
+        raise UsageError("need --coeff-deg >= 0")
+    return spec
+
+
+def _torus_for(g: gkm.GKMGraph, deg, args, spec) -> TorusContext:
+    return TorusContext(g.rank, fgl_build(args.coeff_deg, deg, spec))
 
 
 # -- command handlers -----------------------------------------------------------
 
 
 def _cmd_fgl(args, out, stdin):
+    spec = _law(args)
     if args.sub == "print":
         deg = _default_deg(args, 6, out)
-        ctx = fgl_build(args.coeff_deg, deg, _parse_spec(args.spec))
+        ctx = fgl_build(args.coeff_deg, deg, spec)
         print(str(ctx.F), file=out)
     elif args.sub == "nseries":
         deg = _default_deg(args, 6, out)
-        ctx = fgl_build(args.coeff_deg, deg, _parse_spec(args.spec))
+        ctx = fgl_build(args.coeff_deg, deg, spec)
         print(str(ctx.n_series(args.n)), file=out)
     elif args.sub == "acoeff":
-        spec = _parse_spec(args.spec)
-        if args.i + args.j < 1 or args.coeff_deg < 0:
-            raise UsageError("need --i + --j >= 1 and --coeff-deg >= 0")
+        if args.i + args.j < 1:
+            raise UsageError("need --i + --j >= 1")
         deg = _default_deg(args, args.i + args.j, out)
         ctx = fgl_build(args.coeff_deg, deg, spec)
         print(str(ctx.a_coeff(args.i, args.j)), file=out)
@@ -119,6 +126,7 @@ def _cmd_fgl(args, out, stdin):
 
 def _cmd_gkm(args, out, stdin):
     if args.sub == "gen":
+        spec = _law(args) if args.classes else None
         if args.kind == "p1":
             if args.char is None:
                 raise UsageError("p1 needs --char")
@@ -132,7 +140,7 @@ def _cmd_gkm(args, out, stdin):
         print(json.dumps(g.to_json()), file=out)
         if args.classes:
             deg = _default_deg(args, 2 * g.dim + 2, out)
-            ctx = _torus_for(g, deg, args)
+            ctx = _torus_for(g, deg, args, spec)
             named = gkm.distinguished_classes(ctx, g, args.kind)
             print(
                 json.dumps({name: gkm.class_to_json(g, a) for name, a in named.items()}),
@@ -144,22 +152,23 @@ def _cmd_gkm(args, out, stdin):
     trunc, values = _class_values(_load_json(args.cls, stdin))
     if args.deg is None and trunc is not None:
         args.deg = int(trunc)
+    spec = _law(args)
     if args.sub == "check":
         deg = _default_deg(args, g.dim + 2, out)
-        ctx = _torus_for(g, deg, args)
+        ctx = _torus_for(g, deg, args, spec)
         alpha = _eval_class(ctx, g, values)
         ok = gkm.is_class(ctx, g, alpha)
         print("true" if ok else "false", file=out)
         return 0 if ok else 1
     if args.sub == "integrate":
         deg = _default_deg(args, gkm.required_guarantee(g, None), out)
-        ctx = _torus_for(g, deg, args)
+        ctx = _torus_for(g, deg, args, spec)
         alpha = _eval_class(ctx, g, values)
         print(str(gkm.integrate(ctx, g, alpha)), file=out)
         return 0
     if args.sub in ("expand", "forget"):
         deg = _default_deg(args, 2 * g.dim + 2, out)
-        ctx = _torus_for(g, deg, args)
+        ctx = _torus_for(g, deg, args, spec)
         alpha = _eval_class(ctx, g, values)
         basis_obj = _load_json(args.basis, stdin)
         if not isinstance(basis_obj, list):
@@ -187,7 +196,7 @@ def _cmd_flag(args, out, stdin):
             texts = [str(flagmod.x_poly(n, {a: GradedCoeff.one()})) for a in basis]
             print(json.dumps(texts), file=out)
         return 0
-    spec = _parse_spec(args.spec)
+    spec = _law(args) if args.sub == "kernel" else _parse_spec(args.spec)
     spec_value = None
     if spec is not None:
         probe = fgl_build(0, 2, spec)

@@ -14,23 +14,14 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from torcob.kernels import mul_acc
+
 
 def _trim(exps):
     n = len(exps)
     while n and exps[n - 1] == 0:
         n -= 1
     return tuple(exps[:n])
-
-
-def madd(a: tuple, b: tuple) -> tuple:
-    """Multiply two m-monomials (no trimming needed: sums of nonneg ints)."""
-    if not a:
-        return b
-    if not b:
-        return a
-    if len(a) < len(b):
-        a, b = b, a
-    return tuple(x + (b[i] if i < len(b) else 0) for i, x in enumerate(a))
 
 
 def mweight(exps: tuple) -> int:
@@ -137,23 +128,7 @@ class GradedCoeff:
         return self + (-other)
 
     def __mul__(self, other: GradedCoeff) -> GradedCoeff:
-        if not self.terms or not other.terms:
-            return GradedCoeff.zero()
-        out = {}
-        for ea, qa in self.terms.items():
-            for eb, qb in other.terms.items():
-                e = madd(ea, eb)
-                q = qa * qb
-                s = out.get(e)
-                if s is None:
-                    out[e] = q
-                else:
-                    s = s + q
-                    if s:
-                        out[e] = s
-                    else:
-                        del out[e]
-        return GradedCoeff(out)
+        return GradedCoeff(mul_acc({}, self.terms.items(), other.terms))
 
     def scale(self, q) -> GradedCoeff:
         q = Fraction(q)

@@ -24,7 +24,13 @@ UNIVERSAL = "universal"
 
 
 class FGLContext:
-    """Immutable context holding l, e, F, rho at fixed truncations."""
+    """Context holding l, e, F, rho at fixed truncations.
+
+    Immutable in everything it exposes, but n-series are cached in ``_nser``
+    on first use, without a lock.  An entry's value depends only on its key,
+    so threads sharing a context get the same answers; two threads racing on
+    one entry both compute it and store equal values.
+    """
 
     def __init__(self, coeff_degree, degree, specialization=None):
         if coeff_degree < 0 or degree < 1:

@@ -33,6 +33,7 @@ from torcob.errors import (
     NotDivisible,
     TruncationInsufficient,
 )
+from torcob.kernels import madd
 from torcob.linalg import INCONSISTENT, UNDERDETERMINED, solve
 from torcob.series import TruncSeries
 from torcob.torus import TorusContext, content, proportional
@@ -379,8 +380,6 @@ def _expand_component(ctx, g, basis, alpha, guar, lows, j, bdegs):
                     slots.append((k, tmon, mmon))
     eq_index = {}
     columns = []
-    from torcob.coeff import madd
-
     for k, tmon, mmon in slots:
         col = {}
         b = basis[k]

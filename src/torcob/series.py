@@ -11,14 +11,14 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from torcob.coeff import GradedCoeff, join_signed, madd
+from torcob.coeff import GradedCoeff, join_signed
 from torcob.errors import (
     NotDivisible,
     NotInvertible,
     TruncationInsufficient,
     VariableMismatch,
 )
-from torcob.kernels import convolve
+from torcob.kernels import convolve, flat_mul_sub
 
 
 class TruncSeries:
@@ -317,12 +317,13 @@ class TruncSeries:
 
         Solved t-degree by t-degree against the lowest homogeneous part of
         ``g``; an inconsistency raises NotDivisible, which certifies that
-        ``self`` is not a multiple of ``g`` up to truncation.  The guarantee
-        drops by the lowest t-degree of ``g``.
+        ``self`` is not a multiple of ``g`` up to truncation; a zero ``g``
+        raises NotInvertible.  The guarantee drops by the lowest t-degree of
+        ``g``.
         """
         self._check_vars(g)
         if g.is_zero():
-            raise ZeroDivisionError("division by the zero series")
+            raise NotInvertible("division by the zero series")
         e = g.lowest_degree()
         gq = min(self.guarantee, g.guarantee) - e
         if gq < 0:
@@ -341,7 +342,7 @@ class TruncSeries:
                 gs = g_sl.get(e + k - d)
                 if not gs or not qd:
                     continue
-                _flat_mul_sub(r, qd, gs)
+                flat_mul_sub(r, qd, gs)
             q_slices[k] = _divide_flat(r, ge) if r else {}
         coeffs = {}
         for sl in q_slices.values():
@@ -422,18 +423,6 @@ def _coeff_term_text(mexp, mag, mon) -> str:
     return "*".join(factors)
 
 
-def _flat_mul_sub(r, a, b):
-    """r -= a*b on flat {(t, m): Fraction} tables."""
-    for (ta, ma), qa in a.items():
-        for (tb, mb), qb in b.items():
-            key = (tuple(x + y for x, y in zip(ta, tb)), madd(ma, mb))
-            val = r.get(key, Fraction(0)) - qa * qb
-            if val:
-                r[key] = val
-            elif key in r:
-                del r[key]
-
-
 def _m_divides(a, b):
     # trimmed tuples: a longer tuple has a nonzero high entry, so it cannot divide
     if len(a) > len(b):
@@ -450,7 +439,6 @@ def _divide_flat(r, g):
     ltg = max(g)
     cg = g[ltg]
     gt, gm = ltg
-    gitems = list(g.items())
     q = {}
     r = dict(r)
     while r:
@@ -469,11 +457,5 @@ def _divide_flat(r, g):
         sm = sm[:n]
         c = r[ltr] / cg
         q[(st, sm)] = c
-        for (t, m), qq in gitems:
-            key = (tuple(x + y for x, y in zip(t, st)), madd(m, sm))
-            val = r.get(key, Fraction(0)) - c * qq
-            if val:
-                r[key] = val
-            elif key in r:
-                del r[key]
+        flat_mul_sub(r, {(st, sm): c}, g)
     return q

@@ -157,7 +157,11 @@ class CoordinateTransform:
 
 
 class TorusContext:
-    """Rank-n torus with a formal group law context; pure and cache-backed."""
+    """Rank-n torus with a formal group law context; pure and cache-backed.
+
+    Chern classes, coordinate transforms and unit inverse powers are cached
+    on first use, with the same thread-sharing guarantee as ``FGLContext``.
+    """
 
     def __init__(self, rank: int, fgl: FGLContext):
         if rank < 1:

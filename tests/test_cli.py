@@ -155,6 +155,22 @@ def test_acoeff_validates_before_header(monkeypatch):
     assert code == 0 and out == "# deg 3\n4*m1^2 - 3*m2\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fgl", "print", "--coeff-deg", "-1"],
+        ["fgl", "nseries", "--n", "2", "--spec", "bogus"],
+        ["gkm", "integrate", "--graph", P1_JSON, "--class", '{"0":"1","inf":"1"}',
+         "--spec", "bogus"],
+    ],
+    ids=["print-coeff-deg", "nseries-spec", "integrate-spec"],
+)
+def test_validates_before_header(monkeypatch, argv):
+    monkeypatch.delenv("COBORDISM_DEFAULT_DEG", raising=False)
+    code, out, err = run(argv)
+    assert code == 2 and out == "" and "usage error" in err
+
+
 def test_flag_commands():
     code, out, _ = run(["flag", "nf", "x2", "--rank", "2"])
     assert code == 0 and out == "-x1\n"

@@ -1,68 +1,88 @@
-"""The compiled convolution kernel must agree exactly with the pure fallback."""
+"""The exact product kernel against a naive dense product."""
 
-import os
 import random
-import subprocess
-import sys
 from fractions import Fraction
 
-import pytest
-
-import torcob
-from torcob import _convolve_py
-from torcob.kernels import BACKEND
-
-try:
-    from torcob import _convolve_c
-except ImportError:
-    _convolve_c = None
+from torcob.coeff import GradedCoeff
+from torcob.kernels import convolve
 
 
-def rand_table(rng, nvars, maxdeg, nterms):
+def _trim(exps):
+    exps = list(exps)
+    while exps and exps[-1] == 0:
+        exps.pop()
+    return tuple(exps)
+
+
+def _add(a, b):
+    n = max(len(a), len(b))
+    a = tuple(a) + (0,) * (n - len(a))
+    b = tuple(b) + (0,) * (n - len(b))
+    return tuple(x + y for x, y in zip(a, b))
+
+
+def dense_coeff_product(ca, cb):
     out = {}
-    for _ in range(nterms):
+    for ma, qa in ca.items():
+        for mb, qb in cb.items():
+            m = _trim(_add(ma, mb))
+            out[m] = out.get(m, Fraction(0)) + qa * qb
+    return {m: q for m, q in out.items() if q}
+
+
+def dense_product(a, b, cap):
+    out = {}
+    for ta, ca in a.items():
+        for tb, cb in b.items():
+            t = _add(ta, tb)
+            if cap is not None and sum(t) > cap:
+                continue
+            tgt = out.setdefault(t, {})
+            for m, q in dense_coeff_product(ca, cb).items():
+                tgt[m] = tgt.get(m, Fraction(0)) + q
+    out = {t: {m: q for m, q in c.items() if q} for t, c in out.items()}
+    return {t: c for t, c in out.items() if c}
+
+
+def rand_coeff(rng):
+    c = {}
+    for _ in range(rng.randint(1, 3)):
+        m = _trim(rng.randint(0, 2) for _ in range(rng.randint(0, 3)))
+        c[m] = Fraction(rng.randint(-2, 2), rng.randint(1, 3))
+    return {m: q for m, q in c.items() if q}
+
+
+def rand_table(rng, nvars=2, maxdeg=3):
+    out = {}
+    for _ in range(rng.randint(1, 5)):
         t = tuple(rng.randint(0, maxdeg) for _ in range(nvars))
-        coeff = {}
-        for _ in range(rng.randint(1, 3)):
-            m = tuple(rng.randint(0, 2) for _ in range(rng.randint(0, 3)))
-            n = len(m)
-            while n and m[n - 1] == 0:
-                n -= 1
-            coeff[m[:n]] = Fraction(rng.randint(-9, 9), rng.randint(1, 5))
-        coeff = {k: v for k, v in coeff.items() if v}
-        if coeff:
-            out[t] = coeff
+        c = rand_coeff(rng)
+        if c:
+            out[t] = c
     return out
 
 
-@pytest.mark.skipif(_convolve_c is None, reason="compiled kernel not built")
-def test_backends_agree_on_random_inputs():
-    rng = random.Random(15)
-    for _ in range(40):
-        a = rand_table(rng, 2, 4, 5)
-        b = rand_table(rng, 2, 4, 5)
-        cap = rng.choice([None, 3, 6, 10])
-        assert _convolve_py.convolve(a, b, cap) == _convolve_c.convolve(a, b, cap)
-    ca = {(1,): Fraction(2), (): Fraction(1, 3)}
-    cb = {(0, 2): Fraction(-1), (): Fraction(4)}
-    assert _convolve_py.coeff_mul(ca, cb) == _convolve_c.coeff_mul(ca, cb)
+def test_convolve_matches_dense_product():
+    one, m1 = (), (1,)
+    # (t1 + t2)(t1 - t2): the t1*t2 terms cancel; (1 + m1)(1 - m1): the m1 terms cancel
+    a = {(1, 0): {one: Fraction(1)}, (0, 1): {one: Fraction(1)}}
+    b = {(1, 0): {one: Fraction(1)}, (0, 1): {one: Fraction(-1)}}
+    assert convolve(a, b, None) == {(2, 0): {one: 1}, (0, 2): {one: -1}}
+    c = {(0, 0): {one: Fraction(1), m1: Fraction(1)}}
+    d = {(0, 0): {one: Fraction(1), m1: Fraction(-1)}}
+    assert convolve(c, d, None) == {(0, 0): {one: 1, (2,): -1}}
+    assert convolve(a, b, 1) == {}
 
-
-def test_backend_reported():
-    assert BACKEND in ("cython", "python")
-
-
-def test_pure_backend_env(tmp_path):
-    # The child runs outside the checkout, so hand it the absolute directory
-    # holding the torcob under test; a relative PYTHONPATH=src would not
-    # resolve from tmp_path.
-    pkg_root = os.path.dirname(os.path.dirname(os.path.abspath(torcob.__file__)))
-    pythonpath = os.pathsep.join(filter(None, [pkg_root, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", "from torcob.kernels import BACKEND; print(BACKEND)"],
-        env=dict(os.environ, TORCOB_PURE="1", PYTHONPATH=pythonpath),
-        capture_output=True,
-        cwd=str(tmp_path),
-    )
-    assert proc.returncode == 0, proc.stderr.decode()
-    assert proc.stdout.decode().strip() == "python"
+    rng = random.Random(6)
+    for _ in range(300):
+        a, b = rand_table(rng), rand_table(rng)
+        cap = rng.choice([None, 0, 2, 3, 4])
+        got = convolve(a, b, cap)
+        assert got == dense_product(a, b, cap)
+        for c in got.values():
+            assert c and all(q for q in c.values())
+            assert all(not m or m[-1] for m in c)  # monomial products stay trimmed
+        ca, cb = rand_coeff(rng), rand_coeff(rng)
+        prod = GradedCoeff(ca) * GradedCoeff(cb)
+        assert prod.terms == dense_coeff_product(ca, cb)
+        assert all(not m or m[-1] for m in prod.terms)
