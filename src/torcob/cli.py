@@ -48,12 +48,19 @@ def _parse_char(text):
 
 
 def _default_deg(args, computed, out):
-    """Effective truncation: --deg, else env override, else computed (with header)."""
-    if getattr(args, "deg", None) is not None:
-        return args.deg
-    env = os.environ.get("COBORDISM_DEFAULT_DEG")
-    deg = int(env) if env else computed
-    print(f"# deg {deg}", file=out)
+    """Effective truncation: --deg, else env override, else computed (with header).
+
+    A truncation below 1 is refused before the header is printed.
+    """
+    deg = getattr(args, "deg", None)
+    header = deg is None
+    if header:
+        env = os.environ.get("COBORDISM_DEFAULT_DEG")
+        deg = int(env) if env else computed
+    if deg < 1:
+        raise UsageError(f"need a truncation degree >= 1, got {deg}")
+    if header:
+        print(f"# deg {deg}", file=out)
     return deg
 
 
@@ -207,10 +214,15 @@ def _cmd_flag(args, out, stdin):
         print(str(flagmod.normal_form(n, p)), file=out)
         return 0
     if args.sub == "kernel":
-        # the Artin basis is restricted up to degree n(n-1)/2
-        computed = max(max(p.max_degree() or 0, 1) + 1, n * (n - 1) // 2)
+        # The default truncation, and so the "# deg" header, keeps the bytes it
+        # had when the Artin basis was restricted up to degree n(n-1)/2; the
+        # residue pairing reads series through u^dim, so the context is built
+        # at dim + 1 where the truncation is lower.
+        dim = n * (n - 1) // 2
+        computed = max(max(p.max_degree() or 0, 1) + 1, dim)
         deg = _default_deg(args, computed, out)
-        ctx = TorusContext(n, fgl_build(args.coeff_deg, deg, spec))
+        flagmod.require_degree(p, deg)
+        ctx = TorusContext(n, fgl_build(args.coeff_deg, max(deg, dim + 1), spec))
         ok = flagmod.kernel_check(ctx, n, p)
         print("true" if ok else "false", file=out)
         return 0

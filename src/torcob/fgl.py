@@ -21,6 +21,7 @@ from torcob.series import TruncSeries
 ADDITIVE = "additive"
 MULTIPLICATIVE = "multiplicative"
 UNIVERSAL = "universal"
+CUSTOM = "custom"
 
 
 class FGLContext:
@@ -143,14 +144,20 @@ def _uvar(bound):
 
 
 def _normalize_spec(spec):
+    """None, (ADDITIVE,), (MULTIPLICATIVE, beta) or ("custom", {i: q}).
+
+    Idempotent, so a context can be rebuilt from its ``specialization``.
+    """
     if spec is None or spec == UNIVERSAL:
         return None
-    if spec == ADDITIVE:
+    if spec in (ADDITIVE, (ADDITIVE,)):
         return (ADDITIVE,)
     if isinstance(spec, tuple) and spec and spec[0] == MULTIPLICATIVE:
         return (MULTIPLICATIVE, Fraction(spec[1]))
+    if isinstance(spec, tuple) and len(spec) == 2 and spec[0] == CUSTOM:
+        spec = spec[1]
     if isinstance(spec, dict):
-        return ("custom", {int(i): Fraction(v) for i, v in spec.items()})
+        return (CUSTOM, {int(i): Fraction(v) for i, v in spec.items()})
     raise ValueError(f"unknown specialization {spec!r}")
 
 

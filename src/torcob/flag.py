@@ -8,7 +8,9 @@ lexicographic order with x_n largest, whose leading terms are the staircase
 walls x_{n+1-i}^i.
 
 The bridge to the moment-graph model evaluates a polynomial at the
-tautological weights t_{w(1)}, ..., t_{w(n)} of each coset w.
+tautological weights t_{w(1)}, ..., t_{w(n)} of each coset w.  Membership
+in the ideal is decided twice: by the normal form, and by pairing against
+the Artin basis through the one-variable residue of ``gkm.integrate``.
 """
 
 from __future__ import annotations
@@ -18,7 +20,17 @@ import math
 
 from torcob.coeff import GradedCoeff
 from torcob.errors import TruncationInsufficient
-from torcob.gkm import GKMGraph, PiecewiseClass, basis_expand, flag_graph
+from torcob.fgl import build
+from torcob.gkm import (
+    PiecewiseClass,
+    _along,
+    _generic_cocharacter,
+    _over_unit,
+    _top_coefficient,
+    flag_graph,
+)
+# Looked up here by the benchmark's tracer (e2ebench/spans.py); unused in this module.
+from torcob.gkm import basis_expand  # noqa: F401
 from torcob.series import TruncSeries
 from torcob.torus import TorusContext
 
@@ -159,16 +171,19 @@ class CoinvariantElement:
         return CoinvariantElement(self.n, self.poly + other.poly)
 
 
+def require_degree(p: TruncSeries, D: int):
+    """Refuse a polynomial of degree above the truncation D."""
+    deg = p.max_degree() or 0
+    if deg > D:
+        raise TruncationInsufficient(f"polynomial degree {deg} exceeds series truncation {D}")
+
+
 def flag_restriction(ctx: TorusContext, n: int, p: TruncSeries) -> PiecewiseClass:
     """Evaluate p at the tautological weights of each coset: x_k -> t_{w(k)}."""
     if ctx.rank != n:
         raise ValueError("torus rank must equal n")
     g = flag_graph(n)
-    deg = p.max_degree() or 0
-    if deg > ctx.D:
-        raise TruncationInsufficient(
-            f"polynomial degree {deg} exceeds series truncation {ctx.D}"
-        )
+    require_degree(p, ctx.D)
     values = {}
     for v in g.vertices:
         w = [int(c) for c in v]
@@ -177,32 +192,63 @@ def flag_restriction(ctx: TorusContext, n: int, p: TruncSeries) -> PiecewiseClas
     return PiecewiseClass(values)
 
 
-def artin_restriction_basis(ctx: TorusContext, n: int, g: GKMGraph = None):
-    """Restrictions of the Artin monomials: a free S-basis of the class module."""
-    if g is None:
-        g = flag_graph(n)
-    out = []
-    for a in artin_exponents(n):
-        mono = x_poly(n, {a: GradedCoeff.one()})
-        out.append(flag_restriction(ctx, n, mono))
+def _staircase_products(q: TruncSeries, ys) -> dict:
+    """{a: q * prod_k ys[k]^a_k} over the Artin staircase, one multiply per entry.
+
+    The short ranges come first, so the intermediate levels stay small.
+    """
+    n = len(ys)
+    out = {(0,) * n: q}
+    for k in range(n - 2, -1, -1):
+        nxt = {}
+        for a, s in out.items():
+            for e in range(n - k):
+                if e:
+                    s = s * ys[k]
+                nxt[a[:k] + (e,) + a[k + 1:]] = s
+        out = nxt
     return out
+
+
+def artin_pairing(ctx: TorusContext, n: int, p: TruncSeries) -> list:
+    """[integral of p * x^a over Fl_n for a in artin_exponents(n)].
+
+    Each integral is the one-variable residue of ``gkm.integrate``: along the
+    generic cocharacter lambda, x_k at the coset w becomes [lambda_{w(k)}](u),
+    p_v(u) / U_v(u) is formed once per vertex and multiplied by every Artin
+    monomial there, and each sum is read at u^dim with the coefficients below
+    it certified zero.  A truncation at or below dim = n(n-1)/2 is raised to
+    dim + 1 in a context built here.
+    """
+    if ctx.rank != n:
+        raise ValueError("torus rank must equal n")
+    g = flag_graph(n)
+    if ctx.D <= g.dim:
+        ctx = TorusContext(n, build(ctx.fgl.Dc, g.dim + 1, ctx.fgl.specialization))
+    lam = _generic_cocharacter(g)
+    restrict = _along(ctx, lam)
+    totals = {a: TruncSeries.zero(("u",), ctx.D, g.dim) for a in artin_exponents(n)}
+    for v in g.vertices:
+        ys = [restrict[ctx.vars[int(c) - 1]].truncated(g.dim) for c in v]
+        q = _over_unit(ctx, g, v, lam, p, dict(zip(xvars(n), ys)))
+        for a, s in _staircase_products(q, ys).items():
+            totals[a] = totals[a] + s
+    return [_top_coefficient(t, g.dim) for t in totals.values()]
 
 
 def kernel_check(ctx: TorusContext, n: int, p: TruncSeries) -> bool:
     """True iff p maps to zero in the flag cobordism ring.
 
     Two independent routes must agree: the coinvariant normal form, and the
-    moment-graph expansion of the restriction followed by the forgetful
-    augmentation of every coordinate.
+    residue pairing of ``artin_pairing``: p is zero iff its integral against
+    every Artin monomial vanishes (Poincare duality; the pairing matrix is
+    unimodular).  A polynomial above the truncation is refused.
     """
+    require_degree(p, ctx.D)
     nf_zero = normal_form(n, p).is_zero()
-    g = flag_graph(n)
-    alpha = flag_restriction(ctx, n, p)
-    basis = artin_restriction_basis(ctx, n, g)
-    coords = basis_expand(ctx, g, basis, alpha)
-    gkm_zero = all(ctx.augment(c).is_zero() for c in coords)
-    if nf_zero != gkm_zero:
+    pairing_zero = all(c.is_zero() for c in artin_pairing(ctx, n, p))
+    if nf_zero != pairing_zero:
         raise ArithmeticError(
-            f"normal-form route ({nf_zero}) disagrees with the moment-graph route ({gkm_zero})"
+            f"normal-form route ({nf_zero}) disagrees with the residue-pairing route ({pairing_zero})"
         )
     return nf_zero

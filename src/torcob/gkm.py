@@ -232,21 +232,36 @@ def _pairing(chi, lam) -> int:
     return sum(a * b for a, b in zip(chi, lam))
 
 
-def _residue_along(ctx: TorusContext, g: GKMGraph, alpha: PiecewiseClass, lam) -> TruncSeries:
-    """sum_v alpha_v(u) / U_v(u) through u^dim, restricted along lambda.
+def _along(ctx: TorusContext, lam) -> dict:
+    """The restriction t_i -> [lambda_i](u) to the one-parameter subgroup lambda."""
+    return {t: ctx.fgl.n_series(x) for t, x in zip(ctx.vars, lam)}
+
+
+def _over_unit(ctx: TorusContext, g: GKMGraph, v, lam, value: TruncSeries, assignment) -> TruncSeries:
+    """value(u) / U_v(u) through u^dim, where ``assignment`` restricts value to u.
 
     Here e_v(u) = prod_chi [<chi, lambda>](u) = u^dim * U_v(u).  Every pairing
     must be nonzero and the guarantees must reach dim.
     """
-    dim = g.dim
-    restrict = {t: ctx.fgl.n_series(x) for t, x in zip(ctx.vars, lam)}
-    total = TruncSeries.zero(("u",), ctx.D, dim)
+    term = value.truncated(g.dim).substitute(assignment)
+    for k, d in Counter(_pairing(chi, lam) for _, chi in g.incident(v)).items():
+        term = term * ctx._unit_inverse_power(k, d)
+    return term
+
+
+def _top_coefficient(total: TruncSeries, dim: int) -> GradedCoeff:
+    """The coefficient of u^dim of a residue sum, certified by the vanishing below it."""
+    if any(k < dim for (k,) in total.coeffs):
+        raise NotDivisible("residue sum not divisible; class condition or guarantee violated")
+    return total.coefficient((dim,))
+
+
+def _residue_along(ctx: TorusContext, g: GKMGraph, alpha: PiecewiseClass, lam) -> TruncSeries:
+    """sum_v alpha_v(u) / U_v(u) through u^dim, restricted along lambda."""
+    restrict = _along(ctx, lam)
+    total = TruncSeries.zero(("u",), ctx.D, g.dim)
     for v in g.vertices:
-        term = alpha.values[v].truncated(dim).substitute(restrict)
-        weights = Counter(_pairing(chi, lam) for _, chi in g.incident(v))
-        for k, d in weights.items():
-            term = term * ctx._unit_inverse_power(k, d)
-        total = total + term
+        total = total + _over_unit(ctx, g, v, lam, alpha.values[v], restrict)
     return total
 
 
@@ -264,10 +279,7 @@ def integrate(ctx: TorusContext, g: GKMGraph, alpha: PiecewiseClass, check_class
         raise TruncationInsufficient(f"guarantee {have} below required {need}")
     if check_class and not is_class(ctx, g, alpha):
         raise NotAClass("piecewise values violate an edge congruence")
-    total = _residue_along(ctx, g, alpha, _generic_cocharacter(g))
-    if any(k < g.dim for (k,) in total.coeffs):
-        raise NotDivisible("residue sum not divisible; class condition or guarantee violated")
-    return total.coefficient((g.dim,))
+    return _top_coefficient(_residue_along(ctx, g, alpha, _generic_cocharacter(g)), g.dim)
 
 
 def basis_expand(ctx: TorusContext, g: GKMGraph, basis, alpha: PiecewiseClass):

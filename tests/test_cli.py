@@ -171,6 +171,31 @@ def test_validates_before_header(monkeypatch, argv):
     assert code == 2 and out == "" and "usage error" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fgl", "print"],
+        ["gkm", "integrate", "--graph", P1_JSON, "--class", '{"0":"1","inf":"1"}'],
+        ["flag", "kernel", "x1", "--rank", "2"],
+    ],
+    ids=["print", "integrate", "kernel"],
+)
+@pytest.mark.parametrize("env", ["0", "-3"])
+def test_env_default_deg_validated_before_header(monkeypatch, argv, env):
+    monkeypatch.setenv("COBORDISM_DEFAULT_DEG", env)
+    code, out, err = run(argv)
+    assert code == 2 and out == "" and "usage error" in err
+
+
+def test_flag_kernel_below_artin_degree():
+    # the pairing needs truncation 4 at rank 3 and gets it internally; a
+    # polynomial above --deg is still refused
+    code, out, _ = run(["flag", "kernel", "x1", "--rank", "3", "--deg", "2"])
+    assert code == 0 and out == "false\n"
+    code, out, _ = run(["flag", "kernel", "x1^2*x2 - x1*x2^2", "--rank", "3", "--deg", "2"])
+    assert code == 1 and out == ""
+
+
 def test_flag_commands():
     code, out, _ = run(["flag", "nf", "x2", "--rank", "2"])
     assert code == 0 and out == "-x1\n"

@@ -163,6 +163,18 @@ def test_custom_specialization():
     assert ctx.log.coefficient((3,)).is_zero()
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [None, "additive", ("multiplicative", Fraction(2, 5)), {1: Fraction(1, 2), 3: -2}],
+    ids=["universal", "additive", "multiplicative", "custom"],
+)
+def test_rebuild_from_specialization(spec):
+    ctx = build(3, 5, spec)
+    again = build(ctx.Dc, ctx.D, ctx.specialization)
+    assert again.specialization == ctx.specialization
+    assert again.F == ctx.F
+
+
 def test_build_validates_arguments():
     with pytest.raises(ValueError):
         build(-1, 4)
