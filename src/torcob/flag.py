@@ -226,10 +226,10 @@ def artin_pairing(ctx: TorusContext, n: int, p: TruncSeries) -> list:
     if ctx.D <= g.dim:
         ctx = TorusContext(n, build(ctx.fgl.Dc, g.dim + 1, ctx.fgl.specialization))
     lam = _generic_cocharacter(g)
-    restrict = _along(ctx, lam)
+    along = [s.truncated(g.dim) for s in _along(ctx, lam).values()]
     totals = {a: TruncSeries.zero(("u",), ctx.D, g.dim) for a in artin_exponents(n)}
     for v in g.vertices:
-        ys = [restrict[ctx.vars[int(c) - 1]].truncated(g.dim) for c in v]
+        ys = [along[int(c) - 1] for c in v]
         q = _over_unit(ctx, g, v, lam, p, dict(zip(xvars(n), ys)))
         for a, s in _staircase_products(q, ys).items():
             totals[a] = totals[a] + s

@@ -131,6 +131,18 @@ def test_kernel_check_random_agreement():
         flag.kernel_check(T, n, p)
 
 
+def test_kernel_check_runs_both_routes(monkeypatch):
+    T = TorusContext(2, build(3, 5))
+    x1 = flag.x_var(2, 1)
+    monkeypatch.setattr(flag, "artin_pairing", lambda ctx, n, p: [GradedCoeff.zero()] * 2)
+    with pytest.raises(ArithmeticError):
+        flag.kernel_check(T, 2, x1)
+    monkeypatch.undo()
+    monkeypatch.setattr(flag, "normal_form", lambda n, p: flag.x_zero(n))
+    with pytest.raises(ArithmeticError):
+        flag.kernel_check(T, 2, x1)
+
+
 # -- the moment-graph route, kept as an oracle for the residue pairing ----------
 
 
