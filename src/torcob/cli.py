@@ -34,7 +34,10 @@ def _parse_spec(text):
     if text == "additive":
         return "additive"
     if text.startswith("multiplicative:"):
-        return ("multiplicative", Fraction(text.split(":", 1)[1]))
+        try:
+            return ("multiplicative", Fraction(text.split(":", 1)[1]))
+        except (ValueError, ZeroDivisionError) as exc:
+            raise UsageError(f"bad multiplicative parameter in {text!r}") from exc
     if text == "multiplicative":
         return ("multiplicative", Fraction(1))
     raise UsageError(f"unknown specialization {text!r}")
@@ -47,20 +50,28 @@ def _parse_char(text):
         raise UsageError(f"bad character {text!r}; expected comma-separated integers") from exc
 
 
-def _default_deg(args, computed, out):
-    """Effective truncation: --deg, else env override, else computed (with header).
+def _truncation(args, computed):
+    """(deg, header): --deg, else env override, else computed.
 
-    A truncation below 1 is refused before the header is printed.
+    The header line announces a truncation not given by --deg, and is empty
+    otherwise.  A truncation below 1 is refused here, before any output.
     """
     deg = getattr(args, "deg", None)
-    header = deg is None
-    if header:
+    if deg is not None:
+        header = ""
+    else:
         env = os.environ.get("COBORDISM_DEFAULT_DEG")
         deg = int(env) if env else computed
+        header = f"# deg {deg}\n"
     if deg < 1:
         raise UsageError(f"need a truncation degree >= 1, got {deg}")
-    if header:
-        print(f"# deg {deg}", file=out)
+    return deg, header
+
+
+def _default_deg(args, computed, out):
+    """Effective truncation, with its header printed."""
+    deg, header = _truncation(args, computed)
+    out.write(header)
     return deg
 
 
@@ -75,16 +86,20 @@ def _load_json(text_or_path, stdin):
 
 def _load_graph(args, stdin) -> gkm.GKMGraph:
     obj = _load_json(getattr(args, "graph", None), stdin)
-    g = gkm.GKMGraph.from_json(obj)
+    try:
+        g = gkm.GKMGraph.from_json(obj)
+    except TypeError as exc:
+        raise UsageError(f"graph JSON has the wrong shape: {exc}") from exc
     g.require_valid()
     return g
 
 
 def _class_values(obj):
+    trunc = None
     if isinstance(obj, dict) and "values" in obj:
-        return obj.get("truncation"), obj["values"]
+        trunc, obj = obj.get("truncation"), obj["values"]
     if isinstance(obj, dict):
-        return None, obj
+        return trunc, obj
     raise UsageError("class JSON must be an object of vertex: expression pairs")
 
 
@@ -144,9 +159,11 @@ def _cmd_gkm(args, out, stdin):
             g = gkm.generate(args.kind, n=args.n)
         else:
             raise UsageError(f"unknown graph kind {args.kind!r}")
+        if args.classes:
+            deg, header = _truncation(args, 2 * g.dim + 2)
         print(json.dumps(g.to_json()), file=out)
         if args.classes:
-            deg = _default_deg(args, 2 * g.dim + 2, out)
+            out.write(header)
             ctx = _torus_for(g, deg, args, spec)
             named = gkm.distinguished_classes(ctx, g, args.kind)
             print(
@@ -158,7 +175,10 @@ def _cmd_gkm(args, out, stdin):
     g = _load_graph(args, stdin)
     trunc, values = _class_values(_load_json(args.cls, stdin))
     if args.deg is None and trunc is not None:
-        args.deg = int(trunc)
+        try:
+            args.deg = int(trunc)
+        except TypeError as exc:
+            raise UsageError(f"class truncation must be an integer, got {trunc!r}") from exc
     spec = _law(args)
     if args.sub == "check":
         deg = _default_deg(args, g.dim + 2, out)

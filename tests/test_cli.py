@@ -1,5 +1,6 @@
 """End-to-end command-line behavior: outputs, exit codes, determinism."""
 
+import contextlib
 import io
 import json
 import os
@@ -7,6 +8,7 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from torcob import cli
 
@@ -174,6 +176,63 @@ def test_validates_before_header(monkeypatch, argv):
 @pytest.mark.parametrize(
     "argv",
     [
+        ["fgl", "print", "--spec", "multiplicative:1/0"],
+        ["fgl", "print", "--spec", "multiplicative:x"],
+        ["gkm", "check", "--graph", "[]", "--class", "[]"],
+        ["gkm", "check", "--graph", '{"rank": 1, "dim": 1, "vertices": 5, "edges": []}',
+         "--class", "{}"],
+        ["gkm", "integrate", "--graph", P1_JSON, "--class", '{"truncation": [4], "values": {}}'],
+        ["gkm", "integrate", "--graph", P1_JSON, "--class", '{"values": 5}'],
+    ],
+    ids=["spec-zero-beta", "spec-bad-beta", "graph-list", "graph-vertices", "class-truncation",
+         "class-values"],
+)
+def test_malformed_input_is_a_usage_error(argv):
+    code, out, err = run(argv)
+    assert code == 2 and out == "" and "usage error" in err
+
+
+@pytest.mark.parametrize("how", [{"COBORDISM_DEFAULT_DEG": "0"}, {"argv": ["--deg", "0"]}],
+                         ids=["env", "deg"])
+def test_gen_classes_refuses_truncation_before_graph(monkeypatch, how):
+    monkeypatch.delenv("COBORDISM_DEFAULT_DEG", raising=False)
+    for key, value in how.items():
+        if key != "argv":
+            monkeypatch.setenv(key, value)
+    code, out, err = run(["gkm", "gen", "p1", "--char", "1", "--classes"] + how.get("argv", []))
+    assert code == 2 and out == "" and "usage error" in err
+
+
+def test_gen_classes_header_follows_graph(monkeypatch):
+    monkeypatch.delenv("COBORDISM_DEFAULT_DEG", raising=False)
+    code, out, _ = run(["gkm", "gen", "p1", "--char", "1", "--classes"])
+    lines = out.splitlines()
+    assert code == 0 and json.loads(lines[0]) == json.loads(P1_JSON) and lines[1] == "# deg 4"
+    code, out, _ = run(["gkm", "gen", "p1", "--char", "1", "--classes", "--deg", "3"])
+    assert code == 0 and len(out.splitlines()) == 2
+
+
+@pytest.mark.parametrize("char", ["2,1", "1,-2", "1,1,1", "2,2"])
+def test_gkm_check_point_classes_off_axis(monkeypatch, char):
+    # these characters are neither on an axis nor a difference e_a - e_b
+    monkeypatch.delenv("COBORDISM_DEFAULT_DEG", raising=False)
+    code, out, _ = run(["gkm", "gen", "p1", "--char", char, "--classes"])
+    graph, header, classes = out.splitlines()
+    assert code == 0 and header == "# deg 4"
+    for name, cls in json.loads(classes).items():
+        cases = [(cls, 0, "true\n")]
+        for extra, want in [(f" + chern({char})*t1*t2", (0, "true\n")), (" + t1^2", (1, "false\n")),
+                            (" + m1*t1^3", (1, "false\n"))]:
+            values = dict(cls["values"], **{"0": cls["values"]["0"] + extra})
+            cases.append(({"truncation": 4, "values": values}, *want))
+        for obj, want_code, want_out in cases:
+            code, out, _ = run(["gkm", "check", "--graph", graph, "--class", json.dumps(obj)])
+            assert (code, out) == (want_code, want_out), (name, obj)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
         ["fgl", "print"],
         ["gkm", "integrate", "--graph", P1_JSON, "--class", '{"0":"1","inf":"1"}'],
         ["flag", "kernel", "x1", "--rank", "2"],
@@ -308,3 +367,108 @@ def test_selftest_only_subset():
     assert code == 0
     lines = out.getvalue().splitlines()
     assert lines == ["PASS  2 specializations", "PASS  7 additive-cross-check"]
+
+
+# -- argv fuzzing ---------------------------------------------------------------
+
+PN2_JSON = json.dumps(
+    {"rank": 2, "dim": 2, "vertices": ["0", "1", "2"],
+     "edges": [{"v": "0", "w": "1", "char": [1, 0]}, {"v": "0", "w": "2", "char": [0, 1]},
+               {"v": "1", "w": "2", "char": [-1, 1]}]}
+)
+FUZZ_GRAPHS = [
+    P1_JSON, PN2_JSON, "[]", "{}", "5", '"x"', "null", "{", "[1, 2]",
+    '{"rank": 1, "dim": 1, "vertices": 5, "edges": []}',
+    '{"rank": "a", "dim": 1, "vertices": [], "edges": []}',
+    '{"rank": [1], "dim": 1, "vertices": ["0"], "edges": []}',
+    '{"rank": 1, "dim": 1, "vertices": ["0", "inf"], "edges": [1]}',
+    '{"rank": 1, "dim": 1, "vertices": ["0", "inf"], "edges": [{"v": "0", "w": "inf", "char": 1}]}',
+    '{"rank": 1, "dim": 1, "vertices": ["0", "inf"], "edges": [{"v": "0", "w": "inf"}]}',
+    '{"rank": 2, "dim": 1, "vertices": ["0", "inf"], "edges": [{"v": "0", "w": "inf", "char": [1]}]}',
+    '{"rank": 1, "dim": 1, "vertices": ["0", "0"], "edges": [{"v": "0", "w": "0", "char": [1]}]}',
+    '{"rank": 0, "dim": 0, "vertices": [], "edges": []}',
+    '{"rank": -1, "dim": 1, "vertices": ["0"], "edges": []}',
+]
+FUZZ_CLASSES = [
+    '{"0": "1", "inf": "1"}', '{"0": "chern(1)", "inf": "0"}', '{"0": "t1^2", "1": "t2", "2": "0"}',
+    "[]", "{}", "5", "null", "{", '{"values": 5}', '{"values": []}', '{"truncation": [1], "values": {}}',
+    '{"truncation": "x", "values": {"0": "1"}}', '{"truncation": 0, "values": {"0": "1", "inf": "1"}}',
+    '{"truncation": -2, "values": {"0": "1", "inf": "1"}}', '{"truncation": 3, "values": {"0": "1"}}',
+    '{"0": 1, "inf": null}', '{"0": "1/0", "inf": "x1"}', '{"0": "F(t1)", "inf": "nser(t1, 2)"}',
+    '{"0": "chern(1, 2)", "inf": "rho(t1)"}', '{"0": [1], "inf": {}}',
+]
+FUZZ_BASES = ["[]", '[{"0": "1", "inf": "1"}]', "{}", "[1]", '[{"values": 3}]', "{", "null"]
+FUZZ_EXPRS = [
+    "x1", "x1^2+x2", "m1*x1 - 2/3*x2", "x1 +* x2", "1/0", "x9", "t1", "chern(1)", "x1^-1", "(x1",
+    "", "x0", "m0*x1", "x1^3*x2", "F(x1, x2)",
+]
+FUZZ_SPECS = ["universal", "additive", "multiplicative", "multiplicative:2/5", "multiplicative:1/0",
+              "multiplicative:x", "multiplicative:", "bogus", "custom"]
+FUZZ_CHARS = ["1", "-2", "1,-1", "2,1", "1,1,1", "0", "0,0", "a", "", "1,,2", "2,2"]
+
+
+@st.composite
+def fuzz_argv(draw):
+    """(argv, COBORDISM_DEFAULT_DEG) from a small grammar of subcommands, options,
+    specs, characters and JSON shapes; each choice list mixes valid and
+    malformed values, so calls reach every exit status.
+
+    --deg, --n and --rank stay small: larger values are size questions, not
+    parse questions.
+    """
+    pick = lambda values: str(draw(st.sampled_from(values)))
+    maybe = lambda flag, values: [flag, pick(values)] if draw(st.booleans()) else []
+    # a required option, left out one time in eight
+    need = lambda flag, values: [flag, pick(values)] if draw(st.integers(0, 7)) < 7 else []
+    group, sub = draw(st.sampled_from([
+        ("fgl", "print"), ("fgl", "nseries"), ("fgl", "acoeff"), ("gkm", "gen"),
+        ("gkm", "check"), ("gkm", "integrate"), ("gkm", "expand"), ("gkm", "forget"),
+        ("flag", "nf"), ("flag", "rank"), ("flag", "kernel"), ("selftest", None),
+        ("fgl", "bogus"), ("bogus", None),
+    ]))
+    argv = [group] + ([sub] if sub else [])
+    if sub == "nseries":
+        argv += need("--n", [-3, -1, 0, 1, 2, 3, 2, "x"])
+    elif sub == "acoeff":
+        argv += need("--i", [-1, 0, 1, 2, 1]) + need("--j", [0, 1, 2, 2])
+    elif sub == "gen":
+        argv.append(pick(["p1", "pn", "flag", "p1", "bogus"]))
+        argv += need("--char", FUZZ_CHARS) + need("--n", [2, 1, 0, -1])
+        argv += ["--classes"] if draw(st.booleans()) else []
+    elif group == "gkm":
+        argv += need("--graph", [P1_JSON, PN2_JSON] * 3 + FUZZ_GRAPHS)
+        argv += need("--class", FUZZ_CLASSES[:3] * 3 + FUZZ_CLASSES)
+        if sub in ("expand", "forget"):
+            argv += need("--basis", FUZZ_BASES[:2] * 3 + FUZZ_BASES)
+    elif group == "flag":
+        if sub != "rank":
+            argv.append(pick(FUZZ_EXPRS[:4] * 3 + FUZZ_EXPRS))
+        argv += need("--rank", [-1, 0, 1, 2, 3, 2, 3])
+        argv += ["--basis"] if sub == "rank" and draw(st.booleans()) else []
+    elif group == "selftest":
+        argv += ["--only", pick(["x", "99", "0,-1", "2", "7"])]
+    if group != "selftest" and sub != "rank":
+        argv += maybe("--deg", [3, 4, 2, 1, 3, 4, 0, -1, "x"])
+        argv += maybe("--coeff-deg", [-1, 0, 1, 2, 3, 2, 3])
+        argv += maybe("--spec", FUZZ_SPECS[:4] * 2 + FUZZ_SPECS)
+    junk = draw(st.sampled_from([None] * 8 + ["--bogus", "extra", "--deg"]))
+    if junk:
+        argv.append(junk)
+    return argv, draw(st.sampled_from([None] * 5 + ["0", "2", "-1", "x"]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(fuzz_argv(), st.sampled_from(["", P1_JSON, "[]", "{"]))
+def test_fuzz_argv_exits_cleanly(case, stdin_text):
+    argv, env = case
+    saved = os.environ.pop("COBORDISM_DEFAULT_DEG", None)
+    if env is not None:
+        os.environ["COBORDISM_DEFAULT_DEG"] = env
+    try:
+        with contextlib.redirect_stderr(io.StringIO()):
+            code, _, _ = run(argv, stdin_text=stdin_text)
+    finally:
+        os.environ.pop("COBORDISM_DEFAULT_DEG", None)
+        if saved is not None:
+            os.environ["COBORDISM_DEFAULT_DEG"] = saved
+    assert code in (0, 1, 2)
