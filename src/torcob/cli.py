@@ -8,6 +8,10 @@ class, no expansion), 2 on usage or parse errors.
 When --deg is omitted the default truncation is computed per command (for
 integrate: the dimension plus one) and announced on a header line;
 COBORDISM_DEFAULT_DEG overrides the computed default.
+
+Two size guards refuse, before any output, inputs whose cost grows without
+useful bound: a truncation above MAX_DEG, and ``flag kernel`` above rank
+MAX_KERNEL_RANK (the README gives the measured times behind both limits).
 """
 
 from __future__ import annotations
@@ -22,6 +26,11 @@ from torcob import exprs, flag as flagmod, gkm
 from torcob.errors import TorcobError
 from torcob.fgl import build as fgl_build
 from torcob.torus import TorusContext
+
+
+# Size guards; fixed here, with no option or environment variable.
+MAX_DEG = 24
+MAX_KERNEL_RANK = 6
 
 
 class UsageError(Exception):
@@ -54,7 +63,8 @@ def _truncation(args, computed):
     """(deg, header): --deg, else env override, else computed.
 
     The header line announces a truncation not given by --deg, and is empty
-    otherwise.  A truncation below 1 is refused here, before any output.
+    otherwise.  A truncation below 1 or above MAX_DEG is refused here, before
+    any output.
     """
     deg = getattr(args, "deg", None)
     if deg is not None:
@@ -65,6 +75,8 @@ def _truncation(args, computed):
         header = f"# deg {deg}\n"
     if deg < 1:
         raise UsageError(f"need a truncation degree >= 1, got {deg}")
+    if deg > MAX_DEG:
+        raise UsageError(f"truncation degree {deg} is above the limit {MAX_DEG}")
     return deg, header
 
 
@@ -214,6 +226,8 @@ def _cmd_flag(args, out, stdin):
     n = args.rank
     if n is None:
         raise UsageError("flag commands need --rank")
+    if args.sub == "kernel" and n > MAX_KERNEL_RANK:
+        raise UsageError(f"flag kernel rank {n} is above the limit {MAX_KERNEL_RANK}")
     if args.sub == "rank":
         count, basis = flagmod.coinv_rank(n)
         print(count, file=out)

@@ -1,13 +1,16 @@
 """The universal formal group law over the rationalized Lazard ring.
 
 Everything is generated from the logarithm l(u) = u + sum m_i u^(i+1): the
-exponential is its compositional inverse, F(u, v) = e(l(u) + l(v)), the
-formal inverse rho solves F(u, rho(u)) = 0, and [n]u is the n-fold formal
-sum.  Specializing every m_i to a rational gives the additive law (all zero)
-or the multiplicative law (m_i = beta^i / (i+1)).
+exponential is its compositional inverse, F(u, v) = e(l(u) + l(v)), and
+[n]u = e(n l(u)) for every integer n, one composition each.  Specializing
+every m_i to a rational gives the additive law (all zero) or the
+multiplicative law (m_i = beta^i / (i+1)).
 
-The inverse series rho is computed degree by degree from F(u, rho) = 0 and
-cross-checked against e(-l(u)); the redundancy is a built-in oracle.
+The formal inverse is rho(u) = e(-l(u)): since F(u, v) = e(l(u) + l(v)),
+this is the equation F(u, rho) = 0.  It is checked on construction by a
+second composition, l(rho(u)) = -l(u) through the truncation; a failure
+raises ArithmeticError.  The bivariate F is built only when something reads
+it (``F``, ``a_coeff``, ``plus``, ``formal_sum``).
 """
 
 from __future__ import annotations
@@ -25,12 +28,12 @@ CUSTOM = "custom"
 
 
 class FGLContext:
-    """Context holding l, e, F, rho at fixed truncations.
+    """Context holding l, e, rho and, once read, F at fixed truncations.
 
     Immutable in everything it exposes, but n-series are cached in ``_nser``
-    on first use, without a lock.  An entry's value depends only on its key,
-    so threads sharing a context get the same answers; two threads racing on
-    one entry both compute it and store equal values.
+    and F in ``_F`` on first use, without a lock.  Each value depends only on
+    its key, so threads sharing a context get the same answers; two threads
+    racing on one entry both compute it and store equal values.
     """
 
     def __init__(self, coeff_degree, degree, specialization=None):
@@ -41,9 +44,9 @@ class FGLContext:
         self.specialization = _normalize_spec(specialization)
         self.log = self._build_log()
         self.exp = self.log.compositional_inverse()
-        self.F = self._build_F()
         self.rho = self._build_rho()
-        self._nser = {0: TruncSeries.zero(("u",), self.D), 1: _uvar(self.D)}
+        self._F = None
+        self._nser = {0: TruncSeries.zero(("u",), self.D), 1: _uvar(self.D), -1: self.rho}
 
     # -- construction -------------------------------------------------------
 
@@ -67,28 +70,21 @@ class FGLContext:
                 coeffs[(i + 1,)] = c
         return TruncSeries(("u",), coeffs, self.D)
 
-    def _build_F(self):
-        u = TruncSeries.variable(("u", "v"), "u", self.D)
-        v = TruncSeries.variable(("u", "v"), "v", self.D)
-        lu = self.log.substitute({"u": u})
-        lv = self.log.substitute({"u": v})
-        return self.exp.substitute({"u": lu + lv})
-
     def _build_rho(self):
-        # degree-wise solve of F(u, rho) = 0; the linear part of F in v is 1
-        u = _uvar(self.D)
-        rho = {(1,): GradedCoeff.from_rational(-1)}
-        for k in range(2, self.D + 1):
-            partial = TruncSeries(("u",), rho, self.D)
-            val = self.F.substitute({"u": u, "v": partial})
-            ck = val.coefficient((k,))
-            if not ck.is_zero():
-                rho[(k,)] = -ck
-        out = TruncSeries(("u",), rho, self.D)
-        check = self.exp.substitute({"u": -self.log})
-        if out != check:
-            raise ArithmeticError("formal inverse disagrees with e(-l(u))")
-        return out
+        rho = self.exp.substitute({"u": -self.log})
+        if self.log.substitute({"u": rho}) != -self.log:
+            raise ArithmeticError("formal inverse fails l(rho(u)) = -l(u)")
+        return rho
+
+    @property
+    def F(self) -> TruncSeries:
+        """F(u, v) = e(l(u) + l(v)), built on first use."""
+        if self._F is None:
+            uv = ("u", "v")
+            lu = self.log.substitute({"u": TruncSeries.variable(uv, "u", self.D)})
+            lv = self.log.substitute({"u": TruncSeries.variable(uv, "v", self.D)})
+            self._F = self.exp.substitute({"u": lu + lv})
+        return self._F
 
     @property
     def is_specialized(self) -> bool:
@@ -108,16 +104,11 @@ class FGLContext:
         return self.F.coefficient((i, j))
 
     def n_series(self, n: int) -> TruncSeries:
-        """The n-series [n]u, any integer n."""
-        if n in self._nser:
-            return self._nser[n]
-        if n > 1:
-            prev = self.n_series(n - 1)
-            out = self.F.substitute({"u": prev, "v": _uvar(self.D)})
-        else:
-            pos = self.n_series(-n)
-            out = pos.substitute({"u": self.rho})
-        self._nser[n] = out
+        """The n-series [n]u = e(n l(u)), any integer n."""
+        out = self._nser.get(n)
+        if out is None:
+            out = self.exp.substitute({"u": self.log.scale(n)})
+            self._nser[n] = out
         return out
 
     def formal_sum(self, summands) -> TruncSeries:

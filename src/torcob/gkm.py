@@ -376,6 +376,7 @@ def _expand_component(ctx, g, basis, alpha, guar, lows, j, bdegs):
     dc = ctx.fgl.Dc
     specialized = ctx.fgl.is_specialized
     slots = []
+    by_weight = {}  # m-monomials of each weight, enumerated once per component
     for k, b in enumerate(basis):
         cap = guar - lows[k]
         if cap < 0:
@@ -388,7 +389,10 @@ def _expand_component(ctx, g, basis, alpha, guar, lows, j, bdegs):
                 w = e + bdegs[k] - j
                 if w < 0:
                     continue
-                for mmon in _m_monomials(w, dc):
+                mmons = by_weight.get(w)
+                if mmons is None:
+                    mmons = by_weight[w] = _m_monomials(w, dc)
+                for mmon in mmons:
                     slots.append((k, tmon, mmon))
     eq_index = {}
     columns = []

@@ -1,62 +1,86 @@
-"""Exact linear algebra over the rationals (sparse Gaussian elimination)."""
+"""Exact linear algebra over the rationals (sparse Gaussian elimination).
+
+Each pivot row is kept normalized to 1 at its pivot, its leftmost entry.  An
+incoming row is reduced by sweeping its own columns in increasing order,
+fill-in included, and subtracting a pivot row only where the row meets that
+pivot's column; the work is proportional to the nonzeros touched, not to the
+number of pivots.  The reduced row is unique (it is the row minus the one
+combination of pivot rows that clears every pivot column), so the pivots,
+the statuses and the solution do not depend on the sweep order.
+"""
 
 from __future__ import annotations
 
-from fractions import Fraction
+import heapq
 
 UNIQUE = "unique"
 INCONSISTENT = "inconsistent"
 UNDERDETERMINED = "underdetermined"
 
 
+def _reduce(row, b, pivots):
+    """Clear every pivot column from ``row`` in place; returns the reduced b.
+
+    ``pivots`` maps a pivot column to its (row, right-hand side).
+    """
+    heap = list(row)
+    heapq.heapify(heap)
+    while heap:
+        col = heapq.heappop(heap)
+        f = row.get(col)
+        piv = pivots.get(col)
+        if f is None or piv is None:
+            continue
+        prow, pb = piv
+        for c2, v2 in prow.items():
+            val = row.get(c2)
+            if val is None:
+                row[c2] = -f * v2
+                heapq.heappush(heap, c2)
+            else:
+                val -= f * v2
+                if val:
+                    row[c2] = val
+                else:
+                    del row[c2]
+        b -= f * pb
+    return b
+
+
+def _add_pivot(row, b, pivots):
+    """Normalize a reduced nonzero row at its leftmost column and store it."""
+    col = min(row)
+    piv = row[col]
+    if piv != 1:
+        for c2 in row:
+            row[c2] /= piv
+        b /= piv
+    pivots[col] = (row, b)
+
+
 def solve(rows, rhs, ncols):
     """Solve A x = b for sparse rows {col: Fraction}.
 
     Returns (status, solution); the solution is a list of Fractions when the
-    status is UNIQUE (with free columns only when every one of them is forced,
-    which cannot happen here), otherwise None.
+    status is UNIQUE, otherwise None.  Rows are taken in order, and the first
+    row that reduces to 0 = b with b nonzero makes the system INCONSISTENT;
+    a consistent system with fewer pivots than columns is UNDERDETERMINED.
     """
-    rows = [dict(r) for r in rows]
-    rhs = list(rhs)
-    pivots = {}  # col -> row index
-    row_order = []
-    for i, row in enumerate(rows):
-        b = rhs[i]
-        for col, rj in pivots.items():
-            f = row.get(col)
-            if f is None:
-                continue
-            prow = rows[rj]
-            for c2, v2 in prow.items():
-                val = row.get(c2, Fraction(0)) - f * v2
-                if val:
-                    row[c2] = val
-                elif c2 in row:
-                    del row[c2]
-            b -= f * rhs[rj]
+    pivots = {}
+    for row, b in zip(rows, rhs):
+        row = dict(row)
+        b = _reduce(row, b, pivots)
         if row:
-            col = min(row)
-            piv = row[col]
-            if piv != 1:
-                for c2 in list(row):
-                    row[c2] /= piv
-                b /= piv
-            rows[i] = row
-            rhs[i] = b
-            pivots[col] = i
-            row_order.append(col)
-        else:
-            rhs[i] = b
-            if b:
-                return INCONSISTENT, None
+            _add_pivot(row, b, pivots)
+        elif b:
+            return INCONSISTENT, None
     if len(pivots) < ncols:
         return UNDERDETERMINED, None
     # back substitution
-    x = [Fraction(0)] * ncols
+    x = [0] * ncols
     for col in sorted(pivots, reverse=True):
-        i = pivots[col]
-        b = rhs[i]
-        for c2, v2 in rows[i].items():
+        prow, b = pivots[col]
+        for c2, v2 in prow.items():
             if c2 != col:
                 b -= v2 * x[c2]
         x[col] = b
@@ -65,26 +89,10 @@ def solve(rows, rhs, ncols):
 
 def rank(rows):
     """Rank of a sparse rational matrix given as rows {col: Fraction}."""
-    basis = []  # reduced rows, each with leading column
-    r = 0
+    pivots = {}
     for row in rows:
         row = dict(row)
-        for lead, brow in basis:
-            f = row.get(lead)
-            if f is None:
-                continue
-            for c2, v2 in brow.items():
-                val = row.get(c2, Fraction(0)) - f * v2
-                if val:
-                    row[c2] = val
-                elif c2 in row:
-                    del row[c2]
+        _reduce(row, 0, pivots)
         if row:
-            lead = min(row)
-            piv = row[lead]
-            if piv != 1:
-                for c2 in list(row):
-                    row[c2] /= piv
-            basis.append((lead, row))
-            r += 1
-    return r
+            _add_pivot(row, 0, pivots)
+    return len(pivots)

@@ -246,6 +246,54 @@ def test_env_default_deg_validated_before_header(monkeypatch, argv, env):
     assert code == 2 and out == "" and "usage error" in err
 
 
+def _forbid_work(monkeypatch):
+    """Make every law build and kernel check fail, so a guard must fire first."""
+    from torcob import fgl, flag
+
+    def boom(*args, **kwargs):
+        raise AssertionError("a guarded command started its work")
+
+    monkeypatch.setattr(fgl.FGLContext, "__init__", boom)
+    monkeypatch.setattr(cli, "fgl_build", boom)
+    monkeypatch.setattr(flag, "kernel_check", boom)
+
+
+@pytest.mark.parametrize(
+    "argv, env",
+    [
+        (["fgl", "print", "--deg", "1000000000"], None),
+        (["fgl", "nseries", "--n", "2", "--deg", str(cli.MAX_DEG + 1)], None),
+        (["fgl", "print"], "1000000000"),
+        (["gkm", "integrate", "--graph", P1_JSON, "--class", '{"0": "1", "inf": "1"}'], "25"),
+        (["gkm", "gen", "p1", "--char", "1", "--classes", "--deg", "1000000000"], None),
+        (["flag", "kernel", "x1", "--rank", "12"], None),
+        (["flag", "kernel", "x1", "--rank", str(cli.MAX_KERNEL_RANK + 1), "--deg", "3"], None),
+    ],
+    ids=["fgl-print", "fgl-nseries", "env-default", "integrate-env", "gen-classes", "kernel-rank-12",
+         "kernel-rank-limit"],
+)
+def test_size_guards_refuse_before_output(monkeypatch, argv, env):
+    _forbid_work(monkeypatch)
+    if env is None:
+        monkeypatch.delenv("COBORDISM_DEFAULT_DEG", raising=False)
+    else:
+        monkeypatch.setenv("COBORDISM_DEFAULT_DEG", env)
+    code, out, err = run(argv)
+    assert (code, out) == (2, "") and "above the limit" in err
+
+
+def test_size_guards_admit_their_limits(monkeypatch):
+    monkeypatch.delenv("COBORDISM_DEFAULT_DEG", raising=False)
+    code, out, _ = run(["fgl", "print", "--deg", str(cli.MAX_DEG), "--spec", "additive"])
+    assert (code, out) == (0, "u + v\n")
+    from torcob import flag
+
+    monkeypatch.setattr(flag, "kernel_check", lambda ctx, n, p: ctx.rank == n)
+    n = cli.MAX_KERNEL_RANK
+    code, out, _ = run(["flag", "kernel", "x1", "--rank", str(n), "--deg", "2", "--spec", "additive"])
+    assert (code, out) == (0, "true\n")
+
+
 def test_flag_kernel_below_artin_degree():
     # the pairing needs truncation 4 at rank 3 and gets it internally; a
     # polynomial above --deg is still refused

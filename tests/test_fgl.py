@@ -1,9 +1,11 @@
-"""Formal group law: frozen values, axioms, specializations."""
+"""Formal group law: frozen values, axioms, specializations, and oracles."""
 
+import io
 from fractions import Fraction
 
 import pytest
 
+from torcob import cli, fgl
 from torcob.coeff import GradedCoeff
 from torcob.errors import TruncationInsufficient
 from torcob.fgl import build
@@ -180,3 +182,115 @@ def test_build_validates_arguments():
         build(-1, 4)
     with pytest.raises(ValueError):
         build(2, 0)
+
+
+# -- oracles: the inverse and the n-series from F itself ------------------------
+
+
+def uvar(D):
+    return TruncSeries.variable(("u",), "u", D)
+
+
+def rho_degreewise(ctx):
+    """Solve F(u, rho) = 0 one degree at a time; the linear part of F in v is 1."""
+    rho = {(1,): GradedCoeff.from_rational(-1)}
+    for k in range(2, ctx.D + 1):
+        partial = TruncSeries(("u",), rho, ctx.D)
+        ck = ctx.F.substitute({"u": uvar(ctx.D), "v": partial}).coefficient((k,))
+        if not ck.is_zero():
+            rho[(k,)] = -ck
+    return TruncSeries(("u",), rho, ctx.D)
+
+
+def nseries_fold(ctx, n, rho):
+    """[n]u by folding F: [n]u = F([n-1]u, u), and [-n]u = [n](rho(u))."""
+    if n < 0:
+        return nseries_fold(ctx, -n, rho).substitute({"u": rho})
+    out = TruncSeries.zero(("u",), ctx.D)
+    for _ in range(n):
+        out = ctx.F.substitute({"u": out, "v": uvar(ctx.D)})
+    return out
+
+
+def same(a, b):
+    return a == b and (a.vars, a.bound, a.guarantee) == (b.vars, b.bound, b.guarantee)
+
+
+LAWS = [
+    pytest.param(6, 8, None, id="universal-6-8"),
+    pytest.param(2, 8, None, id="universal-2-8"),
+    pytest.param(6, 5, None, id="universal-6-5"),
+    pytest.param(0, 3, None, id="universal-0-3"),
+    pytest.param(0, 8, "additive", id="additive"),
+    pytest.param(0, 8, ("multiplicative", Fraction(2, 5)), id="multiplicative"),
+    pytest.param(0, 7, {1: Fraction(1, 2), 3: Fraction(-2)}, id="custom"),
+]
+
+
+@pytest.mark.parametrize("dc, D, spec", LAWS)
+def test_law_matches_fold_oracles(dc, D, spec):
+    ctx = build(dc, D, spec)
+    rho = rho_degreewise(ctx)
+    assert same(ctx.rho, rho)
+    for n in range(-4, 6):
+        assert same(ctx.n_series(n), nseries_fold(ctx, n, rho)), n
+    for a, b in [(1, 1), (2, -1), (-3, 2), (4, 1)]:
+        got = ctx.plus(ctx.n_series(a), ctx.n_series(b))
+        assert same(got, ctx.n_series(a + b)), (a, b)
+        via_log = ctx.exp.substitute(
+            {"u": ctx.log.substitute({"u": ctx.n_series(a)}) + ctx.log.substitute({"u": ctx.n_series(b)})}
+        )
+        assert same(got, via_log)
+
+
+def test_truncated_guarantee_propagates_like_the_oracle():
+    ctx = build(4, 6)
+    x = ctx.n_series(2).truncated(3)
+    got = ctx.plus(x, ctx.n_series(3))
+    assert got.guarantee == 3
+    assert got.eq_through(nseries_fold(ctx, 5, ctx.rho), 3)
+
+
+def test_rho_check_raises_on_a_wrong_exponential(monkeypatch):
+    real = TruncSeries.compositional_inverse
+
+    def off_by_one(self):
+        e = real(self)
+        return e + TruncSeries.monomial(("u",), (3,), 1, e.bound)
+
+    monkeypatch.setattr(TruncSeries, "compositional_inverse", off_by_one)
+    with pytest.raises(ArithmeticError):
+        build(2, 5)
+
+
+def _forbid_F(monkeypatch):
+    def boom(self):
+        raise AssertionError("F was built")
+
+    monkeypatch.setattr(fgl.FGLContext, "F", property(boom))
+
+
+def test_build_does_not_build_F():
+    ctx = build(6, 8)
+    assert ctx._F is None
+    ctx.n_series(-3)
+    assert ctx._F is None
+    assert ctx.a_coeff(1, 1) == mono((1,), -2)
+    assert ctx._F is not None
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["flag", "kernel", "x1*x2+x1*x3+x2*x3", "--rank", "3"],
+        ["flag", "kernel", "m1*x1^2+x1*x2", "--rank", "3", "--spec", "multiplicative:2/5"],
+        ["gkm", "integrate", "--graph", '{"rank": 1, "dim": 1, "vertices": ["0", "inf"], '
+         '"edges": [{"v": "0", "w": "inf", "char": [2]}]}', "--class", '{"0": "chern(2)", "inf": "0"}'],
+        ["gkm", "integrate", "--graph", '{"rank": 1, "dim": 1, "vertices": ["0", "inf"], '
+         '"edges": [{"v": "0", "w": "inf", "char": [-1]}]}', "--class", '{"0": "1", "inf": "1"}'],
+    ],
+)
+def test_commands_run_without_F(monkeypatch, argv):
+    _forbid_F(monkeypatch)
+    out, err = io.StringIO(), io.StringIO()
+    assert cli.main(argv, stdout=out, stderr=err, stdin=io.StringIO()) == 0, err.getvalue()
