@@ -10,7 +10,7 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from torcob import cli
+from torcob import cli, fgl, flag
 
 P1_JSON = '{"rank": 1, "dim": 1, "vertices": ["0", "inf"], "edges": [{"v": "0", "w": "inf", "char": [1]}]}'
 
@@ -248,13 +248,11 @@ def test_env_default_deg_validated_before_header(monkeypatch, argv, env):
 
 def _forbid_work(monkeypatch):
     """Make every law build and kernel check fail, so a guard must fire first."""
-    from torcob import fgl, flag
 
     def boom(*args, **kwargs):
         raise AssertionError("a guarded command started its work")
 
     monkeypatch.setattr(fgl.FGLContext, "__init__", boom)
-    monkeypatch.setattr(cli, "fgl_build", boom)
     monkeypatch.setattr(flag, "kernel_check", boom)
 
 
@@ -286,8 +284,6 @@ def test_size_guards_admit_their_limits(monkeypatch):
     monkeypatch.delenv("COBORDISM_DEFAULT_DEG", raising=False)
     code, out, _ = run(["fgl", "print", "--deg", str(cli.MAX_DEG), "--spec", "additive"])
     assert (code, out) == (0, "u + v\n")
-    from torcob import flag
-
     monkeypatch.setattr(flag, "kernel_check", lambda ctx, n, p: ctx.rank == n)
     n = cli.MAX_KERNEL_RANK
     code, out, _ = run(["flag", "kernel", "x1", "--rank", str(n), "--deg", "2", "--spec", "additive"])
