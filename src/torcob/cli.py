@@ -9,9 +9,11 @@ When --deg is omitted the default truncation is computed per command (for
 integrate: the dimension plus one) and announced on a header line;
 COBORDISM_DEFAULT_DEG overrides the computed default.
 
-Two size guards refuse, before any output, inputs whose cost grows without
-useful bound: a truncation above MAX_DEG, and ``flag kernel`` above rank
-MAX_KERNEL_RANK (the README gives the measured times behind both limits).
+Size guards refuse, before any output, inputs whose cost grows without
+useful bound: a truncation above MAX_DEG, ``flag kernel`` above rank
+MAX_KERNEL_RANK, ``flag rank`` above rank MAX_COINV_RANK and ``gkm gen flag``
+above n = MAX_FLAG_GRAPH_N (the README gives the measured times behind each
+limit).
 """
 
 from __future__ import annotations
@@ -31,6 +33,8 @@ from torcob.torus import TorusContext
 # Size guards; fixed here, with no option or environment variable.
 MAX_DEG = 24
 MAX_KERNEL_RANK = 6
+MAX_COINV_RANK = 9
+MAX_FLAG_GRAPH_N = 8
 
 
 class UsageError(Exception):
@@ -168,6 +172,10 @@ def _cmd_gkm(args, out, stdin):
         elif args.kind in ("pn", "flag"):
             if args.n is None:
                 raise UsageError(f"{args.kind} needs --n")
+            if args.kind == "flag" and args.n > MAX_FLAG_GRAPH_N:
+                raise UsageError(
+                    f"--n {args.n} for gkm gen flag is above the limit {MAX_FLAG_GRAPH_N}"
+                )
             g = gkm.generate(args.kind, n=args.n)
         else:
             raise UsageError(f"unknown graph kind {args.kind!r}")
@@ -226,8 +234,9 @@ def _cmd_flag(args, out, stdin):
     n = args.rank
     if n is None:
         raise UsageError("flag commands need --rank")
-    if args.sub == "kernel" and n > MAX_KERNEL_RANK:
-        raise UsageError(f"flag kernel rank {n} is above the limit {MAX_KERNEL_RANK}")
+    limit = {"kernel": MAX_KERNEL_RANK, "rank": MAX_COINV_RANK}.get(args.sub)
+    if limit is not None and n > limit:
+        raise UsageError(f"--rank {n} for flag {args.sub} is above the limit {limit}")
     if args.sub == "rank":
         count, basis = flagmod.coinv_rank(n)
         print(count, file=out)

@@ -14,6 +14,7 @@ the identical tree.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 
 from torcob.coeff import GradedCoeff
@@ -215,8 +216,30 @@ def _int_arg(node):
     raise EvalError("expected an integer argument")
 
 
+_BINARY = {"add": operator.add, "sub": operator.sub, "mul": operator.mul}
+
+
+def _evaluate(node, leaf, *env):
+    """The arithmetic both evaluators share; ``leaf(node, *env)`` does the rest."""
+    kind = node[0]
+    op = _BINARY.get(kind)
+    if op is not None:
+        return op(_evaluate(node[1], leaf, *env), _evaluate(node[2], leaf, *env))
+    if kind == "neg":
+        return -_evaluate(node[1], leaf, *env)
+    if kind == "pow":
+        if node[2] < 0:
+            raise EvalError("negative exponent")
+        return _evaluate(node[1], leaf, *env) ** node[2]
+    return leaf(node, *env)
+
+
 def eval_series(node, ctx) -> TruncSeries:
     """Evaluate over S(T) for a torus context; x-variables are rejected."""
+    return _evaluate(node, _series_leaf, ctx)
+
+
+def _series_leaf(node, ctx) -> TruncSeries:
     kind = node[0]
     if kind == "rat":
         return ctx.constant(node[1])
@@ -231,18 +254,6 @@ def eval_series(node, ctx) -> TruncSeries:
                 return ctx.constant(ctx.fgl.spec_value(k))
             return ctx.constant(GradedCoeff.generator(k))
         raise EvalError("x-variables are only meaningful in flag expressions")
-    if kind == "add":
-        return eval_series(node[1], ctx) + eval_series(node[2], ctx)
-    if kind == "sub":
-        return eval_series(node[1], ctx) - eval_series(node[2], ctx)
-    if kind == "mul":
-        return eval_series(node[1], ctx) * eval_series(node[2], ctx)
-    if kind == "neg":
-        return -eval_series(node[1], ctx)
-    if kind == "pow":
-        if node[2] < 0:
-            raise EvalError("negative exponent")
-        return eval_series(node[1], ctx) ** node[2]
     if kind == "call":
         name, args = node[1], node[2]
         if name == "F":
@@ -268,6 +279,10 @@ def eval_series(node, ctx) -> TruncSeries:
 
 def eval_xpoly(node, n: int, spec_value=None) -> TruncSeries:
     """Evaluate a polynomial in x_1..x_n with Lazard coefficients."""
+    return _evaluate(node, _xpoly_leaf, n, spec_value)
+
+
+def _xpoly_leaf(node, n, spec_value) -> TruncSeries:
     from torcob import flag as _flag
 
     kind = node[0]
@@ -287,16 +302,4 @@ def eval_xpoly(node, n: int, spec_value=None) -> TruncSeries:
             )
             return TruncSeries.constant(_flag.xvars(n), c, _flag.XBOUND)
         raise EvalError("t-variables are not part of the coinvariant ring")
-    if kind == "add":
-        return eval_xpoly(node[1], n, spec_value) + eval_xpoly(node[2], n, spec_value)
-    if kind == "sub":
-        return eval_xpoly(node[1], n, spec_value) - eval_xpoly(node[2], n, spec_value)
-    if kind == "mul":
-        return eval_xpoly(node[1], n, spec_value) * eval_xpoly(node[2], n, spec_value)
-    if kind == "neg":
-        return -eval_xpoly(node[1], n, spec_value)
-    if kind == "pow":
-        if node[2] < 0:
-            raise EvalError("negative exponent")
-        return eval_xpoly(node[1], n, spec_value) ** node[2]
     raise EvalError("function calls are not allowed in coinvariant expressions")

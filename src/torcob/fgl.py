@@ -130,8 +130,8 @@ class FGLContext:
         return self.F.substitute({"u": a, "v": b})
 
 
-def _uvar(bound):
-    return TruncSeries.variable(("u",), "u", bound)
+def _uvar(guarantee):
+    return TruncSeries.variable(("u",), "u", guarantee)
 
 
 def _normalize_spec(spec):

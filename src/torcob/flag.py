@@ -146,31 +146,6 @@ def coinv_rank(n: int):
     return count, basis
 
 
-class CoinvariantElement:
-    """Normal-form representative on the Artin staircase."""
-
-    def __init__(self, n: int, poly: TruncSeries):
-        self.n = n
-        self.poly = normal_form(n, poly)
-
-    def is_zero(self) -> bool:
-        return self.poly.is_zero()
-
-    def __eq__(self, other):
-        if not isinstance(other, CoinvariantElement):
-            return NotImplemented
-        return self.n == other.n and self.poly == other.poly
-
-    def __str__(self):
-        return str(self.poly)
-
-    def __mul__(self, other):
-        return CoinvariantElement(self.n, self.poly * other.poly)
-
-    def __add__(self, other):
-        return CoinvariantElement(self.n, self.poly + other.poly)
-
-
 def require_degree(p: TruncSeries, D: int):
     """Refuse a polynomial of degree above the truncation D."""
     deg = p.max_degree() or 0
@@ -227,7 +202,7 @@ def artin_pairing(ctx: TorusContext, n: int, p: TruncSeries) -> list:
         ctx = TorusContext(n, build(ctx.fgl.Dc, g.dim + 1, ctx.fgl.specialization))
     lam = _generic_cocharacter(g)
     along = [s.truncated(g.dim) for s in _along(ctx, lam).values()]
-    totals = {a: TruncSeries.zero(("u",), ctx.D, g.dim) for a in artin_exponents(n)}
+    totals = {a: TruncSeries.zero(("u",), g.dim) for a in artin_exponents(n)}
     for v in g.vertices:
         ys = [along[int(c) - 1] for c in v]
         q = _over_unit(ctx, g, v, lam, p, dict(zip(xvars(n), ys)))

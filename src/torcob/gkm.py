@@ -146,7 +146,7 @@ class PiecewiseClass:
         for j in sorted(degs):
             out[j] = PiecewiseClass(
                 {
-                    v: s.homogeneous_components().get(j, TruncSeries.zero(s.vars, s.bound, s.guarantee))
+                    v: s.homogeneous_components().get(j, TruncSeries.zero(s.vars, s.guarantee))
                     for v, s in self.values.items()
                 }
             )
@@ -157,7 +157,7 @@ def constant_class(ctx: TorusContext, g: GKMGraph, value) -> PiecewiseClass:
     return PiecewiseClass({v: ctx.constant(value) for v in g.vertices})
 
 
-def is_class(ctx: TorusContext, g: GKMGraph, alpha: PiecewiseClass, use_linear_form=False) -> bool:
+def is_class(ctx: TorusContext, g: GKMGraph, alpha: PiecewiseClass) -> bool:
     """Edge congruence test: alpha_v - alpha_w divisible by c(chi) throughout."""
     if alpha.guarantee < 1:
         raise TruncationInsufficient("guarantee below 1 cannot see any congruence")
@@ -165,7 +165,7 @@ def is_class(ctx: TorusContext, g: GKMGraph, alpha: PiecewiseClass, use_linear_f
         diff = alpha.values[v] - alpha.values[w]
         if diff.is_zero():
             continue
-        if not ctx.chern_divides(diff, chi, 1, use_linear_form=use_linear_form):
+        if not ctx.chern_divides(diff, chi, 1):
             return False
     return True
 
@@ -259,7 +259,7 @@ def _top_coefficient(total: TruncSeries, dim: int) -> GradedCoeff:
 def _residue_along(ctx: TorusContext, g: GKMGraph, alpha: PiecewiseClass, lam) -> TruncSeries:
     """sum_v alpha_v(u) / U_v(u) through u^dim, restricted along lambda."""
     restrict = _along(ctx, lam)
-    total = TruncSeries.zero(("u",), ctx.D, g.dim)
+    total = TruncSeries.zero(("u",), g.dim)
     for v in g.vertices:
         total = total + _over_unit(ctx, g, v, lam, alpha.values[v], restrict)
     return total
@@ -442,7 +442,6 @@ def _expand_component(ctx, g, basis, alpha, guar, lows, j, bdegs):
         series = TruncSeries(
             ctx.vars,
             {t: GradedCoeff({m: q for m, q in mm.items() if q}) for t, mm in coeffs.items()},
-            ctx.D,
             min(guar, ctx.D),
         )
         out.append(series)

@@ -1,10 +1,10 @@
 """Degree-truncated graded multivariate power series over the Lazard coefficients.
 
 A series is stored sparsely as {t-exponent tuple: GradedCoeff} together with
-a capacity ``bound`` and a trusted degree ``guarantee <= bound``: coefficients
-of total t-degree up to ``guarantee`` are exact, nothing above it is stored.
-Every operation states how it propagates the guarantee.  Values are immutable
-after construction and all operations are pure.
+one trusted degree ``guarantee``: coefficients of total t-degree up to
+``guarantee`` are exact, nothing above it is stored.  Every operation states
+how it propagates the guarantee.  Values are immutable after construction
+and all operations are pure.
 """
 
 from __future__ import annotations
@@ -22,15 +22,10 @@ from torcob.kernels import convolve, flat_mul_sub
 
 
 class TruncSeries:
-    __slots__ = ("vars", "coeffs", "bound", "guarantee")
+    __slots__ = ("vars", "coeffs", "guarantee")
 
-    def __init__(self, vars, coeffs, bound, guarantee=None):
-        if guarantee is None:
-            guarantee = bound
-        if guarantee > bound:
-            raise ValueError("guarantee exceeds bound")
+    def __init__(self, vars, coeffs, guarantee):
         self.vars = tuple(vars)
-        self.bound = bound
         self.guarantee = guarantee
         clean = {}
         for t, c in coeffs.items():
@@ -41,26 +36,26 @@ class TruncSeries:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def zero(cls, vars, bound, guarantee=None) -> TruncSeries:
-        return cls(vars, {}, bound, guarantee)
+    def zero(cls, vars, guarantee) -> TruncSeries:
+        return cls(vars, {}, guarantee)
 
     @classmethod
-    def constant(cls, vars, value, bound, guarantee=None) -> TruncSeries:
+    def constant(cls, vars, value, guarantee) -> TruncSeries:
         c = value if isinstance(value, GradedCoeff) else GradedCoeff.from_rational(value)
         n = len(tuple(vars))
-        return cls(vars, {(0,) * n: c}, bound, guarantee)
+        return cls(vars, {(0,) * n: c}, guarantee)
 
     @classmethod
-    def variable(cls, vars, name, bound, guarantee=None) -> TruncSeries:
+    def variable(cls, vars, name, guarantee) -> TruncSeries:
         vars = tuple(vars)
         i = vars.index(name)
         exp = tuple(1 if j == i else 0 for j in range(len(vars)))
-        return cls(vars, {exp: GradedCoeff.one()}, bound, guarantee)
+        return cls(vars, {exp: GradedCoeff.one()}, guarantee)
 
     @classmethod
-    def monomial(cls, vars, exps, coeff, bound, guarantee=None) -> TruncSeries:
+    def monomial(cls, vars, exps, coeff, guarantee) -> TruncSeries:
         c = coeff if isinstance(coeff, GradedCoeff) else GradedCoeff.from_rational(coeff)
-        return cls(vars, {tuple(exps): c}, bound, guarantee)
+        return cls(vars, {tuple(exps): c}, guarantee)
 
     # -- inspection --------------------------------------------------------
 
@@ -110,7 +105,7 @@ class TruncSeries:
                 tgt = out.setdefault(j + d, {})
                 tgt[t] = tgt.get(t, GradedCoeff.zero()) + comp
         return {
-            j: TruncSeries(self.vars, cs, self.bound, self.guarantee)
+            j: TruncSeries(self.vars, cs, self.guarantee)
             for j, cs in sorted(out.items())
         }
 
@@ -138,14 +133,10 @@ class TruncSeries:
         for t, c in other.coeffs.items():
             s = out.get(t)
             out[t] = c if s is None else s + c
-        return TruncSeries(
-            self.vars, out, min(self.bound, other.bound), min(self.guarantee, other.guarantee)
-        )
+        return TruncSeries(self.vars, out, min(self.guarantee, other.guarantee))
 
     def __neg__(self) -> TruncSeries:
-        return TruncSeries(
-            self.vars, {t: -c for t, c in self.coeffs.items()}, self.bound, self.guarantee
-        )
+        return TruncSeries(self.vars, {t: -c for t, c in self.coeffs.items()}, self.guarantee)
 
     def __sub__(self, other: TruncSeries) -> TruncSeries:
         return self + (-other)
@@ -160,12 +151,12 @@ class TruncSeries:
             g,
         )
         out = {t: GradedCoeff(m) for t, m in raw.items()}
-        return TruncSeries(self.vars, out, min(self.bound, other.bound), g)
+        return TruncSeries(self.vars, out, g)
 
     def __pow__(self, n: int) -> TruncSeries:
         if n < 0:
             raise ValueError("negative series power")
-        out = TruncSeries.constant(self.vars, 1, self.bound, self.guarantee)
+        out = TruncSeries.constant(self.vars, 1, self.guarantee)
         for _ in range(n):
             out = out * self
         return out
@@ -173,18 +164,14 @@ class TruncSeries:
     def scale(self, q) -> TruncSeries:
         q = Fraction(q)
         return TruncSeries(
-            self.vars, {t: c.scale(q) for t, c in self.coeffs.items()}, self.bound, self.guarantee
+            self.vars, {t: c.scale(q) for t, c in self.coeffs.items()}, self.guarantee
         )
 
     def mul_coeff(self, c: GradedCoeff) -> TruncSeries:
-        return TruncSeries(
-            self.vars, {t: x * c for t, x in self.coeffs.items()}, self.bound, self.guarantee
-        )
+        return TruncSeries(self.vars, {t: x * c for t, x in self.coeffs.items()}, self.guarantee)
 
     def map_coeffs(self, fn) -> TruncSeries:
-        return TruncSeries(
-            self.vars, {t: fn(c) for t, c in self.coeffs.items()}, self.bound, self.guarantee
-        )
+        return TruncSeries(self.vars, {t: fn(c) for t, c in self.coeffs.items()}, self.guarantee)
 
     def specialize(self, value_of) -> TruncSeries:
         """Substitute rationals for the Lazard generators in every coefficient."""
@@ -195,7 +182,7 @@ class TruncSeries:
             raise TruncationInsufficient(
                 f"cannot raise guarantee {self.guarantee} to {guarantee}"
             )
-        return TruncSeries(self.vars, self.coeffs, self.bound, guarantee)
+        return TruncSeries(self.vars, self.coeffs, guarantee)
 
     # -- substitution ------------------------------------------------------
 
@@ -217,15 +204,14 @@ class TruncSeries:
             if not s.constant_term().is_zero():
                 raise NotInvertible("assigned series has nonzero constant term")
         g = min([self.guarantee] + [s.guarantee for s in targets])
-        b = min([self.bound] + [s.bound for s in targets])
 
         simple = all(len(s.coeffs) == 1 for s in targets)
         if simple and all(
             next(iter(s.coeffs.values())).is_rational() for s in targets
         ):
-            return self._substitute_monomials(targets, tvars, b, g)
+            return self._substitute_monomials(targets, tvars, g)
 
-        one = TruncSeries.constant(tvars, 1, b, g)
+        one = TruncSeries.constant(tvars, 1, g)
         powers = [[one, s.truncated(min(g, s.guarantee))] for s in targets]
 
         def pw(i, e):
@@ -234,7 +220,7 @@ class TruncSeries:
                 lst.append(lst[-1] * lst[1])
             return lst[e]
 
-        out = TruncSeries.zero(tvars, b, g)
+        out = TruncSeries.zero(tvars, g)
         for texp, c in self.coeffs.items():
             if sum(texp) > g:
                 continue
@@ -246,7 +232,7 @@ class TruncSeries:
             out = out + term
         return out
 
-    def _substitute_monomials(self, targets, tvars, b, g):
+    def _substitute_monomials(self, targets, tvars, g):
         # every target is a single monomial with rational coefficient
         infos = []
         for s in targets:
@@ -273,34 +259,22 @@ class TruncSeries:
                     s = out.get(key)
                     add = c.scale(q)
                     out[key] = add if s is None else s + add
-        return TruncSeries(tvars, out, b, g)
+        return TruncSeries(tvars, out, g)
 
     # -- inversion and division --------------------------------------------
 
     def invert_unit(self) -> TruncSeries:
         """Inverse of a series whose constant term is a nonzero rational.
 
-        Computed as a geometric series against the rational constant; the
-        guarantee is unchanged.  Lazard-generator content is fine at positive
-        t-degrees but not in the constant term itself (no exact inverse
-        exists there with polynomial coefficients).
+        One exact division of 1 by the series; the guarantee is unchanged.
+        Lazard-generator content is fine at positive t-degrees but not in the
+        constant term itself (no exact inverse exists there with polynomial
+        coefficients).
         """
         c0 = self.constant_term()
         if c0.is_zero() or not c0.is_rational():
             raise NotInvertible("constant term must be a nonzero rational")
-        c = c0.rational_part()
-        nvars = len(self.vars)
-        rest = dict(self.coeffs)
-        del rest[(0,) * nvars]
-        w = TruncSeries(self.vars, rest, self.bound, self.guarantee).scale(Fraction(-1, 1) / c)
-        acc = TruncSeries.constant(self.vars, 1, self.bound, self.guarantee)
-        pw = acc
-        for _ in range(self.guarantee):
-            pw = pw * w
-            if pw.is_zero():
-                break
-            acc = acc + pw
-        return acc.scale(Fraction(1) / c)
+        return TruncSeries.constant(self.vars, 1, self.guarantee).divide_exact(self)
 
     def _slices(self):
         """Group into flat {(t-exps, m-exps): Fraction} tables by t-degree."""
@@ -329,7 +303,7 @@ class TruncSeries:
         if gq < 0:
             raise TruncationInsufficient("divisor degree exceeds the guarantee")
         if self.is_zero():
-            return TruncSeries.zero(self.vars, max(self.bound - e, gq), gq)
+            return TruncSeries.zero(self.vars, gq)
         if self.lowest_degree() < e:
             raise NotDivisible("dividend has terms below the divisor's lowest degree")
         f_sl = self._slices()
@@ -350,7 +324,7 @@ class TruncSeries:
                 c = coeffs.setdefault(t, {})
                 c[m] = c.get(m, Fraction(0)) + q
         out = {t: GradedCoeff({m: q for m, q in c.items() if q}) for t, c in coeffs.items()}
-        return TruncSeries(self.vars, out, max(self.bound - e, gq), gq)
+        return TruncSeries(self.vars, out, gq)
 
     def compositional_inverse(self) -> TruncSeries:
         """Inverse under composition for a one-variable series c*u + higher."""
@@ -366,12 +340,12 @@ class TruncSeries:
         g = self.guarantee
         h = {(1,): GradedCoeff.from_rational(Fraction(1) / c)}
         for k in range(2, g + 1):
-            partial = TruncSeries(self.vars, h, self.bound, g)
+            partial = TruncSeries(self.vars, h, g)
             comp = self.substitute({v: partial})
             ak = comp.coefficient((k,))
             if not ak.is_zero():
                 h[(k,)] = ak.scale(Fraction(-1) / c)
-        return TruncSeries(self.vars, h, self.bound, g)
+        return TruncSeries(self.vars, h, g)
 
     # -- rendering ----------------------------------------------------------
 

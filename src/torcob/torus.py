@@ -98,14 +98,6 @@ class TorusContext:
     def constant(self, value) -> TruncSeries:
         return TruncSeries.constant(self.vars, value, self.D)
 
-    def linear_form(self, chi) -> TruncSeries:
-        coeffs = {}
-        for i, m in enumerate(chi):
-            if m:
-                exp = tuple(1 if j == i else 0 for j in range(self.rank))
-                coeffs[exp] = GradedCoeff.from_rational(m)
-        return TruncSeries(self.vars, coeffs, self.D)
-
     def character_series(self, chi) -> TruncSeries:
         """c^T_1 of the character's line bundle: the formal sum of n-series."""
         chi = tuple(chi)
@@ -176,19 +168,20 @@ class TorusContext:
             self._unit_inv_pow[key] = out
         return out
 
-    def chern_divides(self, f: TruncSeries, chi, d: int = 1, use_linear_form=False) -> bool:
-        """Whether c(chi)^d divides f through its guarantee (cheap paths first).
+    def chern_divides(self, f: TruncSeries, chi, d: int = 1) -> bool:
+        """Whether c(chi)^d divides f through its guarantee.
 
-        Always a bool: when d exceeds the guarantee, a nonzero f keeps a term
-        below degree d, which no multiple of c(chi)^d has.
+        The two short cuts of the module docstring answer axis characters and
+        e_a - e_b with d = 1 without dividing; every other case is
+        ``divide_by_chern``.  Always a bool: when d exceeds the guarantee, a
+        nonzero f keeps a term below degree d, which no multiple of c(chi)^d
+        has.
         """
         _check_factor(chi, d)
         if f.is_zero() or d == 0:
             return True
         if d > f.guarantee:
             return False
-        if use_linear_form:
-            return _try(lambda: f.divide_exact(self.linear_form(chi) ** d))
         axis = self._single_axis(chi)
         if axis is not None:
             a, _ = axis
@@ -208,24 +201,19 @@ class TorusContext:
             return all(c.is_zero() for c in merged.values())
         return _try(lambda: self.divide_by_chern(f, chi, d))
 
-    def divide_by_chern(self, f: TruncSeries, chi, d: int = 1, use_linear_form=False) -> TruncSeries:
+    def divide_by_chern(self, f: TruncSeries, chi, d: int = 1) -> TruncSeries:
         """q with q * c(chi)^d = f through the guarantee; guarantee drops by d.
 
         One exact division against ``chern_power(chi, d)`` for every
-        character; the quotient keeps f's bound.  Raises NotDivisible when f
-        is not a multiple, and TruncationInsufficient when d exceeds f's
-        guarantee.  With ``use_linear_form`` the divisor is the linear form
-        of chi to the d-th power instead.
+        character.  Raises NotDivisible when f is not a multiple, and
+        TruncationInsufficient when d exceeds f's guarantee.
         """
         _check_factor(chi, d)
         if d > f.guarantee:
             raise TruncationInsufficient(
                 f"multiplicity {d} exceeds the guarantee {f.guarantee}"
             )
-        if use_linear_form:
-            return f.divide_exact(self.linear_form(chi) ** d)
-        q = f.divide_exact(self.chern_power(chi, d))
-        return TruncSeries(self.vars, q.coeffs, f.bound, q.guarantee)
+        return f.divide_exact(self.chern_power(chi, d))
 
     # -- ideal membership ---------------------------------------------------
 

@@ -10,7 +10,7 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from torcob import cli, fgl, flag
+from torcob import cli, fgl, flag, gkm
 
 P1_JSON = '{"rank": 1, "dim": 1, "vertices": ["0", "inf"], "edges": [{"v": "0", "w": "inf", "char": [1]}]}'
 
@@ -247,13 +247,16 @@ def test_env_default_deg_validated_before_header(monkeypatch, argv, env):
 
 
 def _forbid_work(monkeypatch):
-    """Make every law build and kernel check fail, so a guard must fire first."""
+    """Make every law build, kernel check, flag graph and coinvariant rank
+    fail, so a guard must fire first."""
 
     def boom(*args, **kwargs):
         raise AssertionError("a guarded command started its work")
 
     monkeypatch.setattr(fgl.FGLContext, "__init__", boom)
     monkeypatch.setattr(flag, "kernel_check", boom)
+    monkeypatch.setattr(gkm, "flag_graph", boom)
+    monkeypatch.setattr(flag, "coinv_rank", boom)
 
 
 @pytest.mark.parametrize(
@@ -266,9 +269,14 @@ def _forbid_work(monkeypatch):
         (["gkm", "gen", "p1", "--char", "1", "--classes", "--deg", "1000000000"], None),
         (["flag", "kernel", "x1", "--rank", "12"], None),
         (["flag", "kernel", "x1", "--rank", str(cli.MAX_KERNEL_RANK + 1), "--deg", "3"], None),
+        (["flag", "rank", "--rank", "12", "--basis"], None),
+        (["flag", "rank", "--rank", str(cli.MAX_COINV_RANK + 1)], None),
+        (["gkm", "gen", "flag", "--n", str(cli.MAX_FLAG_GRAPH_N + 1)], None),
+        (["gkm", "gen", "flag", "--n", "9", "--classes", "--deg", "3"], None),
     ],
     ids=["fgl-print", "fgl-nseries", "env-default", "integrate-env", "gen-classes", "kernel-rank-12",
-         "kernel-rank-limit"],
+         "kernel-rank-limit", "coinv-rank-12", "coinv-rank-limit", "flag-graph-limit",
+         "flag-graph-classes"],
 )
 def test_size_guards_refuse_before_output(monkeypatch, argv, env):
     _forbid_work(monkeypatch)
@@ -288,6 +296,13 @@ def test_size_guards_admit_their_limits(monkeypatch):
     n = cli.MAX_KERNEL_RANK
     code, out, _ = run(["flag", "kernel", "x1", "--rank", str(n), "--deg", "2", "--spec", "additive"])
     assert (code, out) == (0, "true\n")
+    monkeypatch.setattr(flag, "coinv_rank", lambda n: (n, []))
+    code, out, _ = run(["flag", "rank", "--rank", str(cli.MAX_COINV_RANK)])
+    assert (code, out) == (0, f"{cli.MAX_COINV_RANK}\n")
+    real = gkm.flag_graph
+    monkeypatch.setattr(gkm, "flag_graph", lambda n: real(2))
+    code, out, _ = run(["gkm", "gen", "flag", "--n", str(cli.MAX_FLAG_GRAPH_N)])
+    assert (code, json.loads(out)["rank"]) == (0, 2)
 
 
 def test_flag_kernel_below_artin_degree():

@@ -12,18 +12,19 @@ from torcob.errors import (
     TruncationInsufficient,
     VariableMismatch,
 )
+from torcob.fgl import build
 from torcob.series import TruncSeries
 
 UV = ("t1", "t2")
 D = 6
 
 
-def var(name, bound=D):
-    return TruncSeries.variable(UV, name, bound)
+def var(name, guarantee=D):
+    return TruncSeries.variable(UV, name, guarantee)
 
 
-def const(q, bound=D):
-    return TruncSeries.constant(UV, q, bound)
+def const(q, guarantee=D):
+    return TruncSeries.constant(UV, q, guarantee)
 
 
 def m(i):
@@ -168,7 +169,7 @@ def test_divide_guarantee_accounting():
     q = f.divide_exact(var("t1") ** 2)
     assert q.guarantee == D - 2
     with pytest.raises(TruncationInsufficient):
-        f.divide_exact(TruncSeries.monomial(UV, (D + 1, 0), 1, D + 1, D + 1))
+        f.divide_exact(TruncSeries.monomial(UV, (D + 1, 0), 1, D + 1))
 
 
 def test_compositional_inverse_catalan():
@@ -221,6 +222,49 @@ def test_invert_round_trip(f):
     f = f + const(1) - TruncSeries.constant(UV, f.constant_term(), D)
     inv = f.invert_unit()
     assert f * inv == const(1)
+
+
+def geometric_inverse(f):
+    """1/f as the geometric series in 1 - f/c0, c0 the rational constant term."""
+    c = f.constant_term().rational_part()
+    rest = TruncSeries(f.vars, {t: x for t, x in f.coeffs.items() if any(t)}, f.guarantee)
+    w = rest.scale(Fraction(-1) / c)
+    acc = pw = TruncSeries.constant(f.vars, 1, f.guarantee)
+    for _ in range(f.guarantee):
+        pw = pw * w
+        if pw.is_zero():
+            break
+        acc = acc + pw
+    return acc.scale(Fraction(1) / c)
+
+
+UNIT_LAWS = [
+    None,
+    "additive",
+    ("multiplicative", Fraction(2)),
+    ("multiplicative", Fraction(5)),
+    ("multiplicative", Fraction(2, 5)),
+    {1: Fraction(1, 2), 3: Fraction(-2)},
+]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(UNIT_LAWS),
+    st.sampled_from([2, -1, 3, -2, 5]),
+    st.integers(1, D),
+    series(maxdeg=3),
+    st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(bool),
+)
+def test_invert_unit_matches_geometric_oracle(spec, k, deg, f, c0):
+    # the unit [k](u)/u of each law, and a random two-variable unit
+    ctx = build(2, deg + 1, spec)
+    nser = ctx.n_series(k)
+    unit = TruncSeries(("u",), {(e - 1,): c for (e,), c in nser.coeffs.items()}, deg)
+    f = (f - TruncSeries.constant(UV, f.constant_term(), D) + const(c0)).truncated(deg)
+    for g in (unit, f):
+        got, want = g.invert_unit(), geometric_inverse(g)
+        assert got == want and got.guarantee == want.guarantee == g.guarantee
 
 
 @settings(max_examples=30, deadline=None)

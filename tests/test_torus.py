@@ -139,7 +139,7 @@ def adapted_divide(ctx, f, chi, d):
         raise NotDivisible("adapted first-variable exponent too small")
     fa = fa * ctx._unit_inverse_power(m, d).substitute({"u": ctx.var(0)})
     stripped = {(t[0] - d,) + t[1:]: c for t, c in fa.coeffs.items()}
-    qa = TruncSeries(ctx.vars, stripped, fa.bound, fa.guarantee - d)
+    qa = TruncSeries(ctx.vars, stripped, fa.guarantee - d)
     return tr.from_adapted(qa)
 
 
@@ -351,7 +351,7 @@ def test_divide_by_chern_matches_adapted_oracle(rank, law, data):
         return
     got = T.divide_by_chern(f, chi, d)
     assert got == want
-    assert (got.guarantee, got.bound) == (want.guarantee, want.bound) == (f.guarantee - d, f.bound)
+    assert got.guarantee == want.guarantee == f.guarantee - d
     if q is not None:
         assert got.eq_through(q, got.guarantee)
 
@@ -386,7 +386,7 @@ def test_multiplicity_zero_divides_by_one(T2):
     for chi in [(1, 0), (0, -2), (1, -1), (1, 1), (2, 1), (2, 2)]:
         assert T2.chern_divides(f, chi, 0) is True
         q = T2.divide_by_chern(f, chi, 0)
-        assert q == f and (q.guarantee, q.bound) == (f.guarantee, f.bound)
+        assert q == f and q.guarantee == f.guarantee
         with pytest.raises(ValueError):
             T2.chern_divides(f, chi, -1)
         with pytest.raises(ValueError):
@@ -414,15 +414,17 @@ def test_rank_one_chern_ideal_equals_t():
         assert T.chern_divides(f, chi, 1)
 
 
-def test_linear_form_flag_differs(T2):
-    # F(t1, t2) is in (c(1,1)) by definition but not in the linear form ideal
+def test_chern_ideal_differs_from_linear_ideal(T2):
+    # F(t1, t2) is in (c(1,1)) by definition but not in (t1 + t2)
+    t1, t2 = T2.var(0), T2.var(1)
     c = T2.character_series((1, 1))
     assert T2.chern_divides(c, (1, 1), 1)
-    assert not T2.chern_divides(c, (1, 1), 1, use_linear_form=True)
+    with pytest.raises(NotDivisible):
+        c.divide_exact(t1 + t2)
     # while for a difference character the two ideals agree
     d = T2.character_series((1, -1))
     assert T2.chern_divides(d, (1, -1), 1)
-    assert T2.chern_divides(d, (1, -1), 1, use_linear_form=True)
+    assert (d.divide_exact(t1 - t2) * (t1 - t2)).eq_through(d, d.guarantee - 1)
 
 
 def test_ideal_membership_examples(T2):
