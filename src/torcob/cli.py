@@ -11,9 +11,9 @@ COBORDISM_DEFAULT_DEG overrides the computed default.
 
 Size guards refuse, before any output, inputs whose cost grows without
 useful bound: a truncation above MAX_DEG, ``flag kernel`` above rank
-MAX_KERNEL_RANK, ``flag rank`` above rank MAX_COINV_RANK and ``gkm gen flag``
-above n = MAX_FLAG_GRAPH_N (the README gives the measured times behind each
-limit).
+MAX_KERNEL_RANK, ``flag rank`` above rank MAX_COINV_RANK, ``gkm gen flag``
+above n = MAX_FLAG_GRAPH_N and ``gkm gen pn`` above n = MAX_PN_GRAPH_N (the
+README gives the measured times behind each limit).
 """
 
 from __future__ import annotations
@@ -35,6 +35,9 @@ MAX_DEG = 24
 MAX_KERNEL_RANK = 6
 MAX_COINV_RANK = 9
 MAX_FLAG_GRAPH_N = 8
+# P^n has dimension n and integrating over it needs truncation n + 1, so no
+# command can use a larger P^n.
+MAX_PN_GRAPH_N = MAX_DEG - 1
 
 
 class UsageError(Exception):
@@ -172,9 +175,10 @@ def _cmd_gkm(args, out, stdin):
         elif args.kind in ("pn", "flag"):
             if args.n is None:
                 raise UsageError(f"{args.kind} needs --n")
-            if args.kind == "flag" and args.n > MAX_FLAG_GRAPH_N:
+            limit = MAX_FLAG_GRAPH_N if args.kind == "flag" else MAX_PN_GRAPH_N
+            if args.n > limit:
                 raise UsageError(
-                    f"--n {args.n} for gkm gen flag is above the limit {MAX_FLAG_GRAPH_N}"
+                    f"--n {args.n} for gkm gen {args.kind} is above the limit {limit}"
                 )
             g = gkm.generate(args.kind, n=args.n)
         else:

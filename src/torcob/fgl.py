@@ -11,10 +11,19 @@ this is the equation F(u, rho) = 0.  It is checked on construction by a
 second composition, l(rho(u)) = -l(u) through the truncation; a failure
 raises ArithmeticError.  The bivariate F is built only when something reads
 it (``F``, ``a_coeff``, ``plus``, ``formal_sum``).
+
+The characteristic series of the law is Q(x) = x / e(x) (Hirzebruch), a
+unit written exp(sum_k q_k x^k) with q_k in Q[m] of weight k.  Its
+exponential expansion prod_j Q(a_j z) = sum_mu q_mu p_mu(a) z^|mu| / aut(mu)
+over partitions mu, with power sums p_k(a) = sum_j a_j^k and aut(mu) the
+product of the factorials of the part multiplicities, is what
+``gkm.integrate`` sums on fundamental classes; ``weight_factors`` holds the
+weights q_mu / aut(mu) in factored form.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from torcob.coeff import GradedCoeff
@@ -30,10 +39,11 @@ CUSTOM = "custom"
 class FGLContext:
     """Context holding l, e, rho and, once read, F at fixed truncations.
 
-    Immutable in everything it exposes, but n-series are cached in ``_nser``
-    and F in ``_F`` on first use, without a lock.  Each value depends only on
-    its key, so threads sharing a context get the same answers; two threads
-    racing on one entry both compute it and store equal values.
+    Immutable in everything it exposes, but n-series are cached in ``_nser``,
+    F in ``_F`` and weight factors in ``_weights`` on first use, without a
+    lock.  Each value depends only on its key, so threads sharing a context
+    get the same answers; two threads racing on one entry both compute it and
+    store equal values.
     """
 
     def __init__(self, coeff_degree, degree, specialization=None):
@@ -47,6 +57,7 @@ class FGLContext:
         self.rho = self._build_rho()
         self._F = None
         self._nser = {0: TruncSeries.zero(("u",), self.D), 1: _uvar(self.D), -1: self.rho}
+        self._weights = {}
 
     # -- construction -------------------------------------------------------
 
@@ -111,6 +122,32 @@ class FGLContext:
             self._nser[n] = out
         return out
 
+    def weight_factors(self, dim: int) -> tuple:
+        """(den, factors): the weights q_mu / aut(mu) of the partitions of size <= dim.
+
+        ``factors`` maps each partition of ``partitions(dim)``, in that order,
+        to the integer polynomial den^p * q_p / j as an {m-exponents: int}
+        map, where p is its last part and j the multiplicity of p; the empty
+        partition maps to 1.  The weight of mu is the product of the factors
+        of mu and of its nonempty prefixes, over den^|mu|.  Reads e through
+        degree dim + 1, so the weights respect Dc and the specialization;
+        cached per dim.
+        """
+        out = self._weights.get(dim)
+        if out is None:
+            if dim + 1 > self.D:
+                raise TruncationInsufficient(f"weights of degree {dim} need truncation {dim + 1}")
+            q = _characteristic_log(self.exp, dim)
+            rational = {
+                mu: q[mu[-1]].scale(Fraction(1, mu.count(mu[-1]))) for mu in partitions(dim) if mu
+            }
+            den = math.lcm(*(c.denominator for f in rational.values() for c in f.terms.values()))
+            factors = {(): {(): 1}}
+            for mu, f in rational.items():
+                factors[mu] = {m: int(c * den ** mu[-1]) for m, c in f.terms.items()}
+            out = self._weights[dim] = (den, factors)
+        return out
+
     def formal_sum(self, summands) -> TruncSeries:
         """Left fold of F over the list; summands need zero constant term."""
         summands = list(summands)
@@ -128,6 +165,39 @@ class FGLContext:
     def plus(self, a: TruncSeries, b: TruncSeries) -> TruncSeries:
         """a +_F b."""
         return self.F.substitute({"u": a, "v": b})
+
+
+def partitions(n: int) -> list:
+    """Every partition of size <= n, parts nonincreasing, in depth-first preorder.
+
+    Starts at the empty partition, and each partition is followed by those
+    that extend it by one more part, so a prefix always comes first.
+    """
+    out = []
+
+    def grow(mu, size, largest):
+        out.append(mu)
+        for p in range(1, min(largest, n - size) + 1):
+            grow(mu + (p,), size + p, p)
+
+    grow((), 0, n)
+    return out
+
+
+def _characteristic_log(exp: TruncSeries, n: int) -> list:
+    """[None, q_1, ..., q_n] with x / e(x) = exp(sum_k q_k x^k), from e through x^(n+1).
+
+    With g(x) = e(x)/x = sum g_i x^i (g_0 = 1) and log g = sum L_k x^k,
+    g' = g L' gives k L_k = k g_k - sum_(0<j<k) j L_j g_(k-j); q_k = -L_k.
+    """
+    g = [exp.coefficient((i + 1,)) for i in range(n + 1)]
+    logs = [None]
+    for k in range(1, n + 1):
+        acc = g[k].scale(k)
+        for j in range(1, k):
+            acc = acc - (logs[j] * g[k - j]).scale(j)
+        logs.append(acc.scale(Fraction(1, k)))
+    return [None] + [-x for x in logs[1:]]
 
 
 def _uvar(guarantee):

@@ -24,7 +24,6 @@ from torcob.fgl import build
 from torcob.gkm import (
     PiecewiseClass,
     _along,
-    _generic_cocharacter,
     _over_unit,
     _top_coefficient,
     flag_graph,
@@ -200,7 +199,7 @@ def artin_pairing(ctx: TorusContext, n: int, p: TruncSeries) -> list:
     g = flag_graph(n)
     if ctx.D <= g.dim:
         ctx = TorusContext(n, build(ctx.fgl.Dc, g.dim + 1, ctx.fgl.specialization))
-    lam = _generic_cocharacter(g)
+    lam = g.cocharacter
     along = [s.truncated(g.dim) for s in _along(ctx, lam).values()]
     totals = {a: TruncSeries.zero(("u",), g.dim) for a in artin_exponents(n)}
     for v in g.vertices:

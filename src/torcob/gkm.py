@@ -17,12 +17,32 @@ Euler class at v becomes u^dim times a unit U_v(u), a product of
 series sum_v alpha_v(u) / U_v(u); the coefficients below u^dim must vanish,
 which certifies the sum.  Only series through u^dim are needed, so the
 truncation demand is the dimension plus one.
+
+A class whose vertex values are all one t-constant c is c times the
+fundamental class [X], which is summed in the logarithmic coordinate
+z = l(u) instead.  There [a](u) = e(a z), so with the characteristic
+series Q(x) = x / e(x) = exp(sum q_k x^k) of the law (see ``fgl``) and
+a_vj = <chi_j, lambda> over the tangent characters at v,
+
+    sum_v u^dim / e_v(u) = (u/z)^dim * sum_k R_k z^k,
+    R_k = sum_(|mu| = k) q_mu N_mu / aut(mu),
+    N_mu = sum_v p_mu(a_v) / prod_j a_vj,
+
+with p_mu the power sums.  Each N_mu is a rational number (a power-sum
+Chern number by Atiyah-Bott at the integer point lambda), so Q[m] is
+touched once per partition, not once per vertex.  Since u/z is a unit
+with constant term 1 and z = u + O(u^2), the residue sum has no term below
+u^dim exactly when R_k = 0 for every k < dim, and then [X] = R_dim: the
+same certificate and the same answer as the residue sum.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
+import operator
 from collections import Counter
+from fractions import Fraction
 
 from torcob.coeff import GradedCoeff
 from torcob.errors import (
@@ -33,14 +53,19 @@ from torcob.errors import (
     NotDivisible,
     TruncationInsufficient,
 )
-from torcob.kernels import madd
+from torcob.kernels import madd, mul_acc
 from torcob.linalg import INCONSISTENT, UNDERDETERMINED, solve
 from torcob.series import TruncSeries
 from torcob.torus import TorusContext, content, proportional
 
 
 class GKMGraph:
-    """rank, common valence dim, vertex ids, and signed edges."""
+    """rank, common valence dim, vertex ids, and signed edges.
+
+    The edges are fixed at construction, so the generic cocharacter they
+    determine is computed once, on first use, and kept; threads racing on
+    that first use both compute it and store equal values.
+    """
 
     def __init__(self, rank, dim, vertices, edges):
         self.rank = rank
@@ -51,6 +76,14 @@ class GKMGraph:
         for v, w, chi in self.edges:
             self._incident[v].append((w, chi))
             self._incident[w].append((v, tuple(-x for x in chi)))
+        self._cocharacter = None
+
+    @property
+    def cocharacter(self) -> tuple:
+        """The generic cocharacter of ``_generic_cocharacter``, kept after first use."""
+        if self._cocharacter is None:
+            self._cocharacter = _generic_cocharacter(self)
+        return self._cocharacter
 
     def incident(self, v):
         """(other vertex, tangent character at v) pairs."""
@@ -162,7 +195,10 @@ def is_class(ctx: TorusContext, g: GKMGraph, alpha: PiecewiseClass) -> bool:
     if alpha.guarantee < 1:
         raise TruncationInsufficient("guarantee below 1 cannot see any congruence")
     for v, w, chi in g.edges:
-        diff = alpha.values[v] - alpha.values[w]
+        a, b = alpha.values[v], alpha.values[w]
+        if a == b:
+            continue
+        diff = a - b
         if diff.is_zero():
             continue
         if not ctx.chern_divides(diff, chi, 1):
@@ -189,9 +225,10 @@ def required_guarantee(g: GKMGraph, alpha: PiecewiseClass) -> int:
     """Up-front truncation demand of ``integrate``: the dimension plus one.
 
     The residue sum reads its series through u^dim, and the unit [k](u)/u is
-    exact one degree below the truncation.  The demand does not depend on
-    the class; ``alpha`` is accepted so that callers can pass the one they
-    are about to integrate.
+    exact one degree below the truncation; the logarithmic route of
+    fundamental classes reads e through degree dim + 1.  The demand does not
+    depend on the class; ``alpha`` is accepted so that callers can pass the
+    one they are about to integrate.
     """
     return g.dim + 1
 
@@ -229,7 +266,7 @@ def _generic_cocharacter(g: GKMGraph) -> tuple:
 
 
 def _pairing(chi, lam) -> int:
-    return sum(a * b for a, b in zip(chi, lam))
+    return sum(map(operator.mul, chi, lam))
 
 
 def _along(ctx: TorusContext, lam) -> dict:
@@ -249,10 +286,13 @@ def _over_unit(ctx: TorusContext, g: GKMGraph, v, lam, value: TruncSeries, assig
     return term
 
 
+_NOT_DIVISIBLE = "residue sum not divisible; class condition or guarantee violated"
+
+
 def _top_coefficient(total: TruncSeries, dim: int) -> GradedCoeff:
     """The coefficient of u^dim of a residue sum, certified by the vanishing below it."""
     if any(k < dim for (k,) in total.coeffs):
-        raise NotDivisible("residue sum not divisible; class condition or guarantee violated")
+        raise NotDivisible(_NOT_DIVISIBLE)
     return total.coefficient((dim,))
 
 
@@ -265,13 +305,96 @@ def _residue_along(ctx: TorusContext, g: GKMGraph, alpha: PiecewiseClass, lam) -
     return total
 
 
+def _constant_value(alpha: PiecewiseClass):
+    """The coefficient c when every vertex value is the same t-constant c, else None."""
+    values = iter(alpha.values.values())
+    first = next(values)
+    if any(sum(t) for t in first.coeffs):
+        return None
+    if any(s.coeffs != first.coeffs for s in values):
+        return None
+    return first.constant_term()
+
+
+def _power_sum_numbers(g: GKMGraph, partitions) -> tuple:
+    """({mu: den * N_mu} over ``partitions``, den), all integers.
+
+    N_mu = sum_v p_mu(a_v) / prod_j a_vj at the pairings a_vj of the tangent
+    characters at v with the graph's cocharacter, over the common
+    denominator den, the lcm of the |prod_j a_vj|.  Vertices with the same
+    pairings are summed once.  ``partitions`` must list every prefix before
+    its extensions; each N_mu then costs one multiplication per distinct row
+    of pairings.
+    """
+    lam = g.cocharacter
+    at = {v: [] for v in g.vertices}
+    for v, w, chi in g.edges:
+        a = _pairing(chi, lam)
+        at[v].append(a)
+        at[w].append(-a)
+    counts = Counter(tuple(sorted(a)) for a in at.values())
+    rows = list(counts)
+    euler = [math.prod(a) for a in rows]
+    den = math.lcm(*euler)
+    powers = [None] + [[sum(x ** k for x in a) for a in rows] for k in range(1, g.dim + 1)]
+    path = [[counts[a] * (den // e) for a, e in zip(rows, euler)]]
+    sums = {}
+    for mu in partitions:
+        if mu:
+            del path[len(mu):]
+            path.append([x * y for x, y in zip(path[-1], powers[mu[-1]])])
+        sums[mu] = sum(path[-1])
+    return sums, den
+
+
+def _weighted_sum(factors: dict, sums: dict, k: int) -> dict:
+    """den^k * sum_(|mu| = k) sums[mu] * q_mu / aut(mu) as an {m-exponents: int} map.
+
+    ``factors`` and den are those of ``FGLContext.weight_factors``.  Horner's
+    rule on the prefixes costs one integer polynomial product per partition.
+    """
+    inner = {}
+    for mu in reversed(factors):
+        size = sum(mu)
+        if size == k:
+            acc = {(): sums[mu]} if sums[mu] else None
+        elif size < k:
+            acc = inner.pop(mu, None)
+        else:
+            continue
+        if not acc:
+            continue
+        if not mu:
+            return acc
+        mul_acc(inner.setdefault(mu[:-1], {}), factors[mu].items(), acc)
+    return {}
+
+
+def _fundamental_class(ctx: TorusContext, g: GKMGraph) -> GradedCoeff:
+    """[X] = R_dim in the logarithmic coordinate; NotDivisible unless R_k = 0 for k < dim."""
+    den, factors = ctx.fgl.weight_factors(g.dim)
+    sums, scale = _power_sum_numbers(g, factors)
+    # R_k is zero when every N_mu of size k is; only the others are summed
+    sizes = sorted({sum(mu) for mu, n in sums.items() if n})
+    if any(_weighted_sum(factors, sums, k) for k in sizes if k < g.dim):
+        raise NotDivisible(_NOT_DIVISIBLE)
+    scale *= den ** g.dim
+    top = _weighted_sum(factors, sums, g.dim)
+    return GradedCoeff({m: Fraction(x, scale) for m, x in top.items()})
+
+
 def integrate(ctx: TorusContext, g: GKMGraph, alpha: PiecewiseClass, check_class=True) -> GradedCoeff:
     """Fixed-point residue sum pushed down to the Lazard ring.
 
-    Restricts along the generic cocharacter of ``_generic_cocharacter`` and
-    returns the coefficient of u^dim of ``_residue_along``; a nonzero
-    coefficient below u^dim raises NotDivisible.  Exact over Q; the answer
-    does not depend on the cocharacter or on the vertex order.
+    Restricts along the graph's generic cocharacter (``_generic_cocharacter``,
+    kept on the graph).  A class whose vertex values are all one t-constant
+    c returns c times ``_fundamental_class``, the sum of the module
+    docstring in the logarithmic coordinate; every other class returns the
+    coefficient of u^dim of ``_residue_along``.  Either way a nonzero term
+    below u^dim raises NotDivisible.  Exact over Q; the answer does not
+    depend on the cocharacter or on the vertex order.  The graph must pass
+    ``validate()`` (the logarithmic route relies on every valence being
+    dim); the command line checks it on load.
     """
     need = required_guarantee(g, alpha)
     have = min(alpha.guarantee, ctx.D)
@@ -279,7 +402,12 @@ def integrate(ctx: TorusContext, g: GKMGraph, alpha: PiecewiseClass, check_class
         raise TruncationInsufficient(f"guarantee {have} below required {need}")
     if check_class and not is_class(ctx, g, alpha):
         raise NotAClass("piecewise values violate an edge congruence")
-    return _top_coefficient(_residue_along(ctx, g, alpha, _generic_cocharacter(g)), g.dim)
+    c = _constant_value(alpha)
+    if c is None:
+        return _top_coefficient(_residue_along(ctx, g, alpha, g.cocharacter), g.dim)
+    if c.is_zero():
+        return c  # as the residue route: a zero sum has no term below u^dim to refuse
+    return c * _fundamental_class(ctx, g)
 
 
 def basis_expand(ctx: TorusContext, g: GKMGraph, basis, alpha: PiecewiseClass):

@@ -247,8 +247,8 @@ def test_env_default_deg_validated_before_header(monkeypatch, argv, env):
 
 
 def _forbid_work(monkeypatch):
-    """Make every law build, kernel check, flag graph and coinvariant rank
-    fail, so a guard must fire first."""
+    """Make every law build, kernel check, flag and P^n graph and coinvariant
+    rank fail, so a guard must fire first."""
 
     def boom(*args, **kwargs):
         raise AssertionError("a guarded command started its work")
@@ -256,6 +256,7 @@ def _forbid_work(monkeypatch):
     monkeypatch.setattr(fgl.FGLContext, "__init__", boom)
     monkeypatch.setattr(flag, "kernel_check", boom)
     monkeypatch.setattr(gkm, "flag_graph", boom)
+    monkeypatch.setattr(gkm, "pn_graph", boom)
     monkeypatch.setattr(flag, "coinv_rank", boom)
 
 
@@ -273,10 +274,12 @@ def _forbid_work(monkeypatch):
         (["flag", "rank", "--rank", str(cli.MAX_COINV_RANK + 1)], None),
         (["gkm", "gen", "flag", "--n", str(cli.MAX_FLAG_GRAPH_N + 1)], None),
         (["gkm", "gen", "flag", "--n", "9", "--classes", "--deg", "3"], None),
+        (["gkm", "gen", "pn", "--n", str(cli.MAX_PN_GRAPH_N + 1)], None),
+        (["gkm", "gen", "pn", "--n", "1000000000", "--classes", "--deg", "3"], None),
     ],
     ids=["fgl-print", "fgl-nseries", "env-default", "integrate-env", "gen-classes", "kernel-rank-12",
          "kernel-rank-limit", "coinv-rank-12", "coinv-rank-limit", "flag-graph-limit",
-         "flag-graph-classes"],
+         "flag-graph-classes", "pn-graph-limit", "pn-graph-huge"],
 )
 def test_size_guards_refuse_before_output(monkeypatch, argv, env):
     _forbid_work(monkeypatch)
@@ -303,6 +306,9 @@ def test_size_guards_admit_their_limits(monkeypatch):
     monkeypatch.setattr(gkm, "flag_graph", lambda n: real(2))
     code, out, _ = run(["gkm", "gen", "flag", "--n", str(cli.MAX_FLAG_GRAPH_N)])
     assert (code, json.loads(out)["rank"]) == (0, 2)
+    code, out, _ = run(["gkm", "gen", "pn", "--n", str(cli.MAX_PN_GRAPH_N)])
+    assert (code, json.loads(out)["dim"]) == (0, cli.MAX_PN_GRAPH_N)
+    assert cli.MAX_PN_GRAPH_N + 1 == cli.MAX_DEG  # the integration demand of P^n at the limit
 
 
 def test_flag_kernel_below_artin_degree():

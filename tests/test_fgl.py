@@ -294,3 +294,50 @@ def test_commands_run_without_F(monkeypatch, argv):
     _forbid_F(monkeypatch)
     out, err = io.StringIO(), io.StringIO()
     assert cli.main(argv, stdout=out, stderr=err, stdin=io.StringIO()) == 0, err.getvalue()
+
+
+def test_partitions_list_every_prefix_first():
+    parts = fgl.partitions(6)
+    assert [sum(1 for mu in parts if sum(mu) == k) for k in range(7)] == [1, 1, 2, 3, 5, 7, 11]
+    assert len(set(parts)) == len(parts)
+    seen = set()
+    for mu in parts:
+        assert list(mu) == sorted(mu, reverse=True) and mu[:-1] in seen | {()}
+        seen.add(mu)
+
+
+@pytest.mark.parametrize(
+    "spec", [None, "additive", ("multiplicative", Fraction(2, 5)), {1: Fraction(1, 3), 3: -2}],
+    ids=str,
+)
+def test_weight_factors_expand_the_characteristic_series(spec):
+    # sum over |mu| = k of (q_mu / aut mu) p_mu(a) is [x^k] prod_j Q(a_j x),
+    # with Q(x) = x / e(x) inverted here as a series
+    dim, a = 6, (2, -3, 1)
+    ctx = build(dim, dim + 1, spec)
+    x = ("u",)
+    unit = TruncSeries(x, {(k - 1,): c for (k,), c in ctx.exp.coeffs.items()}, dim)
+    q_series = unit.invert_unit()
+    want = TruncSeries.constant(x, 1, dim)
+    for aj in a:
+        want = want * q_series.substitute({"u": TruncSeries.monomial(x, (1,), aj, dim)})
+    den, factors = ctx.weight_factors(dim)
+    assert ctx.weight_factors(dim) is ctx.weight_factors(dim)
+    for k in range(dim + 1):
+        total = GradedCoeff.zero()
+        for mu in factors:
+            if sum(mu) != k:
+                continue
+            weight = GradedCoeff.one()
+            for i in range(1, len(mu) + 1):
+                weight = weight * GradedCoeff(factors[mu[:i]])
+            p_mu = 1
+            for part in mu:
+                p_mu *= sum(aj ** part for aj in a)
+            total = total + weight.scale(Fraction(p_mu, den ** k))
+        assert total == want.coefficient((k,))
+
+
+def test_weight_factors_need_the_degree():
+    with pytest.raises(TruncationInsufficient):
+        build(3, 3).weight_factors(3)

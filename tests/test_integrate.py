@@ -1,4 +1,6 @@
-"""Bott residue integration: the one-parameter route against the all-vertex sum."""
+"""Bott residue integration: the one-parameter route against the all-vertex sum,
+and the logarithmic route of fundamental classes against both the residue
+route and Kosniowski's chi_y formula."""
 
 from fractions import Fraction
 
@@ -32,6 +34,11 @@ def residue_sum_oracle(ctx, g, alpha):
             num = num * ev + av * den
             den = den * ev
     return num.divide_exact(den).constant_term()
+
+
+def residues(ctx, g, alpha):
+    """The one-parameter residue route of ``integrate``, for any class."""
+    return gkm._top_coefficient(gkm._residue_along(ctx, g, alpha, g.cocharacter), g.dim)
 
 
 def old_truncation(g, class_degree):
@@ -105,6 +112,73 @@ def test_flag3_specialized_matches_oracle(law):
         assert new == old
 
 
+# -- the logarithmic route of constant classes ------------------------------------------
+
+
+LOG_ROUTE_GRAPHS = (
+    [("p1", chi) for chars in _P1_CHARS.values() for chi in chars]
+    + [("pn", n) for n in range(2, 5)]
+    + [("flag", n) for n in range(2, 6)]
+)
+LAWS = [None, "additive", ("multiplicative", Fraction(2, 5))]
+CONSTANTS = [GradedCoeff.one(), GradedCoeff.zero(), GradedCoeff.generator(1).scale(Fraction(3, 2))]
+
+
+@pytest.mark.parametrize("law", LAWS, ids=str)
+@pytest.mark.parametrize("kind, arg", LOG_ROUTE_GRAPHS, ids=str)
+def test_log_route_matches_residues(kind, arg, law):
+    g = gkm.p1_graph(arg) if kind == "p1" else gkm.generate(kind, n=arg)
+    T = TorusContext(g.rank, build(g.dim, g.dim + 1, law))
+    for c in CONSTANTS:
+        alpha = gkm.constant_class(T, g, c)
+        assert gkm._constant_value(alpha) == c
+        assert gkm.integrate(T, g, alpha) == residues(T, g, alpha)
+
+
+def test_both_routes_refuse_a_failed_certificate():
+    # valid graph, not a variety: R_0 = sum_v 1 / (a_v1 a_v2) = 2 / (a_1 a_2) != 0
+    g = gkm.GKMGraph(2, 2, ["a", "b"], [("a", "b", (1, 0)), ("a", "b", (0, 1))])
+    assert g.validate() == []
+    for law in LAWS:
+        T = TorusContext(2, build(2, 3, law))
+        one = gkm.constant_class(T, g, 1)
+        assert gkm._constant_value(one) == GradedCoeff.one()
+        with pytest.raises(NotDivisible):
+            gkm.integrate(T, g, one)
+        with pytest.raises(NotDivisible):
+            residues(T, g, one)
+
+
+def chi_y_law(y, degree):
+    """m_i of the chi_y genus: l(u) = log((1 + y u) / (1 - u)) / (1 + y), y != -1."""
+    y = Fraction(y)
+    return {i: (1 - (-y) ** (i + 1)) / ((i + 1) * (1 + y)) for i in range(1, degree)}
+
+
+def kosniowski(g, y):
+    """chi_y by Kosniowski: sum over fixed points of (-y)^(number of negative weights).
+
+    The weights are the pairings with a cocharacter chosen here, not the one
+    ``integrate`` uses; the sum does not depend on it.
+    """
+    lam = tuple(10 ** i for i in range(g.rank))
+    total = Fraction(0)
+    for v in g.vertices:
+        weights = [gkm._pairing(chi, lam) for _, chi in g.incident(v)]
+        assert all(weights)
+        total += Fraction(-y) ** sum(1 for a in weights if a < 0)
+    return total
+
+
+@pytest.mark.parametrize("y", [2, Fraction(-3, 7), 5, 0], ids=str)
+@pytest.mark.parametrize("kind, n", [("pn", 3), ("flag", 4), ("flag", 5)], ids=str)
+def test_chi_y_genus_matches_kosniowski(kind, n, y):
+    g = gkm.generate(kind, n=n)
+    T = TorusContext(g.rank, build(0, g.dim + 1, chi_y_law(y, g.dim + 1)))
+    got = gkm.integrate(T, g, gkm.constant_class(T, g, 1))
+    assert got == GradedCoeff.from_rational(kosniowski(g, y))
+
+
 # -- the choice of cocharacter -------------------------------------------------------
 
 
@@ -141,6 +215,15 @@ def test_generic_cocharacter_pairs_nonzero():
         lam = gkm._generic_cocharacter(g)
         assert all(gkm._pairing(chi, lam) for _, _, chi in g.edges)
     assert gkm._generic_cocharacter(gkm.flag_graph(3)) == (0, 1, -1)
+
+
+def test_graph_keeps_its_generic_cocharacter():
+    graphs = [gkm.p1_graph((2, 3, 5)), gkm.pn_graph(4), gkm.flag_graph(4)]
+    graphs.append(gkm.GKMGraph.from_json(graphs[-1].to_json()))
+    for g in graphs:
+        lam = g.cocharacter
+        assert lam == gkm._generic_cocharacter(g)
+        assert g.cocharacter is lam
 
 
 def test_non_class_fails_the_certificate():
@@ -199,3 +282,15 @@ def test_flag4_value_specializations():
         T = TorusContext(4, build(0, 7, ("multiplicative", beta)))
         assert gkm.integrate(T, g, gkm.constant_class(T, g, 1)) == value
     assert FL4.specialize(lambda i: Fraction(0)).is_zero()
+
+
+def test_flag6_universal_fundamental_class():
+    g = gkm.flag_graph(6)
+    T = TorusContext(6, build(g.dim, g.dim + 1))
+    fl6 = gkm.integrate(T, g, gkm.constant_class(T, g, 1))
+    assert len(fl6.terms) == 123
+    assert fl6.homogeneous_degree() == -g.dim
+    assert fl6.specialize(lambda i: Fraction(1, i + 1)) == GradedCoeff.one()
+    assert fl6.specialize(lambda i: Fraction(0)).is_zero()
+    chi_2 = chi_y_law(2, g.dim + 1)
+    assert fl6.specialize(chi_2.get) == GradedCoeff.from_rational(kosniowski(g, 2))
