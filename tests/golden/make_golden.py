@@ -121,7 +121,7 @@ def flag_cases():
 
 
 def expand_cases():
-    """gkm expand/forget on P^1 and P^2, universal and specialized."""
+    """gkm expand/forget on P^1, P^2 and P^3, universal and specialized."""
     basis_p1 = "[" + ", ".join([json.dumps({"0": "1", "inf": "1"}),
                                 json.dumps({"0": "chern(1)", "inf": "0"})]) + "]"
     basis_p1_2 = "[" + ", ".join([json.dumps({"0": "1", "inf": "1"}),
@@ -142,6 +142,32 @@ def expand_cases():
            "--basis", "[" + json.dumps({"0": "1", "inf": "1"}) + ", " + json.dumps({"0": "t1", "inf": "t1"}) + "]"]
     yield ["gkm", "expand", "--graph", p1((1,)), "--class", json.dumps({"0": "1", "inf": "1"}),
            "--basis", "[" + json.dumps({"0": "1", "inf": "1"}) + ", " + json.dumps({"0": "2", "inf": "2"}) + "]"]
+    # a generator above --coeff-deg, and a basis element that is not homogeneous
+    yield ["gkm", "expand", "--graph", p1((1,)), "--class", json.dumps({"0": "m9", "inf": "m9"}),
+           "--basis", basis_p1, "--coeff-deg", "3"]
+    yield ["gkm", "expand", "--graph", p1((1,)), "--class", json.dumps({"0": "t1", "inf": "0"}),
+           "--basis", "[" + json.dumps({"0": "1", "inf": "1"}) + ", "
+           + json.dumps({"0": "t1", "inf": "t1^2"}) + "]"]
+    # P^2 in the basis 1, the divisor through vertices 1 and 2, the point class at 2
+    basis_chern = "[" + ", ".join(json.dumps(b) for b in [
+        {"0": "1", "1": "1", "2": "1"},
+        {"0": "0", "1": "chern(1,0)", "2": "chern(0,1)"},
+        {"0": "0", "1": "0", "2": "chern(0,1)*chern(-1,1)"},
+    ]) + "]"
+    cls_chern = json.dumps({"0": "1 + t1", "1": "1 + t1 + (1 - t2)*chern(1,0)",
+                            "2": "1 + t1 + (1 - t2)*chern(0,1) + 3*chern(0,1)*chern(-1,1)"})
+    for sub in ("expand", "forget"):
+        for law in ([], ["--spec", "additive"], ["--spec", "multiplicative:2/5"]):
+            yield ["gkm", sub, "--graph", P2, "--class", cls_chern, "--basis", basis_chern] + law
+    # universal P^3 in the basis 1, h, h^2, h^3
+    p3 = json.dumps({"rank": 3, "dim": 3, "vertices": ["0", "1", "2", "3"], "edges": [
+        {"v": str(i), "w": str(j), "char": [(k == i - 1) - (k == j - 1) for k in range(3)]}
+        for i in range(4) for j in range(i + 1, 4)]})
+    basis_p3 = "[" + ", ".join(json.dumps({"0": "0", "1": f"t1^{k}", "2": f"t2^{k}", "3": f"t3^{k}"}
+                                          if k else {"0": "1", "1": "1", "2": "1", "3": "1"})
+                               for k in range(4)) + "]"
+    cls_p3 = json.dumps({"0": "1", "1": "1 + m1*t1^2", "2": "1 + m1*t2^2", "3": "1 + m1*t3^2"})
+    yield ["gkm", "forget", "--graph", p3, "--class", cls_p3, "--basis", basis_p3]
 
 
 def gen_cases():
