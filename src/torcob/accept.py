@@ -25,7 +25,6 @@ from torcob.flag import (
     x_poly,
     x_var,
 )
-from torcob.gkm import _m_monomials
 from torcob.linalg import rank as mat_rank
 from torcob.series import TruncSeries
 from torcob.torus import TorusContext, pair_extends_to_basis
@@ -124,6 +123,31 @@ def _oracle_universal_F(deg):
 
 
 # -- shared random generators -----------------------------------------------------
+
+
+def _m_monomials(weight, max_index):
+    """All m-exponent tuples of the given weight with parts <= max_index."""
+    if weight == 0:
+        return [()]
+    out = []
+
+    def rec(remaining, index, acc):
+        if remaining == 0:
+            exps = [0] * max_index
+            for i, e in acc:
+                exps[i - 1] = e
+            n = len(exps)
+            while n and exps[n - 1] == 0:
+                n -= 1
+            out.append(tuple(exps[:n]))
+            return
+        if index == 0:
+            return
+        for e in range(remaining // index, -1, -1):
+            rec(remaining - e * index, index - 1, acc + [(index, e)] if e else acc)
+
+    rec(weight, max_index, [])
+    return sorted(out)
 
 
 def _rand_homog(ctx: TorusContext, j, maxdeg, rng, allow_zero=True):

@@ -13,7 +13,10 @@ Size guards refuse, before any output, inputs whose cost grows without
 useful bound: a truncation above MAX_DEG, ``flag kernel`` above rank
 MAX_KERNEL_RANK, ``flag rank`` above rank MAX_COINV_RANK, ``gkm gen flag``
 above n = MAX_FLAG_GRAPH_N and ``gkm gen pn`` above n = MAX_PN_GRAPH_N (the
-README gives the measured times behind each limit).
+README gives the measured times behind each limit).  Each raises
+``TooLarge``, as the library's own guards do, and exits 2; ``gkm
+expand|forget`` learns its size from the basis, so its guard
+(``gkm.MAX_EXPAND_COLUMNS``) fires after the header line.
 """
 
 from __future__ import annotations
@@ -25,16 +28,15 @@ import sys
 from fractions import Fraction
 
 from torcob import exprs, flag as flagmod, gkm
-from torcob.errors import TorcobError
-from torcob.fgl import build as fgl_build
+from torcob.errors import TooLarge, TorcobError
+from torcob.fgl import MAX_DEG, build as fgl_build
+from torcob.flag import MAX_COINV_RANK, MAX_KERNEL_RANK
+from torcob.gkm import MAX_FLAG_GRAPH_N
 from torcob.torus import TorusContext
 
 
-# Size guards; fixed here, with no option or environment variable.
-MAX_DEG = 24
-MAX_KERNEL_RANK = 6
-MAX_COINV_RANK = 9
-MAX_FLAG_GRAPH_N = 8
+# Size guards, fixed in the library with no option or environment variable:
+# MAX_DEG, MAX_KERNEL_RANK, MAX_COINV_RANK and MAX_FLAG_GRAPH_N.
 # P^n has dimension n and integrating over it needs truncation n + 1, so no
 # command can use a larger P^n.
 MAX_PN_GRAPH_N = MAX_DEG - 1
@@ -83,7 +85,7 @@ def _truncation(args, computed):
     if deg < 1:
         raise UsageError(f"need a truncation degree >= 1, got {deg}")
     if deg > MAX_DEG:
-        raise UsageError(f"truncation degree {deg} is above the limit {MAX_DEG}")
+        raise TooLarge(f"truncation degree {deg} is above the limit {MAX_DEG}")
     return deg, header
 
 
@@ -177,9 +179,7 @@ def _cmd_gkm(args, out, stdin):
                 raise UsageError(f"{args.kind} needs --n")
             limit = MAX_FLAG_GRAPH_N if args.kind == "flag" else MAX_PN_GRAPH_N
             if args.n > limit:
-                raise UsageError(
-                    f"--n {args.n} for gkm gen {args.kind} is above the limit {limit}"
-                )
+                raise TooLarge(f"--n {args.n} for gkm gen {args.kind} is above the limit {limit}")
             g = gkm.generate(args.kind, n=args.n)
         else:
             raise UsageError(f"unknown graph kind {args.kind!r}")
@@ -240,7 +240,7 @@ def _cmd_flag(args, out, stdin):
         raise UsageError("flag commands need --rank")
     limit = {"kernel": MAX_KERNEL_RANK, "rank": MAX_COINV_RANK}.get(args.sub)
     if limit is not None and n > limit:
-        raise UsageError(f"--rank {n} for flag {args.sub} is above the limit {limit}")
+        raise TooLarge(f"--rank {n} for flag {args.sub} is above the limit {limit}")
     if args.sub == "rank":
         count, basis = flagmod.coinv_rank(n)
         print(count, file=out)
@@ -372,6 +372,9 @@ def main(argv=None, stdout=None, stderr=None, stdin=None) -> int:
         return 2
     except (UsageError, exprs.EvalError, json.JSONDecodeError, ValueError, KeyError) as exc:
         print(f"usage error: {exc}", file=err)
+        return 2
+    except TooLarge as exc:
+        print(f"error: TooLarge: {exc}", file=err)
         return 2
     except TorcobError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=err)

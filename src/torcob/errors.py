@@ -39,3 +39,7 @@ class Ambiguous(TorcobError):
 
 class GraphInvalid(TorcobError):
     """A moment graph violates its structural invariants."""
+
+
+class TooLarge(TorcobError):
+    """An input is refused up front: its size is above a fixed limit."""

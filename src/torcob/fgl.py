@@ -27,13 +27,16 @@ import math
 from fractions import Fraction
 
 from torcob.coeff import GradedCoeff
-from torcob.errors import TruncationInsufficient
+from torcob.errors import TooLarge, TruncationInsufficient
 from torcob.series import TruncSeries
 
 ADDITIVE = "additive"
 MULTIPLICATIVE = "multiplicative"
 UNIVERSAL = "universal"
 CUSTOM = "custom"
+
+# Contexts are refused above this truncation (``fgl print --deg 24`` takes 52 s).
+MAX_DEG = 24
 
 
 class FGLContext:
@@ -49,6 +52,8 @@ class FGLContext:
     def __init__(self, coeff_degree, degree, specialization=None):
         if coeff_degree < 0 or degree < 1:
             raise ValueError("need coeff_degree >= 0 and degree >= 1")
+        if degree > MAX_DEG:
+            raise TooLarge(f"truncation degree {degree} is above the limit {MAX_DEG}")
         self.Dc = coeff_degree
         self.D = degree
         self.specialization = _normalize_spec(specialization)

@@ -19,7 +19,7 @@ import itertools
 import math
 
 from torcob.coeff import GradedCoeff
-from torcob.errors import TruncationInsufficient
+from torcob.errors import TooLarge, TruncationInsufficient
 from torcob.fgl import build
 from torcob.gkm import (
     PiecewiseClass,
@@ -34,6 +34,10 @@ from torcob.series import TruncSeries
 from torcob.torus import TorusContext
 
 XBOUND = 1 << 30  # polynomials: no truncation in practice
+
+# Size guards: kernel_check above this rank, coinv_rank above this one.
+MAX_KERNEL_RANK = 6
+MAX_COINV_RANK = 9
 
 
 def xvars(n: int):
@@ -138,6 +142,8 @@ def coinv_rank(n: int):
     """(n!, Artin staircase): the free rank over the Lazard ring."""
     if n < 1:
         raise ValueError("need n >= 1")
+    if n > MAX_COINV_RANK:
+        raise TooLarge(f"rank {n} is above the limit {MAX_COINV_RANK}")
     basis = artin_exponents(n)
     count = math.factorial(n)
     if len(basis) != count:
@@ -216,8 +222,11 @@ def kernel_check(ctx: TorusContext, n: int, p: TruncSeries) -> bool:
     Two independent routes must agree: the coinvariant normal form, and the
     residue pairing of ``artin_pairing``: p is zero iff its integral against
     every Artin monomial vanishes (Poincare duality; the pairing matrix is
-    unimodular).  A polynomial above the truncation is refused.
+    unimodular).  A polynomial above the truncation, or a rank above
+    MAX_KERNEL_RANK, is refused.
     """
+    if n > MAX_KERNEL_RANK:
+        raise TooLarge(f"rank {n} is above the limit {MAX_KERNEL_RANK}")
     require_degree(p, ctx.D)
     nf_zero = normal_form(n, p).is_zero()
     pairing_zero = all(c.is_zero() for c in artin_pairing(ctx, n, p))

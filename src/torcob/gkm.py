@@ -51,10 +51,12 @@ from torcob.errors import (
     NoSolution,
     NotAClass,
     NotDivisible,
+    TooLarge,
     TruncationInsufficient,
 )
-from torcob.kernels import madd, mul_acc
+from torcob.kernels import mul_acc
 from torcob.linalg import INCONSISTENT, UNDERDETERMINED, solve
+from torcob.linalg import rank as matrix_rank
 from torcob.series import TruncSeries
 from torcob.torus import TorusContext, content, proportional
 
@@ -170,20 +172,6 @@ class PiecewiseClass:
 
     def is_zero(self):
         return all(s.is_zero() for s in self.values.values())
-
-    def homogeneous_components(self):
-        degs = set()
-        for s in self.values.values():
-            degs.update(s.homogeneous_components())
-        out = {}
-        for j in sorted(degs):
-            out[j] = PiecewiseClass(
-                {
-                    v: s.homogeneous_components().get(j, TruncSeries.zero(s.vars, s.guarantee))
-                    for v, s in self.values.items()
-                }
-            )
-        return out
 
 
 def constant_class(ctx: TorusContext, g: GKMGraph, value) -> PiecewiseClass:
@@ -413,9 +401,30 @@ def integrate(ctx: TorusContext, g: GKMGraph, alpha: PiecewiseClass, check_class
 def basis_expand(ctx: TorusContext, g: GKMGraph, basis, alpha: PiecewiseClass):
     """Coefficients c_k in S(T) with sum c_k * basis_k = alpha through the guarantee.
 
-    Fails with NoSolution when alpha is outside the span and with Ambiguous
-    when the basis is not free through the truncation.  Uniqueness is what
-    the free-module structure theorems predict for honest bases.
+    Classes supported at one vertex each, one per vertex, are read off by
+    exact division.  Any other basis is lifted by t-degree, the matrix form
+    of ``TruncSeries.divide_exact``: for d = 0, ..., G (G the common
+    guarantee, low_k the lowest t-degree of basis_k) one rational system
+    A_d y = r_d is solved.  Its columns (k, t-monomial of degree d - low_k)
+    hold the lowest part of basis_k, its rows are (vertex, t-monomial of
+    degree d), and r_d is what is left of alpha at t-degree d; every
+    m-monomial of r_d is one more right-hand side of the same elimination.
+    The solved parts times the basis are then subtracted from the higher
+    degrees.
+
+    With every A_d injective the system in all coefficients at once is
+    block lower-triangular with injective diagonal blocks, so the
+    coordinates and the status are that system's: NoSolution when some r_d
+    leaves the image of A_d or a coordinate needs a generator above ``Dc``
+    (any generator under a specialized law).  With some A_d singular the
+    basis is not free through the truncation: NoSolution when a residual
+    leaves the image below the first singular degree, Ambiguous otherwise.
+    A lowest part that carries a generator gives zero columns, so it is
+    Ambiguous; no basis has one, since at m = 0 a basis reduces to a basis
+    of equivariant cohomology.  A zero element is Ambiguous, a
+    non-homogeneous one under the universal law a ValueError, and more than
+    MAX_EXPAND_COLUMNS columns in A_G raise TooLarge before any matrix is
+    built.
     """
     if len(basis) != len(g.vertices):
         raise ValueError("basis size must equal the number of fixed points")
@@ -436,143 +445,119 @@ def basis_expand(ctx: TorusContext, g: GKMGraph, basis, alpha: PiecewiseClass):
     return _expand_linear(ctx, g, basis, alpha, guar)
 
 
+# Expansion refuses a basis whose largest lifting matrix has more columns.
+MAX_EXPAND_COLUMNS = 20000
+
+
 def _expand_linear(ctx, g, basis, alpha, guar):
+    """The t-degree lifting of ``basis_expand``."""
     lows = []
     for b in basis:
         degs = [s.lowest_degree() for s in b.values.values() if not s.is_zero()]
         if not degs:
             raise Ambiguous("zero basis element")
         lows.append(min(degs))
-    if ctx.fgl.is_specialized:
-        jobs = [(None, alpha, [None] * len(basis))]
-    else:
-        comps = alpha.homogeneous_components()
-        bdegs = []
+    if not ctx.fgl.is_specialized:
         for b in basis:
             degs = {s.homogeneous_degree() for s in b.values.values() if not s.is_zero()}
-            if len(degs) != 1:
+            if len(degs) != 1 or None in degs:
                 raise ValueError("basis element is not homogeneous")
-            bdegs.append(degs.pop())
-        if not comps:
-            comps = {0: constant_class(ctx, g, 0)}
-        jobs = [(j, comp, bdegs) for j, comp in comps.items()]
-    totals = [ctx.zero().truncated(min(guar, ctx.D)) for _ in basis]
-    for j, comp, bdegs in jobs:
-        sols = _expand_component(ctx, g, basis, comp, guar, lows, j, bdegs)
-        totals = [t + s for t, s in zip(totals, sols)]
-    return totals
-
-
-def _m_monomials(weight, max_index):
-    """All m-exponent tuples of the given weight with parts <= max_index."""
-    if weight == 0:
-        return [()]
-    out = []
-
-    def rec(remaining, index, acc):
-        if remaining == 0:
-            exps = [0] * max_index
-            for i, e in acc:
-                exps[i - 1] = e
-            n = len(exps)
-            while n and exps[n - 1] == 0:
-                n -= 1
-            out.append(tuple(exps[:n]))
-            return
-        if index == 0:
-            return
-        for e in range(remaining // index, -1, -1):
-            rec(remaining - e * index, index - 1, acc + [(index, e)] if e else acc)
-
-    rec(weight, max_index, [])
-    return sorted(out)
-
-
-def _t_monomials(rank, max_deg):
-    out = []
-    for deg in range(max_deg + 1):
-        for c in itertools.combinations_with_replacement(range(rank), deg):
-            exps = [0] * rank
-            for i in c:
-                exps[i] += 1
-            out.append(tuple(exps))
-    return out
-
-
-def _expand_component(ctx, g, basis, alpha, guar, lows, j, bdegs):
-    rank = ctx.rank
-    dc = ctx.fgl.Dc
-    specialized = ctx.fgl.is_specialized
-    slots = []
-    by_weight = {}  # m-monomials of each weight, enumerated once per component
-    for k, b in enumerate(basis):
-        cap = guar - lows[k]
-        if cap < 0:
-            continue
-        for tmon in _t_monomials(rank, cap):
-            e = sum(tmon)
-            if specialized:
-                slots.append((k, tmon, ()))
-            else:
-                w = e + bdegs[k] - j
-                if w < 0:
-                    continue
-                mmons = by_weight.get(w)
-                if mmons is None:
-                    mmons = by_weight[w] = _m_monomials(w, dc)
-                for mmon in mmons:
-                    slots.append((k, tmon, mmon))
-    eq_index = {}
-    columns = []
-    for k, tmon, mmon in slots:
-        col = {}
-        b = basis[k]
-        sd = sum(tmon)
-        for v, s in b.values.items():
-            for texp, c in s.coeffs.items():
-                if sd + sum(texp) > guar:
-                    continue
-                tkey = tuple(x + y for x, y in zip(tmon, texp))
-                for mexp, q in c.terms.items():
-                    key = (v, tkey, madd(mmon, mexp))
-                    row = eq_index.setdefault(key, len(eq_index))
-                    col[row] = col.get(row, 0) + q
-        columns.append(col)
-    rhs_map = {}
-    for v in g.vertices:
-        s = alpha.values[v]
-        for texp, c in s.coeffs.items():
-            if sum(texp) > guar:
-                continue
-            for mexp, q in c.terms.items():
-                key = (v, texp, mexp)
-                row = eq_index.setdefault(key, len(eq_index))
-                rhs_map[row] = q
-    nrows = len(eq_index)
-    rows = [{} for _ in range(nrows)]
-    for ci, col in enumerate(columns):
-        for ri, q in col.items():
-            rows[ri][ci] = q
-    rhs = [rhs_map.get(i, 0) for i in range(nrows)]
-    status, x = solve(rows, rhs, len(slots))
-    if status == INCONSISTENT:
-        raise NoSolution("class is not in the span of the basis")
-    if status == UNDERDETERMINED:
-        raise Ambiguous("basis is not free through the truncation")
-    out = []
-    for k in range(len(basis)):
-        coeffs = {}
-        for ci, (kk, tmon, mmon) in enumerate(slots):
-            if kk != k or not x[ci]:
-                continue
-            gc = coeffs.setdefault(tmon, {})
-            gc[mmon] = gc.get(mmon, 0) + x[ci]
-        series = TruncSeries(
-            ctx.vars,
-            {t: GradedCoeff({m: q for m, q in mm.items() if q}) for t, mm in coeffs.items()},
-            min(guar, ctx.D),
+    width = sum(math.comb(guar - low + ctx.rank - 1, ctx.rank - 1) for low in lows if low <= guar)
+    if width > MAX_EXPAND_COLUMNS:
+        raise TooLarge(
+            f"expansion needs {width} unknowns in one t-degree, above the limit {MAX_EXPAND_COLUMNS}"
         )
-        out.append(series)
+    top = 0 if ctx.fgl.is_specialized else ctx.fgl.Dc  # highest generator a coordinate may use
+    leads, tails = _split_lowest(basis, lows)
+    tmons = [_t_monomials(ctx.rank, e) for e in range(guar + 1)]
+    residual = [{} for _ in range(guar + 1)]  # per t-degree: {(vertex, t-exps): {m-exps: q}}
+    for v, s in alpha.values.items():
+        for t, c in s.coeffs.items():
+            if sum(t) <= guar:
+                residual[sum(t)][(v, t)] = dict(c.terms)
+    coords = [{} for _ in basis]
+    for d in range(guar + 1):
+        cols = [(k, s) for k, low in enumerate(lows) if low <= d for s in tmons[d - low]]
+        rows, rhs = _lifting_system(cols, leads, residual[d])
+        if not cols and not rows:
+            continue
+        status, y = solve(rows, rhs, len(cols))
+        if status == UNDERDETERMINED or (
+            status == INCONSISTENT and matrix_rank(rows) < len(cols)
+        ):
+            raise Ambiguous("basis is not free through the truncation")
+        if status == INCONSISTENT or any(len(m) > top for part in y for m in part):
+            raise NoSolution("class is not in the span of the basis")
+        for (k, s), part in zip(cols, y):
+            if not part:
+                continue
+            coords[k][s] = GradedCoeff(part)
+            neg = [(m, -q) for m, q in part.items()]
+            for v, t, dt, c in tails[k]:
+                if d + dt <= guar:
+                    key = (v, tuple(map(operator.add, s, t)))
+                    mul_acc(residual[d + dt].setdefault(key, {}), neg, c)
+    return [TruncSeries(ctx.vars, c, min(guar, ctx.D)) for c in coords]
+
+
+def _split_lowest(basis, lows):
+    """(leads, tails): each basis element split at its lowest t-degree.
+
+    A lead lists (vertex, t-exps, q) over the lowest part, or nothing when
+    that part carries a Lazard generator; a tail lists (vertex, t-exps,
+    t-degree above the lowest, coefficient map) over the rest.
+    """
+    leads, tails = [], []
+    for b, low in zip(basis, lows):
+        lead, tail = [], []
+        for v, s in b.values.items():
+            for t, c in s.coeffs.items():
+                if sum(t) == low:
+                    lead.append((v, t, c))
+                else:
+                    tail.append((v, t, sum(t) - low, c.terms))
+        rational = all(c.is_rational() for _, _, c in lead)
+        leads.append([(v, t, c.rational_part()) for v, t, c in lead] if rational else [])
+        tails.append(tail)
+    return leads, tails
+
+
+def _lifting_system(cols, leads, part):
+    """Rows of A_d over ``cols`` and right-hand sides from the residual ``part``.
+
+    A row is a (vertex, t-monomial) met by a column or by the residual; the
+    right-hand side of a row is its residual coefficient map.
+    """
+    index, rows = {}, []
+    for ci, (k, s) in enumerate(cols):
+        for v, t, q in leads[k]:
+            key = (v, tuple(map(operator.add, s, t)))
+            ri = index.get(key)
+            if ri is None:
+                ri = index[key] = len(rows)
+                rows.append({})
+            rows[ri][ci] = q
+    rhs = [{} for _ in rows]
+    for key, c in part.items():
+        if not c:
+            continue
+        ri = index.get(key)
+        if ri is None:
+            rows.append({})
+            rhs.append(c)
+        else:
+            rhs[ri] = c
+    return rows, rhs
+
+
+def _t_monomials(rank, deg):
+    """Every t-exponent tuple of total degree ``deg``."""
+    out = []
+    for c in itertools.combinations_with_replacement(range(rank), deg):
+        exps = [0] * rank
+        for i in c:
+            exps[i] += 1
+        out.append(tuple(exps))
     return out
 
 
@@ -609,12 +594,16 @@ def pn_graph(n: int) -> GKMGraph:
     return GKMGraph(n, n, vertices, edges)
 
 
+# flag_graph refuses n above this (n! vertices; vertex ids are single digits).
+MAX_FLAG_GRAPH_N = 8
+
+
 def flag_graph(n: int) -> GKMGraph:
     """Complete flag variety of GL_n: vertices are permutations of 1..n."""
     if n < 1:
         raise ValueError("need n >= 1")
-    if n > 9:
-        raise ValueError("vertex ids use single digits; n <= 9")
+    if n > MAX_FLAG_GRAPH_N:
+        raise TooLarge(f"flag graph n = {n} is above the limit {MAX_FLAG_GRAPH_N}")
     perms = sorted(itertools.permutations(range(1, n + 1)))
     ident = {w: "".join(str(x) for x in w) for w in perms}
     edges = []

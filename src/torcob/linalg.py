@@ -7,6 +7,9 @@ pivot's column; the work is proportional to the nonzeros touched, not to the
 number of pivots.  The reduced row is unique (it is the row minus the one
 combination of pivot rows that clears every pivot column), so the pivots,
 the statuses and the solution do not depend on the sweep order.
+
+Right-hand sides ride along as sparse maps {label: Fraction}, one entry per
+right-hand-side column, so one elimination serves every column.
 """
 
 from __future__ import annotations
@@ -16,6 +19,18 @@ import heapq
 UNIQUE = "unique"
 INCONSISTENT = "inconsistent"
 UNDERDETERMINED = "underdetermined"
+
+
+def _sub_scaled(b, f, pb):
+    """b - f * pb for sparse maps, as a new map without zero entries."""
+    out = dict(b)
+    for key, q in pb.items():
+        val = out.get(key, 0) - f * q
+        if val:
+            out[key] = val
+        else:
+            out.pop(key, None)
+    return out
 
 
 def _reduce(row, b, pivots):
@@ -43,7 +58,8 @@ def _reduce(row, b, pivots):
                     row[c2] = val
                 else:
                     del row[c2]
-        b -= f * pb
+        if pb:
+            b = _sub_scaled(b, f, pb)
     return b
 
 
@@ -54,22 +70,26 @@ def _add_pivot(row, b, pivots):
     if piv != 1:
         for c2 in row:
             row[c2] /= piv
-        b /= piv
+        b = {key: q / piv for key, q in b.items()}
     pivots[col] = (row, b)
 
 
 def solve(rows, rhs, ncols):
     """Solve A x = b for sparse rows {col: Fraction}.
 
-    Returns (status, solution); the solution is a list of Fractions when the
-    status is UNIQUE, otherwise None.  Rows are taken in order, and the first
-    row that reduces to 0 = b with b nonzero makes the system INCONSISTENT;
-    a consistent system with fewer pivots than columns is UNDERDETERMINED.
+    Each entry of ``rhs`` is a number, or a map {label: Fraction} that holds
+    the entries of several right-hand sides at once; the solution entries
+    are then maps of the same shape.  Returns (status, solution); the
+    solution is a list when the status is UNIQUE, otherwise None.  Rows are
+    taken in order, and the first row that reduces to 0 = b with b nonzero
+    (in any right-hand side) makes the system INCONSISTENT; a consistent
+    system with fewer pivots than columns is UNDERDETERMINED.
     """
+    several = any(isinstance(b, dict) for b in rhs)
     pivots = {}
     for row, b in zip(rows, rhs):
         row = dict(row)
-        b = _reduce(row, b, pivots)
+        b = _reduce(row, b if several else ({0: b} if b else {}), pivots)
         if row:
             _add_pivot(row, b, pivots)
         elif b:
@@ -77,14 +97,14 @@ def solve(rows, rhs, ncols):
     if len(pivots) < ncols:
         return UNDERDETERMINED, None
     # back substitution
-    x = [0] * ncols
+    x = [None] * ncols
     for col in sorted(pivots, reverse=True):
         prow, b = pivots[col]
         for c2, v2 in prow.items():
-            if c2 != col:
-                b -= v2 * x[c2]
+            if c2 != col and x[c2]:
+                b = _sub_scaled(b, v2, x[c2])
         x[col] = b
-    return UNIQUE, x
+    return UNIQUE, x if several else [b.get(0, 0) for b in x]
 
 
 def rank(rows):
@@ -92,7 +112,7 @@ def rank(rows):
     pivots = {}
     for row in rows:
         row = dict(row)
-        _reduce(row, 0, pivots)
+        _reduce(row, {}, pivots)
         if row:
-            _add_pivot(row, 0, pivots)
+            _add_pivot(row, {}, pivots)
     return len(pivots)

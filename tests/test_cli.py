@@ -357,6 +357,32 @@ def test_gkm_expand_no_solution_exits_one():
     assert code == 1 and "NoSolution" in err
 
 
+def test_gkm_expand_statuses():
+    one = '{"0":"1","inf":"1"}'
+    # an element that is not homogeneous at one vertex: a usage error, not a traceback
+    code, out, err = run(
+        ["gkm", "expand", "--graph", P1_JSON, "--class", '{"0":"t1","inf":"0"}',
+         "--basis", f'[{one},{{"0":"t1 + t1^2","inf":"0"}}]']
+    )
+    assert (code, out) == (2, "# deg 4\n") and "not homogeneous" in err
+    # an element whose lowest part carries m1 is no basis element
+    code, out, err = run(
+        ["gkm", "forget", "--graph", P1_JSON, "--class", '{"0":"1 + m1*t1^2","inf":"1"}',
+         "--basis", f'[{one},{{"0":"m1*t1^2","inf":"0"}}]']
+    )
+    assert (code, out) == (1, "# deg 4\n") and "Ambiguous" in err
+
+
+def test_gkm_expand_size_guard_exits_two(monkeypatch):
+    monkeypatch.setattr(gkm, "MAX_EXPAND_COLUMNS", 2)  # rank 1: t1^4 and t1^3 at t-degree 4
+    argv = ["gkm", "expand", "--graph", P1_JSON, "--class", '{"0":"1","inf":"1"}',
+            "--basis", '[{"0":"1","inf":"1"},{"0":"chern(1)","inf":"0"}]']
+    assert run(argv)[:2] == (0, '# deg 4\n["1", "0"]\n')
+    monkeypatch.setattr(gkm, "MAX_EXPAND_COLUMNS", 1)
+    code, out, err = run(argv)
+    assert (code, out) == (2, "# deg 4\n") and "above the limit 1" in err
+
+
 def test_graph_from_file(tmp_path):
     path = tmp_path / "graph.json"
     path.write_text(P1_JSON)

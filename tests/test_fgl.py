@@ -7,7 +7,7 @@ import pytest
 
 from torcob import cli, fgl
 from torcob.coeff import GradedCoeff
-from torcob.errors import TruncationInsufficient
+from torcob.errors import TooLarge, TruncationInsufficient
 from torcob.fgl import build
 from torcob.series import TruncSeries
 
@@ -341,3 +341,14 @@ def test_weight_factors_expand_the_characteristic_series(spec):
 def test_weight_factors_need_the_degree():
     with pytest.raises(TruncationInsufficient):
         build(3, 3).weight_factors(3)
+
+
+def test_context_above_max_deg_is_refused_before_any_series(monkeypatch):
+    def boom(self):
+        raise AssertionError("the logarithm was built")
+
+    monkeypatch.setattr(fgl.FGLContext, "_build_log", boom)
+    with pytest.raises(TooLarge, match="above the limit"):
+        fgl.FGLContext(fgl.MAX_DEG, fgl.MAX_DEG + 1)
+    with pytest.raises(AssertionError):
+        fgl.FGLContext(0, fgl.MAX_DEG)

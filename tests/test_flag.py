@@ -8,7 +8,7 @@ import pytest
 
 from torcob import flag, gkm
 from torcob.coeff import GradedCoeff
-from torcob.errors import TruncationInsufficient
+from torcob.errors import TooLarge, TruncationInsufficient
 from torcob.fgl import build
 from torcob.torus import TorusContext
 
@@ -314,3 +314,24 @@ def test_pairing_back_substitutes_to_normal_form():
                     coords[b] = c
             nf = flag.normal_form(n, p)
             assert {b: c for b, c in coords.items() if not c.is_zero()} == nf.coeffs
+
+
+def test_library_size_guards_refuse_before_any_work(monkeypatch):
+    def boom(*args):
+        raise AssertionError("the guarded work started")
+
+    monkeypatch.setattr(flag, "artin_exponents", boom)
+    monkeypatch.setattr(flag, "normal_form", boom)
+    monkeypatch.setattr(flag, "artin_pairing", boom)
+    with pytest.raises(TooLarge, match="above the limit"):
+        flag.coinv_rank(flag.MAX_COINV_RANK + 1)
+    n = flag.MAX_KERNEL_RANK + 1
+    T = TorusContext(n, build(0, 2, "additive"))
+    with pytest.raises(TooLarge, match="above the limit"):
+        flag.kernel_check(T, n, flag.x_var(n, 1))
+    # at the limits the guarded work runs
+    with pytest.raises(AssertionError):
+        flag.coinv_rank(flag.MAX_COINV_RANK)
+    n = flag.MAX_KERNEL_RANK
+    with pytest.raises(AssertionError):
+        flag.kernel_check(TorusContext(n, build(0, 2, "additive")), n, flag.x_var(n, 1))

@@ -11,6 +11,7 @@ from torcob.errors import (
     Ambiguous,
     NoSolution,
     NotAClass,
+    TooLarge,
     TruncationInsufficient,
 )
 from torcob.fgl import build
@@ -169,7 +170,8 @@ def test_basis_expand_no_solution(T1, P1):
 def test_basis_expand_ambiguous(T1, P1):
     b2 = gkm.pushforward_point(T1, P1, "0", T1.one())
     degenerate = [b2, b2.mul_series(T1.one())]
-    with pytest.raises((Ambiguous, NoSolution)):
+    # A_1 has two equal columns, and nothing below t-degree 1 is inconsistent
+    with pytest.raises(Ambiguous):
         gkm.basis_expand(T1, P1, degenerate, b2)
 
 
@@ -390,3 +392,14 @@ def test_flag3_universal_fundamental_class():
         + GradedCoeff.monomial((0, 0, 1), -6)
     )
     assert got == want
+
+
+def test_flag_graph_above_its_limit_is_refused_before_any_permutation(monkeypatch):
+    def boom(*args):
+        raise AssertionError("permutations were listed")
+
+    monkeypatch.setattr(gkm.itertools, "permutations", boom)
+    with pytest.raises(TooLarge, match="above the limit"):
+        gkm.flag_graph(gkm.MAX_FLAG_GRAPH_N + 1)
+    with pytest.raises(AssertionError):
+        gkm.flag_graph(gkm.MAX_FLAG_GRAPH_N)

@@ -120,3 +120,30 @@ def test_empty_and_zero_rows():
     assert solve([{}], [0], 1) == (UNDERDETERMINED, None)
     assert solve([{}], [2], 1) == (INCONSISTENT, None)
     assert rank([{}, {}]) == 0
+
+
+def test_several_right_hand_sides_match_one_at_a_time():
+    rng = random.Random("linalg-several")
+    for kind in (UNIQUE, INCONSISTENT, UNDERDETERMINED):
+        for _ in range(60):
+            rows, _, ncols = random_system(rng, kind)
+            columns = {}
+            for label in ("a", "b", "c"):
+                x = [Fraction(rng.randint(-3, 3)) for _ in range(ncols)]
+                b = [sum(q * x[c] for c, q in row.items()) for row in rows]
+                if rng.random() < 0.2:
+                    b[rng.randrange(len(b))] += 1
+                columns[label] = b
+            rhs = [{label: b[i] for label, b in columns.items() if b[i]} for i in range(len(rows))]
+            singles = {label: solve(rows, b, ncols) for label, b in columns.items()}
+            status, x = solve(rows, rhs, ncols)
+            statuses = {s for s, _ in singles.values()}
+            if INCONSISTENT in statuses:
+                assert (status, x) == (INCONSISTENT, None)
+            elif UNDERDETERMINED in statuses:
+                assert (status, x) == (UNDERDETERMINED, None)
+            else:
+                assert status == UNIQUE
+                for label, (_, want) in singles.items():
+                    assert [part.get(label, 0) for part in x] == want
+                assert all(0 not in part.values() for part in x)
