@@ -402,29 +402,31 @@ def basis_expand(ctx: TorusContext, g: GKMGraph, basis, alpha: PiecewiseClass):
     """Coefficients c_k in S(T) with sum c_k * basis_k = alpha through the guarantee.
 
     Classes supported at one vertex each, one per vertex, are read off by
-    exact division.  Any other basis is lifted by t-degree, the matrix form
-    of ``TruncSeries.divide_exact``: for d = 0, ..., G (G the common
-    guarantee, low_k the lowest t-degree of basis_k) one rational system
-    A_d y = r_d is solved.  Its columns (k, t-monomial of degree d - low_k)
-    hold the lowest part of basis_k, its rows are (vertex, t-monomial of
-    degree d), and r_d is what is left of alpha at t-degree d; every
-    m-monomial of r_d is one more right-hand side of the same elimination.
-    The solved parts times the basis are then subtracted from the higher
-    degrees.
+    exact division at that vertex.  Any other basis is lifted by t-degree,
+    the matrix form of ``TruncSeries.divide_exact``: for d = 0, ..., G (G the
+    common guarantee, low_k the lowest t-degree of basis_k) one rational
+    system A_d y = r_d is solved.  Its columns (k, t-monomial of degree
+    d - low_k) hold the lowest part of basis_k, its rows are (vertex,
+    t-monomial of degree d), and r_d is what is left of alpha at t-degree d;
+    every m-monomial of r_d is one more right-hand side of the same
+    elimination.  The solved parts times the basis are then subtracted from
+    the higher degrees.  Each c_k carries its exact guarantee: divide_exact's
+    for a point class, min(G, D) - low_k from the lifting (D the context's
+    truncation).  On both routes a coordinate that needs a generator above
+    ``Dc`` (any generator under a specialized law) is NoSolution.
 
     With every A_d injective the system in all coefficients at once is
     block lower-triangular with injective diagonal blocks, so the
     coordinates and the status are that system's: NoSolution when some r_d
-    leaves the image of A_d or a coordinate needs a generator above ``Dc``
-    (any generator under a specialized law).  With some A_d singular the
-    basis is not free through the truncation: NoSolution when a residual
-    leaves the image below the first singular degree, Ambiguous otherwise.
-    A lowest part that carries a generator gives zero columns, so it is
-    Ambiguous; no basis has one, since at m = 0 a basis reduces to a basis
-    of equivariant cohomology.  A zero element is Ambiguous, a
-    non-homogeneous one under the universal law a ValueError, and more than
-    MAX_EXPAND_COLUMNS columns in A_G raise TooLarge before any matrix is
-    built.
+    leaves the image of A_d or a coordinate needs a generator out of range.
+    With some A_d singular the basis is not free through the truncation:
+    NoSolution when a residual leaves the image below the first singular
+    degree, Ambiguous otherwise.  A lowest part that carries a generator
+    gives zero columns, so it is Ambiguous; no basis has one, since at m = 0
+    a basis reduces to a basis of equivariant cohomology.  A zero element is
+    Ambiguous, a non-homogeneous one under the universal law a ValueError,
+    and more than MAX_EXPAND_COLUMNS columns in A_G raise TooLarge before
+    any matrix is built.
     """
     if len(basis) != len(g.vertices):
         raise ValueError("basis size must equal the number of fixed points")
@@ -433,23 +435,30 @@ def basis_expand(ctx: TorusContext, g: GKMGraph, basis, alpha: PiecewiseClass):
     for b in basis:
         supp = [v for v, s in b.values.items() if not s.is_zero()]
         supports.append(supp)
+    top = 0 if ctx.fgl.is_specialized else ctx.fgl.Dc  # highest generator a coordinate may use
     if all(len(s) == 1 for s in supports) and len({s[0] for s in supports}) == len(basis):
         out = []
         for b, supp in zip(basis, supports):
             v = supp[0]
             try:
-                out.append(alpha.values[v].divide_exact(b.values[v]))
+                c = alpha.values[v].divide_exact(b.values[v])
             except NotDivisible as exc:
                 raise NoSolution(f"component at {v} is not a multiple of the basis value") from exc
+            if any(len(m) > top for x in c.coeffs.values() for m in x.terms):
+                raise NoSolution(_OUT_OF_SPAN)
+            out.append(c)
         return out
-    return _expand_linear(ctx, g, basis, alpha, guar)
+    return _expand_linear(ctx, g, basis, alpha, guar, top)
+
+
+_OUT_OF_SPAN = "class is not in the span of the basis"
 
 
 # Expansion refuses a basis whose largest lifting matrix has more columns.
 MAX_EXPAND_COLUMNS = 20000
 
 
-def _expand_linear(ctx, g, basis, alpha, guar):
+def _expand_linear(ctx, g, basis, alpha, guar, top):
     """The t-degree lifting of ``basis_expand``."""
     lows = []
     for b in basis:
@@ -467,7 +476,6 @@ def _expand_linear(ctx, g, basis, alpha, guar):
         raise TooLarge(
             f"expansion needs {width} unknowns in one t-degree, above the limit {MAX_EXPAND_COLUMNS}"
         )
-    top = 0 if ctx.fgl.is_specialized else ctx.fgl.Dc  # highest generator a coordinate may use
     leads, tails = _split_lowest(basis, lows)
     tmons = [_t_monomials(ctx.rank, e) for e in range(guar + 1)]
     residual = [{} for _ in range(guar + 1)]  # per t-degree: {(vertex, t-exps): {m-exps: q}}
@@ -487,7 +495,7 @@ def _expand_linear(ctx, g, basis, alpha, guar):
         ):
             raise Ambiguous("basis is not free through the truncation")
         if status == INCONSISTENT or any(len(m) > top for part in y for m in part):
-            raise NoSolution("class is not in the span of the basis")
+            raise NoSolution(_OUT_OF_SPAN)
         for (k, s), part in zip(cols, y):
             if not part:
                 continue
@@ -497,7 +505,7 @@ def _expand_linear(ctx, g, basis, alpha, guar):
                 if d + dt <= guar:
                     key = (v, tuple(map(operator.add, s, t)))
                     mul_acc(residual[d + dt].setdefault(key, {}), neg, c)
-    return [TruncSeries(ctx.vars, c, min(guar, ctx.D)) for c in coords]
+    return [TruncSeries(ctx.vars, c, min(guar, ctx.D) - low) for c, low in zip(coords, lows)]
 
 
 def _split_lowest(basis, lows):

@@ -2,11 +2,10 @@
 
 A coefficient is a sparse map {m-exponents: Fraction} on Q[m1, m2, ...]
 (trimmed exponent tuples, as in ``coeff``); a series table maps t-exponent
-tuples to such maps; a flat table maps (t-exponents, m-exponents) pairs to
-Fractions.  One function per loop: ``madd`` multiplies m-monomials,
-``mul_acc`` accumulates coefficient products, ``convolve`` multiplies series
-tables and ``flat_mul_sub`` subtracts flat products.  Zero entries never
-survive in any result.
+tuples to such maps.  One function per loop: ``madd`` multiplies
+m-monomials (``mdiv`` divides them), ``mul_acc`` accumulates coefficient
+products and ``convolve`` multiplies series tables, into a new table or
+added into a given one.  Zero entries never survive in any result.
 """
 
 # Recorded with each benchmark run; the kernel has a single implementation.
@@ -27,6 +26,19 @@ def madd(a, b):
     return tuple(la)
 
 
+def mdiv(a, b):
+    """Quotient a / b of trimmed m-monomials, None when b does not divide a."""
+    if len(b) > len(a):
+        return None
+    q = [x - y for x, y in zip(a, b)]
+    if q and min(q) < 0:
+        return None
+    q += a[len(b):]
+    while q and not q[-1]:
+        q.pop()
+    return tuple(q)
+
+
 def mul_acc(out, a_items, b):
     """out += a*b for coefficient maps, with ``a_items`` the (m, q) pairs of a."""
     for ma, qa in a_items:
@@ -45,13 +57,15 @@ def mul_acc(out, a_items, b):
     return out
 
 
-def convolve(a, b, cap):
+def convolve(a, b, cap, *, out=None):
     """Truncated product of {t-exponents: coefficient map} tables.
 
     Products of total t-degree above ``cap`` are dropped; pass None for no
-    truncation.
+    truncation.  With ``out`` the products are added into that table, which
+    is returned; a t-entry that cancels is removed.
     """
-    out = {}
+    if out is None:
+        out = {}
     bitems = [(tb, sum(tb), cb) for tb, cb in b.items()]
     for ta, ca in a.items():
         da = sum(ta)
@@ -63,23 +77,6 @@ def convolve(a, b, cap):
             tgt = out.get(t)
             if tgt is None:
                 tgt = out[t] = {}
-            mul_acc(tgt, ca_items, cb)
-    for t in [t for t, c in out.items() if not c]:
-        del out[t]
+            if not mul_acc(tgt, ca_items, cb):
+                del out[t]
     return out
-
-
-def flat_mul_sub(r, a, b):
-    """r -= a*b on flat {(t-exponents, m-exponents): Fraction} tables."""
-    for (ta, ma), qa in a.items():
-        for (tb, mb), qb in b.items():
-            key = (tuple(x + y for x, y in zip(ta, tb)), madd(ma, mb))
-            s = r.get(key)
-            if s is None:
-                r[key] = -qa * qb
-            else:
-                s = s - qa * qb
-                if s:
-                    r[key] = s
-                else:
-                    del r[key]

@@ -3,8 +3,10 @@
 A series is stored sparsely as {t-exponent tuple: GradedCoeff} together with
 one trusted degree ``guarantee``: coefficients of total t-degree up to
 ``guarantee`` are exact, nothing above it is stored.  Every operation states
-how it propagates the guarantee.  Values are immutable after construction
-and all operations are pure.
+how it propagates the guarantee.  Products and exact division both run on
+the kernel's {t-exponents: {m-exponents: Fraction}} tables, the coefficient
+maps being the ``terms`` of each GradedCoeff.  Values are immutable after
+construction and all operations are pure.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from torcob.errors import (
     TruncationInsufficient,
     VariableMismatch,
 )
-from torcob.kernels import convolve, flat_mul_sub
+from torcob.kernels import convolve, mdiv
 
 
 class TruncSeries:
@@ -276,24 +278,17 @@ class TruncSeries:
             raise NotInvertible("constant term must be a nonzero rational")
         return TruncSeries.constant(self.vars, 1, self.guarantee).divide_exact(self)
 
-    def _slices(self):
-        """Group into flat {(t-exps, m-exps): Fraction} tables by t-degree."""
-        out = {}
-        for t, c in self.coeffs.items():
-            d = sum(t)
-            tgt = out.setdefault(d, {})
-            for m, q in c.terms.items():
-                tgt[(t, m)] = q
-        return out
-
     def divide_exact(self, g: TruncSeries) -> TruncSeries:
         """Exact quotient q with q*g = self through the guarantee.
 
-        Solved t-degree by t-degree against the lowest homogeneous part of
-        ``g``; an inconsistency raises NotDivisible, which certifies that
+        Solved t-degree slice by t-degree slice, on the tables ``__mul__``
+        uses.  Slice k of the dividend less sum_{d<k} q_d*g_{e+k-d} (e the
+        lowest t-degree of ``g``) is divided by g_e with the leading-term
+        algorithm in the lex order on (t-exponents, m-exponents).  With one
+        divisor that algorithm decides membership exactly, so a leading term
+        that g_e's does not divide raises NotDivisible, which certifies that
         ``self`` is not a multiple of ``g`` up to truncation; a zero ``g``
-        raises NotInvertible.  The guarantee drops by the lowest t-degree of
-        ``g``.
+        raises NotInvertible.  The guarantee drops by e.
         """
         self._check_vars(g)
         if g.is_zero():
@@ -306,24 +301,36 @@ class TruncSeries:
             return TruncSeries.zero(self.vars, gq)
         if self.lowest_degree() < e:
             raise NotDivisible("dividend has terms below the divisor's lowest degree")
-        f_sl = self._slices()
-        g_sl = g._slices()
+        f_sl, g_sl = {}, {}  # slices by t-degree: {t-exps: {m-exps: q}}
+        for t, c in self.coeffs.items():
+            f_sl.setdefault(sum(t), {})[t] = c.terms
+        for t, c in g.coeffs.items():
+            g_sl.setdefault(sum(t), {})[t] = c.terms
         ge = g_sl[e]
-        q_slices = {}
+        lt = max(ge)
+        lm = max(ge[lt])
+        lc = ge[lt][lm]
+        neg_q = []  # -q by slice, so that each update is one accumulating product
         for k in range(gq + 1):
-            r = dict(f_sl.get(e + k, {}))
-            for d, qd in q_slices.items():
+            r = {t: dict(c) for t, c in f_sl.get(e + k, {}).items()}
+            for d, qd in enumerate(neg_q):
                 gs = g_sl.get(e + k - d)
-                if not gs or not qd:
-                    continue
-                flat_mul_sub(r, qd, gs)
-            q_slices[k] = _divide_flat(r, ge) if r else {}
-        coeffs = {}
-        for sl in q_slices.values():
-            for (t, m), q in sl.items():
-                c = coeffs.setdefault(t, {})
-                c[m] = c.get(m, Fraction(0)) + q
-        out = {t: GradedCoeff({m: q for m, q in c.items() if q}) for t, c in coeffs.items()}
+                if gs and qd:
+                    convolve(qd, gs, None, out=r)
+            qk = {}
+            while r:
+                rt = max(r)
+                rc = r[rt]
+                rm = max(rc)
+                st = tuple(y - x for x, y in zip(lt, rt))
+                sm = mdiv(rm, lm)
+                if sm is None or min(st, default=0) < 0:
+                    raise NotDivisible("leading term not divisible")
+                c = -rc[rm] / lc
+                qk.setdefault(st, {})[sm] = c
+                convolve({st: {sm: c}}, ge, None, out=r)
+            neg_q.append(qk)
+        out = {t: GradedCoeff({m: -q for m, q in c.items()}) for qk in neg_q for t, c in qk.items()}
         return TruncSeries(self.vars, out, gq)
 
     def compositional_inverse(self) -> TruncSeries:
@@ -396,40 +403,3 @@ def _coeff_term_text(mexp, mag, mon) -> str:
         factors.append(mon)
     return "*".join(factors)
 
-
-def _m_divides(a, b):
-    # trimmed tuples: a longer tuple has a nonzero high entry, so it cannot divide
-    if len(a) > len(b):
-        return False
-    return all(x <= b[i] for i, x in enumerate(a))
-
-
-def _divide_flat(r, g):
-    """Greedy single-divisor division of flat tables; raises NotDivisible.
-
-    With one divisor the leading-term division algorithm decides ideal
-    membership exactly, so a stuck leading term certifies non-divisibility.
-    """
-    ltg = max(g)
-    cg = g[ltg]
-    gt, gm = ltg
-    q = {}
-    r = dict(r)
-    while r:
-        ltr = max(r)
-        rt, rm = ltr
-        if not all(x <= y for x, y in zip(gt, rt)) or not _m_divides(gm, rm):
-            raise NotDivisible("leading term not divisible")
-        st = tuple(y - x for x, y in zip(gt, rt))
-        lm = max(len(gm), len(rm))
-        sm = tuple(
-            (rm[i] if i < len(rm) else 0) - (gm[i] if i < len(gm) else 0) for i in range(lm)
-        )
-        n = len(sm)
-        while n and sm[n - 1] == 0:
-            n -= 1
-        sm = sm[:n]
-        c = r[ltr] / cg
-        q[(st, sm)] = c
-        flat_mul_sub(r, {(st, sm): c}, g)
-    return q

@@ -357,6 +357,24 @@ def test_gkm_expand_no_solution_exits_one():
     assert code == 1 and "NoSolution" in err
 
 
+def test_gkm_expand_refuses_generators_above_coeff_deg():
+    # m5 is above --coeff-deg 3 on both routes: point classes and the lifting
+    cls = '{"0":"m5*chern(1)","inf":"0"}'
+    points = '[{"0":"chern(1)","inf":"0"},{"0":"0","inf":"chern(-1)"}]'
+    mixed = '[{"0":"1","inf":"1"},{"0":"chern(1)","inf":"0"}]'
+    for basis in (points, mixed):
+        code, out, err = run(
+            ["gkm", "expand", "--graph", P1_JSON, "--coeff-deg", "3", "--class", cls,
+             "--basis", basis]
+        )
+        assert (code, out) == (1, "# deg 4\n") and "NoSolution" in err
+    code, out, _ = run(
+        ["gkm", "expand", "--graph", P1_JSON, "--coeff-deg", "5", "--class", cls,
+         "--basis", points]
+    )
+    assert (code, out) == (0, '# deg 4\n["m5", "0"]\n')
+
+
 def test_gkm_expand_statuses():
     one = '{"0":"1","inf":"1"}'
     # an element that is not homogeneous at one vertex: a usage error, not a traceback

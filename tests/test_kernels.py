@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 from torcob.coeff import GradedCoeff
-from torcob.kernels import convolve
+from torcob.kernels import convolve, madd, mdiv
 
 
 def _trim(exps):
@@ -86,3 +86,48 @@ def test_convolve_matches_dense_product():
         prod = GradedCoeff(ca) * GradedCoeff(cb)
         assert prod.terms == dense_coeff_product(ca, cb)
         assert all(not m or m[-1] for m in prod.terms)
+
+
+def test_convolve_accumulates_into_out():
+    one, m1 = (), (1,)
+    a = {(1, 0): {one: Fraction(1)}}
+    b = {(0, 1): {m1: Fraction(2)}, (1, 0): {one: Fraction(-1)}}
+    # out holds -a*b at t1*t2, so that entry cancels and is removed
+    out = {(1, 1): {m1: Fraction(-2)}, (0, 3): {one: Fraction(5)}}
+    got = convolve(a, b, None, out=out)
+    assert got is out
+    assert out == {(0, 3): {one: 5}, (2, 0): {one: -1}}
+    assert convolve(a, b, 1, out=out) is out and out == {(0, 3): {one: 5}, (2, 0): {one: -1}}
+
+    rng = random.Random(13)
+    for _ in range(200):
+        a, b, c = rand_table(rng), rand_table(rng), rand_table(rng)
+        cap = rng.choice([None, 2, 4])
+        want = dense_product(a, b, cap)
+        for t, cc in c.items():
+            tgt = want.setdefault(t, {})
+            for mm, q in cc.items():
+                tgt[mm] = tgt.get(mm, Fraction(0)) + q
+        want = {t: {mm: q for mm, q in cc.items() if q} for t, cc in want.items()}
+        out = {t: dict(cc) for t, cc in c.items()}
+        assert convolve(a, b, cap, out=out) == {t: cc for t, cc in want.items() if cc}
+        neg = {t: {mm: -q for mm, q in cc.items()} for t, cc in dense_product(a, b, cap).items()}
+        assert convolve(a, b, cap, out=neg) == {}
+
+
+def test_mdiv_inverts_madd():
+    assert mdiv((2, 1), (1,)) == (1, 1)
+    assert mdiv((1, 1), (1, 1)) == ()  # trailing zeros are trimmed
+    assert mdiv((3, 1), (1, 1)) == (2,)
+    assert mdiv((), ()) == ()
+    assert mdiv((0, 2), ()) == (0, 2)
+    assert mdiv((1,), (2,)) is None
+    assert mdiv((1,), (0, 1)) is None  # m2 does not divide m1
+    assert mdiv((), (1,)) is None
+    rng = random.Random(14)
+    for _ in range(300):
+        a = _trim(rng.randint(0, 2) for _ in range(rng.randint(0, 3)))
+        b = _trim(rng.randint(0, 2) for _ in range(rng.randint(0, 3)))
+        assert mdiv(madd(a, b), b) == a
+        divides = len(b) <= len(a) and all(x <= y for x, y in zip(b, a))
+        assert (mdiv(a, b) is not None) == divides

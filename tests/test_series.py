@@ -31,6 +31,97 @@ def m(i):
     return GradedCoeff.generator(i)
 
 
+# -- the flat division ----------------------------------------------------------------
+
+
+def _m_product(a, b):
+    n = max(len(a), len(b))
+    out = [x + y for x, y in zip(a + (0,) * (n - len(a)), b + (0,) * (n - len(b)))]
+    while out and not out[-1]:
+        out.pop()
+    return tuple(out)
+
+
+def _m_quotient(a, b):
+    """a / b for trimmed m-monomials, None when b does not divide a."""
+    n = max(len(a), len(b))
+    out = [x - y for x, y in zip(a + (0,) * (n - len(a)), b + (0,) * (n - len(b)))]
+    if any(x < 0 for x in out):
+        return None
+    while out and not out[-1]:
+        out.pop()
+    return tuple(out)
+
+
+def _flat_slices(f):
+    """{t-degree: {(t-exps, m-exps): Fraction}}."""
+    out = {}
+    for t, c in f.coeffs.items():
+        tgt = out.setdefault(sum(t), {})
+        for mm, q in c.terms.items():
+            tgt[(t, mm)] = q
+    return out
+
+
+def _flat_mul_sub(r, a, b):
+    """r -= a*b on flat tables."""
+    for (ta, ma), qa in a.items():
+        for (tb, mb), qb in b.items():
+            key = (tuple(x + y for x, y in zip(ta, tb)), _m_product(ma, mb))
+            s = r.get(key, 0) - qa * qb
+            if s:
+                r[key] = s
+            else:
+                r.pop(key, None)
+
+
+def _divide_flat(r, g):
+    """Greedy single-divisor division of one flat slice by the flat slice g."""
+    (gt, gm), cg = max(g.items())
+    q = {}
+    r = dict(r)
+    while r:
+        (rt, rm), c = max(r.items())
+        st = tuple(y - x for x, y in zip(gt, rt))
+        sm = _m_quotient(rm, gm)
+        if sm is None or any(x < 0 for x in st):
+            raise NotDivisible("leading term not divisible")
+        q[(st, sm)] = c / cg
+        _flat_mul_sub(r, {(st, sm): q[(st, sm)]}, g)
+    return q
+
+
+def flat_divide_oracle(f, g):
+    """f / g on flat {(t-exps, m-exps): q} tables, without the product kernel.
+
+    Slice k of the quotient divides slice e + k of f less the products of the
+    earlier quotient slices, e the lowest t-degree of g, by g's lowest slice
+    in the lex order on (t-exps, m-exps); same guarantee and errors.
+    """
+    if g.is_zero():
+        raise NotInvertible("division by the zero series")
+    e = g.lowest_degree()
+    gq = min(f.guarantee, g.guarantee) - e
+    if gq < 0:
+        raise TruncationInsufficient("divisor degree exceeds the guarantee")
+    if f.is_zero():
+        return TruncSeries.zero(f.vars, gq)
+    if f.lowest_degree() < e:
+        raise NotDivisible("dividend has terms below the divisor's lowest degree")
+    f_sl, g_sl = _flat_slices(f), _flat_slices(g)
+    q_sl = {}
+    for k in range(gq + 1):
+        r = dict(f_sl.get(e + k, {}))
+        for d, qd in q_sl.items():
+            _flat_mul_sub(r, qd, g_sl.get(e + k - d, {}))
+        q_sl[k] = _divide_flat(r, g_sl[e])
+    coeffs = {}
+    for sl in q_sl.values():
+        for (t, mm), q in sl.items():
+            coeffs.setdefault(t, {})[mm] = q
+    return TruncSeries(f.vars, {t: GradedCoeff(c) for t, c in coeffs.items()}, gq)
+
+
 # -- strategies -------------------------------------------------------------------
 
 
@@ -50,6 +141,56 @@ def series(draw, maxdeg=4):
         else:
             terms.pop((e1, e2), None)
     return TruncSeries(UV, terms, D)
+
+
+GENERATOR_COEFFS = [GradedCoeff.one(), m(1), m(2), m(1) + m(2), m(1) * m(2) - m(1)]
+
+
+@st.composite
+def homogeneous_terms(draw, nvars, deg, coeffs):
+    """{t-exps: GradedCoeff}: up to three terms of t-degree ``deg``."""
+    terms = {}
+    for _ in range(draw(st.integers(1, 3))):
+        t = [0] * nvars
+        for _ in range(deg):
+            t[draw(st.integers(0, nvars - 1))] += 1
+        q = Fraction(draw(st.integers(-3, 3).filter(bool)), draw(st.integers(1, 3)))
+        terms[tuple(t)] = draw(st.sampled_from(coeffs)).scale(q)
+    return terms
+
+
+@st.composite
+def division_cases(draw):
+    """(f, g, q): g with a lowest part whose coefficients may carry m1, m2;
+    f = q*g, q*g plus one more term, or unrelated to g."""
+    nvars = draw(st.integers(1, 3))
+    vars = ("t1", "t2", "t3")[:nvars]
+    guarantee = draw(st.integers(1, 5))
+    e = draw(st.integers(0, 2))
+    g_terms = draw(homogeneous_terms(nvars, e, GENERATOR_COEFFS))
+    for d in range(e + 1, e + 1 + draw(st.integers(0, 2))):
+        g_terms.update(draw(homogeneous_terms(nvars, d, GENERATOR_COEFFS[:3])))
+    g = TruncSeries(vars, g_terms, draw(st.integers(e, e + 4)))
+    q_terms = {}
+    for d in range(draw(st.integers(0, 3))):
+        q_terms.update(draw(homogeneous_terms(nvars, d, GENERATOR_COEFFS[:3])))
+    q = TruncSeries(vars, q_terms, guarantee)
+    kind = draw(st.sampled_from(["multiple", "perturbed", "unrelated"]))
+    if kind == "unrelated":
+        return TruncSeries(vars, q_terms, guarantee), g, None
+    f = q * g
+    if kind == "perturbed":
+        extra = draw(homogeneous_terms(nvars, draw(st.integers(e, e + 2)), GENERATOR_COEFFS))
+        f = f + TruncSeries(vars, extra, f.guarantee)
+    return f, g, q if kind == "multiple" else None
+
+
+def division_outcome(divide, f, g):
+    try:
+        q = divide(f, g)
+    except (NotDivisible, NotInvertible, TruncationInsufficient) as exc:
+        return type(exc)
+    return q.coeffs, q.guarantee
 
 
 # -- examples from the operation contracts ------------------------------------------
@@ -214,6 +355,18 @@ def test_divide_round_trip(q, g):
     prod = q * g
     got = prod.divide_exact(g)
     assert got.eq_through(q, got.guarantee)
+
+
+@settings(max_examples=150, deadline=None)
+@given(division_cases())
+def test_divide_exact_matches_flat_division(case):
+    f, g, q = case
+    got = division_outcome(TruncSeries.divide_exact, f, g)
+    assert got == division_outcome(flat_divide_oracle, f, g)
+    if q is not None and got is not TruncationInsufficient:
+        assert got is not NotDivisible  # an exact multiple divides back to its factor
+        coeffs, guarantee = got
+        assert TruncSeries(f.vars, coeffs, guarantee).eq_through(q, guarantee)
 
 
 @settings(max_examples=40, deadline=None)
