@@ -1,16 +1,16 @@
 #!/usr/bin/env python3
 """Time the exact convolution kernel, ``torcob.kernels.convolve``.
 
-The kernel (truncated sparse convolution over exact rationals) is the hot
-inner loop of every series multiplication, Euler-class product, and residue
-division.  Run from the repository root:
+The kernel (truncated sparse convolution) is the hot inner loop of every
+series multiplication, Euler-class product and exact division.  The tables
+hold integer numerators, as ``TruncSeries`` passes them (its terms over one
+shared denominator).  Run from the repository root:
 
     PYTHONPATH=src python benchmarks/bench_kernels.py
 """
 
 import random
 import time
-from fractions import Fraction
 
 from torcob.kernels import convolve
 
@@ -26,7 +26,7 @@ def rand_table(rng, nvars, maxdeg, nterms, mterms):
             m = [rng.randint(0, 2) for _ in range(rng.randint(0, 3))]
             while m and m[-1] == 0:
                 m.pop()
-            coeff[tuple(m)] = Fraction(rng.randint(-9, 9), rng.randint(1, 7))
+            coeff[tuple(m)] = rng.randint(-9, 9) * rng.randint(1, 7)
         coeff = {k: v for k, v in coeff.items() if v}
         if coeff:
             out[tuple(exps)] = coeff

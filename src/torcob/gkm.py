@@ -279,7 +279,7 @@ _NOT_DIVISIBLE = "residue sum not divisible; class condition or guarantee violat
 
 def _top_coefficient(total: TruncSeries, dim: int) -> GradedCoeff:
     """The coefficient of u^dim of a residue sum, certified by the vanishing below it."""
-    if any(k < dim for (k,) in total.coeffs):
+    if any(k < dim for (k,) in total.num):
         raise NotDivisible(_NOT_DIVISIBLE)
     return total.coefficient((dim,))
 
@@ -297,9 +297,9 @@ def _constant_value(alpha: PiecewiseClass):
     """The coefficient c when every vertex value is the same t-constant c, else None."""
     values = iter(alpha.values.values())
     first = next(values)
-    if any(sum(t) for t in first.coeffs):
+    if any(sum(t) for t in first.num):
         return None
-    if any(s.coeffs != first.coeffs for s in values):
+    if any(s.den != first.den or s.num != first.num for s in values):
         return None
     return first.constant_term()
 

@@ -1,11 +1,13 @@
 """The exact product kernel: every multiply in torcob runs through here.
 
-A coefficient is a sparse map {m-exponents: Fraction} on Q[m1, m2, ...]
+A coefficient is a sparse map {m-exponents: number} on Q[m1, m2, ...]
 (trimmed exponent tuples, as in ``coeff``); a series table maps t-exponent
-tuples to such maps.  One function per loop: ``madd`` multiplies
-m-monomials (``mdiv`` divides them), ``mul_acc`` accumulates coefficient
-products and ``convolve`` multiplies series tables, into a new table or
-added into a given one.  Zero entries never survive in any result.
+tuples to such maps.  Series pass integer numerators (over their one
+denominator) and ``GradedCoeff`` passes Fractions; the loops never convert.
+One function per loop: ``madd`` multiplies m-monomials (``mdiv`` divides
+them), ``mul_acc`` accumulates coefficient products and ``convolve``
+multiplies series tables, into a new table or added into a given one.  Zero
+entries never survive in any result.
 """
 
 # Recorded with each benchmark run; the kernel has a single implementation.

@@ -1,58 +1,61 @@
 """Degree-truncated graded multivariate power series over the Lazard coefficients.
 
-A series is stored sparsely as {t-exponent tuple: GradedCoeff} together with
-one trusted degree ``guarantee``: coefficients of total t-degree up to
-``guarantee`` are exact, nothing above it is stored.  Every operation states
-how it propagates the guarantee.  Products and exact division both run on
-the kernel's {t-exponents: {m-exponents: Fraction}} tables, the coefficient
-maps being the ``terms`` of each GradedCoeff.  Values are immutable after
-construction and all operations are pure.
+A series is integer numerators over one denominator (FLINT's ``fmpq_poly``
+layout): a table ``num`` {t-exps: {m-exps: int}}, ``den > 0``, and one
+trusted degree ``guarantee``, through which coefficients are exact; nothing
+above it is stored.  The form is canonical (no zero numerator, gcd of den and
+the numerators 1), so equality, hashing and rendering are structural.  The
+kernel runs on ``num`` with Python ints; one gcd sweep settles each result.
+``coeffs``, the value as {t-exps: GradedCoeff}, is built on first read.
+Values are immutable; inner tables may be shared and are never mutated.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
-from torcob.coeff import GradedCoeff, join_signed
+from torcob.coeff import GradedCoeff, _mon_text, join_signed, mweight
 from torcob.errors import (
     NotDivisible,
     NotInvertible,
     TruncationInsufficient,
     VariableMismatch,
 )
-from torcob.kernels import convolve, mdiv
+from torcob.kernels import convolve, mdiv, mul_acc
 
 
 class TruncSeries:
-    __slots__ = ("vars", "coeffs", "guarantee")
+    __slots__ = ("vars", "num", "den", "guarantee", "_coeffs")
 
     def __init__(self, vars, coeffs, guarantee):
+        """The series of {t-exps: GradedCoeff} ``coeffs``, truncated to ``guarantee``."""
+        kept = [(t, c.terms.items()) for t, c in coeffs.items() if sum(t) <= guarantee]
+        # the lcm of the denominators leaves no common factor
+        den = lcm(*(q.denominator for _, c in kept for _, q in c if q))
+        num = {t: {m: q.numerator * (den // q.denominator) for m, q in c if q} for t, c in kept}
         self.vars = tuple(vars)
+        self.num = {t: c for t, c in num.items() if c}
+        self.den = den
         self.guarantee = guarantee
-        clean = {}
-        for t, c in coeffs.items():
-            if sum(t) <= guarantee and not c.is_zero():
-                clean[t] = c
-        self.coeffs = clean
+        self._coeffs = None
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def zero(cls, vars, guarantee) -> TruncSeries:
-        return cls(vars, {}, guarantee)
+        return _series(tuple(vars), {}, 1, guarantee)
 
     @classmethod
     def constant(cls, vars, value, guarantee) -> TruncSeries:
-        c = value if isinstance(value, GradedCoeff) else GradedCoeff.from_rational(value)
-        n = len(tuple(vars))
-        return cls(vars, {(0,) * n: c}, guarantee)
+        return cls.monomial(vars, (0,) * len(tuple(vars)), value, guarantee)
 
     @classmethod
     def variable(cls, vars, name, guarantee) -> TruncSeries:
         vars = tuple(vars)
         i = vars.index(name)
         exp = tuple(1 if j == i else 0 for j in range(len(vars)))
-        return cls(vars, {exp: GradedCoeff.one()}, guarantee)
+        return cls.monomial(vars, exp, 1, guarantee)
 
     @classmethod
     def monomial(cls, vars, exps, coeff, guarantee) -> TruncSeries:
@@ -61,25 +64,34 @@ class TruncSeries:
 
     # -- inspection --------------------------------------------------------
 
+    @property
+    def coeffs(self) -> dict:
+        """{t-exps: GradedCoeff}, built on first read; do not mutate."""
+        out = self._coeffs
+        if out is None:
+            out = self._coeffs = {t: self._coeff(c) for t, c in self.num.items()}
+        return out
+
+    def _coeff(self, c) -> GradedCoeff:
+        den = self.den
+        return GradedCoeff({m: Fraction(x, den) for m, x in c.items()})
+
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.num
 
     def constant_term(self) -> GradedCoeff:
-        return self.coeffs.get((0,) * len(self.vars), GradedCoeff.zero())
+        return self.coefficient((0,) * len(self.vars))
 
     def lowest_degree(self):
         """Smallest total t-degree with a nonzero coefficient, None if zero."""
-        if not self.coeffs:
-            return None
-        return min(sum(t) for t in self.coeffs)
+        return min(map(sum, self.num), default=None)
 
     def max_degree(self):
-        if not self.coeffs:
-            return None
-        return max(sum(t) for t in self.coeffs)
+        return max(map(sum, self.num), default=None)
 
     def coefficient(self, exps) -> GradedCoeff:
-        return self.coeffs.get(tuple(exps), GradedCoeff.zero())
+        c = self.num.get(tuple(exps))
+        return GradedCoeff.zero() if c is None else self._coeff(c)
 
     def homogeneous_degree(self):
         """Cohomological degree if homogeneous and nonzero, else None.
@@ -87,41 +99,20 @@ class TruncSeries:
         A t-monomial of degree d with coefficient of coefficient-degree j - d
         contributes to degree j.
         """
-        degs = set()
-        for t, c in self.coeffs.items():
-            d = sum(t)
-            for j in c.degrees():
-                degs.add(j + d)
-            if len(degs) > 1:
-                return None
-        if len(degs) == 1:
-            return degs.pop()
-        return None
-
-    def homogeneous_components(self) -> dict:
-        out = {}
-        for t, c in self.coeffs.items():
-            d = sum(t)
-            for j in c.degrees():
-                comp = c.degree_component(j)
-                tgt = out.setdefault(j + d, {})
-                tgt[t] = tgt.get(t, GradedCoeff.zero()) + comp
-        return {
-            j: TruncSeries(self.vars, cs, self.guarantee)
-            for j, cs in sorted(out.items())
-        }
+        degs = {sum(t) - mweight(m) for t, c in self.num.items() for m in c}
+        return degs.pop() if len(degs) == 1 else None
 
     def eq_through(self, other: TruncSeries, deg: int) -> bool:
-        diff = self - other
-        return all(sum(t) > deg for t in diff.coeffs)
+        return all(sum(t) > deg for t in (self - other).num)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TruncSeries):
             return NotImplemented
-        return self.vars == other.vars and self.coeffs == other.coeffs
+        return self.vars == other.vars and self.den == other.den and self.num == other.num
 
     def __hash__(self):
-        return hash((self.vars, frozenset((t, c) for t, c in self.coeffs.items())))
+        terms = frozenset((t, frozenset(c.items())) for t, c in self.num.items())
+        return hash((self.vars, self.den, terms))
 
     # -- ring operations ---------------------------------------------------
 
@@ -129,62 +120,73 @@ class TruncSeries:
         if self.vars != other.vars:
             raise VariableMismatch(f"{self.vars} vs {other.vars}")
 
-    def __add__(self, other: TruncSeries) -> TruncSeries:
+    def _combine(self, other: TruncSeries, sign: int) -> TruncSeries:
+        """self + sign * other over the common denominator."""
         self._check_vars(other)
-        out = dict(self.coeffs)
-        for t, c in other.coeffs.items():
-            s = out.get(t)
-            out[t] = c if s is None else s + c
-        return TruncSeries(self.vars, out, min(self.guarantee, other.guarantee))
+        g = min(self.guarantee, other.guarantee)
+        den = lcm(self.den, other.den)
+        out = {t: _times(c, den // self.den) for t, c in self.num.items() if sum(t) <= g}
+        f = {(): sign * (den // other.den)}
+        for t, c in other.num.items():
+            if sum(t) <= g:
+                tgt = out.setdefault(t, {})
+                if not mul_acc(tgt, c.items(), f):
+                    del out[t]
+        return _canonical(self.vars, out, den, g)
 
-    def __neg__(self) -> TruncSeries:
-        return TruncSeries(self.vars, {t: -c for t, c in self.coeffs.items()}, self.guarantee)
+    def __add__(self, other: TruncSeries) -> TruncSeries:
+        return self._combine(other, 1)
 
     def __sub__(self, other: TruncSeries) -> TruncSeries:
-        return self + (-other)
+        return self._combine(other, -1)
+
+    def __neg__(self) -> TruncSeries:
+        num = {t: _times(c, -1) for t, c in self.num.items()}
+        return _series(self.vars, num, self.den, self.guarantee)
 
     def __mul__(self, other: TruncSeries) -> TruncSeries:
         """Product truncated to degree min(G_a, G_b)."""
         self._check_vars(other)
         g = min(self.guarantee, other.guarantee)
-        raw = convolve(
-            {t: c.terms for t, c in self.coeffs.items()},
-            {t: c.terms for t, c in other.coeffs.items()},
-            g,
-        )
-        out = {t: GradedCoeff(m) for t, m in raw.items()}
-        return TruncSeries(self.vars, out, g)
+        return _canonical(self.vars, convolve(self.num, other.num, g), self.den * other.den, g)
 
     def __pow__(self, n: int) -> TruncSeries:
         if n < 0:
             raise ValueError("negative series power")
-        out = TruncSeries.constant(self.vars, 1, self.guarantee)
-        for _ in range(n):
+        if n == 0:
+            return TruncSeries.constant(self.vars, 1, self.guarantee)
+        out = self
+        for _ in range(n - 1):
             out = out * self
         return out
 
     def scale(self, q) -> TruncSeries:
         q = Fraction(q)
-        return TruncSeries(
-            self.vars, {t: c.scale(q) for t, c in self.coeffs.items()}, self.guarantee
-        )
+        if not q:
+            return TruncSeries.zero(self.vars, self.guarantee)
+        num = {t: _times(c, q.numerator) for t, c in self.num.items()}
+        return _canonical(self.vars, num, self.den * q.denominator, self.guarantee)
 
     def mul_coeff(self, c: GradedCoeff) -> TruncSeries:
-        return TruncSeries(self.vars, {t: x * c for t, x in self.coeffs.items()}, self.guarantee)
-
-    def map_coeffs(self, fn) -> TruncSeries:
-        return TruncSeries(self.vars, {t: fn(c) for t, c in self.coeffs.items()}, self.guarantee)
+        return self * TruncSeries.constant(self.vars, c, self.guarantee)
 
     def specialize(self, value_of) -> TruncSeries:
         """Substitute rationals for the Lazard generators in every coefficient."""
-        return self.map_coeffs(lambda c: c.specialize(value_of))
+        return TruncSeries(
+            self.vars, {t: c.specialize(value_of) for t, c in self.coeffs.items()}, self.guarantee
+        )
 
     def truncated(self, guarantee: int) -> TruncSeries:
         if guarantee > self.guarantee:
             raise TruncationInsufficient(
                 f"cannot raise guarantee {self.guarantee} to {guarantee}"
             )
-        return TruncSeries(self.vars, self.coeffs, guarantee)
+        if guarantee == self.guarantee:
+            return self
+        num = {t: c for t, c in self.num.items() if sum(t) <= guarantee}
+        if len(num) == len(self.num):
+            return _series(self.vars, self.num, self.den, guarantee)
+        return _canonical(self.vars, num, self.den, guarantee)
 
     # -- substitution ------------------------------------------------------
 
@@ -200,21 +202,18 @@ class TruncSeries:
                 raise KeyError(f"no assignment for variable {v}")
             targets.append(assignment[v])
         tvars = targets[0].vars
+        origin = (0,) * len(tvars)
         for s in targets:
             if s.vars != tvars:
                 raise VariableMismatch("assigned series disagree on variables")
-            if not s.constant_term().is_zero():
+            if origin in s.num:
                 raise NotInvertible("assigned series has nonzero constant term")
         g = min([self.guarantee] + [s.guarantee for s in targets])
 
-        simple = all(len(s.coeffs) == 1 for s in targets)
-        if simple and all(
-            next(iter(s.coeffs.values())).is_rational() for s in targets
-        ):
+        if all(len(s.num) == 1 and _is_rational(*s.num.values()) for s in targets):
             return self._substitute_monomials(targets, tvars, g)
 
-        one = TruncSeries.constant(tvars, 1, g)
-        powers = [[one, s.truncated(min(g, s.guarantee))] for s in targets]
+        powers = [[None, s.truncated(g)] for s in targets]
 
         def pw(i, e):
             lst = powers[i]
@@ -222,46 +221,55 @@ class TruncSeries:
                 lst.append(lst[-1] * lst[1])
             return lst[e]
 
-        out = TruncSeries.zero(tvars, g)
-        for texp, c in self.coeffs.items():
+        one = {origin: {(): 1}}
+        terms = []  # (numerators of self's coefficient, numerators of the product, its den)
+        for texp, c in self.num.items():
             if sum(texp) > g:
                 continue
             prod = None
             for i, e in enumerate(texp):
                 if e:
                     prod = pw(i, e) if prod is None else prod * pw(i, e)
-            term = one.mul_coeff(c) if prod is None else prod.mul_coeff(c)
-            out = out + term
-        return out
+            terms.append((c, one, 1) if prod is None else (c, prod.num, prod.den))
+        den = lcm(*(d for _, _, d in terms))
+        out = {}
+        for c, pnum, d in terms:
+            f = den // d
+            convolve({origin: c if f == 1 else _times(c, f)}, pnum, None, out=out)
+        return _canonical(tvars, out, self.den * den, g)
 
     def _substitute_monomials(self, targets, tvars, g):
-        # every target is a single monomial with rational coefficient
+        # every target is a single monomial with rational coefficient p/d
         infos = []
         for s in targets:
-            (exp, c), = s.coeffs.items()
-            infos.append((exp, c.rational_part(), sum(exp)))
-        out = {}
-        for texp, c in self.coeffs.items():
+            (exp, c), = s.num.items()
+            infos.append((exp, c[()], s.den, sum(exp)))
+        terms = []  # (new t-exps, numerators, factor numerator, factor denominator)
+        for texp, c in self.num.items():
             newexp = [0] * len(tvars)
-            q = Fraction(1)
+            p = d = 1
             deg = 0
             for i, e in enumerate(texp):
                 if not e:
                     continue
-                exp, rc, d = infos[i]
-                deg += d * e
+                exp, pi, di, dd = infos[i]
+                deg += dd * e
                 if deg > g:
                     break
-                q *= rc ** e
+                p *= pi ** e
+                d *= di ** e
                 for j, x in enumerate(exp):
                     newexp[j] += x * e
             else:
-                if deg <= g:
-                    key = tuple(newexp)
-                    s = out.get(key)
-                    add = c.scale(q)
-                    out[key] = add if s is None else s + add
-        return TruncSeries(tvars, out, g)
+                terms.append((tuple(newexp), c, p, d))
+        den = lcm(*(d for _, _, _, d in terms))
+        out = {}
+        for key, c, p, d in terms:
+            tgt = out.setdefault(key, {})
+            mul_acc(tgt, c.items(), {(): p * (den // d)})
+            if not tgt:
+                del out[key]
+        return _canonical(tvars, out, self.den * den, g)
 
     # -- inversion and division --------------------------------------------
 
@@ -273,22 +281,27 @@ class TruncSeries:
         constant term itself (no exact inverse exists there with polynomial
         coefficients).
         """
-        c0 = self.constant_term()
-        if c0.is_zero() or not c0.is_rational():
+        origin = (0,) * len(self.vars)
+        c0 = self.num.get(origin)
+        if c0 is None or not _is_rational(c0):
             raise NotInvertible("constant term must be a nonzero rational")
-        return TruncSeries.constant(self.vars, 1, self.guarantee).divide_exact(self)
+        return _series(self.vars, {origin: {(): 1}}, 1, self.guarantee).divide_exact(self)
 
     def divide_exact(self, g: TruncSeries) -> TruncSeries:
         """Exact quotient q with q*g = self through the guarantee.
 
-        Solved t-degree slice by t-degree slice, on the tables ``__mul__``
-        uses.  Slice k of the dividend less sum_{d<k} q_d*g_{e+k-d} (e the
-        lowest t-degree of ``g``) is divided by g_e with the leading-term
-        algorithm in the lex order on (t-exponents, m-exponents).  With one
-        divisor that algorithm decides membership exactly, so a leading term
-        that g_e's does not divide raises NotDivisible, which certifies that
+        Solved t-degree slice by t-degree slice on the numerator tables.
+        Slice k of the dividend less sum_{d<k} q_d*g_{e+k-d} (e the lowest
+        t-degree of ``g``) is divided by g_e with the leading-term algorithm
+        in the lex order on (t-exponents, m-exponents).  With one divisor
+        that algorithm decides membership exactly, so a leading term that
+        g_e's does not divide raises NotDivisible, which certifies that
         ``self`` is not a multiple of ``g`` up to truncation; a zero ``g``
-        raises NotInvertible.  The guarantee drops by e.
+        raises NotInvertible.  The guarantee drops by e.  On the numerators,
+        a leading numerator that g_e's, lc, does not divide first scales the
+        remainder and the quotient so far by |lc| / gcd, kept in the
+        quotient's denominator; scaling moves no support, so every decision
+        is the one over Q.
         """
         self._check_vars(g)
         if g.is_zero():
@@ -301,18 +314,19 @@ class TruncSeries:
             return TruncSeries.zero(self.vars, gq)
         if self.lowest_degree() < e:
             raise NotDivisible("dividend has terms below the divisor's lowest degree")
-        f_sl, g_sl = {}, {}  # slices by t-degree: {t-exps: {m-exps: q}}
-        for t, c in self.coeffs.items():
-            f_sl.setdefault(sum(t), {})[t] = c.terms
-        for t, c in g.coeffs.items():
-            g_sl.setdefault(sum(t), {})[t] = c.terms
+        f_sl, g_sl = {}, {}  # numerator slices by t-degree: {t-exps: {m-exps: int}}
+        for t, c in self.num.items():
+            f_sl.setdefault(sum(t), {})[t] = c
+        for t, c in g.num.items():
+            g_sl.setdefault(sum(t), {})[t] = c
         ge = g_sl[e]
         lt = max(ge)
         lm = max(ge[lt])
         lc = ge[lt][lm]
-        neg_q = []  # -q by slice, so that each update is one accumulating product
+        scale = 1
+        neg_q = []  # -scale*q by slice, so that each update is one accumulating product
         for k in range(gq + 1):
-            r = {t: dict(c) for t, c in f_sl.get(e + k, {}).items()}
+            r = {t: _times(c, scale) for t, c in f_sl.get(e + k, {}).items()}
             for d, qd in enumerate(neg_q):
                 gs = g_sl.get(e + k - d)
                 if gs and qd:
@@ -326,46 +340,50 @@ class TruncSeries:
                 sm = mdiv(rm, lm)
                 if sm is None or min(st, default=0) < 0:
                     raise NotDivisible("leading term not divisible")
-                c = -rc[rm] / lc
+                a = rc[rm]
+                if a % lc:
+                    f = abs(lc) // gcd(a, lc)
+                    for table in (r, qk, *neg_q):
+                        for c in table.values():
+                            for m in c:
+                                c[m] *= f
+                    scale *= f
+                    a *= f
+                c = -a // lc
                 qk.setdefault(st, {})[sm] = c
                 convolve({st: {sm: c}}, ge, None, out=r)
             neg_q.append(qk)
-        out = {t: GradedCoeff({m: -q for m, q in c.items()}) for qk in neg_q for t, c in qk.items()}
-        return TruncSeries(self.vars, out, gq)
+        num = {t: _times(c, -g.den) for qk in neg_q for t, c in qk.items()}
+        return _canonical(self.vars, num, scale * self.den, gq)
 
     def compositional_inverse(self) -> TruncSeries:
         """Inverse under composition for a one-variable series c*u + higher."""
         if len(self.vars) != 1:
             raise ValueError("compositional inverse needs a one-variable series")
-        if not self.constant_term().is_zero():
+        if (0,) in self.num:
             raise NotInvertible("nonzero constant term")
-        c1 = self.coefficient((1,))
-        if not c1.is_rational() or c1.rational_part() == 0:
+        c1 = self.num.get((1,))
+        if c1 is None or not _is_rational(c1):
             raise NotInvertible("linear coefficient must be an invertible rational")
-        c = c1.rational_part()
+        c = Fraction(c1[()], self.den)
         v = self.vars[0]
         g = self.guarantee
-        h = {(1,): GradedCoeff.from_rational(Fraction(1) / c)}
+        h = TruncSeries.monomial(self.vars, (1,), 1 / c, g)
         for k in range(2, g + 1):
-            partial = TruncSeries(self.vars, h, g)
-            comp = self.substitute({v: partial})
-            ak = comp.coefficient((k,))
-            if not ak.is_zero():
-                h[(k,)] = ak.scale(Fraction(-1) / c)
-        return TruncSeries(self.vars, h, g)
+            comp = self.substitute({v: h})
+            ak = comp.num.get((k,))
+            if ak is not None:
+                h = h + _series(self.vars, {(k,): ak}, comp.den, g).scale(-1 / c)
+        return h
 
     # -- rendering ----------------------------------------------------------
 
-    def sorted_terms(self):
-        return sorted(
-            self.coeffs.items(), key=lambda kv: (sum(kv[0]), tuple(-e for e in kv[0]))
-        )
-
     def __str__(self) -> str:
-        if not self.coeffs:
+        if not self.num:
             return "0"
         pieces = []
-        for texp, c in self.sorted_terms():
+        terms = sorted(self.coeffs.items(), key=lambda kv: (sum(kv[0]), tuple(-e for e in kv[0])))
+        for texp, c in terms:
             mon = _t_mon_text(self.vars, texp)
             if not mon:
                 for e, q in c.sorted_terms():
@@ -381,6 +399,43 @@ class TruncSeries:
         return f"TruncSeries[{','.join(self.vars)};G={self.guarantee}]({self})"
 
 
+def _series(vars, num, den, guarantee) -> TruncSeries:
+    """A series from a table already in canonical form, without checks."""
+    s = object.__new__(TruncSeries)
+    s.vars = vars
+    s.num = num
+    s.den = den
+    s.guarantee = guarantee
+    s._coeffs = None
+    return s
+
+
+def _canonical(vars, num, den, guarantee) -> TruncSeries:
+    """num / den by one gcd sweep; num has no zeros and no key above the guarantee."""
+    if den != 1:
+        g = den
+        for c in num.values():
+            g = gcd(g, *c.values())
+            if g == 1:
+                break
+        else:
+            num = {t: {m: x // g for m, x in c.items()} for t, c in num.items()}
+            den //= g
+    return _series(vars, num, den, guarantee)
+
+
+def _times(c, f) -> dict:
+    """A new numerator map c * f."""
+    if f == 1:
+        return dict(c)
+    return {m: x * f for m, x in c.items()}
+
+
+def _is_rational(c) -> bool:
+    """Whether a numerator map is a constant: its only m-monomial is 1."""
+    return len(c) == 1 and () in c
+
+
 def _t_mon_text(vars, exps) -> str:
     parts = []
     for v, e in zip(vars, exps):
@@ -391,8 +446,6 @@ def _t_mon_text(vars, exps) -> str:
 
 
 def _coeff_term_text(mexp, mag, mon) -> str:
-    from torcob.coeff import _mon_text
-
     head = _mon_text(mexp) if mexp else ""
     factors = []
     if mag != 1 or (not head and not mon):
@@ -402,4 +455,3 @@ def _coeff_term_text(mexp, mag, mon) -> str:
     if mon:
         factors.append(mon)
     return "*".join(factors)
-

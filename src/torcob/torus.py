@@ -24,6 +24,7 @@ import math
 from torcob.coeff import GradedCoeff
 from torcob.errors import NotDivisible, TruncationInsufficient, ZeroCharacter
 from torcob.fgl import FGLContext
+from torcob.kernels import mul_acc
 from torcob.series import TruncSeries
 
 Character = tuple
@@ -185,20 +186,19 @@ class TorusContext:
         axis = self._single_axis(chi)
         if axis is not None:
             a, _ = axis
-            return min(t[a] for t in f.coeffs) >= d
+            return min(t[a] for t in f.num) >= d
         _, chi0 = primitive_part(chi)
         diff = self._difference_axes(chi0)
         if diff is not None and d == 1:
+            # f at t_a = t_b, on the numerators over f's one denominator
             a, b = diff
             merged = {}
-            for t, c in f.coeffs.items():
+            for t, c in f.num.items():
                 lt = list(t)
                 lt[b] += lt[a]
                 lt[a] = 0
-                key = tuple(lt)
-                s = merged.get(key)
-                merged[key] = c if s is None else s + c
-            return all(c.is_zero() for c in merged.values())
+                mul_acc(merged.setdefault(tuple(lt), {}), c.items(), {(): 1})
+            return not any(merged.values())
         return _try(lambda: self.divide_by_chern(f, chi, d))
 
     def divide_by_chern(self, f: TruncSeries, chi, d: int = 1) -> TruncSeries:
@@ -238,8 +238,8 @@ class TorusContext:
         if sum(d for _, d in active) > f.guarantee:
             # as in chern_divides: a nonzero f keeps a term below the product's degree
             return f.is_zero(), in_intersection
-        product = self.one()
-        for chi, d in active:
+        product = self.chern_power(*active[0]) if active else self.one()
+        for chi, d in active[1:]:
             product = product * self.chern_power(chi, d)
         in_product = _try(lambda: f.divide_exact(product))
         return in_product, in_intersection

@@ -64,16 +64,28 @@ def slot_expand_oracle(ctx, g, basis, alpha):
 
 
 def _homogeneous_components(alpha):
+    comps = {v: _series_components(s) for v, s in alpha.values.items()}
     degs = set()
-    for s in alpha.values.values():
-        degs.update(s.homogeneous_components())
+    for c in comps.values():
+        degs.update(c)
     return {
         j: gkm.PiecewiseClass({
-            v: s.homogeneous_components().get(j, TruncSeries.zero(s.vars, s.guarantee))
+            v: comps[v].get(j, TruncSeries.zero(s.vars, s.guarantee))
             for v, s in alpha.values.items()
         })
         for j in sorted(degs)
     }
+
+
+def _series_components(s):
+    """{cohomological degree j: the part of the series s in degree j}."""
+    out = {}
+    for t, c in s.coeffs.items():
+        d = sum(t)
+        for j in c.degrees():
+            tgt = out.setdefault(j + d, {})
+            tgt[t] = tgt.get(t, GradedCoeff.zero()) + c.degree_component(j)
+    return {j: TruncSeries(s.vars, cs, s.guarantee) for j, cs in sorted(out.items())}
 
 
 def _t_monomials_through(rank, max_deg):

@@ -1,5 +1,6 @@
 """Series arithmetic: ring axioms, substitution, inversion, exact division."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -29,6 +30,19 @@ def const(q, guarantee=D):
 
 def m(i):
     return GradedCoeff.generator(i)
+
+
+def homogeneous_components(s):
+    """{cohomological degree j: the part of s in degree j}, a t-monomial of
+    degree d with a coefficient of degree j - d lying in degree j."""
+    out = {}
+    for t, c in s.coeffs.items():
+        d = sum(t)
+        for j in c.degrees():
+            comp = c.degree_component(j)
+            tgt = out.setdefault(j + d, {})
+            tgt[t] = tgt.get(t, GradedCoeff.zero()) + comp
+    return {j: TruncSeries(s.vars, cs, s.guarantee) for j, cs in sorted(out.items())}
 
 
 # -- the flat division ----------------------------------------------------------------
@@ -369,6 +383,83 @@ def test_divide_exact_matches_flat_division(case):
         assert TruncSeries(f.vars, coeffs, guarantee).eq_through(q, guarantee)
 
 
+def assert_canonical(s):
+    """Integer numerators over one denominator in lowest terms, nothing above the guarantee."""
+    nums = [x for c in s.num.values() for x in c.values()]
+    assert type(s.den) is int and s.den > 0
+    assert all(type(x) is int and x for x in nums)
+    assert all(s.num.values())
+    assert math.gcd(s.den, *nums) == 1
+    assert all(sum(t) <= s.guarantee for t in s.num)
+
+
+def without_constant(f):
+    return f - TruncSeries.constant(f.vars, f.constant_term(), f.guarantee)
+
+
+FRACTIONS = st.fractions(min_value=-3, max_value=3, max_denominator=6).filter(bool)
+
+
+@settings(max_examples=60, deadline=None)
+@given(series(), series(), series(maxdeg=3), FRACTIONS, FRACTIONS)
+def test_every_operation_returns_the_canonical_form(a, b, c, p, q):
+    u = TruncSeries.variable(("u",), "u", D)
+    unit = without_constant(b) + const(p)
+    general = {"t1": var("t1") + var("t2").scale(q), "t2": without_constant(c)}
+    monomials = {"t1": var("t2").scale(p), "t2": var("t1").scale(q)}
+    reversion = u.scale(p) + a.substitute({"t1": u, "t2": u}) * u * u
+    results = [
+        a * b, a + b, a - b, -a, a.scale(p), a.mul_coeff(m(1).scale(q) + m(2).scale(p)),
+        a.substitute(general), a.substitute(monomials),
+        (a * unit).divide_exact(unit), unit.invert_unit(), reversion.compositional_inverse(),
+        a.truncated(2), a.truncated(3) + b, b - a.truncated(3), a * b.truncated(2),
+    ]
+    for s in results:
+        assert_canonical(s)
+    for f, g in ((a, b), (c, unit)):
+        try:
+            assert_canonical(f.divide_exact(g))
+        except (NotDivisible, NotInvertible, TruncationInsufficient):
+            pass
+
+
+def assert_same_value(x, y):
+    assert x == y and hash(x) == hash(y) and str(x) == str(y)
+
+
+@settings(max_examples=60, deadline=None)
+@given(series(), series(), series())
+def test_one_value_has_one_form(a, b, c):
+    assert_same_value((a * b) * c, a * (b * c))
+    assert_same_value((a + b) - b, a)
+    assert_same_value(a + b.truncated(3), a.truncated(3) + b.truncated(3))
+    assert_same_value(a.truncated(2), TruncSeries(a.vars, a.coeffs, 2))
+    g = b + var("t1")
+    assume(not g.is_zero())
+    got = (a * g).divide_exact(g)
+    assert_same_value(got, a.truncated(got.guarantee))
+
+
+def test_divide_scales_when_the_leading_coefficient_does_not_divide():
+    # (2*t1 + 3*t2)^2 is primitive, so every exact multiple of it has an
+    # integral quotient (Gauss); twice it leads with 8, which does not divide
+    # the leading numerator 4 of the quotient's 1/6-denominated multiple
+    square = (var("t1").scale(2) + var("t2").scale(3)) ** 2
+    q = (const(1) + var("t1").scale(Fraction(1, 5)) - var("t2").mul_coeff(m(1))).scale(
+        Fraction(1, 6)
+    )
+    g = square.scale(2)
+    f = q * g
+    assert f.num[(2, 0)][()] % g.num[(2, 0)][()]
+    got = f.divide_exact(g)
+    assert_same_value(got, q.truncated(D - 2))
+    assert_same_value(got, flat_divide_oracle(f, g))
+    other = f + TruncSeries.monomial(UV, (1, 2), Fraction(1, 3), D)
+    for h in (g, square):
+        assert division_outcome(TruncSeries.divide_exact, other, h) == NotDivisible
+        assert division_outcome(flat_divide_oracle, other, h) == NotDivisible
+
+
 @settings(max_examples=40, deadline=None)
 @given(series(maxdeg=3))
 def test_invert_round_trip(f):
@@ -439,7 +530,7 @@ def test_homogeneous_product_degrees_add():
     assert (a + const(5)).homogeneous_degree() == 0  # both pieces sit in degree 0
     mixed = b + b * b
     assert mixed.homogeneous_degree() is None
-    comps = mixed.homogeneous_components()
+    comps = homogeneous_components(mixed)
     assert sorted(comps) == [1, 2] and comps[1] == b and comps[2] == b * b
 
 
