@@ -17,11 +17,16 @@ README gives the measured times behind each limit).  Each raises
 ``TooLarge``, as the library's own guards do, and exits 2; ``gkm
 expand|forget`` learns its size from the basis, so its guard
 (``gkm.MAX_EXPAND_COLUMNS``) fires after the header line.
+
+``main`` may be called repeatedly in one process: the parser is built once,
+on the first call, and every byte of output, usage errors and ``--help``
+included, goes to the streams given to that call.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -29,7 +34,7 @@ from fractions import Fraction
 
 from torcob import exprs, flag as flagmod, gkm
 from torcob.errors import TooLarge, TorcobError
-from torcob.fgl import MAX_DEG, build as fgl_build
+from torcob.fgl import MAX_DEG, build as fgl_build, spec_value
 from torcob.flag import MAX_COINV_RANK, MAX_KERNEL_RANK
 from torcob.gkm import MAX_FLAG_GRAPH_N
 from torcob.torus import TorusContext
@@ -47,10 +52,11 @@ class UsageError(Exception):
 
 
 def _parse_spec(text):
+    """The --spec text as a normalized specialization (see ``fgl.spec_value``)."""
     if text in (None, "universal"):
         return None
     if text == "additive":
-        return "additive"
+        return ("additive",)
     if text.startswith("multiplicative:"):
         try:
             return ("multiplicative", Fraction(text.split(":", 1)[1]))
@@ -251,12 +257,8 @@ def _cmd_flag(args, out, stdin):
             print(json.dumps(texts), file=out)
         return 0
     spec = _law(args) if args.sub == "kernel" else _parse_spec(args.spec)
-    spec_value = None
-    if spec is not None:
-        probe = fgl_build(0, 2, spec)
-        spec_value = probe.spec_value
-    ast = exprs.parse(args.expr)
-    p = exprs.eval_xpoly(ast, n, spec_value)
+    m_value = None if spec is None else (lambda i: spec_value(spec, i))
+    p = exprs.eval_xpoly(exprs.parse(args.expr), n, m_value)
     if args.sub == "nf":
         print(str(flagmod.normal_form(n, p)), file=out)
         return 0
@@ -299,8 +301,28 @@ def _add_common(p, deg=True, spec=True):
                        help="universal | additive | multiplicative:BETA")
 
 
+class _ParserExit(Exception):
+    """Raised with (status, text) where argparse would print the text and exit."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that raises ``_ParserExit`` instead of printing and exiting.
+
+    ``main`` writes the text to the streams of its own call, so one parser
+    serves every call.  Subparsers are built with the same class.
+    """
+
+    def print_help(self, file=None):
+        raise _ParserExit(0, self.format_help())
+
+    def error(self, message):
+        raise _ParserExit(2, f"{self.format_usage()}{self.prog}: error: {message}\n")
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="torcob", description=__doc__)
+    """The command-line parser, built on the first call and shared after it."""
+    ap = _Parser(prog="torcob", description=__doc__)
     top = ap.add_subparsers(dest="group", required=True)
 
     fglp = top.add_parser("fgl", help="formal group law outputs")
@@ -359,11 +381,12 @@ def main(argv=None, stdout=None, stderr=None, stdin=None) -> int:
     out = stdout if stdout is not None else sys.stdout
     err = stderr if stderr is not None else sys.stderr
     inp = stdin if stdin is not None else sys.stdin
-    ap = build_parser()
     try:
-        args = ap.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
+        args = build_parser().parse_args(argv)
+    except _ParserExit as exc:
+        status, text = exc.args
+        (out if status == 0 else err).write(text)
+        return status
     handlers = {"fgl": _cmd_fgl, "gkm": _cmd_gkm, "flag": _cmd_flag, "selftest": _cmd_selftest}
     try:
         return handlers[args.group](args, out, inp)

@@ -67,16 +67,9 @@ class FGLContext:
     # -- construction -------------------------------------------------------
 
     def _log_coeff(self, i):
-        spec = self.specialization
-        if spec is None:
+        if self.specialization is None:
             return GradedCoeff.generator(i) if i <= self.Dc else GradedCoeff.zero()
-        kind = spec[0]
-        if kind == ADDITIVE:
-            return GradedCoeff.zero()
-        if kind == MULTIPLICATIVE:
-            beta = spec[1]
-            return GradedCoeff.from_rational(beta ** i / (i + 1))
-        return GradedCoeff.from_rational(spec[1].get(i, Fraction(0)))
+        return GradedCoeff.from_rational(spec_value(self.specialization, i))
 
     def _build_log(self):
         coeffs = {(1,): GradedCoeff.one()}
@@ -107,9 +100,8 @@ class FGLContext:
         return self.specialization is not None
 
     def spec_value(self, i: int) -> Fraction:
-        """Rational value of m_i under the specialization."""
-        c = self._log_coeff(i)
-        return c.rational_part()
+        """Rational value of m_i under the specialization (see ``spec_value``)."""
+        return spec_value(self.specialization, i)
 
     # -- operations ----------------------------------------------------------
 
@@ -225,6 +217,19 @@ def _normalize_spec(spec):
     if isinstance(spec, dict):
         return (CUSTOM, {int(i): Fraction(v) for i, v in spec.items()})
     raise ValueError(f"unknown specialization {spec!r}")
+
+
+def spec_value(spec, i: int) -> Fraction:
+    """Rational value of m_i under a normalized specialization, with no context built.
+
+    ``spec`` is in the form of ``FGLContext.specialization``; the universal
+    law (None) gives 0, the rational part of m_i.
+    """
+    if spec is None or spec[0] == ADDITIVE:
+        return Fraction(0)
+    if spec[0] == MULTIPLICATIVE:
+        return spec[1] ** i / (i + 1)
+    return spec[1].get(i, Fraction(0))
 
 
 def build(coeff_degree: int, degree: int, specialization=None) -> FGLContext:

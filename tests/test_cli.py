@@ -1,14 +1,14 @@
 """End-to-end command-line behavior: outputs, exit codes, determinism."""
 
-import contextlib
 import io
 import json
 import os
+import pathlib
 import subprocess
 import sys
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from torcob import cli, fgl, flag, gkm
 
@@ -444,6 +444,81 @@ def test_usage_error_exit_two():
     assert code == 2 and "usage error" in err
 
 
+def test_usage_error_goes_to_the_given_stderr(capsys):
+    code, out, err = run(["fgl", "print", "--bogus"])
+    assert code == 2 and out == ""
+    assert err.startswith("usage: torcob") and "unrecognized arguments: --bogus" in err
+    code, out, err = run(["gkm", "integrate", "--graph", P1_JSON])  # subparser: no --class
+    assert code == 2 and out == "" and "usage: torcob gkm integrate" in err
+    assert capsys.readouterr() == ("", "")
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["fgl", "-h"], ["gkm", "integrate", "--help"]])
+def test_help_goes_to_the_given_stdout(capsys, argv):
+    code, out, err = run(argv)
+    assert code == 0 and err == ""
+    assert out.startswith("usage: torcob") and "-h, --help" in out
+    assert capsys.readouterr() == ("", "")
+
+
+# Pairs (earlier, later) whose earlier call sets what the later one leaves out.
+STATE_PAIRS = [
+    # A class truncation is written into args.deg; the later class has none.
+    (["gkm", "integrate", "--graph", P1_JSON, "--class",
+      '{"truncation": 4, "values": {"0": "1", "inf": "1"}}'],
+     ["gkm", "integrate", "--graph", P1_JSON, "--class", '{"0": "1", "inf": "1"}']),
+    (["flag", "nf", "m1*x2 + x1^2", "--rank", "2", "--spec", "multiplicative:2/5"],
+     ["flag", "nf", "m1*x2 + x1^2", "--rank", "2"]),
+    (["flag", "kernel", "m1*x1^2", "--rank", "2", "--spec", "additive"],
+     ["flag", "kernel", "m1*x1^2", "--rank", "2"]),
+    (["fgl", "print", "--deg", "4", "--spec", "multiplicative:2/5"],
+     ["fgl", "print", "--deg", "4"]),
+    (["fgl", "print", "--bogus"], ["fgl", "print", "--deg", "2"]),
+]
+
+
+def _first_call(argv):
+    cli.build_parser.cache_clear()
+    return run(argv)
+
+
+@pytest.mark.parametrize("earlier, later", STATE_PAIRS)
+def test_shared_parser_carries_no_state(monkeypatch, earlier, later):
+    monkeypatch.delenv("COBORDISM_DEFAULT_DEG", raising=False)
+    expected = _first_call(later), _first_call(earlier)
+    assert (run(later), run(earlier)) == expected
+    assert (run(later), run(earlier)) == expected
+
+
+def test_shared_parser_reproduces_golden_corpus(monkeypatch):
+    monkeypatch.delenv("COBORDISM_DEFAULT_DEG", raising=False)
+    cases = json.loads((pathlib.Path(__file__).parent / "golden" / "cases.json").read_text("utf-8"))
+    golden = {tuple(c["argv"]): (c["exit"], c["stdout"]) for c in cases}
+    pairs = [pair for pair in STATE_PAIRS if all(tuple(argv) in golden for argv in pair)]
+    assert len(pairs) == 2
+    for earlier, later in pairs:
+        assert golden[tuple(earlier)] != golden[tuple(later)]
+        for argv in (earlier, later, earlier, later):
+            assert run(argv)[:2] == golden[tuple(argv)]
+
+
+def test_parser_is_built_once_per_process():
+    cli.build_parser.cache_clear()
+    for i in range(20):
+        run(["flag", "nf", f"x1^{i % 3}", "--rank", "2"] if i % 2 else ["fgl", "print", "--bogus"])
+    info = cli.build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 19)
+
+
+def test_parser_is_not_built_at_import():
+    env = dict(os.environ)
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    code = "import torcob.cli as c; print(c.build_parser.cache_info().misses)"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, timeout=120, env=env)
+    assert done.stdout == b"0\n", done.stderr.decode()
+
+
 def test_byte_identical_reruns():
     battery = [
         ["fgl", "print", "--deg", "4"],
@@ -566,18 +641,20 @@ def fuzz_argv(draw):
     return argv, draw(st.sampled_from([None] * 5 + ["0", "2", "-1", "x"]))
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(fuzz_argv(), st.sampled_from(["", P1_JSON, "[]", "{"]))
-def test_fuzz_argv_exits_cleanly(case, stdin_text):
+def test_fuzz_argv_exits_cleanly(capsys, case, stdin_text):
+    """Every argv exits 0, 1 or 2 and writes only to the streams given to main."""
     argv, env = case
     saved = os.environ.pop("COBORDISM_DEFAULT_DEG", None)
     if env is not None:
         os.environ["COBORDISM_DEFAULT_DEG"] = env
     try:
-        with contextlib.redirect_stderr(io.StringIO()):
-            code, _, _ = run(argv, stdin_text=stdin_text)
+        code, _, _ = run(argv, stdin_text=stdin_text)
     finally:
         os.environ.pop("COBORDISM_DEFAULT_DEG", None)
         if saved is not None:
             os.environ["COBORDISM_DEFAULT_DEG"] = saved
     assert code in (0, 1, 2)
+    assert capsys.readouterr() == ("", "")

@@ -39,6 +39,16 @@ def test_multiplicative_log_coefficients():
         )
 
 
+@pytest.mark.parametrize(
+    "spec", [None, "additive", ("multiplicative", Fraction(2, 5)), {2: Fraction(3), 4: Fraction(-1, 7)}]
+)
+def test_spec_value_needs_no_context(spec):
+    ctx = build(3, 6, spec)
+    for i in range(1, 6):
+        want = ctx.log.coefficient((i + 1,)).rational_part()
+        assert fgl.spec_value(ctx.specialization, i) == ctx.spec_value(i) == want
+
+
 def test_universal_degree_three():
     ctx = build(6, 3)
     u, v = ("u", "v")
