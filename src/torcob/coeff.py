@@ -13,6 +13,7 @@ monomial.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import factorial
 
 from torcob.kernels import mul_acc
 
@@ -202,6 +203,57 @@ def _term_text(exps: tuple, mag: Fraction) -> str:
     if mag == 1:
         return mon
     return f"{mag}*{mon}"
+
+
+def partitions(n: int) -> list:
+    """Every partition of size <= n, parts nonincreasing, in depth-first preorder.
+
+    Starts at the empty partition, and each partition is followed by those
+    that extend it by one more part, so a prefix always comes first.  A
+    partition with part multiplicities k_j is the m-monomial prod_j m_j^(k_j).
+    """
+    out = []
+
+    def grow(mu, size, largest):
+        out.append(mu)
+        for p in range(1, min(largest, n - size) + 1):
+            grow(mu + (p,), size + p, p)
+
+    grow((), 0, n)
+    return out
+
+
+def inverse_powers(M: dict, n: int, shift: int) -> list:
+    """[p_0, ..., p_n] with p_k = [u^k] (1 + M(u))^-(k + shift), as {m-exps: Fraction} maps.
+
+    ``M`` maps j to the coefficient map of u^j in M(u), with no entry where
+    that is zero; only the keys 1..n are read.  For shift >= 0 and
+    N = k + shift, the binomial series gives
+
+        p_k = sum over partitions lambda of k of
+              (-1)^l (N + l - 1)! / ((N - 1)! aut(lambda)) * M^lambda,
+
+    where l is the length of lambda, M^lambda = prod_j M_j^(k_j) and
+    aut(lambda) = prod_j k_j! over the part multiplicities k_j.  One
+    depth-first walk over the partitions of size <= n, along their prefixes,
+    makes one coefficient product per step and skips the parts j with
+    M_j = 0.  These are the Lagrange-Burmann sums of the law's exponential
+    and characteristic series (see ``fgl``).
+    """
+    out = [{(): Fraction(1)}] + [{} for _ in range(n)]
+
+    def grow(prod, size, last, run, length, aut):
+        # prod = M^mu and aut = (-1)^l aut(mu) for the prefix mu, run = multiplicity of last
+        for p in range(1, min(last, n - size) + 1):
+            if p in M:
+                k, r = size + p, run + 1 if p == last else 1
+                prod_p = mul_acc({}, prod.items(), M[p])
+                w = Fraction(factorial(k + shift + length), -factorial(k + shift - 1) * aut * r)
+                mul_acc(out[k], prod_p.items(), {(): w})
+                grow(prod_p, k, p, r, length + 1, -aut * r)
+
+    grow({(): 1}, 0, n, 0, 0, 1)
+    return out
 
 
 def join_signed(pieces) -> str:

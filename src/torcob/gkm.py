@@ -214,7 +214,7 @@ def required_guarantee(g: GKMGraph, alpha: PiecewiseClass) -> int:
 
     The residue sum reads its series through u^dim, and the unit [k](u)/u is
     exact one degree below the truncation; the logarithmic route of
-    fundamental classes reads e through degree dim + 1.  The demand does not
+    fundamental classes reads l through degree dim + 1.  The demand does not
     depend on the class; ``alpha`` is accepted so that callers can pass the
     one they are about to integrate.
     """

@@ -15,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-from torcob.coeff import GradedCoeff, _mon_text, join_signed, mweight
+from torcob.coeff import GradedCoeff, _mon_text, inverse_powers, join_signed, mweight
 from torcob.errors import (
     NotDivisible,
     NotInvertible,
@@ -357,7 +357,13 @@ class TruncSeries:
         return _canonical(self.vars, num, scale * self.den, gq)
 
     def compositional_inverse(self) -> TruncSeries:
-        """Inverse under composition for a one-variable series c*u + higher."""
+        """Inverse under composition for a one-variable series c*u + higher.
+
+        Lagrange inversion (Stanley, EC2 5.4): with self = c*u*(1 + M(u)),
+        the coefficient of x^(n+1) in the inverse is [u^n] (1 + M)^-(n+1)
+        over (n+1) c^(n+1), one partition sum per n (``inverse_powers``).
+        The guarantee is unchanged.
+        """
         if len(self.vars) != 1:
             raise ValueError("compositional inverse needs a one-variable series")
         if (0,) in self.num:
@@ -366,15 +372,10 @@ class TruncSeries:
         if c1 is None or not _is_rational(c1):
             raise NotInvertible("linear coefficient must be an invertible rational")
         c = Fraction(c1[()], self.den)
-        v = self.vars[0]
-        g = self.guarantee
-        h = TruncSeries.monomial(self.vars, (1,), 1 / c, g)
-        for k in range(2, g + 1):
-            comp = self.substitute({v: h})
-            ak = comp.num.get((k,))
-            if ak is not None:
-                h = h + _series(self.vars, {(k,): ak}, comp.den, g).scale(-1 / c)
-        return h
+        M = {k - 1: self.coefficient((k,)).scale(1 / c).terms for (k,) in self.num}
+        powers = inverse_powers(M, self.guarantee - 1, 1)
+        coeffs = {(n,): GradedCoeff(p).scale(c ** -n / n) for n, p in enumerate(powers, 1)}
+        return TruncSeries(self.vars, coeffs, self.guarantee)
 
     # -- rendering ----------------------------------------------------------
 

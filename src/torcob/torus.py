@@ -25,7 +25,7 @@ from torcob.coeff import GradedCoeff
 from torcob.errors import NotDivisible, TruncationInsufficient, ZeroCharacter
 from torcob.fgl import FGLContext
 from torcob.kernels import mul_acc
-from torcob.series import TruncSeries
+from torcob.series import TruncSeries, _series
 
 Character = tuple
 
@@ -158,14 +158,16 @@ class TorusContext:
         return None
 
     def _unit_inverse_power(self, m: int, d: int) -> TruncSeries:
-        """([m]u / u)^(-d) as a one-variable series."""
+        """([m]u / u)^(-d) as a one-variable series, exact through u^(D-1).
+
+        [m](u) is exact through u^D, so [m](u) / u only through u^(D-1).
+        """
         key = (m, d)
         out = self._unit_inv_pow.get(key)
         if out is None:
             nser = self.fgl.n_series(m)
-            stripped = {(k - 1,): c for (k,), c in nser.coeffs.items()}
-            w = TruncSeries(("u",), stripped, self.fgl.D)
-            out = w.invert_unit() ** d
+            unit = {(k - 1,): c for (k,), c in nser.num.items()}
+            out = _series(("u",), unit, nser.den, nser.guarantee - 1).invert_unit() ** d
             self._unit_inv_pow[key] = out
         return out
 

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from torcob import cli, fgl
-from torcob.coeff import GradedCoeff
+from torcob.coeff import GradedCoeff, partitions
 from torcob.errors import TooLarge, TruncationInsufficient
 from torcob.fgl import build
 from torcob.series import TruncSeries
@@ -307,7 +307,8 @@ def test_commands_run_without_F(monkeypatch, argv):
 
 
 def test_partitions_list_every_prefix_first():
-    parts = fgl.partitions(6)
+    parts = partitions(6)
+    assert fgl.partitions is partitions
     assert [sum(1 for mu in parts if sum(mu) == k) for k in range(7)] == [1, 1, 2, 3, 5, 7, 11]
     assert len(set(parts)) == len(parts)
     seen = set()
@@ -346,6 +347,49 @@ def test_weight_factors_expand_the_characteristic_series(spec):
                 p_mu *= sum(aj ** part for aj in a)
             total = total + weight.scale(Fraction(p_mu, den ** k))
         assert total == want.coefficient((k,))
+
+
+def characteristic_log_oracle(exp, n):
+    """[None, q_1, ..., q_n] with x / e(x) = exp(sum_k q_k x^k), from e through x^(n+1).
+
+    With g(x) = e(x)/x = sum g_i x^i (g_0 = 1) and log g = sum L_k x^k,
+    g' = g L' gives k L_k = k g_k - sum_(0<j<k) j L_j g_(k-j); q_k = -L_k.
+    """
+    g = [exp.coefficient((i + 1,)) for i in range(n + 1)]
+    logs = [None]
+    for k in range(1, n + 1):
+        acc = g[k].scale(k)
+        for j in range(1, k):
+            acc = acc - (logs[j] * g[k - j]).scale(j)
+        logs.append(acc.scale(Fraction(1, k)))
+    return [None] + [-x for x in logs[1:]]
+
+
+def characteristic_log(ctx, n):
+    """q_1, ..., q_n read off ``weight_factors``: the factor of (k,) is den^k q_k."""
+    den, factors = ctx.weight_factors(n)
+    return [None] + [GradedCoeff(factors[(k,)]).scale(Fraction(1, den ** k)) for k in range(1, n + 1)]
+
+
+@pytest.mark.parametrize(
+    "spec", [None, "additive", ("multiplicative", Fraction(2, 5)), {1: Fraction(1, 3), 3: -2}],
+    ids=str,
+)
+@pytest.mark.parametrize("n, dc", [(8, 8), (10, 3), (12, 12)])
+def test_characteristic_log_matches_the_recurrence(n, dc, spec):
+    ctx = build(dc, n + 1, spec)
+    assert characteristic_log(ctx, n) == characteristic_log_oracle(ctx.exp, n)
+
+
+def test_characteristic_log_starts_at_m1():
+    # x / e(x) = 1 + m1 x + ..., since e(x) = x - m1 x^2 + ...
+    assert characteristic_log(build(4, 5), 1)[1] == mono((1,))
+
+
+def test_universal_law_builds_at_max_deg():
+    # the construction check l(rho(u)) = -l(u) is the oracle
+    ctx = build(fgl.MAX_DEG - 1, fgl.MAX_DEG)
+    assert ctx.exp.guarantee == ctx.rho.guarantee == fgl.MAX_DEG
 
 
 def test_weight_factors_need_the_degree():

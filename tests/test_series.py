@@ -349,6 +349,70 @@ def test_compositional_inverse_needs_rational_linear_coeff():
         g.compositional_inverse()
 
 
+def compositional_inverse_oracle(f):
+    """The inverse of c*u + higher by g - 1 compositions, one coefficient each."""
+    u, g = f.vars, f.guarantee
+    c = f.coefficient((1,)).rational_part()
+    h = TruncSeries.monomial(u, (1,), 1 / c, g)
+    for k in range(2, g + 1):
+        ak = f.substitute({u[0]: h}).coefficient((k,))
+        h = h + TruncSeries.monomial(u, (k,), ak.scale(-1 / c), g)
+    return h
+
+
+INVERSE_LAWS = [
+    (12, 12, None), (3, 12, None), (15, 16, None), (6, 6, None), (6, 10, "additive"),
+    (6, 10, ("multiplicative", Fraction(2, 5))), (6, 10, ("multiplicative", Fraction(-1, 3))),
+    (6, 10, {1: Fraction(1, 3), 3: -2}),
+]
+
+
+@pytest.mark.parametrize("dc, deg, law", INVERSE_LAWS, ids=str)
+def test_compositional_inverse_matches_the_composition_loop(dc, deg, law):
+    log = build(dc, deg, law).log
+    assert log.compositional_inverse() == compositional_inverse_oracle(log)
+
+
+@st.composite
+def reversions(draw):
+    """c*u + higher in one variable: c rational other than 1, polynomial coefficients above."""
+    u, g = ("u",), draw(st.integers(1, 8))
+    c = draw(st.fractions(min_value=-3, max_value=3, max_denominator=5).filter(lambda q: q not in (0, 1)))
+    terms = {(1,): GradedCoeff.from_rational(c)}
+    for k in range(2, g + 1):
+        terms[(k,)] = sum(
+            (draw(st.sampled_from(GENERATOR_COEFFS)).scale(draw(st.integers(-3, 3))) for _ in range(2)),
+            GradedCoeff.zero(),
+        )
+    return TruncSeries(u, terms, g)
+
+
+@settings(max_examples=60, deadline=None)
+@given(reversions())
+def test_compositional_inverse_matches_the_oracle_on_drawn_series(f):
+    inv = f.compositional_inverse()
+    assert inv == compositional_inverse_oracle(f) and inv.guarantee == f.guarantee
+    assert f.substitute({"u": inv}) == TruncSeries.variable(("u",), "u", f.guarantee)
+
+
+def test_compositional_inverse_at_the_edge_guarantees():
+    f = TruncSeries(("u",), {(1,): GradedCoeff.from_rational(3), (2,): m(1)}, 1)
+    assert f.compositional_inverse() == compositional_inverse_oracle(f)
+    assert f.compositional_inverse() == TruncSeries.monomial(("u",), (1,), Fraction(1, 3), 1)
+    with pytest.raises(NotInvertible):  # nothing is stored above a guarantee of 0
+        f.truncated(0).compositional_inverse()
+
+
+@pytest.mark.parametrize("beta", [Fraction(1), Fraction(2, 5), Fraction(-3, 7)], ids=str)
+def test_multiplicative_exponential_is_one_minus_exp(beta):
+    # l(u) = -log(1 - beta u) / beta, so e(x) = (1 - exp(-beta x)) / beta
+    deg = 12
+    e = build(0, deg, ("multiplicative", beta)).log.compositional_inverse()
+    for k in range(1, deg + 1):
+        want = Fraction((-1) ** (k + 1)) * beta ** (k - 1) / math.factorial(k)
+        assert e.coefficient((k,)) == GradedCoeff.from_rational(want)
+
+
 # -- properties ---------------------------------------------------------------------
 
 

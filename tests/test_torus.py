@@ -130,6 +130,12 @@ def transform(ctx, chi0):
     return CoordinateTransform(ctx, chi0)
 
 
+@functools.lru_cache(maxsize=None)
+def deeper(ctx):
+    """The same torus and law at truncation D + 1, whose units are exact through u^D."""
+    return TorusContext(ctx.rank, build(ctx.fgl.Dc, ctx.D + 1, ctx.fgl.specialization))
+
+
 def adapted_divide(ctx, f, chi, d):
     """q with q * c(chi)^d = f through the guarantee, by adapted coordinates."""
     m, chi0 = primitive_part(chi)
@@ -137,7 +143,7 @@ def adapted_divide(ctx, f, chi, d):
     fa = tr.to_adapted(f)
     if any(t[0] < d for t in fa.coeffs):
         raise NotDivisible("adapted first-variable exponent too small")
-    fa = fa * ctx._unit_inverse_power(m, d).substitute({"u": ctx.var(0)})
+    fa = fa * deeper(ctx)._unit_inverse_power(m, d).substitute({"u": ctx.var(0)})
     stripped = {(t[0] - d,) + t[1:]: c for t, c in fa.coeffs.items()}
     qa = TruncSeries(ctx.vars, stripped, fa.guarantee - d)
     return tr.from_adapted(qa)
@@ -397,6 +403,16 @@ def test_chern_power_cached(T2):
     p = T2.chern_power((2, 1), 3)
     assert p is T2.chern_power((2, 1), 3)
     assert p == T2.character_series((2, 1)) ** 3
+
+
+@pytest.mark.parametrize("law", ORACLE_LAWS, ids=["universal", "additive", "mult"])
+def test_unit_inverse_power_is_exact_one_degree_below_the_truncation(law):
+    # [m](u) is exact through u^D, so ([m](u) / u)^(-d) only through u^(D-1)
+    T = TorusContext(1, build(6, 6, law))
+    for m, d in [(2, 1), (-1, 2), (3, 3)]:
+        unit = T._unit_inverse_power(m, d)
+        assert unit.guarantee == 5
+        assert unit.eq_through(deeper(T)._unit_inverse_power(m, d), 5)
 
 
 def test_rank_one_chern_ideal_equals_t():
