@@ -265,7 +265,8 @@ def _cmd_flag(args, out, stdin):
     if args.sub == "kernel":
         # The default truncation, and so the "# deg" header, keeps the bytes it
         # had when the Artin basis was restricted up to degree n(n-1)/2; the
-        # residue pairing reads series through u^dim, so the context is built
+        # pairing reads the law's characteristic series through degree dim,
+        # which needs the logarithm through dim + 1, so the context is built
         # at dim + 1 where the truncation is lower.
         dim = n * (n - 1) // 2
         computed = max(max(p.max_degree() or 0, 1) + 1, dim)

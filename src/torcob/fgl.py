@@ -9,11 +9,16 @@ Lagrange inversion (Stanley, EC2 5.4): [x^(n+1)] e = [u^n] (1 + M)^-(n+1)
 every m_i to a rational gives the additive law (all zero) or the
 multiplicative law (m_i = beta^i / (i+1)).
 
-The formal inverse is rho(u) = e(-l(u)): since F(u, v) = e(l(u) + l(v)),
-this is the equation F(u, rho) = 0.  It is checked on construction by a
-second composition, l(rho(u)) = -l(u) through the truncation; a failure
-raises ArithmeticError.  The bivariate F is built only when something reads
-it (``F``, ``a_coeff``, ``plus``, ``formal_sum``).
+The exponential is checked on construction by one composition,
+e(l(u)) = u through the truncation; a failure raises ArithmeticError.
+Truncated series with linear term 1 form a group under composition, so
+this is the same condition as l(e(x)) = x, and as l(rho(u)) = -l(u) for
+the formal inverse rho(u) = e(-l(u)) = [-1]u (put x = -l(u)).  Since
+F(u, v) = e(l(u) + l(v)), rho is the solution of F(u, rho) = 0.  Neither
+rho nor the bivariate F is built until something reads it: rho is the
+n-series at -1 (``rho``, ``n_series``), F is built by ``F``, ``a_coeff``,
+``plus`` and ``formal_sum``.  The logarithmic route of ``gkm`` reads only
+l, through ``weight_factors``.
 
 The characteristic series of the law is Q(x) = x / e(x) (Hirzebruch), a
 unit written exp(sum_k q_k x^k) with q_k in Q[m] of weight k.  Since
@@ -23,8 +28,9 @@ gives q_k = -[u^k] (1 + M)^-k / k: the same partition sum as e's
 exponential expansion prod_j Q(a_j z) = sum_mu q_mu p_mu(a) z^|mu| / aut(mu)
 over partitions mu, with power sums p_k(a) = sum_j a_j^k and aut(mu) the
 product of the factorials of the part multiplicities, is what
-``gkm.integrate`` sums on fundamental classes; ``weight_factors`` holds the
-weights q_mu / aut(mu) in factored form.
+``gkm.integrate`` sums on fundamental classes and ``flag.artin_pairing`` on
+the flag variety's x-monomials; ``weight_factors`` holds the weights
+q_mu / aut(mu) in factored form.
 """
 
 from __future__ import annotations
@@ -46,13 +52,13 @@ MAX_DEG = 24
 
 
 class FGLContext:
-    """Context holding l, e, rho and, once read, F at fixed truncations.
+    """Context holding l, e and, once read, rho and F at fixed truncations.
 
-    Immutable in everything it exposes, but n-series are cached in ``_nser``,
-    F in ``_F`` and weight factors in ``_weights`` on first use, without a
-    lock.  Each value depends only on its key, so threads sharing a context
-    get the same answers; two threads racing on one entry both compute it and
-    store equal values.
+    Immutable in everything it exposes, but n-series (rho among them) are
+    cached in ``_nser``, F in ``_F`` and weight factors in ``_weights`` on
+    first use, without a lock.  Each value depends only on its key, so
+    threads sharing a context get the same answers; two threads racing on one
+    entry both compute it and store equal values.
     """
 
     def __init__(self, coeff_degree, degree, specialization=None):
@@ -65,9 +71,10 @@ class FGLContext:
         self.specialization = _normalize_spec(specialization)
         self.log = self._build_log()
         self.exp = self.log.compositional_inverse()
-        self.rho = self._build_rho()
+        if self.exp.substitute({"u": self.log}) != _uvar(self.D):
+            raise ArithmeticError("exponential fails e(l(u)) = u")
         self._F = None
-        self._nser = {0: TruncSeries.zero(("u",), self.D), 1: _uvar(self.D), -1: self.rho}
+        self._nser = {0: TruncSeries.zero(("u",), self.D), 1: _uvar(self.D)}
         self._weights = {}
 
     # -- construction -------------------------------------------------------
@@ -85,11 +92,10 @@ class FGLContext:
                 coeffs[(i + 1,)] = c
         return TruncSeries(("u",), coeffs, self.D)
 
-    def _build_rho(self):
-        rho = self.exp.substitute({"u": -self.log})
-        if self.log.substitute({"u": rho}) != -self.log:
-            raise ArithmeticError("formal inverse fails l(rho(u)) = -l(u)")
-        return rho
+    @property
+    def rho(self) -> TruncSeries:
+        """The formal inverse rho(u) = e(-l(u)) = [-1]u, built on first read."""
+        return self.n_series(-1)
 
     @property
     def F(self) -> TruncSeries:

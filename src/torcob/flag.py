@@ -10,26 +10,26 @@ walls x_{n+1-i}^i.
 The bridge to the moment-graph model evaluates a polynomial at the
 tautological weights t_{w(1)}, ..., t_{w(n)} of each coset w.  Membership
 in the ideal is decided twice: by the normal form, and by pairing against
-the Artin basis through the one-variable residue of ``gkm.integrate``.
+the Artin basis.  The pairing integrates x-monomials in the logarithmic
+coordinate of ``gkm`` (integer power-sum moments over the cosets, weighted
+by the law's characteristic series), not by the residue series of
+``gkm.integrate``, which stays the route of every other class.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
+from fractions import Fraction
 
 from torcob.coeff import GradedCoeff
 from torcob.errors import TooLarge, TruncationInsufficient
 from torcob.fgl import build
-from torcob.gkm import (
-    PiecewiseClass,
-    _along,
-    _over_unit,
-    _top_coefficient,
-    flag_graph,
-)
+from torcob.gkm import PiecewiseClass, _log_integral, flag_graph
 # Looked up here by the benchmark's tracer (e2ebench/spans.py); unused in this module.
 from torcob.gkm import basis_expand  # noqa: F401
+from torcob.kernels import mul_acc
 from torcob.series import TruncSeries
 from torcob.torus import TorusContext
 
@@ -172,58 +172,59 @@ def flag_restriction(ctx: TorusContext, n: int, p: TruncSeries) -> PiecewiseClas
     return PiecewiseClass(values)
 
 
-def _staircase_products(q: TruncSeries, ys) -> dict:
-    """{a: q * prod_k ys[k]^a_k} over the Artin staircase, one multiply per entry.
-
-    The short ranges come first, so the intermediate levels stay small.
-    """
-    n = len(ys)
-    out = {(0,) * n: q}
-    for k in range(n - 2, -1, -1):
-        nxt = {}
-        for a, s in out.items():
-            for e in range(n - k):
-                if e:
-                    s = s * ys[k]
-                nxt[a[:k] + (e,) + a[k + 1:]] = s
-        out = nxt
-    return out
-
-
 def artin_pairing(ctx: TorusContext, n: int, p: TruncSeries) -> list:
     """[integral of p * x^a over Fl_n for a in artin_exponents(n)].
 
-    Each integral is the one-variable residue of ``gkm.integrate``: along the
-    generic cocharacter lambda, x_k at the coset w becomes [lambda_{w(k)}](u),
-    p_v(u) / U_v(u) is formed once per vertex and multiplied by every Artin
-    monomial there, and each sum is read at u^dim with the coefficients below
-    it certified zero.  A truncation at or below dim = n(n-1)/2 is raised to
-    dim + 1 in a context built here.
+    The integrals are summed in the logarithmic coordinate of ``gkm``, with
+    no series formed: at the coset w, x_k restricts to t_{w(k)}, so x^c has
+    the vertex values t^(e_w), and ``gkm._log_integral`` gives its integral
+    R_dim(c) = sum_(|mu| = dim - |c|) q_mu N_mu(c) / aut(mu) in integers,
+    the sums over each smaller |mu| certified zero.  Each R_dim(c) is
+    computed once per call, and the integral of p x^a is
+    sum_b p_b R_dim(a + b) over the monomials p_b x^b of p, accumulated
+    with ``mul_acc``.  A truncation at or below dim = n(n-1)/2 is raised to
+    dim + 1 in a law built here.
     """
     if ctx.rank != n:
         raise ValueError("torus rank must equal n")
+    if p.vars != xvars(n):
+        raise ValueError("polynomial is not in the expected x-variables")
     g = flag_graph(n)
-    if ctx.D <= g.dim:
-        ctx = TorusContext(n, build(ctx.fgl.Dc, g.dim + 1, ctx.fgl.specialization))
-    lam = g.cocharacter
-    along = [s.truncated(g.dim) for s in _along(ctx, lam).values()]
-    totals = {a: TruncSeries.zero(("u",), g.dim) for a in artin_exponents(n)}
+    law = ctx.fgl
+    if law.D <= g.dim:
+        law = build(law.Dc, g.dim + 1, law.specialization)
+    # at the coset w, t_i carries the exponent of x_k with w(k) = i
+    cosets = []
     for v in g.vertices:
-        ys = [along[int(c) - 1] for c in v]
-        q = _over_unit(ctx, g, v, lam, p, dict(zip(xvars(n), ys)))
-        for a, s in _staircase_products(q, ys).items():
-            totals[a] = totals[a] + s
-    return [_top_coefficient(t, g.dim) for t in totals.values()]
+        inverse = sorted(range(n), key=lambda k: v[k])
+        cosets.append((v, operator.itemgetter(*inverse) if n > 1 else tuple))
+    integrals = {}
+    den = 1  # shared by every integral, set by the first
+    out = []
+    for a in artin_exponents(n):
+        acc = {}
+        for b, pb in p.num.items():
+            c = tuple(map(operator.add, a, b))
+            if sum(c) > g.dim:
+                continue
+            if c not in integrals:
+                exps = {v: get(c) for v, get in cosets}
+                integrals[c], den = _log_integral(law, g, exps)
+            mul_acc(acc, pb.items(), integrals[c])
+        out.append(acc)
+    den *= p.den
+    return [GradedCoeff({m: Fraction(x, den) for m, x in acc.items()}) for acc in out]
 
 
 def kernel_check(ctx: TorusContext, n: int, p: TruncSeries) -> bool:
     """True iff p maps to zero in the flag cobordism ring.
 
     Two independent routes must agree: the coinvariant normal form, and the
-    residue pairing of ``artin_pairing``: p is zero iff its integral against
-    every Artin monomial vanishes (Poincare duality; the pairing matrix is
-    unimodular).  A polynomial above the truncation, or a rank above
-    MAX_KERNEL_RANK, is refused.
+    Bott residue pairing of ``artin_pairing``, summed as integer power-sum
+    moments: p is zero iff its integral against every Artin monomial
+    vanishes (Poincare duality; the pairing matrix is unimodular).  A
+    polynomial above the truncation, or a rank above MAX_KERNEL_RANK, is
+    refused.
     """
     if n > MAX_KERNEL_RANK:
         raise TooLarge(f"rank {n} is above the limit {MAX_KERNEL_RANK}")

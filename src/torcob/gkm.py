@@ -34,6 +34,14 @@ touched once per partition, not once per vertex.  Since u/z is a unit
 with constant term 1 and z = u + O(u^2), the residue sum has no term below
 u^dim exactly when R_k = 0 for every k < dim, and then [X] = R_dim: the
 same certificate and the same answer as the residue sum.
+
+The same sum integrates a class whose value at each vertex v is one
+t-monomial t^(e_v), all of one degree d (``_log_integral``): t_i restricts
+to e(lambda_i z) = lambda_i z / Q(lambda_i z), which folds into the
+exponential beside the Euler class, so the integral is R_(dim - d) with
+p_mu(a_v) replaced by products of s_r(v) = p_r(a_v) - sum_i e_vi lambda_i^r
+and each vertex weighted by lambda^(e_v).  ``flag.artin_pairing`` pairs
+x-polynomials this way, with no series formed.
 """
 
 from __future__ import annotations
@@ -64,9 +72,10 @@ from torcob.torus import TorusContext, content, proportional
 class GKMGraph:
     """rank, common valence dim, vertex ids, and signed edges.
 
-    The edges are fixed at construction, so the generic cocharacter they
-    determine is computed once, on first use, and kept; threads racing on
-    that first use both compute it and store equal values.
+    The edges are fixed at construction, so the generic cocharacter and the
+    tangent power sums they determine are computed once, on first use, and
+    kept; threads racing on that first use both compute them and store equal
+    values.
     """
 
     def __init__(self, rank, dim, vertices, edges):
@@ -79,6 +88,7 @@ class GKMGraph:
             self._incident[v].append((w, chi))
             self._incident[w].append((v, tuple(-x for x in chi)))
         self._cocharacter = None
+        self._moments = None
 
     @property
     def cocharacter(self) -> tuple:
@@ -86,6 +96,13 @@ class GKMGraph:
         if self._cocharacter is None:
             self._cocharacter = _generic_cocharacter(self)
         return self._cocharacter
+
+    @property
+    def moments(self) -> tuple:
+        """The tangent power sums of ``_tangent_moments``, kept after first use."""
+        if self._moments is None:
+            self._moments = _tangent_moments(self)
+        return self._moments
 
     def incident(self, v):
         """(other vertex, tangent character at v) pairs."""
@@ -304,15 +321,13 @@ def _constant_value(alpha: PiecewiseClass):
     return first.constant_term()
 
 
-def _power_sum_numbers(g: GKMGraph, partitions) -> tuple:
-    """({mu: den * N_mu} over ``partitions``, den), all integers.
+def _tangent_moments(g: GKMGraph) -> tuple:
+    """(den, rows, row_of): the tangent pairings as power sums over one denominator.
 
-    N_mu = sum_v p_mu(a_v) / prod_j a_vj at the pairings a_vj of the tangent
-    characters at v with the graph's cocharacter, over the common
-    denominator den, the lcm of the |prod_j a_vj|.  Vertices with the same
-    pairings are summed once.  ``partitions`` must list every prefix before
-    its extensions; each N_mu then costs one multiplication per distinct row
-    of pairings.
+    With a_vj = <chi_j, lambda> the pairings of the tangent characters at v
+    with the graph's cocharacter, vertex v has the row ``rows[row_of[v]]``,
+    (den / prod_j a_vj, (p_1(a_v), ..., p_dim(a_v))), and den is the lcm of
+    the |prod_j a_vj|.  Vertices with the same pairings share one row.
     """
     lam = g.cocharacter
     at = {v: [] for v in g.vertices}
@@ -320,19 +335,64 @@ def _power_sum_numbers(g: GKMGraph, partitions) -> tuple:
         a = _pairing(chi, lam)
         at[v].append(a)
         at[w].append(-a)
-    counts = Counter(tuple(sorted(a)) for a in at.values())
-    rows = list(counts)
-    euler = [math.prod(a) for a in rows]
-    den = math.lcm(*euler)
-    powers = [None] + [[sum(x ** k for x in a) for a in rows] for k in range(1, g.dim + 1)]
-    path = [[counts[a] * (den // e) for a, e in zip(rows, euler)]]
+    index = {}
+    row_of = {v: index.setdefault(tuple(sorted(a)), len(index)) for v, a in at.items()}
+    den = math.lcm(*(math.prod(a) for a in index))
+    rows = [
+        (den // math.prod(a), tuple(sum(x ** k for x in a) for k in range(1, g.dim + 1)))
+        for a in index
+    ]
+    return den, rows, row_of
+
+
+def _power_sum_numbers(g: GKMGraph, partitions, exps) -> dict:
+    """{mu: den * N_mu} over ``partitions``, all integers.
+
+    The class is the t-monomial t^(e_v) at each vertex v, e_v = ``exps[v]``
+    (all zero for the fundamental class).  Along lambda, in the
+    logarithmic coordinate z, t_i is e(lambda_i z), so the term of v is
+    lambda^(e_v) z^(|e_v| - dim) / prod_j a_vj times exp(sum_r q_r s_r(v) z^r)
+    with the integers s_r(v) = p_r(a_v) - sum_i e_vi lambda_i^r, and
+
+        N_mu = sum_v lambda^(e_v) s_mu(v) / prod_j a_vj
+
+    over the common denominator den of ``GKMGraph.moments``.  Vertices with
+    the same (s_r(v)) are summed once.  ``partitions`` must list every
+    prefix before its extensions; each N_mu then costs one multiplication
+    per distinct (s_r(v)) with a nonzero term.
+    """
+    _, rows, row_of = g.moments
+    top = max((mu[0] for mu in partitions if mu), default=0)
+    groups = Counter((row_of[v], exps[v]) for v in g.vertices)
+    lam = g.cocharacter
+    lam_powers = [[x ** r for r in range(1, top + 1)] for x in lam]
+    shifts = {}  # e -> (lambda^e, [sum_i e_i lambda_i^r for r = 1..top])
+    weights = {}
+    for (i, e), count in groups.items():
+        shift = shifts.get(e)
+        if shift is None:
+            scale, vec = 1, [0] * top
+            for x, xp, k in zip(lam, lam_powers, e):
+                if k:
+                    scale *= x ** k
+                    if not scale:
+                        break
+                    vec = [y + k * z for y, z in zip(vec, xp)]
+            shift = shifts[e] = (scale, vec)
+        if shift[0]:
+            unit, psums = rows[i]
+            s = tuple(map(operator.sub, psums, shift[1]))
+            weights[s] = weights.get(s, 0) + count * unit * shift[0]
+    columns = [s for s, w in weights.items() if w]
+    powers = [None] + [[s[r] for s in columns] for r in range(top)]
+    path = [[weights[s] for s in columns]]
     sums = {}
     for mu in partitions:
         if mu:
             del path[len(mu):]
             path.append([x * y for x, y in zip(path[-1], powers[mu[-1]])])
         sums[mu] = sum(path[-1])
-    return sums, den
+    return sums
 
 
 def _weighted_sum(factors: dict, sums: dict, k: int) -> dict:
@@ -358,17 +418,35 @@ def _weighted_sum(factors: dict, sums: dict, k: int) -> dict:
     return {}
 
 
+def _log_integral(law, g: GKMGraph, exps) -> tuple:
+    """(num, den): the integral of the class t^(e_v) over X as numerators over den.
+
+    ``exps`` is as for ``_power_sum_numbers``, every e_v of one degree d.
+    The sum over the vertices is z^(d - dim) sum_k R_k z^k with
+    R_k = sum_(|mu| = k) q_mu N_mu / aut(mu), so the integral is R_(dim - d)
+    (0 when d > dim), as an {m-exponents: int} map; NotDivisible unless
+    R_k = 0 for k < dim - d.  den depends on the graph and the law only, not
+    on ``exps``, so integrals of different monomials add numerator to
+    numerator.  The formal group law ``law`` needs truncation dim + 1
+    (``FGLContext.weight_factors``).
+    """
+    wden, factors = law.weight_factors(g.dim)
+    k = g.dim - sum(exps[g.vertices[0]])
+    partitions = factors if k == g.dim else [mu for mu in factors if sum(mu) <= k]
+    sums = _power_sum_numbers(g, partitions, exps)
+    # R_j is zero when every N_mu of size j is; only the others are summed
+    sizes = {sum(mu) for mu, n in sums.items() if n}
+    if any(_weighted_sum(factors, sums, j) for j in sizes if j < k):
+        raise NotDivisible(_NOT_DIVISIBLE)
+    lift = wden ** (g.dim - k)
+    den = g.moments[0] * wden ** g.dim
+    return {m: x * lift for m, x in _weighted_sum(factors, sums, k).items()}, den
+
+
 def _fundamental_class(ctx: TorusContext, g: GKMGraph) -> GradedCoeff:
     """[X] = R_dim in the logarithmic coordinate; NotDivisible unless R_k = 0 for k < dim."""
-    den, factors = ctx.fgl.weight_factors(g.dim)
-    sums, scale = _power_sum_numbers(g, factors)
-    # R_k is zero when every N_mu of size k is; only the others are summed
-    sizes = sorted({sum(mu) for mu, n in sums.items() if n})
-    if any(_weighted_sum(factors, sums, k) for k in sizes if k < g.dim):
-        raise NotDivisible(_NOT_DIVISIBLE)
-    scale *= den ** g.dim
-    top = _weighted_sum(factors, sums, g.dim)
-    return GradedCoeff({m: Fraction(x, scale) for m, x in top.items()})
+    num, den = _log_integral(ctx.fgl, g, dict.fromkeys(g.vertices, (0,) * g.rank))
+    return GradedCoeff({m: Fraction(x, den) for m, x in num.items()})
 
 
 def integrate(ctx: TorusContext, g: GKMGraph, alpha: PiecewiseClass, check_class=True) -> GradedCoeff:

@@ -273,6 +273,33 @@ def test_rho_check_raises_on_a_wrong_exponential(monkeypatch):
         build(2, 5)
 
 
+def test_build_forms_no_rho(monkeypatch):
+    def boom(self, n):
+        raise AssertionError("an n-series was built")
+
+    monkeypatch.setattr(fgl.FGLContext, "n_series", boom)
+    ctx = build(6, 12)
+    assert -1 not in ctx._nser
+    monkeypatch.undo()
+    assert ctx.rho == ctx._nser[-1]
+
+
+@pytest.mark.parametrize(
+    "dc, d, spec",
+    [(6, 8, None), (0, 7, "additive"), (3, 7, ("multiplicative", Fraction(2, 5))),
+     (2, 6, {1: Fraction(1, 3), 3: Fraction(-2)})],
+    ids=["universal", "additive", "multiplicative", "custom"],
+)
+def test_lazy_rho_is_the_formal_inverse(dc, d, spec):
+    ctx = build(dc, d, spec)
+    rho = ctx.rho
+    assert rho is ctx.rho  # cached: read twice, built once
+    assert rho == ctx.n_series(-1) == ctx.exp.substitute({"u": -ctx.log})
+    assert ctx.log.substitute({"u": rho}) == -ctx.log
+    u = TruncSeries.variable(("u", "v"), "u", d)
+    assert ctx.F.substitute({"u": u, "v": rho.substitute({"u": u})}).is_zero()
+
+
 def _forbid_F(monkeypatch):
     def boom(self):
         raise AssertionError("F was built")
@@ -387,9 +414,11 @@ def test_characteristic_log_starts_at_m1():
 
 
 def test_universal_law_builds_at_max_deg():
-    # the construction check l(rho(u)) = -l(u) is the oracle
+    # the construction check e(l(u)) = u is the oracle, and rho then satisfies
+    # l(rho(u)) = -l(u)
     ctx = build(fgl.MAX_DEG - 1, fgl.MAX_DEG)
     assert ctx.exp.guarantee == ctx.rho.guarantee == fgl.MAX_DEG
+    assert ctx.log.substitute({"u": ctx.rho}) == -ctx.log
 
 
 def test_weight_factors_need_the_degree():

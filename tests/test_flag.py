@@ -10,6 +10,7 @@ from torcob import flag, gkm
 from torcob.coeff import GradedCoeff
 from torcob.errors import TooLarge, TruncationInsufficient
 from torcob.fgl import build
+from torcob.series import TruncSeries
 from torcob.torus import TorusContext
 
 
@@ -210,6 +211,132 @@ def test_kernel_check_rank5_specialized():
     e2 = flag.elementary_symmetric(5, 2)
     assert flag.kernel_check(T, 5, e2 * x[0] * x[1] + flag.elementary_symmetric(5, 4))
     assert not flag.kernel_check(T, 5, x[0] ** 4 * x[1] ** 3 * x[2] ** 2 * x[3] + e2)
+
+
+# -- the series residue pairing, kept as an oracle for the moment pairing -------
+
+
+def _staircase_products(q, ys):
+    """{a: q * prod_k ys[k]^a_k} over the Artin staircase, one multiply per entry."""
+    n = len(ys)
+    out = {(0,) * n: q}
+    for k in range(n - 2, -1, -1):
+        nxt = {}
+        for a, s in out.items():
+            for e in range(n - k):
+                if e:
+                    s = s * ys[k]
+                nxt[a[:k] + (e,) + a[k + 1:]] = s
+        out = nxt
+    return out
+
+
+def artin_pairing_oracle(ctx, n, p):
+    """The pairing as one-variable residues: x_k -> [lambda_{w(k)}](u) at each coset w.
+
+    p_w(u) / U_w(u) is formed once per vertex, multiplied by every Artin
+    monomial there, and each sum is read at u^dim with the coefficients below
+    it certified zero.
+    """
+    g = gkm.flag_graph(n)
+    if ctx.D <= g.dim:
+        ctx = TorusContext(n, build(ctx.fgl.Dc, g.dim + 1, ctx.fgl.specialization))
+    lam = g.cocharacter
+    along = [s.truncated(g.dim) for s in gkm._along(ctx, lam).values()]
+    totals = {a: TruncSeries.zero(("u",), g.dim) for a in flag.artin_exponents(n)}
+    for v in g.vertices:
+        ys = [along[int(c) - 1] for c in v]
+        q = gkm._over_unit(ctx, g, v, lam, p, dict(zip(flag.xvars(n), ys)))
+        for a, s in _staircase_products(q, ys).items():
+            totals[a] = totals[a] + s
+    return [gkm._top_coefficient(t, g.dim) for t in totals.values()]
+
+
+def _rand_pairing_input(rng, n, top):
+    """Up to four monomials of degree <= top, with Lazard terms in the coefficients."""
+    terms = {}
+    for _ in range(4):
+        e = tuple(rng.randint(0, n) for _ in range(n))
+        if sum(e) > top:
+            continue
+        c = GradedCoeff.from_rational(Fraction(rng.randint(-4, 4), rng.choice((1, 1, 2, 3))))
+        if rng.random() < 0.6:
+            c = c + GradedCoeff.monomial((0,) * rng.randint(0, 2) + (1,), rng.randint(-2, 2))
+        if not c.is_zero():
+            terms[e] = c
+    return flag.x_poly(n, terms)
+
+
+PAIRING_LAWS = [
+    pytest.param(*law, id=name)
+    for name, law in [
+        ("universal-0", (0, None)), ("universal-1", (1, None)), ("universal-2", (2, None)),
+        ("universal-3", (3, None)), ("universal-4", (4, None)), ("universal-5", (5, None)),
+        ("universal-6", (6, None)), ("additive", (3, "additive")),
+        ("multiplicative", (2, ("multiplicative", Fraction(2, 5)))),
+        ("multiplicative-neg", (0, ("multiplicative", Fraction(-1, 3)))),
+        ("custom", (4, {1: Fraction(1, 3), 3: Fraction(-2)})),
+    ]
+]
+
+
+@pytest.mark.parametrize("dc, spec", PAIRING_LAWS)
+def test_artin_pairing_matches_series_oracle(dc, spec):
+    # ranks 1-4 at truncations dim + 1 and dim + 2, with monomials above dim
+    rng = random.Random(repr((dc, spec)))
+    for n in (1, 2, 3, 4):
+        dim = n * (n - 1) // 2
+        for extra in (1, 2):
+            T = TorusContext(n, build(dc, dim + extra, spec))
+            for _ in range(3 if n < 4 else 2):
+                p = _rand_pairing_input(rng, n, dim + extra)
+                assert flag.artin_pairing(T, n, p) == artin_pairing_oracle(T, n, p)
+
+
+@pytest.mark.parametrize("dc, d, spec", [
+    (2, 11, None),
+    (6, 11, None),
+    (6, 12, "additive"),
+    (1, 11, ("multiplicative", Fraction(2, 5))),
+])
+def test_artin_pairing_rank5_matches_series_oracle(dc, d, spec):
+    rng = random.Random(53 + d)
+    T = TorusContext(5, build(dc, d, spec))
+    p = _rand_pairing_input(rng, 5, 4) + flag.x_var(5, 2)
+    assert flag.artin_pairing(T, 5, p) == artin_pairing_oracle(T, 5, p)
+
+
+@pytest.mark.parametrize("dc, spec", [(3, None), (0, "additive"), (2, ("multiplicative", 1))],
+                         ids=["universal", "additive", "multiplicative"])
+def test_artin_pairing_at_one_is_the_integral(dc, spec):
+    # the a = 0 entry is the integral of p, which gkm.integrate finds by its
+    # residue route for a non-constant class and by the log route for a constant
+    rng = random.Random(59)
+    for n in (2, 3, 4):
+        dim = n * (n - 1) // 2
+        T = TorusContext(n, build(dc, dim + 1, spec))
+        g = gkm.flag_graph(n)
+        three_plus_m1 = GradedCoeff.from_rational(3) + GradedCoeff.generator(1)
+        constant = flag.x_poly(n, {(0,) * n: three_plus_m1})
+        for p in [constant] + [_rand_pairing_input(rng, n, dim + 1) for _ in range(3)]:
+            want = gkm.integrate(T, g, flag.flag_restriction(T, n, p))
+            assert flag.artin_pairing(T, n, p)[0] == want
+
+
+def test_artin_pairing_refuses_other_variables():
+    T = TorusContext(3, build(3, 6))
+    with pytest.raises(ValueError):
+        flag.artin_pairing(T, 3, flag.x_var(2, 1))
+    with pytest.raises(ValueError):
+        flag.artin_pairing(T, 3, T.var(0))
+
+
+def test_artin_pairing_of_zero_and_of_high_degree():
+    T = TorusContext(3, build(3, 6))
+    assert all(c.is_zero() for c in flag.artin_pairing(T, 3, flag.x_zero(3)))
+    # every product with the staircase has degree above dim = 3
+    p = flag.x_var(3, 1) ** 2 * flag.x_var(3, 2) ** 2
+    assert all(c.is_zero() for c in flag.artin_pairing(T, 3, p))
 
 
 # -- the pairing matrix of the Artin basis ------------------------------------
