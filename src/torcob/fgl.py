@@ -17,8 +17,8 @@ the formal inverse rho(u) = e(-l(u)) = [-1]u (put x = -l(u)).  Since
 F(u, v) = e(l(u) + l(v)), rho is the solution of F(u, rho) = 0.  Neither
 rho nor the bivariate F is built until something reads it: rho is the
 n-series at -1 (``rho``, ``n_series``), F is built by ``F``, ``a_coeff``,
-``plus`` and ``formal_sum``.  The logarithmic route of ``gkm`` reads only
-l, through ``weight_factors``.
+``plus`` and ``formal_sum``.  Integration in ``gkm`` reads only l,
+through ``weight_factors``.
 
 The characteristic series of the law is Q(x) = x / e(x) (Hirzebruch), a
 unit written exp(sum_k q_k x^k) with q_k in Q[m] of weight k.  Since
@@ -28,8 +28,8 @@ gives q_k = -[u^k] (1 + M)^-k / k: the same partition sum as e's
 exponential expansion prod_j Q(a_j z) = sum_mu q_mu p_mu(a) z^|mu| / aut(mu)
 over partitions mu, with power sums p_k(a) = sum_j a_j^k and aut(mu) the
 product of the factorials of the part multiplicities, is what
-``gkm.integrate`` sums on fundamental classes and ``flag.artin_pairing`` on
-the flag variety's x-monomials; ``weight_factors`` holds the weights
+``gkm.integrate`` sums for every class (and ``flag.artin_pairing`` for the
+flag variety's x-monomials); ``weight_factors`` holds the weights
 q_mu / aut(mu) in factored form.
 """
 

@@ -10,10 +10,10 @@ walls x_{n+1-i}^i.
 The bridge to the moment-graph model evaluates a polynomial at the
 tautological weights t_{w(1)}, ..., t_{w(n)} of each coset w.  Membership
 in the ideal is decided twice: by the normal form, and by pairing against
-the Artin basis.  The pairing integrates x-monomials in the logarithmic
-coordinate of ``gkm`` (integer power-sum moments over the cosets, weighted
-by the law's characteristic series), not by the residue series of
-``gkm.integrate``, which stays the route of every other class.
+the Artin basis.  The pairing integrates x-monomials by the sum of
+``gkm.integrate``, in the logarithmic coordinate (integer power-sum moments
+over the cosets, weighted by the law's characteristic series), one
+integral per monomial with no class or series formed.
 """
 
 from __future__ import annotations
@@ -177,9 +177,9 @@ def artin_pairing(ctx: TorusContext, n: int, p: TruncSeries) -> list:
 
     The integrals are summed in the logarithmic coordinate of ``gkm``, with
     no series formed: at the coset w, x_k restricts to t_{w(k)}, so x^c has
-    the vertex values t^(e_w), and ``gkm._log_integral`` gives its integral
-    R_dim(c) = sum_(|mu| = dim - |c|) q_mu N_mu(c) / aut(mu) in integers,
-    the sums over each smaller |mu| certified zero.  Each R_dim(c) is
+    the vertex values t^(e_w), each of weight 1, and ``gkm._log_integral``
+    gives its integral R_dim(c) = sum_(|mu| = dim - |c|) q_mu N_mu(c) / aut(mu)
+    in integers, every lower level certified zero.  Each R_dim(c) is
     computed once per call, and the integral of p x^a is
     sum_b p_b R_dim(a + b) over the monomials p_b x^b of p, accumulated
     with ``mul_acc``.  A truncation at or below dim = n(n-1)/2 is raised to
@@ -208,8 +208,8 @@ def artin_pairing(ctx: TorusContext, n: int, p: TruncSeries) -> list:
             if sum(c) > g.dim:
                 continue
             if c not in integrals:
-                exps = {v: get(c) for v, get in cosets}
-                integrals[c], den = _log_integral(law, g, exps)
+                terms = [(v, get(c), 1) for v, get in cosets]
+                integrals[c], den = _log_integral(law, g, {(sum(c), ()): terms})
             mul_acc(acc, pb.items(), integrals[c])
         out.append(acc)
     den *= p.den

@@ -10,38 +10,31 @@ equivariant class when every edge difference is divisible by the Chern class
 of the edge character.
 
 Integration runs the fixed-point residue sum along a generic one-parameter
-subgroup (Ellingsrud-Stromme): pick a cocharacter lambda pairing nonzero
-with every edge character and restrict along t_i -> [lambda_i](u).  The
-Euler class at v becomes u^dim times a unit U_v(u), a product of
-[k](u)/u, so the integral is the coefficient of u^dim in the one-variable
-series sum_v alpha_v(u) / U_v(u); the coefficients below u^dim must vanish,
-which certifies the sum.  Only series through u^dim are needed, so the
-truncation demand is the dimension plus one.
+subgroup (Ellingsrud-Stromme) in the logarithmic coordinate z = l(u): pick
+a cocharacter lambda pairing nonzero with every edge character and restrict
+along t_i -> [lambda_i](u) = e(lambda_i z).  The integral is the constant
+term of sum_v alpha_v / e_v, and its terms in negative powers must vanish,
+which certifies the sum.  With the characteristic series
+Q(x) = x / e(x) = exp(sum q_k x^k) of the law (see ``fgl``) and
+a_vj = <chi_j, lambda> over the tangent characters at v, both the Euler
+class e_v = prod_j e(a_vj z) and a t-monomial t^e = prod_i e(lambda_i z)^e_i
+are monomials in z times one exponential, so a term n t^e of alpha_v gives
 
-A class whose vertex values are all one t-constant c is c times the
-fundamental class [X], which is summed in the logarithmic coordinate
-z = l(u) instead.  There [a](u) = e(a z), so with the characteristic
-series Q(x) = x / e(x) = exp(sum q_k x^k) of the law (see ``fgl``) and
-a_vj = <chi_j, lambda> over the tangent characters at v,
+    n t^e / e_v = z^(|e| - dim) * sum_mu q_mu N_mu z^|mu| / aut(mu),
+    N_mu = n lambda^e s_mu(v, e) / prod_j a_vj,
+    s_k(v, e) = p_k(a_v) - sum_i e_i lambda_i^k,
 
-    sum_v u^dim / e_v(u) = (u/z)^dim * sum_k R_k z^k,
-    R_k = sum_(|mu| = k) q_mu N_mu / aut(mu),
-    N_mu = sum_v p_mu(a_v) / prod_j a_vj,
-
-with p_mu the power sums.  Each N_mu is a rational number (a power-sum
-Chern number by Atiyah-Bott at the integer point lambda), so Q[m] is
-touched once per partition, not once per vertex.  Since u/z is a unit
-with constant term 1 and z = u + O(u^2), the residue sum has no term below
-u^dim exactly when R_k = 0 for every k < dim, and then [X] = R_dim: the
-same certificate and the same answer as the residue sum.
-
-The same sum integrates a class whose value at each vertex v is one
-t-monomial t^(e_v), all of one degree d (``_log_integral``): t_i restricts
-to e(lambda_i z) = lambda_i z / Q(lambda_i z), which folds into the
-exponential beside the Euler class, so the integral is R_(dim - d) with
-p_mu(a_v) replaced by products of s_r(v) = p_r(a_v) - sum_i e_vi lambda_i^r
-and each vertex weighted by lambda^(e_v).  ``flag.artin_pairing`` pairs
-x-polynomials this way, with no series formed.
+with p_k the power sums and q_mu, s_mu the products over the parts of mu.
+A term of t-degree d thus lands at the levels L = d + |mu|, and with R_L
+the total at level L, sum_v alpha_v / e_v = z^-dim * sum_L R_L z^L.  Each
+N_mu is an integer over one denominator (a power-sum Chern number by
+Atiyah-Bott at the integer point lambda), so Q[m] is touched once per
+partition, not once per vertex.  Since z = u + O(u^2), the sum has no
+negative powers of u exactly when R_L = 0 for every L < dim, and then the
+integral is R_dim (``_log_integral``).  Only the weights with |mu| <= dim
+are read, from l through degree dim + 1, so the truncation demand is the
+dimension plus one.  ``flag.artin_pairing`` pairs x-polynomials by the
+same sum, with no series formed.
 """
 
 from __future__ import annotations
@@ -49,7 +42,6 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from collections import Counter
 from fractions import Fraction
 
 from torcob.coeff import GradedCoeff
@@ -229,11 +221,11 @@ def pushforward_point(ctx: TorusContext, g: GKMGraph, v, s: TruncSeries) -> Piec
 def required_guarantee(g: GKMGraph, alpha: PiecewiseClass) -> int:
     """Up-front truncation demand of ``integrate``: the dimension plus one.
 
-    The residue sum reads its series through u^dim, and the unit [k](u)/u is
-    exact one degree below the truncation; the logarithmic route of
-    fundamental classes reads l through degree dim + 1.  The demand does not
-    depend on the class; ``alpha`` is accepted so that callers can pass the
-    one they are about to integrate.
+    The sum reads the weights q_mu / aut(mu) with |mu| <= dim, which
+    ``FGLContext.weight_factors`` takes from l through degree dim + 1, and
+    the vertex values through t-degree dim.  The demand does not depend on
+    the class; ``alpha`` is accepted so that callers can pass the one they
+    are about to integrate.
     """
     return g.dim + 1
 
@@ -274,53 +266,6 @@ def _pairing(chi, lam) -> int:
     return sum(map(operator.mul, chi, lam))
 
 
-def _along(ctx: TorusContext, lam) -> dict:
-    """The restriction t_i -> [lambda_i](u) to the one-parameter subgroup lambda."""
-    return {t: ctx.fgl.n_series(x) for t, x in zip(ctx.vars, lam)}
-
-
-def _over_unit(ctx: TorusContext, g: GKMGraph, v, lam, value: TruncSeries, assignment) -> TruncSeries:
-    """value(u) / U_v(u) through u^dim, where ``assignment`` restricts value to u.
-
-    Here e_v(u) = prod_chi [<chi, lambda>](u) = u^dim * U_v(u).  Every pairing
-    must be nonzero and the guarantees must reach dim.
-    """
-    term = value.truncated(g.dim).substitute(assignment)
-    for k, d in Counter(_pairing(chi, lam) for _, chi in g.incident(v)).items():
-        term = term * ctx._unit_inverse_power(k, d)
-    return term
-
-
-_NOT_DIVISIBLE = "residue sum not divisible; class condition or guarantee violated"
-
-
-def _top_coefficient(total: TruncSeries, dim: int) -> GradedCoeff:
-    """The coefficient of u^dim of a residue sum, certified by the vanishing below it."""
-    if any(k < dim for (k,) in total.num):
-        raise NotDivisible(_NOT_DIVISIBLE)
-    return total.coefficient((dim,))
-
-
-def _residue_along(ctx: TorusContext, g: GKMGraph, alpha: PiecewiseClass, lam) -> TruncSeries:
-    """sum_v alpha_v(u) / U_v(u) through u^dim, restricted along lambda."""
-    restrict = _along(ctx, lam)
-    total = TruncSeries.zero(("u",), g.dim)
-    for v in g.vertices:
-        total = total + _over_unit(ctx, g, v, lam, alpha.values[v], restrict)
-    return total
-
-
-def _constant_value(alpha: PiecewiseClass):
-    """The coefficient c when every vertex value is the same t-constant c, else None."""
-    values = iter(alpha.values.values())
-    first = next(values)
-    if any(sum(t) for t in first.num):
-        return None
-    if any(s.den != first.den or s.num != first.num for s in values):
-        return None
-    return first.constant_term()
-
-
 def _tangent_moments(g: GKMGraph) -> tuple:
     """(den, rows, row_of): the tangent pairings as power sums over one denominator.
 
@@ -345,30 +290,30 @@ def _tangent_moments(g: GKMGraph) -> tuple:
     return den, rows, row_of
 
 
-def _power_sum_numbers(g: GKMGraph, partitions, exps) -> dict:
+def _power_sum_numbers(g: GKMGraph, partitions, terms) -> dict:
     """{mu: den * N_mu} over ``partitions``, all integers.
 
-    The class is the t-monomial t^(e_v) at each vertex v, e_v = ``exps[v]``
-    (all zero for the fundamental class).  Along lambda, in the
-    logarithmic coordinate z, t_i is e(lambda_i z), so the term of v is
-    lambda^(e_v) z^(|e_v| - dim) / prod_j a_vj times exp(sum_r q_r s_r(v) z^r)
-    with the integers s_r(v) = p_r(a_v) - sum_i e_vi lambda_i^r, and
+    ``terms`` lists (vertex v, t-exponent e, integer n) triples, the class
+    whose value at v is the sum of n t^e over the triples of v.  Along
+    lambda, in the logarithmic coordinate z, t_i is e(lambda_i z), so the
+    term n t^e at v is n lambda^e z^(|e| - dim) / prod_j a_vj times
+    exp(sum_r q_r s_r(v, e) z^r) with the integers
+    s_r(v, e) = p_r(a_v) - sum_i e_i lambda_i^r, and
 
-        N_mu = sum_v lambda^(e_v) s_mu(v) / prod_j a_vj
+        N_mu = sum over the triples of n lambda^e s_mu(v, e) / prod_j a_vj
 
-    over the common denominator den of ``GKMGraph.moments``.  Vertices with
-    the same (s_r(v)) are summed once.  ``partitions`` must list every
+    over the common denominator den of ``GKMGraph.moments``.  Terms with
+    the same (s_r(v, e)) are summed once.  ``partitions`` must list every
     prefix before its extensions; each N_mu then costs one multiplication
-    per distinct (s_r(v)) with a nonzero term.
+    per distinct (s_r(v, e)) with a nonzero weight.
     """
     _, rows, row_of = g.moments
     top = max((mu[0] for mu in partitions if mu), default=0)
-    groups = Counter((row_of[v], exps[v]) for v in g.vertices)
     lam = g.cocharacter
     lam_powers = [[x ** r for r in range(1, top + 1)] for x in lam]
     shifts = {}  # e -> (lambda^e, [sum_i e_i lambda_i^r for r = 1..top])
     weights = {}
-    for (i, e), count in groups.items():
+    for v, e, n in terms:
         shift = shifts.get(e)
         if shift is None:
             scale, vec = 1, [0] * top
@@ -380,9 +325,9 @@ def _power_sum_numbers(g: GKMGraph, partitions, exps) -> dict:
                     vec = [y + k * z for y, z in zip(vec, xp)]
             shift = shifts[e] = (scale, vec)
         if shift[0]:
-            unit, psums = rows[i]
+            unit, psums = rows[row_of[v]]
             s = tuple(map(operator.sub, psums, shift[1]))
-            weights[s] = weights.get(s, 0) + count * unit * shift[0]
+            weights[s] = weights.get(s, 0) + n * unit * shift[0]
     columns = [s for s, w in weights.items() if w]
     powers = [None] + [[s[r] for s in columns] for r in range(top)]
     path = [[weights[s] for s in columns]]
@@ -395,72 +340,82 @@ def _power_sum_numbers(g: GKMGraph, partitions, exps) -> dict:
     return sums
 
 
-def _weighted_sum(factors: dict, sums: dict, k: int) -> dict:
-    """den^k * sum_(|mu| = k) sums[mu] * q_mu / aut(mu) as an {m-exponents: int} map.
+def _weighted_sums(factors: dict, sums: dict) -> dict:
+    """{k: den^k * sum_(|mu| = k) sums[mu] * q_mu / aut(mu)} as {m-exponents: int} maps.
 
-    ``factors`` and den are those of ``FGLContext.weight_factors``.  Horner's
-    rule on the prefixes costs one integer polynomial product per partition.
+    ``factors`` and den are those of ``FGLContext.weight_factors``; ``sums``
+    is keyed by partitions that start with the empty one and list every
+    prefix before its extensions.  One reversed walk serves every size k:
+    Horner's rule on the prefixes costs one integer polynomial product per
+    partition and size above it.
     """
     inner = {}
-    for mu in reversed(factors):
-        size = sum(mu)
-        if size == k:
-            acc = {(): sums[mu]} if sums[mu] else None
-        elif size < k:
-            acc = inner.pop(mu, None)
-        else:
-            continue
-        if not acc:
-            continue
+    for mu in reversed(sums):
+        acc = inner.pop(mu, {})
+        if sums[mu]:
+            acc[sum(mu)] = {(): sums[mu]}
         if not mu:
             return acc
-        mul_acc(inner.setdefault(mu[:-1], {}), factors[mu].items(), acc)
+        if acc:
+            out = inner.setdefault(mu[:-1], {})
+            factor = factors[mu].items()
+            for k, a in acc.items():
+                mul_acc(out.setdefault(k, {}), factor, a)
     return {}
 
 
-def _log_integral(law, g: GKMGraph, exps) -> tuple:
-    """(num, den): the integral of the class t^(e_v) over X as numerators over den.
+_NOT_DIVISIBLE = "residue sum not divisible; class condition or guarantee violated"
 
-    ``exps`` is as for ``_power_sum_numbers``, every e_v of one degree d.
-    The sum over the vertices is z^(d - dim) sum_k R_k z^k with
-    R_k = sum_(|mu| = k) q_mu N_mu / aut(mu), so the integral is R_(dim - d)
-    (0 when d > dim), as an {m-exponents: int} map; NotDivisible unless
-    R_k = 0 for k < dim - d.  den depends on the graph and the law only, not
-    on ``exps``, so integrals of different monomials add numerator to
-    numerator.  The formal group law ``law`` needs truncation dim + 1
-    (``FGLContext.weight_factors``).
+
+def _log_integral(law, g: GKMGraph, groups) -> tuple:
+    """(num, den): the integral over X of a class given by its terms, numerators over den.
+
+    ``groups`` maps (d, beta) to the (v, e, n) triples of
+    ``_power_sum_numbers`` with |e| = d <= dim: the class whose value at v
+    is the sum of m^beta n t^e over every group's triples of v.  A group
+    contributes z^(d - dim) sum_mu q_mu m^beta N_mu z^|mu| / aut(mu), so it
+    lands at the levels d + |mu|.  With R_L the total at level L, summed
+    over every group, the integral is R_dim, as an {m-exponents: int} map;
+    NotDivisible unless every R_L with L < dim vanishes as a polynomial in
+    m.  Partitions of zero weight (a zero factor on them or on a prefix)
+    are not walked; under the additive law only the empty one is.  den is
+    the moments' den times den_q^dim (den_q that of the weights), so it
+    depends on the graph and the law only, and integrals of different
+    classes add numerator to numerator.  The formal group law ``law`` needs
+    truncation dim + 1 (``FGLContext.weight_factors``).
     """
     wden, factors = law.weight_factors(g.dim)
-    k = g.dim - sum(exps[g.vertices[0]])
-    partitions = factors if k == g.dim else [mu for mu in factors if sum(mu) <= k]
-    sums = _power_sum_numbers(g, partitions, exps)
-    # R_j is zero when every N_mu of size j is; only the others are summed
-    sizes = {sum(mu) for mu, n in sums.items() if n}
-    if any(_weighted_sum(factors, sums, j) for j in sizes if j < k):
+    walk, live = [], set()
+    for mu in factors:
+        if not mu or (factors[mu] and mu[:-1] in live):
+            live.add(mu)
+            walk.append(mu)
+    by_size = {g.dim: walk}
+    levels = [{} for _ in range(g.dim + 1)]
+    for (d, beta), terms in groups.items():
+        k = g.dim - d
+        partitions = by_size.get(k)
+        if partitions is None:
+            partitions = by_size[k] = [mu for mu in walk if sum(mu) <= k]
+        lift = [(beta, wden ** d)]
+        for j, w in _weighted_sums(factors, _power_sum_numbers(g, partitions, terms)).items():
+            mul_acc(levels[d + j], lift, w)
+    if any(levels[:g.dim]):
         raise NotDivisible(_NOT_DIVISIBLE)
-    lift = wden ** (g.dim - k)
-    den = g.moments[0] * wden ** g.dim
-    return {m: x * lift for m, x in _weighted_sum(factors, sums, k).items()}, den
-
-
-def _fundamental_class(ctx: TorusContext, g: GKMGraph) -> GradedCoeff:
-    """[X] = R_dim in the logarithmic coordinate; NotDivisible unless R_k = 0 for k < dim."""
-    num, den = _log_integral(ctx.fgl, g, dict.fromkeys(g.vertices, (0,) * g.rank))
-    return GradedCoeff({m: Fraction(x, den) for m, x in num.items()})
+    return levels[g.dim], g.moments[0] * wden ** g.dim
 
 
 def integrate(ctx: TorusContext, g: GKMGraph, alpha: PiecewiseClass, check_class=True) -> GradedCoeff:
-    """Fixed-point residue sum pushed down to the Lazard ring.
+    """The Bott residue sum of alpha, pushed down to the Lazard ring.
 
-    Restricts along the graph's generic cocharacter (``_generic_cocharacter``,
-    kept on the graph).  A class whose vertex values are all one t-constant
-    c returns c times ``_fundamental_class``, the sum of the module
-    docstring in the logarithmic coordinate; every other class returns the
-    coefficient of u^dim of ``_residue_along``.  Either way a nonzero term
-    below u^dim raises NotDivisible.  Exact over Q; the answer does not
-    depend on the cocharacter or on the vertex order.  The graph must pass
-    ``validate()`` (the logarithmic route relies on every valence being
-    dim); the command line checks it on load.
+    Every term m^beta t^e of degree at most dim of a vertex value is summed
+    in the logarithmic coordinate along the graph's generic cocharacter
+    (``_generic_cocharacter``, kept on the graph), grouped by (|e|, beta),
+    by ``_log_integral``; terms above dim only feed positive powers of z.
+    A nonzero total below the top level raises NotDivisible.  Exact over Q;
+    the answer does not depend on the cocharacter or on the vertex order.
+    The graph must pass ``validate()`` (the route relies on every valence
+    being dim); the command line checks it on load.
     """
     need = required_guarantee(g, alpha)
     have = min(alpha.guarantee, ctx.D)
@@ -468,12 +423,18 @@ def integrate(ctx: TorusContext, g: GKMGraph, alpha: PiecewiseClass, check_class
         raise TruncationInsufficient(f"guarantee {have} below required {need}")
     if check_class and not is_class(ctx, g, alpha):
         raise NotAClass("piecewise values violate an edge congruence")
-    c = _constant_value(alpha)
-    if c is None:
-        return _top_coefficient(_residue_along(ctx, g, alpha, g.cocharacter), g.dim)
-    if c.is_zero():
-        return c  # as the residue route: a zero sum has no term below u^dim to refuse
-    return c * _fundamental_class(ctx, g)
+    den = math.lcm(*(s.den for s in alpha.values.values()))
+    groups = {}
+    for v in g.vertices:
+        s = alpha.values[v]
+        scale = den // s.den
+        for e, c in s.num.items():
+            d = sum(e)
+            if d <= g.dim:
+                for beta, n in c.items():
+                    groups.setdefault((d, beta), []).append((v, e, n * scale))
+    num, log_den = _log_integral(ctx.fgl, g, groups)
+    return GradedCoeff({m: Fraction(x, den * log_den) for m, x in num.items()})
 
 
 def basis_expand(ctx: TorusContext, g: GKMGraph, basis, alpha: PiecewiseClass):

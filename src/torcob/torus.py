@@ -25,7 +25,7 @@ from torcob.coeff import GradedCoeff
 from torcob.errors import NotDivisible, TruncationInsufficient, ZeroCharacter
 from torcob.fgl import FGLContext
 from torcob.kernels import mul_acc
-from torcob.series import TruncSeries, _series
+from torcob.series import TruncSeries
 
 Character = tuple
 
@@ -69,8 +69,8 @@ def proportional(a, b) -> bool:
 class TorusContext:
     """Rank-n torus with a formal group law context; pure and cache-backed.
 
-    Chern classes, their powers and unit inverse powers are cached on first
-    use, with the same thread-sharing guarantee as ``FGLContext``.
+    Chern classes and their powers are cached on first use, with the same
+    thread-sharing guarantee as ``FGLContext``.
     """
 
     def __init__(self, rank: int, fgl: FGLContext):
@@ -82,7 +82,6 @@ class TorusContext:
         self.vars = tuple(f"t{i + 1}" for i in range(rank))
         self._chern = {}
         self._chern_pow = {}
-        self._unit_inv_pow = {}
 
     # -- basic series --------------------------------------------------------
 
@@ -156,20 +155,6 @@ class TorusContext:
             b = nz[0][0] if nz[0][1] == -1 else nz[1][0]
             return a, b
         return None
-
-    def _unit_inverse_power(self, m: int, d: int) -> TruncSeries:
-        """([m]u / u)^(-d) as a one-variable series, exact through u^(D-1).
-
-        [m](u) is exact through u^D, so [m](u) / u only through u^(D-1).
-        """
-        key = (m, d)
-        out = self._unit_inv_pow.get(key)
-        if out is None:
-            nser = self.fgl.n_series(m)
-            unit = {(k - 1,): c for (k,), c in nser.num.items()}
-            out = _series(("u",), unit, nser.den, nser.guarantee - 1).invert_unit() ** d
-            self._unit_inv_pow[key] = out
-        return out
 
     def chern_divides(self, f: TruncSeries, chi, d: int = 1) -> bool:
         """Whether c(chi)^d divides f through its guarantee.

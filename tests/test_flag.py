@@ -13,6 +13,8 @@ from torcob.fgl import build
 from torcob.series import TruncSeries
 from torcob.torus import TorusContext
 
+import residue_oracle
+
 
 def test_normal_form_examples():
     assert str(flag.normal_form(2, flag.x_var(2, 2))) == "-x1"
@@ -242,14 +244,14 @@ def artin_pairing_oracle(ctx, n, p):
     if ctx.D <= g.dim:
         ctx = TorusContext(n, build(ctx.fgl.Dc, g.dim + 1, ctx.fgl.specialization))
     lam = g.cocharacter
-    along = [s.truncated(g.dim) for s in gkm._along(ctx, lam).values()]
+    along = [s.truncated(g.dim) for s in residue_oracle._along(ctx, lam).values()]
     totals = {a: TruncSeries.zero(("u",), g.dim) for a in flag.artin_exponents(n)}
     for v in g.vertices:
         ys = [along[int(c) - 1] for c in v]
-        q = gkm._over_unit(ctx, g, v, lam, p, dict(zip(flag.xvars(n), ys)))
+        q = residue_oracle._over_unit(ctx, g, v, lam, p, dict(zip(flag.xvars(n), ys)))
         for a, s in _staircase_products(q, ys).items():
             totals[a] = totals[a] + s
-    return [gkm._top_coefficient(t, g.dim) for t in totals.values()]
+    return [residue_oracle._top_coefficient(t, g.dim) for t in totals.values()]
 
 
 def _rand_pairing_input(rng, n, top):

@@ -1,7 +1,8 @@
-"""Bott residue integration: the one-parameter route against the all-vertex sum,
-and the logarithmic route of fundamental classes against both the residue
-route and Kosniowski's chi_y formula."""
+"""Bott residue integration in the logarithmic coordinate against the
+all-vertex sum, the one-variable residue series of ``residue_oracle`` and
+Kosniowski's chi_y formula."""
 
+import functools
 from fractions import Fraction
 
 import pytest
@@ -12,8 +13,12 @@ from torcob import gkm
 from torcob.accept import _P1_CHARS
 from torcob.coeff import GradedCoeff
 from torcob.errors import NotDivisible
-from torcob.fgl import build
+from torcob.fgl import FGLContext, build
+from torcob.series import TruncSeries
 from torcob.torus import TorusContext
+
+import residue_oracle
+from residue_oracle import residues
 
 
 def residue_sum_oracle(ctx, g, alpha):
@@ -34,11 +39,6 @@ def residue_sum_oracle(ctx, g, alpha):
             num = num * ev + av * den
             den = den * ev
     return num.divide_exact(den).constant_term()
-
-
-def residues(ctx, g, alpha):
-    """The one-parameter residue route of ``integrate``, for any class."""
-    return gkm._top_coefficient(gkm._residue_along(ctx, g, alpha, g.cocharacter), g.dim)
 
 
 def old_truncation(g, class_degree):
@@ -112,7 +112,7 @@ def test_flag3_specialized_matches_oracle(law):
         assert new == old
 
 
-# -- the logarithmic route of constant classes ------------------------------------------
+# -- every class kind against the residue series ----------------------------------------
 
 
 LOG_ROUTE_GRAPHS = (
@@ -120,19 +120,57 @@ LOG_ROUTE_GRAPHS = (
     + [("pn", n) for n in range(2, 5)]
     + [("flag", n) for n in range(2, 6)]
 )
-LAWS = [None, "additive", ("multiplicative", Fraction(2, 5))]
+CUSTOM_LAW = {1: Fraction(1, 3), 3: Fraction(-2)}
+LAWS = [None, "additive", ("multiplicative", Fraction(2, 5)), CUSTOM_LAW]
 CONSTANTS = [GradedCoeff.one(), GradedCoeff.zero(), GradedCoeff.generator(1).scale(Fraction(3, 2))]
+M1 = GradedCoeff.generator(1)
 
 
-@pytest.mark.parametrize("law", LAWS, ids=str)
+def law_id(law):
+    return "custom" if law is CUSTOM_LAW else str(law)
+
+
+def log_route_classes(T, g, kind):
+    """Point classes, powers of h on pn, x-monomials on flag and a non-homogeneous class."""
+    one = gkm.constant_class(T, g, 1)
+    out = [gkm.pushforward_point(T, g, v, T.one()) for v in (g.vertices[0], g.vertices[-1])]
+    # a point class with terms above dim and a Lazard coefficient
+    out.append(gkm.pushforward_point(T, g, g.vertices[1], T.one() + T.var(0).mul_coeff(M1)))
+    if kind == "pn":
+        h = gkm.pn_hyperplane(T, g)
+        powers = [h]
+        for _ in range(g.dim):  # through h^(dim + 1), which lies above dim
+            powers.append(powers[-1] * h)
+        out += powers + [one + h + (h * h).mul_coeff(M1)]
+    elif kind == "flag":
+        x = [gkm.flag_tautological(T, g, k + 1) for k in range(g.rank)]
+        top = one
+        for k, xk in enumerate(x):  # the top Artin monomial x_1^(n-1) x_2^(n-2) ...
+            top = top * power(xk, g.rank - 1 - k, one)
+        out += [x[0], x[0] * x[-1], top, top * x[-1], one + x[0] + (x[0] * x[-1]).mul_coeff(M1)]
+    else:
+        out.append(one + out[0].mul_coeff(M1))
+    return out
+
+
+@pytest.mark.parametrize("law", LAWS, ids=law_id)
 @pytest.mark.parametrize("kind, arg", LOG_ROUTE_GRAPHS, ids=str)
 def test_log_route_matches_residues(kind, arg, law):
     g = gkm.p1_graph(arg) if kind == "p1" else gkm.generate(kind, n=arg)
     T = TorusContext(g.rank, build(g.dim, g.dim + 1, law))
     for c in CONSTANTS:
         alpha = gkm.constant_class(T, g, c)
-        assert gkm._constant_value(alpha) == c
-        assert gkm.integrate(T, g, alpha) == residues(T, g, alpha)
+        got = gkm.integrate(T, g, alpha)
+        assert got == residues(T, g, alpha) == residue_oracle.two_routes(T, g, alpha)
+    # the other kinds at a small Dc; classes built deeper carry a guarantee above D
+    # (left out on flag(5), whose deeper Euler classes take seconds to build)
+    T = TorusContext(g.rank, build(2, g.dim + 1, law))
+    contexts = [T] if len(g.vertices) > 24 else [T, TorusContext(g.rank, build(2, g.dim + 3, law))]
+    for U in contexts:
+        classes = log_route_classes(U, g, kind)
+        for alpha in classes:
+            assert gkm.integrate(T, g, alpha) == residues(T, g, alpha)
+        assert [gkm.integrate(T, g, a) for a in classes[:2]] == [GradedCoeff.one()] * 2
 
 
 def test_both_routes_refuse_a_failed_certificate():
@@ -142,11 +180,67 @@ def test_both_routes_refuse_a_failed_certificate():
     for law in LAWS:
         T = TorusContext(2, build(2, 3, law))
         one = gkm.constant_class(T, g, 1)
-        assert gkm._constant_value(one) == GradedCoeff.one()
         with pytest.raises(NotDivisible):
             gkm.integrate(T, g, one)
         with pytest.raises(NotDivisible):
             residues(T, g, one)
+
+
+NON_CLASS_CASES = [("p1", (2, -1)), ("pn", 2), ("flag", 2), ("flag", 3)]
+
+
+@functools.cache
+def non_class_setting(case, law):
+    kind, arg = NON_CLASS_CASES[case]
+    g = gkm.p1_graph(arg) if kind == "p1" else gkm.generate(kind, n=arg)
+    return g, TorusContext(g.rank, build(2, g.dim + 1, LAWS[law]))
+
+
+TERM = st.tuples(
+    st.integers(0, 5),                                   # vertex, modulo their number
+    st.lists(st.integers(0, 3), min_size=3, max_size=3),  # t-exponents, cut to the rank
+    st.fractions(min_value=-3, max_value=3, max_denominator=4),
+    st.integers(0, 2),                                   # power of m1 in the coefficient
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, len(NON_CLASS_CASES) - 1), st.integers(0, len(LAWS) - 1),
+       st.booleans(), st.lists(TERM, max_size=6))
+def test_non_class_values_match_residues(case, law, base, terms):
+    # random vertex values, on top of [X] or of nothing: the routes refuse together or agree
+    g, T = non_class_setting(case, law)
+    values = {v: TruncSeries.constant(T.vars, int(base), T.D) for v in g.vertices}
+    for i, exps, q, k in terms:
+        v = g.vertices[i % len(g.vertices)]
+        coeff = GradedCoeff.generator(1) ** k if k else GradedCoeff.one()
+        t = TruncSeries.monomial(T.vars, exps[: g.rank], coeff.scale(q), T.D)
+        values[v] = values[v] + t
+    alpha = gkm.PiecewiseClass(values)
+    try:
+        want = residues(T, g, alpha)
+    except NotDivisible:
+        with pytest.raises(NotDivisible):
+            gkm.integrate(T, g, alpha, check_class=False)
+    else:
+        assert gkm.integrate(T, g, alpha, check_class=False) == want
+
+
+@pytest.mark.parametrize("kind, n", [("pn", 3), ("flag", 3)])
+def test_integrate_forms_no_series(kind, n, monkeypatch):
+    g = gkm.generate(kind, n=n)
+    T = TorusContext(g.rank, build(2, g.dim + 1))
+    classes = [gkm.constant_class(T, g, 1)] + log_route_classes(T, g, kind)
+    want = [residues(T, g, alpha) for alpha in classes]
+
+    def boom(*args, **kwargs):
+        raise AssertionError("integration formed a series")
+
+    T = TorusContext(g.rank, build(2, g.dim + 1))  # weights not yet cached
+    for owner, attr in [(FGLContext, "n_series"), (TruncSeries, "substitute"),
+                        (TruncSeries, "__mul__")]:
+        monkeypatch.setattr(owner, attr, boom)
+    assert [gkm.integrate(T, g, alpha, check_class=False) for alpha in classes] == want
 
 
 def chi_y_law(y, degree):
@@ -205,7 +299,7 @@ def test_answer_independent_of_cocharacter(index, entries):
     T, g, alpha = LAMBDA_CASES[index]
     lam = tuple(entries[: g.rank])
     assume(all(gkm._pairing(chi, lam) for _, _, chi in g.edges))
-    total = gkm._residue_along(T, g, alpha, lam)
+    total = residue_oracle._residue_along(T, g, alpha, lam)
     assert all(k >= g.dim for (k,) in total.coeffs)
     assert total.coefficient((g.dim,)) == gkm.integrate(T, g, alpha)
 
@@ -268,7 +362,7 @@ def test_flag4_universal_fundamental_class():
     g = gkm.flag_graph(4)
     one = gkm.constant_class(T, g, 1)
     assert gkm.integrate(T, g, one) == FL4
-    other = gkm._residue_along(T, g, one, (3, -1, 5, 2))
+    other = residue_oracle._residue_along(T, g, one, (3, -1, 5, 2))
     assert all(k >= g.dim for (k,) in other.coeffs)
     assert other.coefficient((g.dim,)) == FL4
 
