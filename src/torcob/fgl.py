@@ -9,16 +9,18 @@ Lagrange inversion (Stanley, EC2 5.4): [x^(n+1)] e = [u^n] (1 + M)^-(n+1)
 every m_i to a rational gives the additive law (all zero) or the
 multiplicative law (m_i = beta^i / (i+1)).
 
-The exponential is checked on construction by one composition,
-e(l(u)) = u through the truncation; a failure raises ArithmeticError.
+The exponential is built on first read and checked then by one
+composition, e(l(u)) = u through the truncation; a failure raises
+ArithmeticError, on that read and on every later one.
 Truncated series with linear term 1 form a group under composition, so
 this is the same condition as l(e(x)) = x, and as l(rho(u)) = -l(u) for
 the formal inverse rho(u) = e(-l(u)) = [-1]u (put x = -l(u)).  Since
 F(u, v) = e(l(u) + l(v)), rho is the solution of F(u, rho) = 0.  Neither
-rho nor the bivariate F is built until something reads it: rho is the
-n-series at -1 (``rho``, ``n_series``), F is built by ``F``, ``a_coeff``,
-``plus`` and ``formal_sum``.  Integration in ``gkm`` reads only l,
-through ``weight_factors``.
+e, rho nor the bivariate F is built until something reads it: e is read by
+``exp`` and every n-series, rho is the n-series at -1 (``rho``,
+``n_series``), F is built by ``F``, ``a_coeff``, ``plus`` and
+``formal_sum``.  Integration in ``gkm`` and the Artin pairing in ``flag``
+read only l, through ``weight_factors``.
 
 The characteristic series of the law is Q(x) = x / e(x) (Hirzebruch), a
 unit written exp(sum_k q_k x^k) with q_k in Q[m] of weight k.  Since
@@ -52,13 +54,13 @@ MAX_DEG = 24
 
 
 class FGLContext:
-    """Context holding l, e and, once read, rho and F at fixed truncations.
+    """Context holding l and, once read, e, rho and F at fixed truncations.
 
-    Immutable in everything it exposes, but n-series (rho among them) are
-    cached in ``_nser``, F in ``_F`` and weight factors in ``_weights`` on
-    first use, without a lock.  Each value depends only on its key, so
-    threads sharing a context get the same answers; two threads racing on one
-    entry both compute it and store equal values.
+    Immutable in everything it exposes, but e is cached in ``_exp``, n-series
+    (rho among them) in ``_nser``, F in ``_F`` and weight factors in
+    ``_weights`` on first use, without a lock.  Each value depends only on
+    its key, so threads sharing a context get the same answers; two threads
+    racing on one entry both compute it and store equal values.
     """
 
     def __init__(self, coeff_degree, degree, specialization=None):
@@ -70,9 +72,7 @@ class FGLContext:
         self.D = degree
         self.specialization = _normalize_spec(specialization)
         self.log = self._build_log()
-        self.exp = self.log.compositional_inverse()
-        if self.exp.substitute({"u": self.log}) != _uvar(self.D):
-            raise ArithmeticError("exponential fails e(l(u)) = u")
+        self._exp = None
         self._F = None
         self._nser = {0: TruncSeries.zero(("u",), self.D), 1: _uvar(self.D)}
         self._weights = {}
@@ -91,6 +91,16 @@ class FGLContext:
             if not c.is_zero():
                 coeffs[(i + 1,)] = c
         return TruncSeries(("u",), coeffs, self.D)
+
+    @property
+    def exp(self) -> TruncSeries:
+        """The exponential e, the compositional inverse of l, built and checked on first read."""
+        if self._exp is None:
+            e = self.log.compositional_inverse()
+            if e.substitute({"u": self.log}) != _uvar(self.D):
+                raise ArithmeticError("exponential fails e(l(u)) = u")
+            self._exp = e
+        return self._exp
 
     @property
     def rho(self) -> TruncSeries:

@@ -15,6 +15,21 @@ that single divisor decides each slice exactly, and the quotient is unique.
 Membership has two short cuts that need no division: when chi = m*e_a,
 c(chi) is t_a times a unit, and when chi = m*(e_a - e_b) with d = 1, c(chi)
 is t_a - t_b times a unit, so f is a multiple iff it vanishes at t_a = t_b.
+
+Product membership is decided by successive division.  Each c(chi)^d is a
+non-zero-divisor (its lowest part is nonzero in the domain Q[m][t]), so f
+lies in (a*b) iff f = a*q with q in (b).  When the characters extend
+pairwise to a lattice basis, the c(chi_j)^(d_j) form a regular sequence, so
+the product of the ideals (c(chi_j)^(d_j)) equals their intersection;
+acceptance criterion 9 tests that identity.  ``ideal_membership_product``
+divides f by one factor, reusing a quotient the intersection test already
+formed, then divides that quotient by each further factor in turn; the
+product of the Chern powers is never formed.  Truncation does not change
+the answer: with a = c(chi)^d, the quotient q_1 of f by a is exact through
+G - d, and q*b = q_1 through G - d iff q*b*a = f through G.  Nor do the
+divisions run out of guarantee: the lowest parts (chi_j . t)^(d_j) are
+pairwise coprime, so a nonzero f in every factor's ideal has lowest degree
+at least sum d_j, which is then at most G.
 """
 
 from __future__ import annotations
@@ -166,6 +181,13 @@ class TorusContext:
         has.
         """
         _check_factor(chi, d)
+        decided = self._divides_without_division(f, chi, d)
+        if decided is not None:
+            return decided
+        return _try(lambda: self.divide_by_chern(f, chi, d))
+
+    def _divides_without_division(self, f: TruncSeries, chi, d: int):
+        """``chern_divides`` where no division is needed, else None."""
         if f.is_zero() or d == 0:
             return True
         if d > f.guarantee:
@@ -186,7 +208,7 @@ class TorusContext:
                 lt[a] = 0
                 mul_acc(merged.setdefault(tuple(lt), {}), c.items(), {(): 1})
             return not any(merged.values())
-        return _try(lambda: self.divide_by_chern(f, chi, d))
+        return None
 
     def divide_by_chern(self, f: TruncSeries, chi, d: int = 1) -> TruncSeries:
         """q with q * c(chi)^d = f through the guarantee; guarantee drops by d.
@@ -209,7 +231,15 @@ class TorusContext:
         prod c(chi_j)^(d_j) versus the intersection of the (c(chi_j)^(d_j)).
 
         Every pair of distinct characters must extend to a lattice basis
-        (checked through the gcd of the 2x2 minors of the pair matrix).
+        (checked through the gcd of the 2x2 minors of the pair matrix), so
+        the c(chi_j)^(d_j) form a regular sequence and the two answers agree.
+        The intersection tests every factor: the short cuts of
+        ``chern_divides`` first, then ``divide_by_chern`` for the rest, whose
+        first quotient is kept; a factor that fails ends both tests.  The
+        product is decided by successive division (module docstring): the
+        kept quotient, or f when every factor took a short cut, is divided
+        by each further factor in turn and the last one is tested by
+        ``chern_divides``.  No product of Chern powers is formed.
         """
         factors = [(tuple(chi), int(d)) for chi, d in factors]
         for chi, d in factors:
@@ -220,16 +250,35 @@ class TorusContext:
                     raise ValueError(
                         f"{factors[i][0]} and {factors[j][0]} do not extend to a basis"
                     )
+        if f.is_zero():
+            return True, True
         active = [(chi, d) for chi, d in factors if d > 0]
-        in_intersection = all(self.chern_divides(f, chi, d) for chi, d in active)
-        if sum(d for _, d in active) > f.guarantee:
-            # as in chern_divides: a nonzero f keeps a term below the product's degree
-            return f.is_zero(), in_intersection
-        product = self.chern_power(*active[0]) if active else self.one()
-        for chi, d in active[1:]:
-            product = product * self.chern_power(chi, d)
-        in_product = _try(lambda: f.divide_exact(product))
-        return in_product, in_intersection
+        # a factor that fails ends both tests, so the short cuts run first
+        decided = [self._divides_without_division(f, chi, d) for chi, d in active]
+        if False in decided:
+            return False, False
+        kept = None  # (quotient, index of its factor in active)
+        for k, (chi, d) in enumerate(active):
+            if decided[k] is None:
+                try:
+                    q = self.divide_by_chern(f, chi, d)
+                except NotDivisible:
+                    return False, False
+                if kept is None:
+                    kept = (q, k)
+        if len(active) < 2:
+            return True, True
+        if kept is None:
+            q, rest = f, active
+        else:
+            q, k = kept
+            rest = active[:k] + active[k + 1:]
+        try:
+            for chi, d in rest[:-1]:
+                q = self.divide_by_chern(q, chi, d)
+        except NotDivisible:
+            return False, True
+        return self.chern_divides(q, *rest[-1]), True
 
 
 def pair_extends_to_basis(a, b) -> bool:

@@ -269,8 +269,27 @@ def test_rho_check_raises_on_a_wrong_exponential(monkeypatch):
         return e + TruncSeries.monomial(("u",), (3,), 1, e.guarantee)
 
     monkeypatch.setattr(TruncSeries, "compositional_inverse", off_by_one)
-    with pytest.raises(ArithmeticError):
-        build(2, 5)
+    ctx = build(2, 5)
+    # the check runs on each read until it passes, so every reader of e raises
+    for read in (lambda: ctx.exp, lambda: ctx.n_series(2), lambda: ctx.rho, lambda: ctx.F):
+        with pytest.raises(ArithmeticError):
+            read()
+    assert ctx._exp is None
+
+
+def test_build_forms_no_exp(monkeypatch):
+    def boom(self):
+        raise AssertionError("the exponential was built")
+
+    monkeypatch.setattr(TruncSeries, "compositional_inverse", boom)
+    ctx = build(6, 12)
+    assert ctx._exp is None
+    ctx.weight_factors(11)
+    assert ctx._exp is None
+    monkeypatch.undo()
+    e = ctx.exp
+    assert e is ctx.exp  # cached: read twice, built once
+    assert e == ctx.log.compositional_inverse()
 
 
 def test_build_forms_no_rho(monkeypatch):
@@ -414,7 +433,7 @@ def test_characteristic_log_starts_at_m1():
 
 
 def test_universal_law_builds_at_max_deg():
-    # the construction check e(l(u)) = u is the oracle, and rho then satisfies
+    # the check e(l(u)) = u on reading e is the oracle, and rho then satisfies
     # l(rho(u)) = -l(u)
     ctx = build(fgl.MAX_DEG - 1, fgl.MAX_DEG)
     assert ctx.exp.guarantee == ctx.rho.guarantee == fgl.MAX_DEG

@@ -8,6 +8,7 @@ strips t'_1^d after multiplying by the inverse unit, and substitutes back.
 """
 
 import functools
+import itertools
 import random
 from fractions import Fraction
 
@@ -318,25 +319,27 @@ def oracle_context(rank, law):
 
 
 @st.composite
+def elements(draw, T):
+    """A nonzero element of S(T): up to four terms of t-exponents at most 3."""
+    coeffs = {}
+    for _ in range(draw(st.integers(1, 4))):
+        t = tuple(draw(st.lists(st.integers(0, 3), min_size=T.rank, max_size=T.rank)))
+        m = draw(st.sampled_from(M_MONOMIALS))
+        coeffs[t] = GradedCoeff({m: Fraction(draw(st.integers(-3, 3)) or 1)})
+    return TruncSeries(T.vars, coeffs, T.D)
+
+
+@st.composite
 def division_cases(draw, rank, law):
     """(context, f, chi, d, q or None): f = q * c(chi)^d when q is given."""
     T = oracle_context(rank, law)
     chi = draw(st.sampled_from(ORACLE_CHARS[rank]))
     d = draw(st.integers(1, 3))
-
-    def element():
-        coeffs = {}
-        for _ in range(draw(st.integers(1, 4))):
-            t = tuple(draw(st.lists(st.integers(0, 3), min_size=rank, max_size=rank)))
-            m = draw(st.sampled_from(M_MONOMIALS))
-            coeffs[t] = GradedCoeff({m: Fraction(draw(st.integers(-3, 3)) or 1)})
-        return TruncSeries(T.vars, coeffs, T.D)
-
     kind = draw(st.sampled_from(("multiple", "perturbed", "lower", "random")))
-    q = element()
+    q = draw(elements(T))
     f = q if kind == "random" else q * T.chern_power(chi, d - (kind == "lower"))
     if kind == "perturbed":
-        f = f + element()
+        f = f + draw(elements(T))
     f = f.truncated(draw(st.integers(d, ORACLE_DEG)))
     return T, f, chi, d, (q if kind == "multiple" else None)
 
@@ -478,6 +481,117 @@ def test_ideal_membership_random_agreement(T3):
             f = T3.var(0) ** rng.randint(1, 3) + T3.var(1)
         in_p, in_i = T3.ideal_membership_product(factors, f)
         assert in_p == in_i
+
+
+# -- product membership against the product-forming route ----------------------
+
+
+def membership_product_oracle(T, factors, f):
+    """(in_product, in_intersection) by forming the product.
+
+    The intersection asks ``chern_divides`` of every factor; the product
+    divides f by the product of the Chern powers, multiplied out.
+    """
+    active = [(tuple(chi), d) for chi, d in factors if d > 0]
+    in_intersection = all(T.chern_divides(f, chi, d) for chi, d in active)
+    if sum(d for _, d in active) > f.guarantee:
+        # a nonzero f keeps a term below the product's degree
+        return f.is_zero(), in_intersection
+    product = T.one()
+    for chi, d in active:
+        product = product * T.chern_power(chi, d)
+    try:
+        f.divide_exact(product)
+    except NotDivisible:
+        return False, in_intersection
+    return True, in_intersection
+
+
+MEMBERSHIP_LAWS = ORACLE_LAWS + ({1: Fraction(1, 3), 3: Fraction(-2)},)
+
+
+def basis_tuples(rank, size):
+    """Ordered tuples of distinct characters that extend pairwise to a basis."""
+    return [
+        chis for chis in itertools.permutations(ORACLE_CHARS[rank], size)
+        if all(pair_extends_to_basis(a, b) for a, b in itertools.combinations(chis, 2))
+    ]
+
+
+@functools.lru_cache(maxsize=None)
+def membership_context(rank, law):
+    return TorusContext(rank, build(2, ORACLE_DEG, MEMBERSHIP_LAWS[law]))
+
+
+@st.composite
+def membership_cases(draw, rank, law):
+    """(context, factors, f, kind); f is a multiple of the factors' product
+    (kind "product") or of the first factor's power (kind "first") through
+    its guarantee, random, or zero."""
+    T = membership_context(rank, law)
+    chis = draw(st.sampled_from(basis_tuples(rank, draw(st.integers(1, 3 if rank == 3 else 2)))))
+    factors = [(chi, draw(st.integers(0, 3))) for chi in chis]
+    kind = draw(st.sampled_from(("product", "first", "random", "zero")))
+    f = T.zero() if kind == "zero" else draw(elements(T))
+    for chi, d in {"product": factors, "first": factors[:1]}.get(kind, []):
+        f = f * T.chern_power(chi, d)
+    return T, factors, f.truncated(draw(st.integers(1, ORACLE_DEG))), kind
+
+
+@pytest.mark.parametrize("law", range(len(MEMBERSHIP_LAWS)),
+                         ids=["universal", "additive", "mult", "custom"])
+@pytest.mark.parametrize("rank", [2, 3])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_membership_matches_the_product_oracle(rank, law, data):
+    T, factors, f, kind = data.draw(membership_cases(rank, law))
+    for order in (factors, factors[::-1]):
+        want = membership_product_oracle(T, order, f)
+        assert T.ideal_membership_product(order, f) == want
+        if kind == "product" and sum(d for _, d in factors) <= f.guarantee:
+            assert want == (True, True)
+
+
+def test_membership_forms_no_product(T3, monkeypatch):
+    f = T3.one() + T3.var(2)
+    cases = [
+        ([((1, 1, 1), 2), ((0, 1, -1), 1)], True),   # a general factor, then a difference
+        ([((1, 0, 0), 1), ((0, 1, 0), 2)], True),    # short cuts only
+        ([((2, 1, 1), 1), ((1, 1, 0), 1), ((0, 0, 1), 1)], True),
+        ([((1, 1, 0), 1), ((0, 1, -1), 2)], False),
+    ]
+    fs = []
+    for factors, multiple in cases:
+        powers = [T3.chern_power(chi, d) for chi, d in factors]  # warms the cache
+        g = f
+        for p in powers[: len(powers) if multiple else 1]:
+            g = g * p
+        fs.append(g)
+    want = [membership_product_oracle(T3, factors, g) for (factors, _), g in zip(cases, fs)]
+    assert want == [(True, True), (True, True), (True, True), (False, False)]
+
+    def boom(*args, **kwargs):
+        raise AssertionError("membership formed a product")
+
+    for attr in ("__mul__", "__pow__"):
+        monkeypatch.setattr(TruncSeries, attr, boom)
+    got = [T3.ideal_membership_product(factors, g) for (factors, _), g in zip(cases, fs)]
+    assert got == want
+
+
+def test_membership_refuses_bad_factors_before_dividing(T2, monkeypatch):
+    def boom(*args, **kwargs):
+        raise AssertionError("a division ran")
+
+    monkeypatch.setattr(TorusContext, "divide_by_chern", boom)
+    monkeypatch.setattr(TruncSeries, "divide_exact", boom)
+    for f in (T2.zero(), T2.var(0) * T2.var(1)):
+        with pytest.raises(ZeroCharacter):
+            T2.ideal_membership_product([((1, 1), 1), ((0, 0), 1)], f)
+        with pytest.raises(ValueError, match="negative"):
+            T2.ideal_membership_product([((1, 1), 1), ((0, 1), -1)], f)
+        with pytest.raises(ValueError, match="do not extend to a basis"):
+            T2.ideal_membership_product([((2, 1), 1), ((1, 1), 0), ((1, -1), 1)], f)
 
 
 def test_augmentation(T2):
