@@ -1,18 +1,27 @@
 #!/usr/bin/env python3
-"""Time the exact convolution kernel, ``torcob.kernels.convolve``.
+"""Time the exact convolution kernel, ``torcob.kernels.convolve``, and the
+exact division built on it, ``TruncSeries.divide_exact``.
 
 The kernel (truncated sparse convolution) is the hot inner loop of every
 series multiplication, Euler-class product and exact division.  The tables
 hold integer numerators, as ``TruncSeries`` passes them (its terms over one
-shared denominator).  Run from the repository root:
+shared denominator).  The division row divides membership-sized Chern-power
+multiples, and as many near-multiples, by c(chi)^2 with chi = (1, 1, 1) at
+rank 3, truncation 8 and ``Dc = 3``.  Run from the repository root:
 
     PYTHONPATH=src python benchmarks/bench_kernels.py
 """
 
 import random
 import time
+from fractions import Fraction
 
+from torcob.coeff import GradedCoeff
+from torcob.errors import NotDivisible
+from torcob.fgl import build
 from torcob.kernels import convolve
+from torcob.series import TruncSeries
+from torcob.torus import TorusContext
 
 
 def rand_table(rng, nvars, maxdeg, nterms, mterms):
@@ -69,6 +78,29 @@ def workload_euler_chain(rng):
     return chain
 
 
+def workload_chern_division(rng):
+    """Divide Chern-power multiples and perturbed ones by c(1, 1, 1)^2."""
+    T = TorusContext(3, build(3, 8))
+    g = T.chern_power((1, 1, 1), 2)
+    dividends = []
+    for i in range(20):
+        terms = rand_table(rng, 3, 4, 8, 4)
+        coeffs = {t: GradedCoeff({m: Fraction(x) for m, x in c.items()}) for t, c in terms.items()}
+        f = TruncSeries(T.vars, coeffs, 6) * g
+        if i % 2:
+            f = f + T.var(0) ** 3
+        dividends.append(f)
+
+    def divide_all():
+        for f in dividends:
+            try:
+                f.divide_exact(g)
+            except NotDivisible:
+                pass
+
+    return divide_all
+
+
 def main():
     rng = random.Random(2024)
     rows = []
@@ -78,8 +110,9 @@ def main():
     ]:
         rows.append((name, timeit(convolve, *make(rng))))
     rows.append(("euler chain (6 factors)", timeit(workload_euler_chain(rng))))
+    rows.append(("divide_exact by c(1,1,1)^2 (x20)", timeit(workload_chern_division(rng))))
 
-    print(f"{'workload':34s} {'convolve':>10s}")
+    print(f"{'workload':34s} {'time':>10s}")
     for name, t in rows:
         print(f"{name:34s} {t * 1e3:9.2f}ms")
 

@@ -30,10 +30,11 @@ from torcob.gkm import PiecewiseClass, _log_integral, flag_graph
 # Looked up here by the benchmark's tracer (e2ebench/spans.py); unused in this module.
 from torcob.gkm import basis_expand  # noqa: F401
 from torcob.kernels import mul_acc
-from torcob.series import TruncSeries
+from torcob.series import TruncSeries, _canonical
 from torcob.torus import TorusContext
 
 XBOUND = 1 << 30  # polynomials: no truncation in practice
+_ONE = {(): 1}  # the numerator map of 1
 
 # Size guards: kernel_check above this rank, coinv_rank above this one.
 MAX_KERNEL_RANK = 6
@@ -73,62 +74,63 @@ def elementary_symmetric(n: int, k: int) -> TruncSeries:
     return x_poly(n, terms)
 
 
-def complete_homogeneous(n: int, k: int, nvars: int) -> TruncSeries:
-    """h_k(x_1, ..., x_nvars) inside the n-variable ring."""
-    terms = {}
-    for c in itertools.combinations_with_replacement(range(nvars), k):
-        exps = [0] * n
-        for i in c:
-            exps[i] += 1
-        terms[tuple(exps)] = GradedCoeff.one()
-    return x_poly(n, terms)
-
-
 def _order_key(exps):
     # lexicographic with x_n > ... > x_1
     return tuple(reversed(exps))
 
 
 def _groebner_basis(n: int):
-    """(leading exponent, polynomial terms) pairs for the symmetric ideal."""
+    """(leading exponent, the other exponents) of each h_i(x_1, ..., x_{n+1-i}).
+
+    Every h_i is monic with all coefficients 1, so its exponents are the
+    whole polynomial.
+    """
     out = []
     for i in range(1, n + 1):
-        g = complete_homogeneous(n, i, n + 1 - i)
         lead = [0] * n
         lead[n - i] = i
-        out.append((tuple(lead), g.coeffs))
+        lead = tuple(lead)
+        rest = []
+        for c in itertools.combinations_with_replacement(range(n + 1 - i), i):
+            exps = [0] * n
+            for j in c:
+                exps[j] += 1
+            if tuple(exps) != lead:
+                rest.append(tuple(exps))
+        out.append((lead, rest))
     return out
 
 
 def normal_form(n: int, p: TruncSeries) -> TruncSeries:
-    """Reduce onto the Artin staircase; a ring map to the quotient."""
+    """Reduce onto the Artin staircase; a ring map to the quotient.
+
+    Runs on p's integer numerators: each step subtracts the numerator map of
+    the reduced term from every other term of a shifted h_i, and the result
+    is p's denominator over the reduced table.
+    """
     if p.vars != xvars(n):
         raise ValueError("polynomial is not in the expected x-variables")
     gb = _groebner_basis(n)
-    work = dict(p.coeffs)
+    work = {t: dict(c) for t, c in p.num.items()}
     done = {}
     while work:
         t = max(work, key=_order_key)
         c = work.pop(t)
-        if c.is_zero():
-            continue
-        for lead, gterms in gb:
+        for lead, rest in gb:
             if all(l <= e for l, e in zip(lead, t)):
                 shift = tuple(e - l for e, l in zip(t, lead))
-                for gt, gc in gterms.items():
+                neg = [(m, -x) for m, x in c.items()]
+                for gt in rest:
                     key = tuple(a + b for a, b in zip(gt, shift))
-                    if key == t:
-                        continue
-                    prev = work.get(key, GradedCoeff.zero())
-                    nxt = prev - gc * c
-                    if nxt.is_zero():
-                        work.pop(key, None)
-                    else:
-                        work[key] = nxt
+                    tgt = work.get(key)
+                    if tgt is None:
+                        work[key] = dict(neg)
+                    elif not mul_acc(tgt, neg, _ONE):
+                        del work[key]
                 break
         else:
             done[t] = c
-    return x_poly(n, done)
+    return _canonical(p.vars, done, p.den, XBOUND)
 
 
 def artin_exponents(n: int):

@@ -292,16 +292,23 @@ class TruncSeries:
 
         Solved t-degree slice by t-degree slice on the numerator tables.
         Slice k of the dividend less sum_{d<k} q_d*g_{e+k-d} (e the lowest
-        t-degree of ``g``) is divided by g_e with the leading-term algorithm
-        in the lex order on (t-exponents, m-exponents).  With one divisor
-        that algorithm decides membership exactly, so a leading term that
-        g_e's does not divide raises NotDivisible, which certifies that
+        t-degree of ``g``) is divided by g_e in Q[m][t] by leading
+        t-monomials, one whole t-monomial per step: with rt the leading
+        t-monomial of the remainder and lc the coefficient of g_e's leading
+        t-monomial lt, the remainder's coefficient at rt is divided by lc in
+        Q[m], and q_st*x^st*g_e (st = rt - lt) is subtracted by one product.
+        When lc is a rational, as for every Chern power, Euler class and
+        unit, that quotient is one scaled copy; otherwise it is the
+        leading-term algorithm over m-monomials.  In the domain Q[m][t] a
+        leading coefficient of a multiple of g_e is a multiple of lc, so a
+        step that does not divide raises NotDivisible, which certifies that
         ``self`` is not a multiple of ``g`` up to truncation; a zero ``g``
         raises NotInvertible.  The guarantee drops by e.  On the numerators,
-        a leading numerator that g_e's, lc, does not divide first scales the
-        remainder and the quotient so far by |lc| / gcd, kept in the
-        quotient's denominator; scaling moves no support, so every decision
-        is the one over Q.
+        each step first scales the remainder and the quotient so far by
+        c / gcd(c, the remainder's numerators at rt), c the content of lc,
+        kept in the quotient's denominator; after it the quotient at rt, if
+        any, is integral (Gauss's lemma), and scaling moves no support, so
+        every decision is the one over Q.
         """
         self._check_vars(g)
         if g.is_zero():
@@ -321,8 +328,9 @@ class TruncSeries:
             g_sl.setdefault(sum(t), {})[t] = c
         ge = g_sl[e]
         lt = max(ge)
-        lm = max(ge[lt])
-        lc = ge[lt][lm]
+        lc = ge[lt]
+        lm = max(lc)
+        cont = gcd(*lc.values())
         scale = 1
         neg_q = []  # -scale*q by slice, so that each update is one accumulating product
         for k in range(gq + 1):
@@ -334,24 +342,22 @@ class TruncSeries:
             qk = {}
             while r:
                 rt = max(r)
-                rc = r[rt]
-                rm = max(rc)
                 st = tuple(y - x for x, y in zip(lt, rt))
-                sm = mdiv(rm, lm)
-                if sm is None or min(st, default=0) < 0:
+                if min(st, default=0) < 0:
                     raise NotDivisible("leading term not divisible")
-                a = rc[rm]
-                if a % lc:
-                    f = abs(lc) // gcd(a, lc)
+                rc = r[rt]
+                f = cont // gcd(cont, *rc.values()) if cont > 1 else 1
+                if f > 1:
                     for table in (r, qk, *neg_q):
                         for c in table.values():
                             for m in c:
                                 c[m] *= f
                     scale *= f
-                    a *= f
-                c = -a // lc
-                qk.setdefault(st, {})[sm] = c
-                convolve({st: {sm: c}}, ge, None, out=r)
+                c = _neg_quotient(rc, lc, lm)
+                if c is None:
+                    raise NotDivisible("leading term not divisible")
+                qk[st] = c
+                convolve({st: c}, ge, None, out=r)
             neg_q.append(qk)
         num = {t: _times(c, -g.den) for qk in neg_q for t, c in qk.items()}
         return _canonical(self.vars, num, scale * self.den, gq)
@@ -430,6 +436,30 @@ def _times(c, f) -> dict:
     if f == 1:
         return dict(c)
     return {m: x * f for m, x in c.items()}
+
+
+def _neg_quotient(rc, lc, lm):
+    """-rc / lc for numerator maps in Q[m], lm the leading m-monomial of lc;
+    None when lc does not divide rc.
+
+    The caller has scaled rc so that a quotient, if any, is integral.  A
+    rational lc gives one scaled copy; any other runs the leading-term
+    algorithm over m-monomials.
+    """
+    a = lc[lm]
+    if not lm:  # lm = () is the least monomial, so lc is the rational a
+        return {m: -x // a for m, x in rc.items()}
+    rem = dict(rc)
+    out = {}
+    while rem:
+        rm = max(rem)
+        sm = mdiv(rm, lm)
+        x = rem[rm]
+        if sm is None or x % a:
+            return None
+        out[sm] = c = -x // a
+        mul_acc(rem, ((sm, c),), lc)
+    return out
 
 
 def _is_rational(c) -> bool:

@@ -10,11 +10,13 @@ Division by c(chi)^d is one exact division against the cached power
 c(chi)^d, for every character.  The lowest homogeneous part of c(chi)^d is
 (chi_1 t_1 + ... + chi_n t_n)^d, a nonzero polynomial with rational
 coefficients, so ``TruncSeries.divide_exact`` solves q * c(chi)^d = f one
-t-degree slice at a time in the domain Q[m][t]: leading-term division by
-that single divisor decides each slice exactly, and the quotient is unique.
-Membership has two short cuts that need no division: when chi = m*e_a,
-c(chi) is t_a times a unit, and when chi = m*(e_a - e_b) with d = 1, c(chi)
-is t_a - t_b times a unit, so f is a multiple iff it vanishes at t_a = t_b.
+t-degree slice at a time in the domain Q[m][t]: each step clears the
+remainder's leading t-monomial, dividing its whole coefficient in Q[m] by
+the divisor's rational leading coefficient in one scaled copy.  That
+decides each slice exactly, and the quotient is unique.  Membership has two
+short cuts that need no division: when chi = m*e_a, c(chi) is t_a times a
+unit, and when chi = m*(e_a - e_b) with d = 1, c(chi) is t_a - t_b times a
+unit, so f is a multiple iff it vanishes at t_a = t_b.
 
 Product membership is decided by successive division.  Each c(chi)^d is a
 non-zero-divisor (its lowest part is nonzero in the domain Q[m][t]), so f
@@ -23,13 +25,13 @@ pairwise to a lattice basis, the c(chi_j)^(d_j) form a regular sequence, so
 the product of the ideals (c(chi_j)^(d_j)) equals their intersection;
 acceptance criterion 9 tests that identity.  ``ideal_membership_product``
 divides f by one factor, reusing a quotient the intersection test already
-formed, then divides that quotient by each further factor in turn; the
-product of the Chern powers is never formed.  Truncation does not change
-the answer: with a = c(chi)^d, the quotient q_1 of f by a is exact through
-G - d, and q*b = q_1 through G - d iff q*b*a = f through G.  Nor do the
-divisions run out of guarantee: the lowest parts (chi_j . t)^(d_j) are
-pairwise coprime, so a nonzero f in every factor's ideal has lowest degree
-at least sum d_j, which is then at most G.
+formed, then ``product_divides`` divides that quotient by each further
+factor in turn; the product of the Chern powers is never formed.
+Truncation does not change the answer: with a = c(chi)^d, the quotient q_1
+of f by a is exact through G - d, and q*b = q_1 through G - d iff
+q*b*a = f through G.  Nor do the divisions run out of guarantee: the lowest
+parts (chi_j . t)^(d_j) are pairwise coprime, so a nonzero f in every
+factor's ideal has lowest degree at least sum d_j, which is then at most G.
 """
 
 from __future__ import annotations
@@ -226,6 +228,30 @@ class TorusContext:
 
     # -- ideal membership ---------------------------------------------------
 
+    def product_divides(self, factors, f: TruncSeries) -> bool:
+        """Whether prod c(chi_j)^(d_j) divides f through its guarantee.
+
+        Decided by successive division (module docstring), for any factors:
+        f is divided by each factor but the last in turn, and the last is
+        tested by ``chern_divides``.  No product of Chern powers is formed.
+        A nonzero f whose guarantee is below sum d_j is not a multiple: it
+        keeps a term below the product's lowest degree.
+        """
+        factors = [(tuple(chi), int(d)) for chi, d in factors]
+        for chi, d in factors:
+            _check_factor(chi, d)
+        active = [(chi, d) for chi, d in factors if d > 0]
+        if f.is_zero() or not active:
+            return True
+        if sum(d for _, d in active) > f.guarantee:
+            return False
+        try:
+            for chi, d in active[:-1]:
+                f = self.divide_by_chern(f, chi, d)
+        except NotDivisible:
+            return False
+        return self.chern_divides(f, *active[-1])
+
     def ideal_membership_product(self, factors, f: TruncSeries):
         """(in_product, in_intersection) for the ideal generated by
         prod c(chi_j)^(d_j) versus the intersection of the (c(chi_j)^(d_j)).
@@ -236,10 +262,8 @@ class TorusContext:
         The intersection tests every factor: the short cuts of
         ``chern_divides`` first, then ``divide_by_chern`` for the rest, whose
         first quotient is kept; a factor that fails ends both tests.  The
-        product is decided by successive division (module docstring): the
-        kept quotient, or f when every factor took a short cut, is divided
-        by each further factor in turn and the last one is tested by
-        ``chern_divides``.  No product of Chern powers is formed.
+        product is ``product_divides`` of the kept quotient by the other
+        factors, or of f by all of them when every factor took a short cut.
         """
         factors = [(tuple(chi), int(d)) for chi, d in factors]
         for chi, d in factors:
@@ -269,16 +293,9 @@ class TorusContext:
         if len(active) < 2:
             return True, True
         if kept is None:
-            q, rest = f, active
-        else:
-            q, k = kept
-            rest = active[:k] + active[k + 1:]
-        try:
-            for chi, d in rest[:-1]:
-                q = self.divide_by_chern(q, chi, d)
-        except NotDivisible:
-            return False, True
-        return self.chern_divides(q, *rest[-1]), True
+            return self.product_divides(active, f), True
+        q, k = kept
+        return self.product_divides(active[:k] + active[k + 1:], q), True
 
 
 def pair_extends_to_basis(a, b) -> bool:

@@ -54,6 +54,30 @@ def test_normal_form_is_ring_map():
             assert lhs == rhs
 
 
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_normal_form_does_no_coefficient_arithmetic(n, monkeypatch):
+    # the Groebner basis has every coefficient 1, so reduction subtracts
+    # integer numerator maps; checked by staircase support and the pairing,
+    # which together determine the normal form (the Gram matrix is unimodular)
+    rng = random.Random(31 + n)
+    T = TorusContext(n, build(2, n * (n - 1) // 2 + 1))
+    ps = [_rand_xpoly(n, rng, maxdeg=4).scale(Fraction(rng.randint(1, 5), 6)) for _ in range(6)]
+    want = [flag.artin_pairing(T, n, p) for p in ps]
+
+    def boom(*args, **kwargs):
+        raise AssertionError("normal_form did coefficient arithmetic")
+
+    for attr in ("__mul__", "__sub__"):
+        monkeypatch.setattr(GradedCoeff, attr, boom)
+    got = [flag.normal_form(n, p) for p in ps]
+    monkeypatch.undo()
+    staircase = set(flag.artin_exponents(n))
+    assert any(set(p.num) - staircase for p in ps)
+    for nf, w in zip(got, want):
+        assert set(nf.num) <= staircase
+        assert flag.artin_pairing(T, n, nf) == w
+
+
 def _rand_xpoly(n, rng, maxdeg=2, lazard=True):
     terms = {}
     for _ in range(3):

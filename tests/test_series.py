@@ -14,7 +14,9 @@ from torcob.errors import (
     VariableMismatch,
 )
 from torcob.fgl import build
+from torcob.kernels import convolve
 from torcob.series import TruncSeries
+from torcob.torus import TorusContext
 
 UV = ("t1", "t2")
 D = 6
@@ -522,6 +524,69 @@ def test_divide_scales_when_the_leading_coefficient_does_not_divide():
     for h in (g, square):
         assert division_outcome(TruncSeries.divide_exact, other, h) == NotDivisible
         assert division_outcome(flat_divide_oracle, other, h) == NotDivisible
+
+
+def test_divide_scales_once_by_the_whole_leading_coefficient_map():
+    # the leading t-monomial t1^2 of f carries several m-terms, and the
+    # leading numerator 8 of g divides some of their numerators and not
+    # others, so the step scales by 8 / gcd(8, every numerator at t1^2)
+    g = ((var("t1").scale(2) + var("t2").scale(3)) ** 2).scale(2)
+    head = const(1) + const(2).mul_coeff(m(1)) + const(3).mul_coeff(m(2))
+    q = (head + var("t1").mul_coeff(m(2)) - var("t2").scale(Fraction(1, 5))).scale(Fraction(1, 6))
+    f = q * g
+    lead, lc = f.num[(2, 0)], g.num[(2, 0)][()]
+    assert len(lead) == 3 and 0 < sum(1 for x in lead.values() if x % lc == 0) < 3
+    got = f.divide_exact(g)
+    assert_same_value(got, q.truncated(D - 2))
+    assert_same_value(got, flat_divide_oracle(f, g))
+    other = f + TruncSeries.monomial(UV, (1, 2), m(2).scale(Fraction(1, 3)), D)
+    assert division_outcome(TruncSeries.divide_exact, other, g) == NotDivisible
+    assert division_outcome(flat_divide_oracle, other, g) == NotDivisible
+
+
+@pytest.mark.parametrize("lead", [m(1) + m(2), (m(1) + m(2)).scale(2)], ids=["m1+m2", "2m1+2m2"])
+def test_divide_by_a_polynomial_leading_coefficient(lead):
+    # g's leading coefficient is not a monomial, so each step divides in Q[m]
+    # by the leading-term algorithm over m-monomials
+    g = var("t1").mul_coeff(lead) + var("t2").mul_coeff(m(1).scale(3)) + var("t1") ** 2
+    q = (
+        const(1).mul_coeff(GradedCoeff.one() + m(1) + m(2).scale(2))
+        + var("t1").mul_coeff(m(2).scale(Fraction(1, 2)) - GradedCoeff.from_rational(3))
+        + var("t2").mul_coeff(m(1) * m(2))
+    )
+    f = q * g
+    got = f.divide_exact(g)
+    assert_same_value(got, q.truncated(D - 1))
+    assert_same_value(got, flat_divide_oracle(f, g))
+    for extra in ((1, 0), (0, 2)):
+        other = f + TruncSeries.monomial(UV, extra, m(1), D)
+        assert division_outcome(TruncSeries.divide_exact, other, g) == NotDivisible
+        assert division_outcome(flat_divide_oracle, other, g) == NotDivisible
+
+
+def test_divide_clears_one_t_monomial_per_step(monkeypatch):
+    # a multiple of c(chi)^2, chi = (1, 1, 1), by a quotient with k
+    # t-monomials of several m-terms each: one leading product per t-monomial
+    T = TorusContext(3, build(3, 8))
+    g = T.chern_power((1, 1, 1), 2)
+    coeff = GradedCoeff.one() + m(1).scale(2) - m(2) * m(3) + m(1) * m(3).scale(Fraction(1, 3))
+    exps = [(0, 0, 0), (1, 0, 0), (0, 2, 1), (1, 1, 2), (3, 0, 1)]
+    q = TruncSeries(T.vars, {t: coeff.scale(i + 1) for i, t in enumerate(exps)}, 6)
+    f = q * g
+    calls = []
+
+    def counting(a, b, cap, *, out=None):
+        calls.append((a, b))
+        return convolve(a, b, cap, out=out)
+
+    monkeypatch.setattr("torcob.series.convolve", counting)
+    got = f.divide_exact(g)
+    monkeypatch.undo()
+    assert_same_value(got, q)
+    assert_same_value(got, flat_divide_oracle(f, g))
+    leading = [a for a, b in calls if all(sum(t) == 2 for t in b)]
+    assert len(leading) == len(exps)
+    assert all(len(a) == 1 for a in leading)
 
 
 @settings(max_examples=40, deadline=None)

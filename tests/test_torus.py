@@ -579,6 +579,18 @@ def test_membership_forms_no_product(T3, monkeypatch):
     assert got == want
 
 
+@pytest.mark.parametrize("chi", [(1, 0, 0), (0, 1, -1), (1, 1, 1), (2, 1, 0)], ids=str)
+def test_successive_division_where_product_and_intersection_differ(T3, chi):
+    # c(chi) twice, and c(chi) with c(2chi) = c(chi) times a unit: f = c(chi)
+    # lies in both ideals, so in their intersection, but not in the product
+    double = tuple(2 * x for x in chi)
+    for factors in ([(chi, 1), (chi, 1)], [(chi, 1), (double, 1)], [(double, 1), (chi, 1)]):
+        product = T3.chern_power(factors[0][0], 1) * T3.chern_power(factors[1][0], 1)
+        for f, want in ((T3.character_series(chi), (False, True)), (product, (True, True))):
+            assert membership_product_oracle(T3, factors, f) == want
+            assert T3.product_divides(factors, f) == want[0]
+
+
 def test_membership_refuses_bad_factors_before_dividing(T2, monkeypatch):
     def boom(*args, **kwargs):
         raise AssertionError("a division ran")
