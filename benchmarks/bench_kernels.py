@@ -1,13 +1,16 @@
 #!/usr/bin/env python3
-"""Time the exact convolution kernel, ``torcob.kernels.convolve``, and the
-exact division built on it, ``TruncSeries.divide_exact``.
+"""Time the exact convolution kernel, ``torcob.kernels.convolve``, the
+exact division built on it, ``TruncSeries.divide_exact``, and product
+membership, ``TorusContext.ideal_membership_product``.
 
 The kernel (truncated sparse convolution) is the hot inner loop of every
 series multiplication, Euler-class product and exact division.  The tables
 hold integer numerators, as ``TruncSeries`` passes them (its terms over one
 shared denominator).  The division row divides membership-sized Chern-power
 multiples, and as many near-multiples, by c(chi)^2 with chi = (1, 1, 1) at
-rank 3, truncation 8 and ``Dc = 3``.  Run from the repository root:
+rank 3, truncation 8 and ``Dc = 3``.  The membership row tests, in the same
+ring, three two-factor multiples whose factors take no short cut, and
+reports the Chern-class divisions each call runs.  Run from the repository root:
 
     PYTHONPATH=src python benchmarks/bench_kernels.py
 """
@@ -101,6 +104,46 @@ def workload_chern_division(rng):
     return divide_all
 
 
+MEMBERSHIP_FACTORS = (
+    [((2, 1, 1), 2), ((1, 0, 1), 1)],
+    [((1, 0, 1), 1), ((2, 1, 1), 1)],
+    [((1, 1, 0), 1), ((2, 1, 1), 1)],
+)
+
+
+def workload_membership(rng):
+    """Product membership of multiples of c(chi_1)^(d_1) * c(chi_2)^(d_2)."""
+    T = TorusContext(3, build(3, 8))
+    cases = []
+    for factors in MEMBERSHIP_FACTORS:
+        terms = rand_table(rng, 3, 2, 6, 3)
+        f = TruncSeries(
+            T.vars,
+            {t: GradedCoeff({m: Fraction(x) for m, x in c.items()}) for t, c in terms.items()},
+            T.D,
+        )
+        for chi, d in factors:
+            f = f * T.chern_power(chi, d)
+        cases.append((factors, f))
+
+    def test_all():
+        for factors, f in cases:
+            if T.ideal_membership_product(factors, f) != (True, True):
+                raise AssertionError(f"a multiple of {factors} was refused")
+
+    divisions = []
+    divide = T.divide_by_chern
+
+    def counted(f, chi, d=1):
+        divisions.append(chi)
+        return divide(f, chi, d)
+
+    T.divide_by_chern = counted  # shadows the method for one counted pass
+    test_all()  # also fills the Chern-power cache
+    del T.divide_by_chern
+    return test_all, len(divisions) / len(cases)
+
+
 def main():
     rng = random.Random(2024)
     rows = []
@@ -111,10 +154,12 @@ def main():
         rows.append((name, timeit(convolve, *make(rng))))
     rows.append(("euler chain (6 factors)", timeit(workload_euler_chain(rng))))
     rows.append(("divide_exact by c(1,1,1)^2 (x20)", timeit(workload_chern_division(rng))))
+    test_all, per_call = workload_membership(rng)
+    rows.append(("membership of 3 products (x3)", timeit(test_all), f"{per_call:.2f} div/call"))
 
     print(f"{'workload':34s} {'time':>10s}")
-    for name, t in rows:
-        print(f"{name:34s} {t * 1e3:9.2f}ms")
+    for name, t, *note in rows:
+        print(f"{name:34s} {t * 1e3:9.2f}ms", *note)
 
 
 if __name__ == "__main__":

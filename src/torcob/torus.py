@@ -23,15 +23,21 @@ non-zero-divisor (its lowest part is nonzero in the domain Q[m][t]), so f
 lies in (a*b) iff f = a*q with q in (b).  When the characters extend
 pairwise to a lattice basis, the c(chi_j)^(d_j) form a regular sequence, so
 the product of the ideals (c(chi_j)^(d_j)) equals their intersection;
-acceptance criterion 9 tests that identity.  ``ideal_membership_product``
-divides f by one factor, reusing a quotient the intersection test already
-formed, then ``product_divides`` divides that quotient by each further
-factor in turn; the product of the Chern powers is never formed.
-Truncation does not change the answer: with a = c(chi)^d, the quotient q_1
-of f by a is exact through G - d, and q*b = q_1 through G - d iff
-q*b*a = f through G.  Nor do the divisions run out of guarantee: the lowest
-parts (chi_j . t)^(d_j) are pairwise coprime, so a nonzero f in every
-factor's ideal has lowest degree at least sum d_j, which is then at most G.
+acceptance criterion 9 tests that identity.  In any ring (a*b) lies in
+(a) and in (b), so a product that holds certifies the intersection.
+``ideal_membership_product`` therefore divides f once, by the first factor
+without a short cut, and ``product_divides`` divides that quotient by each
+further factor in turn; the product of the Chern powers is never formed.
+Only when the product fails is the intersection tested factor by factor,
+each remaining factor against f itself, so the non-trivial inclusion
+(intersection in product) is still computed wherever it could fail.
+Truncation does not change either answer: with a = c(chi)^d, the quotient
+q_1 of f by a is exact through G - d, and q*b = q_1 through G - d iff
+q*b*a = f through G; so a product that holds through G puts f in every
+factor's ideal through G.  Nor do the divisions run out of guarantee: the
+lowest parts (chi_j . t)^(d_j) are pairwise coprime, so a nonzero f in
+every factor's ideal has lowest degree at least sum d_j, which is then at
+most G.
 """
 
 from __future__ import annotations
@@ -56,10 +62,6 @@ def content(chi) -> int:
     for x in chi:
         g = math.gcd(g, abs(x))
     return g
-
-
-def is_primitive(chi) -> bool:
-    return content(chi) == 1
 
 
 def primitive_part(chi):
@@ -259,11 +261,14 @@ class TorusContext:
         Every pair of distinct characters must extend to a lattice basis
         (checked through the gcd of the 2x2 minors of the pair matrix), so
         the c(chi_j)^(d_j) form a regular sequence and the two answers agree.
-        The intersection tests every factor: the short cuts of
-        ``chern_divides`` first, then ``divide_by_chern`` for the rest, whose
-        first quotient is kept; a factor that fails ends both tests.  The
-        product is ``product_divides`` of the kept quotient by the other
-        factors, or of f by all of them when every factor took a short cut.
+        The short cuts of ``chern_divides`` run on every factor first; a
+        factor that fails ends both tests.  Then f is divided once, by the
+        first factor without a short cut, and the product is
+        ``product_divides`` of that quotient by the other factors (of f by
+        all of them when every factor took a short cut).  A product that
+        holds certifies the intersection with no further division; when it
+        fails, the intersection tests f by ``chern_divides`` against each
+        remaining factor without a short cut.
         """
         factors = [(tuple(chi), int(d)) for chi, d in factors]
         for chi, d in factors:
@@ -281,21 +286,17 @@ class TorusContext:
         decided = [self._divides_without_division(f, chi, d) for chi, d in active]
         if False in decided:
             return False, False
-        kept = None  # (quotient, index of its factor in active)
-        for k, (chi, d) in enumerate(active):
-            if decided[k] is None:
-                try:
-                    q = self.divide_by_chern(f, chi, d)
-                except NotDivisible:
-                    return False, False
-                if kept is None:
-                    kept = (q, k)
-        if len(active) < 2:
+        if None not in decided:
+            return len(active) < 2 or self.product_divides(active, f), True
+        k = decided.index(None)
+        try:
+            q = self.divide_by_chern(f, *active[k])
+        except NotDivisible:
+            return False, False
+        if self.product_divides(active[:k] + active[k + 1:], q):
             return True, True
-        if kept is None:
-            return self.product_divides(active, f), True
-        q, k = kept
-        return self.product_divides(active[:k] + active[k + 1:], q), True
+        rest = [fac for fac, dec in zip(active[k + 1:], decided[k + 1:]) if dec is None]
+        return False, all(self.chern_divides(f, chi, d) for chi, d in rest)
 
 
 def pair_extends_to_basis(a, b) -> bool:

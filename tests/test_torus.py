@@ -22,7 +22,6 @@ from torcob.series import TruncSeries
 from torcob.torus import (
     TorusContext,
     content,
-    is_primitive,
     pair_extends_to_basis,
     primitive_part,
     proportional,
@@ -32,6 +31,10 @@ from residue_oracle import _unit_inverse_power
 
 
 # -- the adapted-coordinate oracle ---------------------------------------------
+
+
+def is_primitive(chi) -> bool:
+    return content(chi) == 1
 
 
 def egcd(a: int, b: int):
@@ -577,6 +580,60 @@ def test_membership_forms_no_product(T3, monkeypatch):
         monkeypatch.setattr(TruncSeries, attr, boom)
     got = [T3.ideal_membership_product(factors, g) for (factors, _), g in zip(cases, fs)]
     assert got == want
+
+
+def test_membership_divides_once_per_factor(T3, monkeypatch):
+    # a product that holds certifies the intersection: f is divided by
+    # c(2,1,1)^2 once, and only that quotient by c(1,0,1)
+    factors = [((2, 1, 1), 2), ((1, 0, 1), 1)]
+    f = (T3.one() + T3.var(2)) * T3.chern_power((2, 1, 1), 2) * T3.chern_power((1, 0, 1), 1)
+    calls, quotients = [], []
+    divide = TorusContext.divide_by_chern
+
+    def spy(self, g, chi, d=1):
+        calls.append((g, tuple(chi), d))
+        quotients.append(divide(self, g, chi, d))
+        return quotients[-1]
+
+    monkeypatch.setattr(TorusContext, "divide_by_chern", spy)
+    assert T3.ideal_membership_product(factors, f) == (True, True)
+    assert [(chi, d) for _, chi, d in calls] == factors
+    (first, _, _), (second, _, _) = calls
+    assert first is f and second is quotients[0]
+    assert second.guarantee == f.guarantee - 2
+    assert not any(g is f and chi == (1, 0, 1) for g, chi, _ in calls)
+
+
+@pytest.mark.parametrize("factors, multiplied, tested", [
+    # multiples of the first factor only, with 2 and 3 factors
+    ([((2, 1, 1), 2), ((1, 0, 1), 1)], 1, [(1, 0, 1)]),
+    ([((2, 1, 1), 1), ((1, 0, 1), 1), ((1, 1, 0), 1)], 1, [(1, 0, 1)]),
+    # a multiple of the first two: the fallback reaches the third factor
+    ([((2, 1, 1), 1), ((1, 0, 1), 1), ((1, 1, 0), 1)], 2, [(1, 0, 1), (1, 1, 0)]),
+    # the axis factor holds by its short cut and is not tested again
+    ([((2, 1, 1), 2), ((1, 0, 0), 1), ((1, 1, 0), 1)], 2, [(1, 1, 0)]),
+], ids=["2-first", "3-first", "3-first-two", "3-short-cut"])
+def test_membership_tests_the_intersection_where_the_product_fails(
+        T3, monkeypatch, factors, multiplied, tested):
+    # the product fails, so the intersection tests f itself against each
+    # remaining factor without a short cut, in order, up to the first that
+    # fails; by the regular-sequence theorem its answer is then False, which
+    # only these calls show was computed rather than assumed
+    f = T3.one() + T3.var(2)
+    for chi, d in factors[:multiplied]:
+        f = f * T3.chern_power(chi, d)
+    want = membership_product_oracle(T3, factors, f)
+    assert want == (False, False)
+    calls = []
+    divides = TorusContext.chern_divides
+
+    def spy(self, g, chi, d=1):
+        calls.append((g, tuple(chi)))
+        return divides(self, g, chi, d)
+
+    monkeypatch.setattr(TorusContext, "chern_divides", spy)
+    assert T3.ideal_membership_product(factors, f) == want
+    assert [chi for g, chi in calls if g is f] == tested
 
 
 @pytest.mark.parametrize("chi", [(1, 0, 0), (0, 1, -1), (1, 1, 1), (2, 1, 0)], ids=str)
