@@ -1,16 +1,20 @@
 #!/usr/bin/env python3
 """Time the exact convolution kernel, ``torcob.kernels.convolve``, the
-exact division built on it, ``TruncSeries.divide_exact``, and product
-membership, ``TorusContext.ideal_membership_product``.
+exact division built on it, ``TruncSeries.divide_exact``, product
+membership, ``TorusContext.ideal_membership_product``, and the bivariate
+formal group law ``F``.
 
 The kernel (truncated sparse convolution) is the hot inner loop of every
 series multiplication, Euler-class product and exact division.  The tables
-hold integer numerators, as ``TruncSeries`` passes them (its terms over one
-shared denominator).  The division row divides membership-sized Chern-power
-multiples, and as many near-multiples, by c(chi)^2 with chi = (1, 1, 1) at
-rank 3, truncation 8 and ``Dc = 3``.  The membership row tests, in the same
-ring, three two-factor multiples whose factors take no short cut, and
-reports the Chern-class divisions each call runs.  Run from the repository root:
+hold integer numerators on packed m-keys, as ``TruncSeries`` passes them
+(its terms over one shared denominator).  The division row divides
+membership-sized Chern-power multiples, and as many near-multiples, by
+c(chi)^2 with chi = (1, 1, 1) at rank 3, truncation 8 and ``Dc = 3``.  The
+membership row tests, in the same ring, three two-factor multiples whose
+factors take no short cut, and reports the Chern-class divisions each call
+runs.  The last row builds F = e(l(u) + l(v)) of the universal law at
+truncation 20 with ``Dc = 6``, its exponential built beforehand.  Run from
+the repository root:
 
     PYTHONPATH=src python benchmarks/bench_kernels.py
 """
@@ -22,7 +26,7 @@ from fractions import Fraction
 from torcob.coeff import GradedCoeff
 from torcob.errors import NotDivisible
 from torcob.fgl import build
-from torcob.kernels import convolve
+from torcob.kernels import convolve, pack, unpack
 from torcob.series import TruncSeries
 from torcob.torus import TorusContext
 
@@ -38,7 +42,7 @@ def rand_table(rng, nvars, maxdeg, nterms, mterms):
             m = [rng.randint(0, 2) for _ in range(rng.randint(0, 3))]
             while m and m[-1] == 0:
                 m.pop()
-            coeff[tuple(m)] = rng.randint(-9, 9) * rng.randint(1, 7)
+            coeff[pack(m)] = rng.randint(-9, 9) * rng.randint(1, 7)
         coeff = {k: v for k, v in coeff.items() if v}
         if coeff:
             out[tuple(exps)] = coeff
@@ -88,7 +92,7 @@ def workload_chern_division(rng):
     dividends = []
     for i in range(20):
         terms = rand_table(rng, 3, 4, 8, 4)
-        coeffs = {t: GradedCoeff({m: Fraction(x) for m, x in c.items()}) for t, c in terms.items()}
+        coeffs = {t: GradedCoeff({unpack(m): Fraction(x) for m, x in c.items()}) for t, c in terms.items()}
         f = TruncSeries(T.vars, coeffs, 6) * g
         if i % 2:
             f = f + T.var(0) ** 3
@@ -119,7 +123,7 @@ def workload_membership(rng):
         terms = rand_table(rng, 3, 2, 6, 3)
         f = TruncSeries(
             T.vars,
-            {t: GradedCoeff({m: Fraction(x) for m, x in c.items()}) for t, c in terms.items()},
+            {t: GradedCoeff({unpack(m): Fraction(x) for m, x in c.items()}) for t, c in terms.items()},
             T.D,
         )
         for chi, d in factors:
@@ -144,6 +148,19 @@ def workload_membership(rng):
     return test_all, len(divisions) / len(cases)
 
 
+def workload_bivariate_law():
+    """F of the universal law at truncation 20, Dc = 6, from a fresh context per run."""
+
+    def build_F():
+        ctx = build(6, 20)
+        ctx.exp  # built on first read, outside the F row's subject
+        t0 = time.perf_counter()
+        ctx.F
+        return time.perf_counter() - t0
+
+    return build_F
+
+
 def main():
     rng = random.Random(2024)
     rows = []
@@ -156,6 +173,8 @@ def main():
     rows.append(("divide_exact by c(1,1,1)^2 (x20)", timeit(workload_chern_division(rng))))
     test_all, per_call = workload_membership(rng)
     rows.append(("membership of 3 products (x3)", timeit(test_all), f"{per_call:.2f} div/call"))
+    build_F = workload_bivariate_law()
+    rows.append(("F at D = 20, Dc = 6", min(build_F() for _ in range(3))))
 
     print(f"{'workload':34s} {'time':>10s}")
     for name, t, *note in rows:

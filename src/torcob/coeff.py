@@ -7,7 +7,8 @@ cohomological degree ``-i``; no floating point is used anywhere.
 
 Exponent vectors are tuples with trailing zeros trimmed, position ``p``
 holding the exponent of ``m_{p+1}``; the empty tuple is the constant
-monomial.
+monomial.  Products run in ``kernels`` on packed integer keys: ``__mul__``
+and ``inverse_powers`` pack on entry and unpack on exit.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial
 
-from torcob.kernels import mul_acc
+from torcob.kernels import mul_acc, pack, unpack
 
 
 def _trim(exps):
@@ -83,9 +84,6 @@ class GradedCoeff:
     def rational_part(self) -> Fraction:
         return self.terms.get((), Fraction(0))
 
-    def max_generator_index(self) -> int:
-        return max((len(e) for e in self.terms), default=0)
-
     # -- grading -----------------------------------------------------------
 
     def degrees(self):
@@ -98,9 +96,6 @@ class GradedCoeff:
         if len(degs) == 1:
             return degs[0]
         return None
-
-    def degree_component(self, j: int) -> GradedCoeff:
-        return GradedCoeff({e: q for e, q in self.terms.items() if -mweight(e) == j})
 
     # -- arithmetic --------------------------------------------------------
 
@@ -129,7 +124,8 @@ class GradedCoeff:
         return self + (-other)
 
     def __mul__(self, other: GradedCoeff) -> GradedCoeff:
-        return GradedCoeff(mul_acc({}, self.terms.items(), other.terms))
+        prod = mul_acc({}, _packed(self.terms).items(), _packed(other.terms))
+        return GradedCoeff({unpack(m): q for m, q in prod.items()})
 
     def scale(self, q) -> GradedCoeff:
         q = Fraction(q)
@@ -240,7 +236,8 @@ def inverse_powers(M: dict, n: int, shift: int) -> list:
     M_j = 0.  These are the Lagrange-Burmann sums of the law's exponential
     and characteristic series (see ``fgl``).
     """
-    out = [{(): Fraction(1)}] + [{} for _ in range(n)]
+    M = {j: _packed(c) for j, c in M.items() if j <= n}
+    out = [{0: Fraction(1)}] + [{} for _ in range(n)]
 
     def grow(prod, size, last, run, length, aut):
         # prod = M^mu and aut = (-1)^l aut(mu) for the prefix mu, run = multiplicity of last
@@ -249,11 +246,16 @@ def inverse_powers(M: dict, n: int, shift: int) -> list:
                 k, r = size + p, run + 1 if p == last else 1
                 prod_p = mul_acc({}, prod.items(), M[p])
                 w = Fraction(factorial(k + shift + length), -factorial(k + shift - 1) * aut * r)
-                mul_acc(out[k], prod_p.items(), {(): w})
+                mul_acc(out[k], prod_p.items(), {0: w})
                 grow(prod_p, k, p, r, length + 1, -aut * r)
 
-    grow({(): 1}, 0, n, 0, 0, 1)
-    return out
+    grow({0: 1}, 0, n, 0, 0, 1)
+    return [{unpack(m): q for m, q in p.items()} for p in out]
+
+
+def _packed(terms) -> dict:
+    """A coefficient map with its exponent tuples packed into m-keys."""
+    return {pack(e): q for e, q in terms.items()}
 
 
 def join_signed(pieces) -> str:

@@ -18,9 +18,9 @@ the formal inverse rho(u) = e(-l(u)) = [-1]u (put x = -l(u)).  Since
 F(u, v) = e(l(u) + l(v)), rho is the solution of F(u, rho) = 0.  Neither
 e, rho nor the bivariate F is built until something reads it: e is read by
 ``exp`` and every n-series, rho is the n-series at -1 (``rho``,
-``n_series``), F is built by ``F``, ``a_coeff``, ``plus`` and
-``formal_sum``.  Integration in ``gkm`` and the Artin pairing in ``flag``
-read only l, through ``weight_factors``.
+``n_series``), F is built by ``F``, ``a_coeff`` and ``plus``.  Integration
+in ``gkm`` and the Artin pairing in ``flag`` read only l, through
+``weight_factors``.
 
 The characteristic series of the law is Q(x) = x / e(x) (Hirzebruch), a
 unit written exp(sum_k q_k x^k) with q_k in Q[m] of weight k.  Since
@@ -42,6 +42,7 @@ from fractions import Fraction
 
 from torcob.coeff import GradedCoeff, inverse_powers, partitions
 from torcob.errors import TooLarge, TruncationInsufficient
+from torcob.kernels import pack
 from torcob.series import TruncSeries
 
 ADDITIVE = "additive"
@@ -145,12 +146,12 @@ class FGLContext:
         """(den, factors): the weights q_mu / aut(mu) of the partitions of size <= dim.
 
         ``factors`` maps each partition of ``partitions(dim)``, in that order,
-        to the integer polynomial den^p * q_p / j as an {m-exponents: int}
-        map, where p is its last part and j the multiplicity of p; the empty
-        partition maps to 1.  The weight of mu is the product of the factors
-        of mu and of its nonempty prefixes, over den^|mu|.  Reads l through
-        degree dim + 1, so the weights respect Dc and the specialization;
-        cached per dim.
+        to the integer polynomial den^p * q_p / j as an {m-key: int} map
+        (packed keys, as in ``kernels``), where p is its last part and j the
+        multiplicity of p; the empty partition maps to 1.  The weight of mu
+        is the product of the factors of mu and of its nonempty prefixes,
+        over den^|mu|.  Reads l through degree dim + 1, so the weights
+        respect Dc and the specialization; cached per dim.
         """
         out = self._weights.get(dim)
         if out is None:
@@ -163,25 +164,11 @@ class FGLContext:
                 for mu in partitions(dim) if mu
             }
             den = math.lcm(*(c.denominator for f in rational.values() for c in f.terms.values()))
-            factors = {(): {(): 1}}
+            factors = {(): {0: 1}}
             for mu, f in rational.items():
-                factors[mu] = {m: int(c * den ** mu[-1]) for m, c in f.terms.items()}
+                factors[mu] = {pack(m): int(c * den ** mu[-1]) for m, c in f.terms.items()}
             out = self._weights[dim] = (den, factors)
         return out
-
-    def formal_sum(self, summands) -> TruncSeries:
-        """Left fold of F over the list; summands need zero constant term."""
-        summands = list(summands)
-        if not summands:
-            raise ValueError("empty formal sum")
-        acc = summands[0]
-        if not acc.constant_term().is_zero():
-            raise ValueError("formal summand has nonzero constant term")
-        for s in summands[1:]:
-            if not s.constant_term().is_zero():
-                raise ValueError("formal summand has nonzero constant term")
-            acc = self.F.substitute({"u": acc, "v": s})
-        return acc
 
     def plus(self, a: TruncSeries, b: TruncSeries) -> TruncSeries:
         """a +_F b."""

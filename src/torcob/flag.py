@@ -29,12 +29,12 @@ from torcob.fgl import build
 from torcob.gkm import PiecewiseClass, _log_integral, flag_graph
 # Looked up here by the benchmark's tracer (e2ebench/spans.py); unused in this module.
 from torcob.gkm import basis_expand  # noqa: F401
-from torcob.kernels import mul_acc
+from torcob.kernels import mul_acc, unpack
 from torcob.series import TruncSeries, _canonical
 from torcob.torus import TorusContext
 
 XBOUND = 1 << 30  # polynomials: no truncation in practice
-_ONE = {(): 1}  # the numerator map of 1
+_ONE = {0: 1}  # the numerator map of 1
 
 # Size guards: kernel_check above this rank, coinv_rank above this one.
 MAX_KERNEL_RANK = 6
@@ -47,14 +47,6 @@ def xvars(n: int):
 
 def x_poly(n: int, terms) -> TruncSeries:
     return TruncSeries(xvars(n), terms, XBOUND)
-
-
-def x_zero(n: int) -> TruncSeries:
-    return TruncSeries.zero(xvars(n), XBOUND)
-
-
-def x_one(n: int) -> TruncSeries:
-    return TruncSeries.constant(xvars(n), 1, XBOUND)
 
 
 def x_var(n: int, k: int) -> TruncSeries:
@@ -211,11 +203,11 @@ def artin_pairing(ctx: TorusContext, n: int, p: TruncSeries) -> list:
                 continue
             if c not in integrals:
                 terms = [(v, get(c), 1) for v, get in cosets]
-                integrals[c], den = _log_integral(law, g, {(sum(c), ()): terms})
+                integrals[c], den = _log_integral(law, g, {(sum(c), 0): terms})
             mul_acc(acc, pb.items(), integrals[c])
         out.append(acc)
     den *= p.den
-    return [GradedCoeff({m: Fraction(x, den) for m, x in acc.items()}) for acc in out]
+    return [GradedCoeff({unpack(m): Fraction(x, den) for m, x in acc.items()}) for acc in out]
 
 
 def kernel_check(ctx: TorusContext, n: int, p: TruncSeries) -> bool:

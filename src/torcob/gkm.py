@@ -54,10 +54,10 @@ from torcob.errors import (
     TooLarge,
     TruncationInsufficient,
 )
-from torcob.kernels import mul_acc
+from torcob.kernels import mul_acc, unpack
 from torcob.linalg import INCONSISTENT, UNDERDETERMINED, solve
 from torcob.linalg import rank as matrix_rank
-from torcob.series import TruncSeries
+from torcob.series import TruncSeries, _is_rational
 from torcob.torus import TorusContext, content, proportional
 
 
@@ -341,7 +341,7 @@ def _power_sum_numbers(g: GKMGraph, partitions, terms) -> dict:
 
 
 def _weighted_sums(factors: dict, sums: dict) -> dict:
-    """{k: den^k * sum_(|mu| = k) sums[mu] * q_mu / aut(mu)} as {m-exponents: int} maps.
+    """{k: den^k * sum_(|mu| = k) sums[mu] * q_mu / aut(mu)} as {m-key: int} maps.
 
     ``factors`` and den are those of ``FGLContext.weight_factors``; ``sums``
     is keyed by partitions that start with the empty one and list every
@@ -353,7 +353,7 @@ def _weighted_sums(factors: dict, sums: dict) -> dict:
     for mu in reversed(sums):
         acc = inner.pop(mu, {})
         if sums[mu]:
-            acc[sum(mu)] = {(): sums[mu]}
+            acc[sum(mu)] = {0: sums[mu]}
         if not mu:
             return acc
         if acc:
@@ -371,11 +371,12 @@ def _log_integral(law, g: GKMGraph, groups) -> tuple:
     """(num, den): the integral over X of a class given by its terms, numerators over den.
 
     ``groups`` maps (d, beta) to the (v, e, n) triples of
-    ``_power_sum_numbers`` with |e| = d <= dim: the class whose value at v
-    is the sum of m^beta n t^e over every group's triples of v.  A group
-    contributes z^(d - dim) sum_mu q_mu m^beta N_mu z^|mu| / aut(mu), so it
-    lands at the levels d + |mu|.  With R_L the total at level L, summed
-    over every group, the integral is R_dim, as an {m-exponents: int} map;
+    ``_power_sum_numbers`` with |e| = d <= dim, beta an m-key (packed, as in
+    ``kernels``): the class whose value at v is the sum of m^beta n t^e over
+    every group's triples of v.  A group contributes
+    z^(d - dim) sum_mu q_mu m^beta N_mu z^|mu| / aut(mu), so it lands at the
+    levels d + |mu|.  With R_L the total at level L, summed
+    over every group, the integral is R_dim, as an {m-key: int} map;
     NotDivisible unless every R_L with L < dim vanishes as a polynomial in
     m.  Partitions of zero weight (a zero factor on them or on a prefix)
     are not walked; under the additive law only the empty one is.  den is
@@ -434,7 +435,7 @@ def integrate(ctx: TorusContext, g: GKMGraph, alpha: PiecewiseClass, check_class
                 for beta, n in c.items():
                     groups.setdefault((d, beta), []).append((v, e, n * scale))
     num, log_den = _log_integral(ctx.fgl, g, groups)
-    return GradedCoeff({m: Fraction(x, den * log_den) for m, x in num.items()})
+    return GradedCoeff({unpack(m): Fraction(x, den * log_den) for m, x in num.items()})
 
 
 def basis_expand(ctx: TorusContext, g: GKMGraph, basis, alpha: PiecewiseClass):
@@ -483,7 +484,7 @@ def basis_expand(ctx: TorusContext, g: GKMGraph, basis, alpha: PiecewiseClass):
                 c = alpha.values[v].divide_exact(b.values[v])
             except NotDivisible as exc:
                 raise NoSolution(f"component at {v} is not a multiple of the basis value") from exc
-            if any(len(m) > top for x in c.coeffs.values() for m in x.terms):
+            if any(len(unpack(m)) > top for x in c.num.values() for m in x):
                 raise NoSolution(_OUT_OF_SPAN)
             out.append(c)
         return out
@@ -517,11 +518,11 @@ def _expand_linear(ctx, g, basis, alpha, guar, top):
         )
     leads, tails = _split_lowest(basis, lows)
     tmons = [_t_monomials(ctx.rank, e) for e in range(guar + 1)]
-    residual = [{} for _ in range(guar + 1)]  # per t-degree: {(vertex, t-exps): {m-exps: q}}
+    residual = [{} for _ in range(guar + 1)]  # per t-degree: {(vertex, t-exps): {m-key: q}}
     for v, s in alpha.values.items():
-        for t, c in s.coeffs.items():
+        for t, c in s.num.items():
             if sum(t) <= guar:
-                residual[sum(t)][(v, t)] = dict(c.terms)
+                residual[sum(t)][(v, t)] = _over(c, s.den)
     coords = [{} for _ in basis]
     for d in range(guar + 1):
         cols = [(k, s) for k, low in enumerate(lows) if low <= d for s in tmons[d - low]]
@@ -533,12 +534,12 @@ def _expand_linear(ctx, g, basis, alpha, guar, top):
             status == INCONSISTENT and matrix_rank(rows) < len(cols)
         ):
             raise Ambiguous("basis is not free through the truncation")
-        if status == INCONSISTENT or any(len(m) > top for part in y for m in part):
+        if status == INCONSISTENT or any(len(unpack(m)) > top for part in y for m in part):
             raise NoSolution(_OUT_OF_SPAN)
         for (k, s), part in zip(cols, y):
             if not part:
                 continue
-            coords[k][s] = GradedCoeff(part)
+            coords[k][s] = GradedCoeff({unpack(m): q for m, q in part.items()})
             neg = [(m, -q) for m, q in part.items()]
             for v, t, dt, c in tails[k]:
                 if d + dt <= guar:
@@ -552,21 +553,27 @@ def _split_lowest(basis, lows):
 
     A lead lists (vertex, t-exps, q) over the lowest part, or nothing when
     that part carries a Lazard generator; a tail lists (vertex, t-exps,
-    t-degree above the lowest, coefficient map) over the rest.
+    t-degree above the lowest, {m-key: q} coefficient map) over the rest.
     """
     leads, tails = [], []
     for b, low in zip(basis, lows):
         lead, tail = [], []
         for v, s in b.values.items():
-            for t, c in s.coeffs.items():
+            for t, c in s.num.items():
+                c = _over(c, s.den)
                 if sum(t) == low:
                     lead.append((v, t, c))
                 else:
-                    tail.append((v, t, sum(t) - low, c.terms))
-        rational = all(c.is_rational() for _, _, c in lead)
-        leads.append([(v, t, c.rational_part()) for v, t, c in lead] if rational else [])
+                    tail.append((v, t, sum(t) - low, c))
+        rational = all(_is_rational(c) for _, _, c in lead)
+        leads.append([(v, t, c[0]) for v, t, c in lead] if rational else [])
         tails.append(tail)
     return leads, tails
+
+
+def _over(c, den) -> dict:
+    """The coefficient map of the numerators c over den."""
+    return {m: Fraction(x, den) for m, x in c.items()}
 
 
 def _lifting_system(cols, leads, part):

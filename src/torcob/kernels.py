@@ -1,54 +1,91 @@
 """The exact product kernel: every multiply in torcob runs through here.
 
-A coefficient is a sparse map {m-exponents: number} on Q[m1, m2, ...]
-(trimmed exponent tuples, as in ``coeff``); a series table maps t-exponent
-tuples to such maps.  Series pass integer numerators (over their one
-denominator) and ``GradedCoeff`` passes Fractions; the loops never convert.
-One function per loop: ``madd`` multiplies m-monomials (``mdiv`` divides
-them), ``mul_acc`` accumulates coefficient products and ``convolve``
-multiplies series tables, into a new table or added into a given one.  Zero
-entries never survive in any result.
+A coefficient is a sparse map {m-key: number} on Q[m1, m2, ...]; a series
+table maps t-exponent tuples to such maps.  Series pass integer numerators
+(over their one denominator) and ``GradedCoeff`` passes Fractions; the loops
+never convert.  ``mul_acc`` accumulates coefficient products and
+``convolve`` multiplies series tables, into a new table or added into a
+given one.  Zero entries never survive in any result.
+
+An m-key is an m-monomial packed into one integer (FLINT's packed exponent
+vectors; Monagan-Pearce, CASC 2007): the exponent of m_i sits in bit field
+i - 1, each field W bits wide, so the product of two monomials is the sum of
+their keys and 1 is the key 0.  ``pack`` and ``unpack`` convert from and to
+the trimmed exponent tuples of ``coeff``.  Integer order on keys is the
+lexicographic order with the highest generator most significant, a monomial
+order.  The top bit of every field is a guard that a valid key keeps clear:
+exponents run up to MAX_EXP and generators up to m_MAX_GENERATORS, and
+``pack`` refuses anything beyond with TooLarge.  Two valid fields sum to
+less than 2^W, so a product never carries into the next field; an exponent
+above MAX_EXP sets its field's guard bit, and ``mul_acc`` raises TooLarge
+before such a key enters a map.
 """
+
+from operator import add
+
+from torcob.errors import TooLarge
 
 # Recorded with each benchmark run; the kernel has a single implementation.
 BACKEND = "python"
 
-
-def madd(a, b):
-    """Product of two trimmed m-monomials; sums of nonnegative exponents stay trimmed."""
-    if not a:
-        return b
-    if not b:
-        return a
-    if len(a) < len(b):
-        a, b = b, a
-    la = list(a)
-    for i, x in enumerate(b):
-        la[i] += x
-    return tuple(la)
+W = 16  # bits per exponent field
+MAX_EXP = (1 << (W - 1)) - 1
+MAX_GENERATORS = 1024
+_FIELD = (1 << W) - 1
+GUARD = sum(1 << (W * i + W - 1) for i in range(MAX_GENERATORS))
 
 
-def mdiv(a, b):
-    """Quotient a / b of trimmed m-monomials, None when b does not divide a."""
-    if len(b) > len(a):
+def pack(m) -> int:
+    """The m-key of the exponent tuple ``m`` (position p holds the exponent of m_(p+1))."""
+    if len(m) > MAX_GENERATORS:
+        raise TooLarge(f"generator m{len(m)} is above the limit m{MAX_GENERATORS}")
+    key = 0
+    for e in reversed(m):
+        if e > MAX_EXP:
+            raise TooLarge(f"exponent {e} is above the limit {MAX_EXP}")
+        if e < 0:
+            raise ValueError(f"negative exponent {e}")
+        key = key << W | e
+    return key
+
+
+def unpack(key: int) -> tuple:
+    """The trimmed exponent tuple of an m-key."""
+    out = []
+    while key:
+        out.append(key & _FIELD)
+        key >>= W
+    return tuple(out)
+
+
+def mdiv(a: int, b: int):
+    """The m-key of a / b, None when b does not divide a.
+
+    With every guard bit of a set first, no field borrows from the next, and
+    a field keeps its guard bit exactly when b's exponent there is at most a's.
+    """
+    d = (a | GUARD) - b
+    if d & GUARD != GUARD:
         return None
-    q = [x - y for x, y in zip(a, b)]
-    if q and min(q) < 0:
-        return None
-    q += a[len(b):]
-    while q and not q[-1]:
-        q.pop()
-    return tuple(q)
+    return d ^ GUARD
 
 
 def mul_acc(out, a_items, b):
-    """out += a*b for coefficient maps, with ``a_items`` the (m, q) pairs of a."""
+    """out += a*b for coefficient maps, with ``a_items`` the (m, q) pairs of a.
+
+    A product key with a guard bit set (an exponent above MAX_EXP) raises
+    TooLarge.  It is checked where a key enters ``out``: a key already there
+    passed the check, and no valid key equals one with a guard bit.
+    """
     for ma, qa in a_items:
         for mb, qb in b.items():
-            m = madd(ma, mb)
+            # a factor 1 (the key 0) keeps the other key object, so that maps share keys
+            m = ma + mb if ma and mb else ma or mb
             q = qa * qb
             s = out.get(m)
             if s is None:
+                if m & GUARD:
+                    raise TooLarge(f"an exponent in a product is above the limit {MAX_EXP}")
                 out[m] = q
             else:
                 s = s + q
@@ -75,7 +112,7 @@ def convolve(a, b, cap, *, out=None):
         for tb, db, cb in bitems:
             if cap is not None and da + db > cap:
                 continue
-            t = tuple(x + y for x, y in zip(ta, tb))
+            t = tuple(map(add, ta, tb))
             tgt = out.get(t)
             if tgt is None:
                 tgt = out[t] = {}

@@ -1,13 +1,18 @@
 """Degree-truncated graded multivariate power series over the Lazard coefficients.
 
 A series is integer numerators over one denominator (FLINT's ``fmpq_poly``
-layout): a table ``num`` {t-exps: {m-exps: int}}, ``den > 0``, and one
+layout): a table ``num`` {t-exps: {m-key: int}}, ``den > 0``, and one
 trusted degree ``guarantee``, through which coefficients are exact; nothing
-above it is stored.  The form is canonical (no zero numerator, gcd of den and
-the numerators 1), so equality, hashing and rendering are structural.  The
-kernel runs on ``num`` with Python ints; one gcd sweep settles each result.
-``coeffs``, the value as {t-exps: GradedCoeff}, is built on first read.
-Values are immutable; inner tables may be shared and are never mutated.
+above it is stored.  The t-exponents are tuples; the m-monomials are the
+packed integer keys of ``kernels`` (1 is the key 0), ordered as integers,
+lexicographically with the highest generator most significant.  The
+constructor packs, so an exponent above ``kernels.MAX_EXP`` raises TooLarge
+there, and ``coeffs`` and ``coefficient`` unpack.  The form is canonical (no
+zero numerator, gcd of den and the numerators 1), so equality, hashing and
+rendering are structural.  The kernel runs on ``num`` with Python ints; one
+gcd sweep settles each result.  ``coeffs``, the value as {t-exps:
+GradedCoeff}, is built on first read.  Values are immutable; inner tables
+may be shared and are never mutated.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from torcob.errors import (
     TruncationInsufficient,
     VariableMismatch,
 )
-from torcob.kernels import convolve, mdiv, mul_acc
+from torcob.kernels import convolve, mdiv, mul_acc, pack, unpack
 
 
 class TruncSeries:
@@ -33,7 +38,9 @@ class TruncSeries:
         kept = [(t, c.terms.items()) for t, c in coeffs.items() if sum(t) <= guarantee]
         # the lcm of the denominators leaves no common factor
         den = lcm(*(q.denominator for _, c in kept for _, q in c if q))
-        num = {t: {m: q.numerator * (den // q.denominator) for m, q in c if q} for t, c in kept}
+        num = {
+            t: {pack(m): q.numerator * (den // q.denominator) for m, q in c if q} for t, c in kept
+        }
         self.vars = tuple(vars)
         self.num = {t: c for t, c in num.items() if c}
         self.den = den
@@ -74,7 +81,7 @@ class TruncSeries:
 
     def _coeff(self, c) -> GradedCoeff:
         den = self.den
-        return GradedCoeff({m: Fraction(x, den) for m, x in c.items()})
+        return GradedCoeff({unpack(m): Fraction(x, den) for m, x in c.items()})
 
     def is_zero(self) -> bool:
         return not self.num
@@ -99,7 +106,7 @@ class TruncSeries:
         A t-monomial of degree d with coefficient of coefficient-degree j - d
         contributes to degree j.
         """
-        degs = {sum(t) - mweight(m) for t, c in self.num.items() for m in c}
+        degs = {sum(t) - mweight(unpack(m)) for t, c in self.num.items() for m in c}
         return degs.pop() if len(degs) == 1 else None
 
     def eq_through(self, other: TruncSeries, deg: int) -> bool:
@@ -126,7 +133,7 @@ class TruncSeries:
         g = min(self.guarantee, other.guarantee)
         den = lcm(self.den, other.den)
         out = {t: _times(c, den // self.den) for t, c in self.num.items() if sum(t) <= g}
-        f = {(): sign * (den // other.den)}
+        f = {0: sign * (den // other.den)}
         for t, c in other.num.items():
             if sum(t) <= g:
                 tgt = out.setdefault(t, {})
@@ -221,7 +228,7 @@ class TruncSeries:
                 lst.append(lst[-1] * lst[1])
             return lst[e]
 
-        one = {origin: {(): 1}}
+        one = {origin: {0: 1}}
         terms = []  # (numerators of self's coefficient, numerators of the product, its den)
         for texp, c in self.num.items():
             if sum(texp) > g:
@@ -243,7 +250,7 @@ class TruncSeries:
         infos = []
         for s in targets:
             (exp, c), = s.num.items()
-            infos.append((exp, c[()], s.den, sum(exp)))
+            infos.append((exp, c[0], s.den, sum(exp)))
         terms = []  # (new t-exps, numerators, factor numerator, factor denominator)
         for texp, c in self.num.items():
             newexp = [0] * len(tvars)
@@ -266,7 +273,7 @@ class TruncSeries:
         out = {}
         for key, c, p, d in terms:
             tgt = out.setdefault(key, {})
-            mul_acc(tgt, c.items(), {(): p * (den // d)})
+            mul_acc(tgt, c.items(), {0: p * (den // d)})
             if not tgt:
                 del out[key]
         return _canonical(tvars, out, self.den * den, g)
@@ -285,7 +292,7 @@ class TruncSeries:
         c0 = self.num.get(origin)
         if c0 is None or not _is_rational(c0):
             raise NotInvertible("constant term must be a nonzero rational")
-        return _series(self.vars, {origin: {(): 1}}, 1, self.guarantee).divide_exact(self)
+        return _series(self.vars, {origin: {0: 1}}, 1, self.guarantee).divide_exact(self)
 
     def divide_exact(self, g: TruncSeries) -> TruncSeries:
         """Exact quotient q with q*g = self through the guarantee.
@@ -377,7 +384,7 @@ class TruncSeries:
         c1 = self.num.get((1,))
         if c1 is None or not _is_rational(c1):
             raise NotInvertible("linear coefficient must be an invertible rational")
-        c = Fraction(c1[()], self.den)
+        c = Fraction(c1[0], self.den)
         M = {k - 1: self.coefficient((k,)).scale(1 / c).terms for (k,) in self.num}
         powers = inverse_powers(M, self.guarantee - 1, 1)
         coeffs = {(n,): GradedCoeff(p).scale(c ** -n / n) for n, p in enumerate(powers, 1)}
@@ -447,7 +454,7 @@ def _neg_quotient(rc, lc, lm):
     algorithm over m-monomials.
     """
     a = lc[lm]
-    if not lm:  # lm = () is the least monomial, so lc is the rational a
+    if not lm:  # lm = 0, the key of 1, is the least monomial, so lc is the rational a
         return {m: -x // a for m, x in rc.items()}
     rem = dict(rc)
     out = {}
@@ -464,7 +471,7 @@ def _neg_quotient(rc, lc, lm):
 
 def _is_rational(c) -> bool:
     """Whether a numerator map is a constant: its only m-monomial is 1."""
-    return len(c) == 1 and () in c
+    return len(c) == 1 and 0 in c
 
 
 def _t_mon_text(vars, exps) -> str:

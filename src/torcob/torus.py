@@ -210,7 +210,7 @@ class TorusContext:
                 lt = list(t)
                 lt[b] += lt[a]
                 lt[a] = 0
-                mul_acc(merged.setdefault(tuple(lt), {}), c.items(), {(): 1})
+                mul_acc(merged.setdefault(tuple(lt), {}), c.items(), {0: 1})
             return not any(merged.values())
         return None
 

@@ -17,6 +17,7 @@ from fractions import Fraction
 from torcob import gkm
 from torcob.coeff import GradedCoeff
 from torcob.errors import NotDivisible
+from torcob.kernels import pack, unpack
 from torcob.series import TruncSeries, _series
 
 _UNITS = weakref.WeakKeyDictionary()  # context -> {(m, d): ([m]u / u)^(-d)}
@@ -89,8 +90,8 @@ def _constant_value(alpha):
 def _fundamental_class(ctx, g) -> GradedCoeff:
     """[X] = R_dim in the logarithmic coordinate; NotDivisible unless R_k = 0 for k < dim."""
     terms = [(v, (0,) * g.rank, 1) for v in g.vertices]
-    num, den = gkm._log_integral(ctx.fgl, g, {(0, ()): terms})
-    return GradedCoeff({m: Fraction(x, den) for m, x in num.items()})
+    num, den = gkm._log_integral(ctx.fgl, g, {(0, pack(())): terms})
+    return GradedCoeff({unpack(m): Fraction(x, den) for m, x in num.items()})
 
 
 def two_routes(ctx, g, alpha) -> GradedCoeff:

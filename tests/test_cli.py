@@ -10,7 +10,7 @@ import sys
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from torcob import cli, fgl, flag, gkm
+from torcob import cli, fgl, flag, gkm, kernels
 
 P1_JSON = '{"rank": 1, "dim": 1, "vertices": ["0", "inf"], "edges": [{"v": "0", "w": "inf", "char": [1]}]}'
 
@@ -309,6 +309,18 @@ def test_size_guards_admit_their_limits(monkeypatch):
     code, out, _ = run(["gkm", "gen", "pn", "--n", str(cli.MAX_PN_GRAPH_N)])
     assert (code, json.loads(out)["dim"]) == (0, cli.MAX_PN_GRAPH_N)
     assert cli.MAX_PN_GRAPH_N + 1 == cli.MAX_DEG  # the integration demand of P^n at the limit
+
+
+def test_exponent_and_generator_limits_refuse_before_output():
+    # m-monomials are packed with MAX_EXP per exponent and MAX_GENERATORS fields
+    for expr in ("m1^40000*x1 + x2", f"m{kernels.MAX_GENERATORS + 1}*x1"):
+        code, out, err = run(["flag", "nf", expr, "--rank", "2"])
+        assert (code, out) == (2, "") and err.startswith("error: TooLarge:"), expr
+        assert "Traceback" not in err
+    code, out, _ = run(["flag", "nf", f"m1^{kernels.MAX_EXP}*x1 + x2", "--rank", "2"])
+    assert (code, out) == (0, f"(-1 + m1^{kernels.MAX_EXP})*x1\n")
+    code, out, _ = run(["flag", "nf", f"m{kernels.MAX_GENERATORS}*x2", "--rank", "2"])
+    assert (code, out) == (0, f"-m{kernels.MAX_GENERATORS}*x1\n")
 
 
 def test_flag_kernel_below_artin_degree():

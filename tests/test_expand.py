@@ -13,11 +13,13 @@ from torcob import flag, gkm
 from torcob.accept import _P1_CHARS, _m_monomials
 from torcob.coeff import GradedCoeff
 from torcob.errors import Ambiguous, NoSolution, TooLarge
-from torcob.kernels import madd
 from torcob.fgl import build
 from torcob.linalg import INCONSISTENT, UNDERDETERMINED, solve
 from torcob.series import TruncSeries
 from torcob.torus import TorusContext
+
+from test_coeff import degree_component
+from test_kernels import madd
 
 LAWS = {"universal": None, "additive": "additive", "multiplicative 2/5": ("multiplicative", Fraction(2, 5))}
 
@@ -84,7 +86,7 @@ def _series_components(s):
         d = sum(t)
         for j in c.degrees():
             tgt = out.setdefault(j + d, {})
-            tgt[t] = tgt.get(t, GradedCoeff.zero()) + c.degree_component(j)
+            tgt[t] = tgt.get(t, GradedCoeff.zero()) + degree_component(c, j)
     return {j: TruncSeries(s.vars, cs, s.guarantee) for j, cs in sorted(out.items())}
 
 

@@ -9,11 +9,32 @@ from torcob import cli, fgl
 from torcob.coeff import GradedCoeff, partitions
 from torcob.errors import TooLarge, TruncationInsufficient
 from torcob.fgl import build
+from torcob.kernels import unpack
 from torcob.series import TruncSeries
 
 
 def mono(exps, q=1):
     return GradedCoeff.monomial(exps, q)
+
+
+def factor_coeff(factor):
+    """A factor of ``weight_factors``, an {m-key: int} map, as a GradedCoeff."""
+    return GradedCoeff({unpack(m): Fraction(x) for m, x in factor.items()})
+
+
+def formal_sum(ctx, summands):
+    """Left fold of the context's F over the list; summands need zero constant term."""
+    summands = list(summands)
+    if not summands:
+        raise ValueError("empty formal sum")
+    acc = summands[0]
+    if not acc.constant_term().is_zero():
+        raise ValueError("formal summand has nonzero constant term")
+    for s in summands[1:]:
+        if not s.constant_term().is_zero():
+            raise ValueError("formal summand has nonzero constant term")
+        acc = ctx.F.substitute({"u": acc, "v": s})
+    return acc
 
 
 def test_additive_is_plain_sum():
@@ -124,13 +145,13 @@ def test_formal_sum_fold():
 
     T = TorusContext(3, ctx)
     t1, t2, t3 = (T.var(i) for i in range(3))
-    assert ctx.formal_sum([t1]) == t1
-    assert ctx.formal_sum([t1, T.zero()]) == t1
-    left = ctx.formal_sum([t1, t2, t3])
+    assert formal_sum(ctx, [t1]) == t1
+    assert formal_sum(ctx, [t1, T.zero()]) == t1
+    left = formal_sum(ctx, [t1, t2, t3])
     right = ctx.plus(t1, ctx.plus(t2, t3))
     assert left == right  # associativity makes the bracketing irrelevant
     with pytest.raises(ValueError):
-        ctx.formal_sum([T.one()])
+        formal_sum(ctx, [T.one()])
 
 
 def test_inverse_axiom():
@@ -387,7 +408,7 @@ def test_weight_factors_expand_the_characteristic_series(spec):
                 continue
             weight = GradedCoeff.one()
             for i in range(1, len(mu) + 1):
-                weight = weight * GradedCoeff(factors[mu[:i]])
+                weight = weight * factor_coeff(factors[mu[:i]])
             p_mu = 1
             for part in mu:
                 p_mu *= sum(aj ** part for aj in a)
@@ -414,7 +435,7 @@ def characteristic_log_oracle(exp, n):
 def characteristic_log(ctx, n):
     """q_1, ..., q_n read off ``weight_factors``: the factor of (k,) is den^k q_k."""
     den, factors = ctx.weight_factors(n)
-    return [None] + [GradedCoeff(factors[(k,)]).scale(Fraction(1, den ** k)) for k in range(1, n + 1)]
+    return [None] + [factor_coeff(factors[(k,)]).scale(Fraction(1, den ** k)) for k in range(1, n + 1)]
 
 
 @pytest.mark.parametrize(

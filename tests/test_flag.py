@@ -16,6 +16,14 @@ from torcob.torus import TorusContext
 import residue_oracle
 
 
+def x_zero(n):
+    return TruncSeries.zero(flag.xvars(n), flag.XBOUND)
+
+
+def x_one(n):
+    return TruncSeries.constant(flag.xvars(n), 1, flag.XBOUND)
+
+
 def test_normal_form_examples():
     assert str(flag.normal_form(2, flag.x_var(2, 2))) == "-x1"
     assert flag.normal_form(2, flag.x_var(2, 1) ** 2).is_zero()
@@ -111,7 +119,7 @@ def test_flag_restriction_examples():
     e1 = flag.elementary_symmetric(2, 1)
     sym = flag.flag_restriction(T, 2, e1)
     assert sym.restrict("12") == sym.restrict("21") == T.var(0) + T.var(1)
-    one = flag.flag_restriction(T, 2, flag.x_one(2))
+    one = flag.flag_restriction(T, 2, x_one(2))
     assert one.restrict("12") == T.one() and one.restrict("21") == T.one()
 
 
@@ -165,7 +173,7 @@ def test_kernel_check_runs_both_routes(monkeypatch):
     with pytest.raises(ArithmeticError):
         flag.kernel_check(T, 2, x1)
     monkeypatch.undo()
-    monkeypatch.setattr(flag, "normal_form", lambda n, p: flag.x_zero(n))
+    monkeypatch.setattr(flag, "normal_form", lambda n, p: x_zero(n))
     with pytest.raises(ArithmeticError):
         flag.kernel_check(T, 2, x1)
 
@@ -359,7 +367,7 @@ def test_artin_pairing_refuses_other_variables():
 
 def test_artin_pairing_of_zero_and_of_high_degree():
     T = TorusContext(3, build(3, 6))
-    assert all(c.is_zero() for c in flag.artin_pairing(T, 3, flag.x_zero(3)))
+    assert all(c.is_zero() for c in flag.artin_pairing(T, 3, x_zero(3)))
     # every product with the staircase has degree above dim = 3
     p = flag.x_var(3, 1) ** 2 * flag.x_var(3, 2) ** 2
     assert all(c.is_zero() for c in flag.artin_pairing(T, 3, p))
