@@ -12,9 +12,14 @@ membership-sized Chern-power multiples, and as many near-multiples, by
 c(chi)^2 with chi = (1, 1, 1) at rank 3, truncation 8 and ``Dc = 3``.  The
 membership row tests, in the same ring, three two-factor multiples whose
 factors take no short cut, and reports the Chern-class divisions each call
-runs.  The last row builds F = e(l(u) + l(v)) of the universal law at
-truncation 20 with ``Dc = 6``, its exponential built beforehand.  Run from
-the repository root:
+runs.  The F row builds F = e(l(u) + l(v)) of the universal law at
+truncation 20 with ``Dc = 6``, its exponential built beforehand.  The
+``is_class`` rows run the edge congruence test of ``gkm``: on the universal
+flag varieties Fl(6) and Fl(7) (every edge character e_a - e_b) for the
+classes x1^3 and x1*x2, where the first call also builds the graph's edge
+tests, and on the point classes of the six P^1 characters of the
+``integrate`` benchmark whose edge takes neither short cut (truncation 2,
+``Dc = 1``, both fixed points, 50 passes).  Run from the repository root:
 
     PYTHONPATH=src python benchmarks/bench_kernels.py
 """
@@ -161,6 +166,44 @@ def workload_bivariate_law():
     return build_F
 
 
+def workload_flag_is_class(n, exps):
+    """(first, best of 3): is_class of x^exps on the universal flag variety Fl(n)."""
+    from torcob import gkm
+
+    g = gkm.flag_graph(n)
+    T = TorusContext(n, build(g.dim, g.dim + 1))
+    alpha = gkm.constant_class(T, g, 1)
+    for k, e in enumerate(exps):
+        for _ in range(e):
+            alpha = alpha * gkm.flag_tautological(T, g, k + 1)
+    first = timeit(gkm.is_class, T, g, alpha, repeat=1)
+    return first, timeit(gkm.is_class, T, g, alpha, repeat=3)
+
+
+P1_OTHER_CHARS = [(1, 1), (2, 3), (-1, 2), (1, 1, 1), (2, 3, 5), (0, 2, -1)]
+
+
+def workload_p1_point_edges():
+    """is_class of both point classes on each P^1 whose character takes no short cut."""
+    from torcob import gkm
+
+    cases = []
+    for chi in P1_OTHER_CHARS:
+        g = gkm.p1_graph(chi)
+        T = TorusContext(len(chi), build(1, 2))
+        for v in g.vertices:
+            cases.append((T, g, gkm.pushforward_point(T, g, v, T.one())))
+
+    def check_all():
+        for _ in range(50):
+            for T, g, alpha in cases:
+                if not gkm.is_class(T, g, alpha):
+                    raise AssertionError("a point class was refused")
+
+    check_all()  # fills the Chern-class caches
+    return check_all
+
+
 def main():
     rng = random.Random(2024)
     rows = []
@@ -175,6 +218,11 @@ def main():
     rows.append(("membership of 3 products (x3)", timeit(test_all), f"{per_call:.2f} div/call"))
     build_F = workload_bivariate_law()
     rows.append(("F at D = 20, Dc = 6", min(build_F() for _ in range(3))))
+    for n in (6, 7):
+        for label, exps in (("x1^3", (3,)), ("x1*x2", (1, 1))):
+            first, best = workload_flag_is_class(n, exps)
+            rows.append((f"is_class Fl({n}) {label}", best, f"first call {first * 1e3:.1f}ms"))
+    rows.append(("is_class p1 point classes (x50)", timeit(workload_p1_point_edges())))
 
     print(f"{'workload':34s} {'time':>10s}")
     for name, t, *note in rows:

@@ -58,10 +58,11 @@ class FGLContext:
     """Context holding l and, once read, e, rho and F at fixed truncations.
 
     Immutable in everything it exposes, but e is cached in ``_exp``, n-series
-    (rho among them) in ``_nser``, F in ``_F`` and weight factors in
-    ``_weights`` on first use, without a lock.  Each value depends only on
-    its key, so threads sharing a context get the same answers; two threads
-    racing on one entry both compute it and store equal values.
+    (rho among them) in ``_nser``, F in ``_F``, weight factors in
+    ``_weights`` and their live partitions in ``_live`` on first use,
+    without a lock.  Each value depends only on its key, so threads sharing
+    a context get the same answers; two threads racing on one entry both
+    compute it and store equal values.
     """
 
     def __init__(self, coeff_degree, degree, specialization=None):
@@ -77,6 +78,7 @@ class FGLContext:
         self._F = None
         self._nser = {0: TruncSeries.zero(("u",), self.D), 1: _uvar(self.D)}
         self._weights = {}
+        self._live = {}
 
     # -- construction -------------------------------------------------------
 
@@ -168,6 +170,28 @@ class FGLContext:
             for mu, f in rational.items():
                 factors[mu] = {pack(m): int(c * den ** mu[-1]) for m, c in f.terms.items()}
             out = self._weights[dim] = (den, factors)
+        return out
+
+    def live_partitions(self, dim: int, k: int) -> list:
+        """The partitions mu with |mu| <= k of ``weight_factors(dim)``, in its
+        order, whose factor and every prefix's factor are nonzero.
+
+        The others have zero weight, and so do their extensions, so the
+        integral's partition walk skips them; under the additive law only the
+        empty partition is left.  Cached per (dim, k).
+        """
+        out = self._live.get((dim, k))
+        if out is None:
+            if k == dim:
+                _, factors = self.weight_factors(dim)
+                out, live = [], set()
+                for mu in factors:
+                    if not mu or (factors[mu] and mu[:-1] in live):
+                        live.add(mu)
+                        out.append(mu)
+            else:
+                out = [mu for mu in self.live_partitions(dim, dim) if sum(mu) <= k]
+            self._live[(dim, k)] = out
         return out
 
     def plus(self, a: TruncSeries, b: TruncSeries) -> TruncSeries:

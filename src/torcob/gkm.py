@@ -7,7 +7,13 @@ with isolated fixed points and finitely many invariant curves.
 
 A piecewise class assigns a series to each fixed point; it is an honest
 equivariant class when every edge difference is divisible by the Chern class
-of the edge character.
+of the edge character.  ``is_class`` runs tests compiled once per graph
+(``GKMGraph.edge_tests``), one per distinct character, chosen by its shape
+(``torus.character_shape``): for m*e_a the two vertex values must agree on
+every term free of t_a, for m*(e_a - e_b) after t_a -> t_b, each through the
+lower of the two guarantees and across their denominators, so no difference
+series is formed; any other character divides the formed difference
+(``TorusContext.chern_divides``).
 
 Integration runs the fixed-point residue sum along a generic one-parameter
 subgroup (Ellingsrud-Stromme) in the logarithmic coordinate z = l(u): pick
@@ -53,21 +59,29 @@ from torcob.errors import (
     NotDivisible,
     TooLarge,
     TruncationInsufficient,
+    VariableMismatch,
 )
 from torcob.kernels import mul_acc, unpack
 from torcob.linalg import INCONSISTENT, UNDERDETERMINED, solve
 from torcob.linalg import rank as matrix_rank
 from torcob.series import TruncSeries, _is_rational
-from torcob.torus import TorusContext, content, proportional
+from torcob.torus import (
+    TorusContext,
+    agree_off_axis,
+    agree_on_diagonal,
+    character_shape,
+    content,
+    proportional,
+)
 
 
 class GKMGraph:
     """rank, common valence dim, vertex ids, and signed edges.
 
-    The edges are fixed at construction, so the generic cocharacter and the
-    tangent power sums they determine are computed once, on first use, and
-    kept; threads racing on that first use both compute them and store equal
-    values.
+    The edges are fixed at construction, so the generic cocharacter, the
+    tangent power sums and the edge tests they determine are computed once,
+    on first use, and kept; threads racing on that first use both compute
+    them and store equal values.
     """
 
     def __init__(self, rank, dim, vertices, edges):
@@ -81,6 +95,7 @@ class GKMGraph:
             self._incident[w].append((v, tuple(-x for x in chi)))
         self._cocharacter = None
         self._moments = None
+        self._edge_tests = None
 
     @property
     def cocharacter(self) -> tuple:
@@ -95,6 +110,13 @@ class GKMGraph:
         if self._moments is None:
             self._moments = _tangent_moments(self)
         return self._moments
+
+    @property
+    def edge_tests(self) -> list:
+        """The congruence tests of ``_edge_tests``, kept after first use."""
+        if self._edge_tests is None:
+            self._edge_tests = _edge_tests(self)
+        return self._edge_tests
 
     def incident(self, v):
         """(other vertex, tangent character at v) pairs."""
@@ -188,19 +210,63 @@ def constant_class(ctx: TorusContext, g: GKMGraph, value) -> PiecewiseClass:
 
 
 def is_class(ctx: TorusContext, g: GKMGraph, alpha: PiecewiseClass) -> bool:
-    """Edge congruence test: alpha_v - alpha_w divisible by c(chi) throughout."""
+    """Edge congruence test: alpha_v - alpha_w divisible by c(chi) throughout.
+
+    Runs the graph's compiled ``edge_tests``, each on the two values alone
+    (no difference series is formed for an axis or a difference character).
+    Equal values pass before the character is read.  TruncationInsufficient
+    when the guarantee is below 1; values on different variables raise
+    VariableMismatch, and a zero character on an edge whose values differ
+    ZeroCharacter.
+    """
     if alpha.guarantee < 1:
         raise TruncationInsufficient("guarantee below 1 cannot see any congruence")
-    for v, w, chi in g.edges:
-        a, b = alpha.values[v], alpha.values[w]
-        if a == b:
+    values = alpha.values
+    for v, w, test in g.edge_tests:
+        x, y = values[v], values[w]
+        if x == y:
             continue
-        diff = a - b
-        if diff.is_zero():
-            continue
-        if not ctx.chern_divides(diff, chi, 1):
+        if x.vars != y.vars:
+            raise VariableMismatch(f"{x.vars} vs {y.vars}")
+        if not test(ctx, x, y):
             return False
     return True
+
+
+def _edge_tests(g: GKMGraph) -> list:
+    """(v, w, test) per edge: test(ctx, x, y) decides whether the differing
+    values x at v and y at w are congruent modulo c(chi), through the lower
+    of their guarantees.  The shape of chi (``torus.character_shape``) picks
+    the test, once per distinct character:
+
+    - chi = m*e_a: x and y agree on every term free of t_a
+      (``torus.agree_off_axis``);
+    - chi = m*(e_a - e_b): they agree after t_a -> t_b
+      (``torus.agree_on_diagonal``);
+    - any other chi: ``TorusContext.chern_divides`` of x - y.
+    """
+    tests = {}
+    out = []
+    for v, w, chi in g.edges:
+        test = tests.get(chi)
+        if test is None:
+            test = tests[chi] = _edge_test(chi)
+        out.append((v, w, test))
+    return out
+
+
+def _edge_test(chi):
+    shape = character_shape(chi)
+    if shape is None:
+        return lambda ctx, x, y: _difference_divides(ctx, x - y, chi)
+    a, b = shape
+    if b is None:
+        return lambda ctx, x, y: agree_off_axis(x, y, a)
+    return lambda ctx, x, y: agree_on_diagonal(x, y, a, b)
+
+
+def _difference_divides(ctx: TorusContext, diff: TruncSeries, chi) -> bool:
+    return diff.is_zero() or ctx.chern_divides(diff, chi, 1)
 
 
 def euler_class(ctx: TorusContext, g: GKMGraph, v) -> TruncSeries:
@@ -378,26 +444,17 @@ def _log_integral(law, g: GKMGraph, groups) -> tuple:
     levels d + |mu|.  With R_L the total at level L, summed
     over every group, the integral is R_dim, as an {m-key: int} map;
     NotDivisible unless every R_L with L < dim vanishes as a polynomial in
-    m.  Partitions of zero weight (a zero factor on them or on a prefix)
-    are not walked; under the additive law only the empty one is.  den is
+    m.  Partitions of zero weight are not walked
+    (``FGLContext.live_partitions``, kept with the weights).  den is
     the moments' den times den_q^dim (den_q that of the weights), so it
     depends on the graph and the law only, and integrals of different
     classes add numerator to numerator.  The formal group law ``law`` needs
     truncation dim + 1 (``FGLContext.weight_factors``).
     """
     wden, factors = law.weight_factors(g.dim)
-    walk, live = [], set()
-    for mu in factors:
-        if not mu or (factors[mu] and mu[:-1] in live):
-            live.add(mu)
-            walk.append(mu)
-    by_size = {g.dim: walk}
     levels = [{} for _ in range(g.dim + 1)]
     for (d, beta), terms in groups.items():
-        k = g.dim - d
-        partitions = by_size.get(k)
-        if partitions is None:
-            partitions = by_size[k] = [mu for mu in walk if sum(mu) <= k]
+        partitions = law.live_partitions(g.dim, g.dim - d)
         lift = [(beta, wden ** d)]
         for j, w in _weighted_sums(factors, _power_sum_numbers(g, partitions, terms)).items():
             mul_acc(levels[d + j], lift, w)

@@ -10,9 +10,12 @@ constructor packs, so an exponent above ``kernels.MAX_EXP`` raises TooLarge
 there, and ``coeffs`` and ``coefficient`` unpack.  The form is canonical (no
 zero numerator, gcd of den and the numerators 1), so equality, hashing and
 rendering are structural.  The kernel runs on ``num`` with Python ints; one
-gcd sweep settles each result.  ``coeffs``, the value as {t-exps:
-GradedCoeff}, is built on first read.  Values are immutable; inner tables
-may be shared and are never mutated.
+gcd sweep settles each result.  Two views are built on first read and
+kept in a slot: ``coeffs``, the value as {t-exps: GradedCoeff}, and
+``divisor``, the t-degree slices and leading data that ``divide_exact``
+reads of a divisor, so a cached divisor such as a Chern power is sliced
+once.  Values are immutable; inner tables may be shared and are never
+mutated.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from torcob.kernels import convolve, mdiv, mul_acc, pack, unpack
 
 
 class TruncSeries:
-    __slots__ = ("vars", "num", "den", "guarantee", "_coeffs")
+    __slots__ = ("vars", "num", "den", "guarantee", "_coeffs", "_divisor")
 
     def __init__(self, vars, coeffs, guarantee):
         """The series of {t-exps: GradedCoeff} ``coeffs``, truncated to ``guarantee``."""
@@ -46,6 +49,7 @@ class TruncSeries:
         self.den = den
         self.guarantee = guarantee
         self._coeffs = None
+        self._divisor = None
 
     # -- constructors ------------------------------------------------------
 
@@ -162,10 +166,14 @@ class TruncSeries:
             raise ValueError("negative series power")
         if n == 0:
             return TruncSeries.constant(self.vars, 1, self.guarantee)
-        out = self
-        for _ in range(n - 1):
-            out = out * self
-        return out
+        out, base = None, self
+        while True:
+            if n & 1:
+                out = base if out is None else out * base
+            n >>= 1
+            if not n:
+                return out
+            base = base * base
 
     def scale(self, q) -> TruncSeries:
         q = Fraction(q)
@@ -294,16 +302,33 @@ class TruncSeries:
             raise NotInvertible("constant term must be a nonzero rational")
         return _series(self.vars, {origin: {0: 1}}, 1, self.guarantee).divide_exact(self)
 
+    @property
+    def divisor(self) -> tuple:
+        """(e, slices, lt, lc, lm, content): what ``divide_exact`` reads of a
+        nonzero divisor, built on first read and kept like ``coeffs``.
+
+        e is the lowest t-degree, slices the numerator table split by
+        t-degree (``_slices``), lt the leading t-monomial of the slice at e,
+        lc its coefficient map, lm the leading m-key of lc and content the
+        gcd of lc's numerators.  Do not mutate.
+        """
+        out = self._divisor
+        if out is None:
+            out = self._divisor = _divisor_slices(self.num)
+        return out
+
     def divide_exact(self, g: TruncSeries) -> TruncSeries:
         """Exact quotient q with q*g = self through the guarantee.
 
-        Solved t-degree slice by t-degree slice on the numerator tables.
-        Slice k of the dividend less sum_{d<k} q_d*g_{e+k-d} (e the lowest
-        t-degree of ``g``) is divided by g_e in Q[m][t] by leading
-        t-monomials, one whole t-monomial per step: with rt the leading
-        t-monomial of the remainder and lc the coefficient of g_e's leading
-        t-monomial lt, the remainder's coefficient at rt is divided by lc in
-        Q[m], and q_st*x^st*g_e (st = rt - lt) is subtracted by one product.
+        Solved t-degree slice by t-degree slice on the numerator tables; the
+        divisor's slices and leading data are read from ``g.divisor``, so
+        dividing many times by one series slices it once.  Slice k of the
+        dividend less sum_{d<k} q_d*g_{e+k-d} (e the lowest t-degree of
+        ``g``) is divided by g_e in Q[m][t] by leading t-monomials, one whole
+        t-monomial per step: with rt the leading t-monomial of the remainder
+        and lc the coefficient of g_e's leading t-monomial lt, the
+        remainder's coefficient at rt is divided by lc in Q[m], and
+        q_st*x^st*g_e (st = rt - lt) is subtracted by one product.
         When lc is a rational, as for every Chern power, Euler class and
         unit, that quotient is one scaled copy; otherwise it is the
         leading-term algorithm over m-monomials.  In the domain Q[m][t] a
@@ -320,24 +345,16 @@ class TruncSeries:
         self._check_vars(g)
         if g.is_zero():
             raise NotInvertible("division by the zero series")
-        e = g.lowest_degree()
+        e, g_sl, lt, lc, lm, cont = g.divisor
         gq = min(self.guarantee, g.guarantee) - e
         if gq < 0:
             raise TruncationInsufficient("divisor degree exceeds the guarantee")
         if self.is_zero():
             return TruncSeries.zero(self.vars, gq)
-        if self.lowest_degree() < e:
+        f_sl = _slices(self.num)
+        if min(f_sl) < e:
             raise NotDivisible("dividend has terms below the divisor's lowest degree")
-        f_sl, g_sl = {}, {}  # numerator slices by t-degree: {t-exps: {m-exps: int}}
-        for t, c in self.num.items():
-            f_sl.setdefault(sum(t), {})[t] = c
-        for t, c in g.num.items():
-            g_sl.setdefault(sum(t), {})[t] = c
         ge = g_sl[e]
-        lt = max(ge)
-        lc = ge[lt]
-        lm = max(lc)
-        cont = gcd(*lc.values())
         scale = 1
         neg_q = []  # -scale*q by slice, so that each update is one accumulating product
         for k in range(gq + 1):
@@ -421,7 +438,25 @@ def _series(vars, num, den, guarantee) -> TruncSeries:
     s.den = den
     s.guarantee = guarantee
     s._coeffs = None
+    s._divisor = None
     return s
+
+
+def _slices(num) -> dict:
+    """A numerator table split by t-degree: {degree: {t-exps: {m-key: int}}}."""
+    out = {}
+    for t, c in num.items():
+        out.setdefault(sum(t), {})[t] = c
+    return out
+
+
+def _divisor_slices(num) -> tuple:
+    """The data of ``TruncSeries.divisor`` from a nonzero numerator table."""
+    slices = _slices(num)
+    e = min(slices)
+    lt = max(slices[e])
+    lc = slices[e][lt]
+    return e, slices, lt, lc, max(lc), gcd(*lc.values())
 
 
 def _canonical(vars, num, den, guarantee) -> TruncSeries:

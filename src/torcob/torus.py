@@ -16,7 +16,13 @@ the divisor's rational leading coefficient in one scaled copy.  That
 decides each slice exactly, and the quotient is unique.  Membership has two
 short cuts that need no division: when chi = m*e_a, c(chi) is t_a times a
 unit, and when chi = m*(e_a - e_b) with d = 1, c(chi) is t_a - t_b times a
-unit, so f is a multiple iff it vanishes at t_a = t_b.
+unit, so f is a multiple iff it vanishes at t_a = t_b.  One classifier,
+``character_shape``, tells the axis, the difference and every other
+character apart, for ``chern_divides`` and for the edge tests of ``gkm``.
+Those tests ask whether two values x and y are congruent modulo c(chi)
+without forming x - y: ``agree_off_axis`` compares their terms free of
+t_a, ``agree_on_diagonal`` their restrictions to t_a = t_b, both through
+the lower of the two guarantees and across the two denominators.
 
 Product membership is decided by successive division.  Each c(chi)^d is a
 non-zero-divisor (its lowest part is nonzero in the domain Q[m][t]), so f
@@ -48,7 +54,7 @@ from torcob.coeff import GradedCoeff
 from torcob.errors import NotDivisible, TruncationInsufficient, ZeroCharacter
 from torcob.fgl import FGLContext
 from torcob.kernels import mul_acc
-from torcob.series import TruncSeries
+from torcob.series import TruncSeries, _times
 
 Character = tuple
 
@@ -64,14 +70,6 @@ def content(chi) -> int:
     return g
 
 
-def primitive_part(chi):
-    """(m, chi0) with chi = m * chi0, m > 0, chi0 primitive."""
-    g = content(chi)
-    if g == 0:
-        raise ZeroCharacter("zero character has no primitive part")
-    return g, tuple(x // g for x in chi)
-
-
 def proportional(a, b) -> bool:
     """Exact Q-proportionality for nonzero vectors: all 2x2 minors vanish."""
     n = len(a)
@@ -80,6 +78,67 @@ def proportional(a, b) -> bool:
             if a[i] * b[j] - a[j] * b[i] != 0:
                 return False
     return True
+
+
+def character_shape(chi):
+    """The shape of chi for the short cuts: (a, None) when chi = m*e_a,
+    (a, b) when chi = m*(e_a - e_b) with m > 0, and None for every other
+    character, the zero one included.
+
+    The one classifier of the module docstring.
+    """
+    nz = [(i, x) for i, x in enumerate(chi) if x]
+    if len(nz) == 1:
+        return nz[0][0], None
+    if len(nz) == 2 and nz[0][1] == -nz[1][1]:
+        (i, x), (j, _) = nz
+        return (i, j) if x > 0 else (j, i)
+    return None
+
+
+# -- congruences modulo an axis or difference Chern class -----------------------
+
+
+def agree_off_axis(x: TruncSeries, y: TruncSeries, a: int) -> bool:
+    """Whether x = y modulo t_a through min(G_x, G_y): they agree on every
+    term free of t_a.  Compared on the numerators, cross-multiplied by the
+    two denominators."""
+    top = min(x.guarantee, y.guarantee)
+    fx, fy = _free_of(x, a, top), _free_of(y, a, top)
+    if fx.keys() != fy.keys():
+        return False
+    xd, yd = x.den, y.den
+    if xd == yd:
+        return fx == fy
+    return all(_times(c, yd) == _times(fy[t], xd) for t, c in fx.items())
+
+
+def agree_on_diagonal(x: TruncSeries, y: TruncSeries, a: int, b: int) -> bool:
+    """Whether x = y modulo t_a - t_b through min(G_x, G_y): they agree
+    after t_a -> t_b.  y.den * x - x.den * y is accumulated at t_a = t_b on
+    the numerators and must cancel."""
+    top = min(x.guarantee, y.guarantee)
+    acc = {}
+    for s, f in ((x, {0: y.den}), (y, {0: -x.den})):
+        cut = s.guarantee > top
+        for t, c in s.num.items():
+            if cut and sum(t) > top:
+                continue
+            k = t[a]
+            if k:
+                t = list(t)
+                t[b] += k
+                t[a] = 0
+                t = tuple(t)
+            mul_acc(acc.setdefault(t, {}), c.items(), f)
+    return not any(acc.values())
+
+
+def _free_of(s: TruncSeries, a: int, top: int) -> dict:
+    """The numerators of s's terms free of t_a, through degree top."""
+    if s.guarantee > top:
+        return {t: c for t, c in s.num.items() if not t[a] and sum(t) <= top}
+    return {t: c for t, c in s.num.items() if not t[a]}
 
 
 # -- the equivariant context --------------------------------------------------
@@ -159,22 +218,6 @@ class TorusContext:
 
     # -- division by Chern classes ----------------------------------------------
 
-    def _single_axis(self, chi):
-        """(axis, entry) when chi is supported on one coordinate, else None."""
-        nz = [(i, x) for i, x in enumerate(chi) if x]
-        if len(nz) == 1:
-            return nz[0]
-        return None
-
-    def _difference_axes(self, chi0):
-        """(a, b) when chi0 = e_a - e_b, else None."""
-        nz = [(i, x) for i, x in enumerate(chi0) if x]
-        if len(nz) == 2 and {nz[0][1], nz[1][1]} == {1, -1}:
-            a = nz[0][0] if nz[0][1] == 1 else nz[1][0]
-            b = nz[0][0] if nz[0][1] == -1 else nz[1][0]
-            return a, b
-        return None
-
     def chern_divides(self, f: TruncSeries, chi, d: int = 1) -> bool:
         """Whether c(chi)^d divides f through its guarantee.
 
@@ -196,22 +239,14 @@ class TorusContext:
             return True
         if d > f.guarantee:
             return False
-        axis = self._single_axis(chi)
-        if axis is not None:
-            a, _ = axis
+        shape = character_shape(chi)
+        if shape is None:
+            return None
+        a, b = shape
+        if b is None:
             return min(t[a] for t in f.num) >= d
-        _, chi0 = primitive_part(chi)
-        diff = self._difference_axes(chi0)
-        if diff is not None and d == 1:
-            # f at t_a = t_b, on the numerators over f's one denominator
-            a, b = diff
-            merged = {}
-            for t, c in f.num.items():
-                lt = list(t)
-                lt[b] += lt[a]
-                lt[a] = 0
-                mul_acc(merged.setdefault(tuple(lt), {}), c.items(), {0: 1})
-            return not any(merged.values())
+        if d == 1:
+            return agree_on_diagonal(f, TruncSeries.zero(f.vars, f.guarantee), a, b)
         return None
 
     def divide_by_chern(self, f: TruncSeries, chi, d: int = 1) -> TruncSeries:

@@ -323,6 +323,13 @@ def test_exponent_and_generator_limits_refuse_before_output():
     assert (code, out) == (0, f"-m{kernels.MAX_GENERATORS}*x1\n")
 
 
+def test_power_above_the_exponent_limit_keeps_its_refusal():
+    # powers are taken by squaring; the first square above the limit refuses
+    code, out, err = run(["flag", "nf", "m1^40000*x1 + x2", "--rank", "2"])
+    want = f"error: TooLarge: an exponent in a product is above the limit {kernels.MAX_EXP}\n"
+    assert (code, out, err) == (2, "", want)
+
+
 def test_flag_kernel_below_artin_degree():
     # the pairing needs truncation 4 at rank 3 and gets it internally; a
     # polynomial above --deg is still refused

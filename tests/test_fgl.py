@@ -416,6 +416,28 @@ def test_weight_factors_expand_the_characteristic_series(spec):
         assert total == want.coefficient((k,))
 
 
+@pytest.mark.parametrize(
+    "spec", [None, "additive", ("multiplicative", Fraction(2, 5)), {1: Fraction(1, 3), 3: -2}],
+    ids=str,
+)
+def test_live_partitions_are_those_of_nonzero_weight(spec):
+    dim = 6
+    ctx = build(dim, dim + 1, spec)
+    _, factors = ctx.weight_factors(dim)
+    for k in range(dim + 1):
+        want = []
+        for mu in factors:
+            weight = GradedCoeff.one()
+            for i in range(1, len(mu) + 1):
+                weight = weight * factor_coeff(factors[mu[:i]])
+            if sum(mu) <= k and not weight.is_zero():
+                want.append(mu)
+        assert ctx.live_partitions(dim, k) == want
+        assert ctx.live_partitions(dim, k) is ctx.live_partitions(dim, k)
+    if spec == "additive":
+        assert ctx.live_partitions(dim, dim) == [()]
+
+
 def characteristic_log_oracle(exp, n):
     """[None, q_1, ..., q_n] with x / e(x) = exp(sum_k q_k x^k), from e through x^(n+1).
 

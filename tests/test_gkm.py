@@ -1,11 +1,14 @@
 """Moment graphs: validation, classes, residues, expansion, generators."""
 
+import functools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from torcob import gkm
+from torcob.accept import _P1_CHARS
 from torcob.coeff import GradedCoeff
 from torcob.errors import (
     Ambiguous,
@@ -13,8 +16,11 @@ from torcob.errors import (
     NotAClass,
     TooLarge,
     TruncationInsufficient,
+    VariableMismatch,
+    ZeroCharacter,
 )
 from torcob.fgl import build
+from torcob.series import TruncSeries
 from torcob.torus import TorusContext
 
 
@@ -403,3 +409,230 @@ def test_flag_graph_above_its_limit_is_refused_before_any_permutation(monkeypatc
         gkm.flag_graph(gkm.MAX_FLAG_GRAPH_N + 1)
     with pytest.raises(AssertionError):
         gkm.flag_graph(gkm.MAX_FLAG_GRAPH_N)
+
+
+# -- the compiled edge tests against the per-edge loop ----------------------------
+
+
+def is_class_oracle(ctx, g, alpha):
+    """The per-edge loop: c(chi) divides the formed difference alpha_v - alpha_w."""
+    if alpha.guarantee < 1:
+        raise TruncationInsufficient("guarantee below 1 cannot see any congruence")
+    for v, w, chi in g.edges:
+        a, b = alpha.values[v], alpha.values[w]
+        if a == b:
+            continue
+        diff = a - b
+        if diff.is_zero():
+            continue
+        if not ctx.chern_divides(diff, chi, 1):
+            return False
+    return True
+
+
+def class_outcome(test, ctx, g, alpha):
+    try:
+        return test(ctx, g, alpha)
+    except Exception as exc:  # noqa: BLE001 - the error type is the outcome
+        return type(exc)
+
+
+ORACLE_CHARS = [chi for chars in _P1_CHARS.values() for chi in chars] + [
+    (2, 0), (2, -2), (-3,), (3, 0, 0), (0, -2, 2),
+]
+ORACLE_GRAPHS = [("p1", chi) for chi in ORACLE_CHARS] + [
+    ("pn", 2), ("pn", 3), ("flag", 2), ("flag", 3),
+]
+ORACLE_LAWS = [None, "additive", ("multiplicative", Fraction(2, 5)),
+               ("custom", {1: Fraction(1, 2), 2: Fraction(-1, 3)})]
+ORACLE_D = 4
+
+
+@functools.lru_cache(maxsize=None)
+def oracle_graph(kind, arg):
+    return gkm.p1_graph(arg) if kind == "p1" else gkm.generate(kind, n=arg)
+
+
+@functools.lru_cache(maxsize=None)
+def oracle_context(rank, law_index=0):
+    return TorusContext(rank, build(2, ORACLE_D, ORACLE_LAWS[law_index]))
+
+
+@st.composite
+def small_series(draw, T, maxdeg=3):
+    """Up to three terms of t-degree <= maxdeg, rational or times m1 or m2."""
+    terms = {}
+    for _ in range(draw(st.integers(1, 3))):
+        t = [0] * T.rank
+        for _ in range(draw(st.integers(0, maxdeg))):
+            t[draw(st.integers(0, T.rank - 1))] += 1
+        c = GradedCoeff.from_rational(
+            Fraction(draw(st.integers(-4, 4).filter(bool)), draw(st.integers(1, 3)))
+        )
+        if T.fgl.specialization is None and draw(st.booleans()):
+            c = c * GradedCoeff.generator(draw(st.integers(1, 2)))
+        terms[tuple(t)] = c
+    return TruncSeries(T.vars, terms, T.D)
+
+
+@st.composite
+def genuine_classes(draw, T, g, kind):
+    """A class of the graph: constants, point classes, the graph's
+    tautological classes, and sums and products of them."""
+    choice = draw(st.sampled_from(["constant", "point", "tautological"]))
+    if choice == "constant":
+        value = draw(small_series(T, 0))
+        alpha = gkm.PiecewiseClass({v: value for v in g.vertices})
+    elif choice == "point":
+        v = draw(st.sampled_from(g.vertices))
+        alpha = gkm.pushforward_point(T, g, v, draw(small_series(T, 1)))
+    elif kind == "p1":
+        alpha = gkm.pushforward_point(T, g, draw(st.sampled_from(g.vertices)), T.one())
+    else:
+        named = gkm.distinguished_classes(T, g, kind)
+        alpha = named[draw(st.sampled_from(sorted(named)))]
+    if draw(st.booleans()):
+        other = gkm.pushforward_point(T, g, draw(st.sampled_from(g.vertices)), T.one())
+        alpha = alpha * other if draw(st.booleans()) else alpha + other
+    return alpha
+
+
+@st.composite
+def oracle_cases(draw):
+    """(T, g, alpha): a genuine class, maybe over mixed denominators, then
+    left as it is, perturbed at one vertex, or perturbed at one vertex above
+    the guarantee of all the others; in the first two cases the vertex
+    values may be truncated to different guarantees."""
+    kind, arg = draw(st.sampled_from(ORACLE_GRAPHS))
+    g = oracle_graph(kind, arg)
+    T = oracle_context(g.rank, draw(st.integers(0, len(ORACLE_LAWS) - 1)))
+    alpha = draw(genuine_classes(T, g, kind))
+    if draw(st.booleans()):
+        # a point class over another denominator keeps a class
+        v = draw(st.sampled_from(g.vertices))
+        q = Fraction(draw(st.integers(-3, 3).filter(bool)), draw(st.integers(2, 7)))
+        alpha = alpha + gkm.pushforward_point(T, g, v, T.constant(q))
+    values = dict(alpha.values)
+    v = draw(st.sampled_from(g.vertices))
+    change = draw(st.sampled_from(["none", "perturbed", "hidden"]))
+    if change == "hidden":
+        # invisible on every edge at v: a class exactly when alpha is one
+        low = draw(st.integers(1, ORACLE_D - 1))
+        k = draw(st.integers(low + 1, ORACLE_D))
+        values[v] = values[v] + T.var(draw(st.integers(0, T.rank - 1))) ** k
+        for w in g.vertices:
+            if w != v:
+                values[w] = values[w].truncated(low)
+        return T, g, gkm.PiecewiseClass(values)
+    if change == "perturbed":
+        values[v] = values[v] + draw(small_series(T, ORACLE_D))
+    if draw(st.booleans()):
+        for w in g.vertices:
+            values[w] = values[w].truncated(draw(st.integers(1, ORACLE_D)))
+    return T, g, gkm.PiecewiseClass(values)
+
+
+@settings(max_examples=300, deadline=None)
+@given(oracle_cases())
+def test_compiled_is_class_matches_the_per_edge_loop(case):
+    T, g, alpha = case
+    got = class_outcome(gkm.is_class, T, g, alpha)
+    assert got == class_outcome(is_class_oracle, T, g, alpha)
+    assert got in (True, False)
+
+
+def _pair(chi, x, y):
+    g = gkm.GKMGraph(len(chi), 1, ["a", "b"], [("a", "b", chi)])
+    return g, gkm.PiecewiseClass({"a": x, "b": y})
+
+
+EDGE_CASES = {
+    # axis t1: agree off t1 (x - y = t1 - t1*t2) / differ at t2 only
+    "axis-class": ((1, 0), {(0, 1): 1, (1, 0): 1}, {(0, 1): 1, (1, 1): 1}, True),
+    "axis-non-class": ((1, 0), {(0, 1): 1, (1, 0): 1}, {(1, 0): 1}, False),
+    # difference e1 - e2: t1 - t2 vanishes at t1 = t2, t1 + t2 does not
+    "difference-class": ((1, -1), {(1, 0): 1}, {(0, 1): 1}, True),
+    "difference-non-class": ((1, -1), {(1, 0): 1}, {(0, 1): -1}, False),
+    # mixed denominators: x - y = -t1/3 is a multiple of t1, and 1/2 - (1 + t1) is not
+    "axis-denominators-class": ((2, 0), {(0, 0): Fraction(1, 2)},
+                                {(0, 0): Fraction(1, 2), (1, 0): Fraction(1, 3)}, True),
+    "axis-denominators-non-class": ((2, 0), {(0, 0): Fraction(1, 2)},
+                                    {(0, 0): 1, (1, 0): 1}, False),
+    "difference-denominators-class": ((2, -2), {(1, 0): Fraction(1, 2), (0, 0): 1},
+                                      {(0, 1): Fraction(1, 2), (0, 0): 1}, True),
+    "difference-denominators-non-class": ((2, -2), {(1, 0): Fraction(1, 2)},
+                                          {(0, 1): 1}, False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EDGE_CASES))
+def test_edge_tests_pinned(name):
+    chi, x, y, want = EDGE_CASES[name]
+    T = oracle_context(2)
+
+    def value(terms):
+        return TruncSeries(T.vars, {t: GradedCoeff.from_rational(q) for t, q in terms.items()}, 4)
+
+    g, alpha = _pair(chi, value(x), value(y))
+    assert gkm.is_class(T, g, alpha) is want
+    assert is_class_oracle(T, g, alpha) is want
+
+
+@pytest.mark.parametrize("chi", [(1, 0), (1, -1), (1, 1)], ids=str)
+def test_edge_tests_ignore_terms_above_the_lower_guarantee(chi):
+    # a term free of t1 and off the diagonal, above the other value's guarantee
+    T = oracle_context(2)
+    low = T.one().truncated(2)
+    high = T.one() + T.var(1) ** 3
+    g, alpha = _pair(chi, high, low)
+    assert gkm.is_class(T, g, alpha) and is_class_oracle(T, g, alpha)
+    g, alpha = _pair(chi, high, T.one())
+    assert not gkm.is_class(T, g, alpha) and not is_class_oracle(T, g, alpha)
+
+
+@pytest.mark.parametrize("chi", [(1, 0), (1, -1), (2, 3)], ids=str)
+def test_is_class_errors(chi):
+    T = oracle_context(2)
+    for test in (gkm.is_class, is_class_oracle):
+        # a guarantee below 1 is refused, whatever the values
+        g, alpha = _pair(chi, T.one().truncated(0), T.one().truncated(0))
+        with pytest.raises(TruncationInsufficient):
+            test(T, g, alpha)
+        # values on other variables
+        g, alpha = _pair(chi, T.one(), T.var(0))
+        alpha.values["b"] = TruncSeries.variable(("s1", "s2"), "s1", T.D)
+        with pytest.raises(VariableMismatch):
+            test(T, g, alpha)
+    zero = gkm.GKMGraph(2, 1, ["a", "b"], [("a", "b", (0, 0))])
+    for test in (gkm.is_class, is_class_oracle):
+        # equal values pass before the character is read; differing ones meet it
+        assert test(T, zero, gkm.PiecewiseClass({"a": T.var(0), "b": T.var(0)}))
+        with pytest.raises(ZeroCharacter):
+            test(T, zero, gkm.PiecewiseClass({"a": T.var(0), "b": T.one()}))
+
+
+def test_edge_tests_are_built_once_per_graph(monkeypatch):
+    built = []
+    real = gkm._edge_tests
+
+    def spy(g):
+        built.append(g)
+        return real(g)
+
+    monkeypatch.setattr(gkm, "_edge_tests", spy)
+    T = oracle_context(3)
+    g = gkm.flag_graph(3)
+    x1 = gkm.flag_tautological(T, g, 1)
+    assert gkm.is_class(T, g, x1)
+    bump = gkm.PiecewiseClass({v: T.zero() for v in g.vertices[1:]} | {g.vertices[0]: T.one()})
+    assert not gkm.is_class(T, g, x1 + bump)
+    assert built == [g]
+    other = gkm.flag_graph(3)
+    assert gkm.is_class(T, other, x1)
+    assert built == [g, other]
+
+
+def test_edge_tests_share_one_test_per_character():
+    g = gkm.flag_graph(3)
+    tests = {chi: test for (v, w, test), (_, _, chi) in zip(g.edge_tests, g.edges)}
+    assert len({id(t) for t in tests.values()}) == len({chi for _, _, chi in g.edges})

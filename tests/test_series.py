@@ -15,6 +15,7 @@ from torcob.errors import (
 )
 from torcob.fgl import build
 from torcob.kernels import convolve, pack
+from torcob import series as series_module
 from torcob.series import TruncSeries
 from torcob.torus import TorusContext
 
@@ -679,3 +680,69 @@ def test_rendering_examples():
     assert str(g) == "(m1^2 - 3*m2)*t1^2*t2"
     assert str(TruncSeries.zero(UV, D)) == "0"
     assert str(const(Fraction(-2, 3))) == "-2/3"
+
+
+# -- powers and the kept divisor ------------------------------------------------
+
+
+@settings(max_examples=60, deadline=None)
+@given(series(maxdeg=3), st.integers(0, 9), st.integers(0, D))
+def test_power_by_squaring_matches_repeated_products(f, n, guarantee):
+    # truncation is a ring map, so squaring gives the plain product's canonical form
+    f = f.truncated(guarantee)
+    want = const(1, guarantee)
+    for _ in range(n):
+        want = want * f
+    got = f ** n
+    assert got == want and got.guarantee == want.guarantee
+    assert_canonical(got)
+
+
+def test_power_squares(monkeypatch):
+    calls = []
+    mul = TruncSeries.__mul__
+
+    def counting(a, b):
+        calls.append(1)
+        return mul(a, b)
+
+    monkeypatch.setattr(TruncSeries, "__mul__", counting)
+    got = TruncSeries.constant(UV, m(1), D) ** 32767
+    monkeypatch.undo()
+    assert len(calls) <= 30
+    assert got == TruncSeries.constant(UV, GradedCoeff.monomial((32767,), 1), D)
+
+
+def test_divisor_is_sliced_once(monkeypatch):
+    T = TorusContext(3, build(3, 8))
+    chi = (2, 1, 1)
+    g = T.chern_power(chi, 2)
+    q = TruncSeries(T.vars, {(0, 0, 0): m(1), (1, 0, 2): GradedCoeff.one()}, T.D)
+    sliced = []
+    real = series_module._divisor_slices
+
+    def spy(num):
+        sliced.append(num)
+        return real(num)
+
+    monkeypatch.setattr(series_module, "_divisor_slices", spy)
+    first = T.divide_by_chern(q * g, chi, 2)
+    with pytest.raises(NotDivisible):
+        T.divide_by_chern(q * g + TruncSeries.monomial(T.vars, (0, 2, 0), m(2), T.D), chi, 2)
+    again = T.divide_by_chern(q * g, chi, 2)
+    assert sliced == [g.num]
+    assert first == again == q.truncated(T.D - 2)
+
+
+@settings(max_examples=100, deadline=None)
+@given(division_cases(), st.integers(2, 5))
+def test_a_kept_divisor_divides_as_a_fresh_copy(case, k):
+    # every division reads the divisor's kept slices and writes none of them
+    f, g, _ = case
+    dividends = [f, f.scale(k), f]
+    kept = [division_outcome(TruncSeries.divide_exact, h, g) for h in dividends]
+    fresh = [
+        division_outcome(TruncSeries.divide_exact, h, TruncSeries(g.vars, g.coeffs, g.guarantee))
+        for h in dividends
+    ]
+    assert kept == fresh

@@ -23,7 +23,6 @@ from torcob.torus import (
     TorusContext,
     content,
     pair_extends_to_basis,
-    primitive_part,
     proportional,
 )
 
@@ -35,6 +34,14 @@ from residue_oracle import _unit_inverse_power
 
 def is_primitive(chi) -> bool:
     return content(chi) == 1
+
+
+def primitive_part(chi):
+    """(m, chi0) with chi = m * chi0, m > 0, chi0 primitive."""
+    g = content(chi)
+    if g == 0:
+        raise ZeroCharacter("zero character has no primitive part")
+    return g, tuple(x // g for x in chi)
 
 
 def egcd(a: int, b: int):
