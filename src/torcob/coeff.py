@@ -5,10 +5,15 @@ Q[m1, m2, ...] on the logarithm coefficients, so a coefficient is a sparse
 polynomial with exact rational coefficients.  The generator ``m_i`` sits in
 cohomological degree ``-i``; no floating point is used anywhere.
 
-Exponent vectors are tuples with trailing zeros trimmed, position ``p``
+A ``GradedCoeff`` is the coefficient type of answers and rendering.  Its
+exponent vectors are tuples with trailing zeros trimmed, position ``p``
 holding the exponent of ``m_{p+1}``; the empty tuple is the constant
-monomial.  Products run in ``kernels`` on packed integer keys: ``__mul__``
-and ``inverse_powers`` pack on entry and unpack on exit.
+monomial.  Below it, coefficients are maps {m-key: number} on the packed
+integer keys of ``kernels``, and this module and ``series`` are the only
+ones that convert: ``__mul__`` packs on entry and unpacks on exit, and
+``GradedCoeff.from_numerators`` is the one step from a map of integer
+numerators over a denominator to a ``GradedCoeff``.  ``inverse_powers``
+takes and returns key maps, so the law's sums never leave that format.
 """
 
 from __future__ import annotations
@@ -67,6 +72,11 @@ class GradedCoeff:
             raise ValueError("generator index must be >= 1")
         exps = (0,) * (i - 1) + (1,)
         return cls({exps: Fraction(1)})
+
+    @classmethod
+    def from_numerators(cls, num, den) -> GradedCoeff:
+        """The coefficient of the {m-key: int} map ``num`` over ``den``."""
+        return cls({unpack(m): Fraction(x, den) for m, x in num.items()})
 
     @classmethod
     def monomial(cls, exps, q=1) -> GradedCoeff:
@@ -192,13 +202,12 @@ def _mon_text(exps: tuple) -> str:
     return "*".join(parts)
 
 
-def _term_text(exps: tuple, mag: Fraction) -> str:
-    if not exps:
-        return str(mag)
-    mon = _mon_text(exps)
-    if mag == 1:
-        return mon
-    return f"{mag}*{mon}"
+def _term_text(exps: tuple, mag: Fraction, tmon: str = "") -> str:
+    """The term mag * m^exps * tmon, with a factor 1 left out unless it stands alone."""
+    factors = [f for f in (_mon_text(exps), tmon) if f]
+    if mag != 1 or not factors:
+        factors.insert(0, str(mag))
+    return "*".join(factors)
 
 
 def partitions(n: int) -> list:
@@ -220,10 +229,10 @@ def partitions(n: int) -> list:
 
 
 def inverse_powers(M: dict, n: int, shift: int) -> list:
-    """[p_0, ..., p_n] with p_k = [u^k] (1 + M(u))^-(k + shift), as {m-exps: Fraction} maps.
+    """[p_0, ..., p_n] with p_k = [u^k] (1 + M(u))^-(k + shift), as {m-key: Fraction} maps.
 
-    ``M`` maps j to the coefficient map of u^j in M(u), with no entry where
-    that is zero; only the keys 1..n are read.  For shift >= 0 and
+    ``M`` maps j to the {m-key: Fraction} map of u^j in M(u), with no entry
+    where that is zero; only the keys 1..n are read.  For shift >= 0 and
     N = k + shift, the binomial series gives
 
         p_k = sum over partitions lambda of k of
@@ -236,7 +245,6 @@ def inverse_powers(M: dict, n: int, shift: int) -> list:
     M_j = 0.  These are the Lagrange-Burmann sums of the law's exponential
     and characteristic series (see ``fgl``).
     """
-    M = {j: _packed(c) for j, c in M.items() if j <= n}
     out = [{0: Fraction(1)}] + [{} for _ in range(n)]
 
     def grow(prod, size, last, run, length, aut):
@@ -250,7 +258,7 @@ def inverse_powers(M: dict, n: int, shift: int) -> list:
                 grow(prod_p, k, p, r, length + 1, -aut * r)
 
     grow({0: 1}, 0, n, 0, 0, 1)
-    return [{unpack(m): q for m, q in p.items()} for p in out]
+    return out
 
 
 def _packed(terms) -> dict:

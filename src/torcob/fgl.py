@@ -37,12 +37,12 @@ q_mu / aut(mu) in factored form.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 
 from torcob.coeff import GradedCoeff, inverse_powers, partitions
 from torcob.errors import TooLarge, TruncationInsufficient
-from torcob.kernels import pack
 from torcob.series import TruncSeries
 
 ADDITIVE = "additive"
@@ -57,12 +57,14 @@ MAX_DEG = 24
 class FGLContext:
     """Context holding l and, once read, e, rho and F at fixed truncations.
 
-    Immutable in everything it exposes, but e is cached in ``_exp``, n-series
-    (rho among them) in ``_nser``, F in ``_F``, weight factors in
-    ``_weights`` and their live partitions in ``_live`` on first use,
-    without a lock.  Each value depends only on its key, so threads sharing
-    a context get the same answers; two threads racing on one entry both
-    compute it and store equal values.
+    Immutable in everything it exposes, but values are kept on first use:
+    e and F as ``functools.cached_property`` values, n-series (rho among
+    them) in ``_nser``, weight factors in ``_weights`` and their live
+    partitions in ``_live``, the last three without a lock.  Each value
+    depends only on its key, so threads sharing a context get the same
+    answers; two threads racing on one entry both compute it and store
+    equal values (for e and F from Python 3.12, which dropped the lock
+    that 3.11 holds around the first computation).
     """
 
     def __init__(self, coeff_degree, degree, specialization=None):
@@ -74,8 +76,6 @@ class FGLContext:
         self.D = degree
         self.specialization = _normalize_spec(specialization)
         self.log = self._build_log()
-        self._exp = None
-        self._F = None
         self._nser = {0: TruncSeries.zero(("u",), self.D), 1: _uvar(self.D)}
         self._weights = {}
         self._live = {}
@@ -95,30 +95,26 @@ class FGLContext:
                 coeffs[(i + 1,)] = c
         return TruncSeries(("u",), coeffs, self.D)
 
-    @property
+    @functools.cached_property
     def exp(self) -> TruncSeries:
         """The exponential e, the compositional inverse of l, built and checked on first read."""
-        if self._exp is None:
-            e = self.log.compositional_inverse()
-            if e.substitute({"u": self.log}) != _uvar(self.D):
-                raise ArithmeticError("exponential fails e(l(u)) = u")
-            self._exp = e
-        return self._exp
+        e = self.log.compositional_inverse()
+        if e.substitute({"u": self.log}) != _uvar(self.D):
+            raise ArithmeticError("exponential fails e(l(u)) = u")
+        return e
 
     @property
     def rho(self) -> TruncSeries:
         """The formal inverse rho(u) = e(-l(u)) = [-1]u, built on first read."""
         return self.n_series(-1)
 
-    @property
+    @functools.cached_property
     def F(self) -> TruncSeries:
         """F(u, v) = e(l(u) + l(v)), built on first use."""
-        if self._F is None:
-            uv = ("u", "v")
-            lu = self.log.substitute({"u": TruncSeries.variable(uv, "u", self.D)})
-            lv = self.log.substitute({"u": TruncSeries.variable(uv, "v", self.D)})
-            self._F = self.exp.substitute({"u": lu + lv})
-        return self._F
+        uv = ("u", "v")
+        lu = self.log.substitute({"u": TruncSeries.variable(uv, "u", self.D)})
+        lv = self.log.substitute({"u": TruncSeries.variable(uv, "v", self.D)})
+        return self.exp.substitute({"u": lu + lv})
 
     @property
     def is_specialized(self) -> bool:
@@ -160,15 +156,22 @@ class FGLContext:
             if dim + 1 > self.D:
                 raise TruncationInsufficient(f"weights of degree {dim} need truncation {dim + 1}")
             # q_k = -[u^k] (1 + M)^-k / k, with l(u) = u (1 + M(u))
-            p = inverse_powers({k - 1: c.terms for (k,), c in self.log.coeffs.items()}, dim, 0)
-            rational = {
-                mu: GradedCoeff(p[mu[-1]]).scale(Fraction(-1, mu[-1] * mu.count(mu[-1])))
-                for mu in partitions(dim) if mu
+            log = self.log
+            M = {
+                k - 1: {m: Fraction(x, log.den) for m, x in c.items()}
+                for (k,), c in log.num.items()
             }
-            den = math.lcm(*(c.denominator for f in rational.values() for c in f.terms.values()))
+            p = inverse_powers(M, dim, 0)
+            rational = {}
+            for mu in partitions(dim):
+                if mu:
+                    w = Fraction(-1, mu[-1] * mu.count(mu[-1]))
+                    rational[mu] = {m: q * w for m, q in p[mu[-1]].items()}
+            den = math.lcm(*(q.denominator for f in rational.values() for q in f.values()))
             factors = {(): {0: 1}}
             for mu, f in rational.items():
-                factors[mu] = {pack(m): int(c * den ** mu[-1]) for m, c in f.terms.items()}
+                scale = den ** mu[-1]
+                factors[mu] = {m: q.numerator * (scale // q.denominator) for m, q in f.items()}
             out = self._weights[dim] = (den, factors)
         return out
 

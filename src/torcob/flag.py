@@ -21,7 +21,6 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from fractions import Fraction
 
 from torcob.coeff import GradedCoeff
 from torcob.errors import TooLarge, TruncationInsufficient
@@ -29,7 +28,7 @@ from torcob.fgl import build
 from torcob.gkm import PiecewiseClass, _log_integral, flag_graph
 # Looked up here by the benchmark's tracer (e2ebench/spans.py); unused in this module.
 from torcob.gkm import basis_expand  # noqa: F401
-from torcob.kernels import mul_acc, unpack
+from torcob.kernels import mul_acc
 from torcob.series import TruncSeries, _canonical
 from torcob.torus import TorusContext
 
@@ -207,7 +206,7 @@ def artin_pairing(ctx: TorusContext, n: int, p: TruncSeries) -> list:
             mul_acc(acc, pb.items(), integrals[c])
         out.append(acc)
     den *= p.den
-    return [GradedCoeff({unpack(m): Fraction(x, den) for m, x in acc.items()}) for acc in out]
+    return [GradedCoeff.from_numerators(acc, den) for acc in out]
 
 
 def kernel_check(ctx: TorusContext, n: int, p: TruncSeries) -> bool:

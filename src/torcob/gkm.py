@@ -45,6 +45,7 @@ same sum, with no series formed.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -61,10 +62,10 @@ from torcob.errors import (
     TruncationInsufficient,
     VariableMismatch,
 )
-from torcob.kernels import mul_acc, unpack
+from torcob.kernels import above_generator, mul_acc
 from torcob.linalg import INCONSISTENT, UNDERDETERMINED, solve
 from torcob.linalg import rank as matrix_rank
-from torcob.series import TruncSeries, _is_rational
+from torcob.series import TruncSeries, _is_rational, from_table
 from torcob.torus import (
     TorusContext,
     agree_off_axis,
@@ -79,9 +80,10 @@ class GKMGraph:
     """rank, common valence dim, vertex ids, and signed edges.
 
     The edges are fixed at construction, so the generic cocharacter, the
-    tangent power sums and the edge tests they determine are computed once,
-    on first use, and kept; threads racing on that first use both compute
-    them and store equal values.
+    tangent power sums and the edge tests they determine are computed on
+    first use and kept (``functools.cached_property``).  Threads sharing a
+    graph get the same values: Python 3.11 locks the first computation, and
+    from 3.12 threads racing on it may both compute it and store equal values.
     """
 
     def __init__(self, rank, dim, vertices, edges):
@@ -93,30 +95,21 @@ class GKMGraph:
         for v, w, chi in self.edges:
             self._incident[v].append((w, chi))
             self._incident[w].append((v, tuple(-x for x in chi)))
-        self._cocharacter = None
-        self._moments = None
-        self._edge_tests = None
 
-    @property
+    @functools.cached_property
     def cocharacter(self) -> tuple:
         """The generic cocharacter of ``_generic_cocharacter``, kept after first use."""
-        if self._cocharacter is None:
-            self._cocharacter = _generic_cocharacter(self)
-        return self._cocharacter
+        return _generic_cocharacter(self)
 
-    @property
+    @functools.cached_property
     def moments(self) -> tuple:
         """The tangent power sums of ``_tangent_moments``, kept after first use."""
-        if self._moments is None:
-            self._moments = _tangent_moments(self)
-        return self._moments
+        return _tangent_moments(self)
 
-    @property
+    @functools.cached_property
     def edge_tests(self) -> list:
         """The congruence tests of ``_edge_tests``, kept after first use."""
-        if self._edge_tests is None:
-            self._edge_tests = _edge_tests(self)
-        return self._edge_tests
+        return _edge_tests(self)
 
     def incident(self, v):
         """(other vertex, tangent character at v) pairs."""
@@ -492,7 +485,7 @@ def integrate(ctx: TorusContext, g: GKMGraph, alpha: PiecewiseClass, check_class
                 for beta, n in c.items():
                     groups.setdefault((d, beta), []).append((v, e, n * scale))
     num, log_den = _log_integral(ctx.fgl, g, groups)
-    return GradedCoeff({unpack(m): Fraction(x, den * log_den) for m, x in num.items()})
+    return GradedCoeff.from_numerators(num, den * log_den)
 
 
 def basis_expand(ctx: TorusContext, g: GKMGraph, basis, alpha: PiecewiseClass):
@@ -541,7 +534,7 @@ def basis_expand(ctx: TorusContext, g: GKMGraph, basis, alpha: PiecewiseClass):
                 c = alpha.values[v].divide_exact(b.values[v])
             except NotDivisible as exc:
                 raise NoSolution(f"component at {v} is not a multiple of the basis value") from exc
-            if any(len(unpack(m)) > top for x in c.num.values() for m in x):
+            if above_generator(c.num.values(), top):
                 raise NoSolution(_OUT_OF_SPAN)
             out.append(c)
         return out
@@ -591,18 +584,18 @@ def _expand_linear(ctx, g, basis, alpha, guar, top):
             status == INCONSISTENT and matrix_rank(rows) < len(cols)
         ):
             raise Ambiguous("basis is not free through the truncation")
-        if status == INCONSISTENT or any(len(unpack(m)) > top for part in y for m in part):
+        if status == INCONSISTENT or above_generator(y, top):
             raise NoSolution(_OUT_OF_SPAN)
         for (k, s), part in zip(cols, y):
             if not part:
                 continue
-            coords[k][s] = GradedCoeff({unpack(m): q for m, q in part.items()})
+            coords[k][s] = part
             neg = [(m, -q) for m, q in part.items()]
             for v, t, dt, c in tails[k]:
                 if d + dt <= guar:
                     key = (v, tuple(map(operator.add, s, t)))
                     mul_acc(residual[d + dt].setdefault(key, {}), neg, c)
-    return [TruncSeries(ctx.vars, c, min(guar, ctx.D) - low) for c, low in zip(coords, lows)]
+    return [from_table(ctx.vars, c, min(guar, ctx.D) - low) for c, low in zip(coords, lows)]
 
 
 def _split_lowest(basis, lows):

@@ -18,7 +18,8 @@ exponents run up to MAX_EXP and generators up to m_MAX_GENERATORS, and
 ``pack`` refuses anything beyond with TooLarge.  Two valid fields sum to
 less than 2^W, so a product never carries into the next field; an exponent
 above MAX_EXP sets its field's guard bit, and ``mul_acc`` raises TooLarge
-before such a key enters a map.
+before such a key enters a map.  The keys that use no generator above m_k
+are exactly those below 2^(W*k), which ``above_generator`` tests.
 """
 
 from operator import add
@@ -68,6 +69,15 @@ def mdiv(a: int, b: int):
     if d & GUARD != GUARD:
         return None
     return d ^ GUARD
+
+
+def above_generator(maps, top) -> bool:
+    """Whether a key of the coefficient maps uses a generator above m_top.
+
+    Such a key is at least 2^(W*top), so the largest key of each map decides.
+    """
+    bound = 1 << W * top
+    return any(c and max(c) >= bound for c in maps)
 
 
 def mul_acc(out, a_items, b):

@@ -5,17 +5,21 @@ layout): a table ``num`` {t-exps: {m-key: int}}, ``den > 0``, and one
 trusted degree ``guarantee``, through which coefficients are exact; nothing
 above it is stored.  The t-exponents are tuples; the m-monomials are the
 packed integer keys of ``kernels`` (1 is the key 0), ordered as integers,
-lexicographically with the highest generator most significant.  The
-constructor packs, so an exponent above ``kernels.MAX_EXP`` raises TooLarge
-there, and ``coeffs`` and ``coefficient`` unpack.  The form is canonical (no
-zero numerator, gcd of den and the numerators 1), so equality, hashing and
-rendering are structural.  The kernel runs on ``num`` with Python ints; one
-gcd sweep settles each result.  Two views are built on first read and
-kept in a slot: ``coeffs``, the value as {t-exps: GradedCoeff}, and
-``divisor``, the t-degree slices and leading data that ``divide_exact``
-reads of a divisor, so a cached divisor such as a Chern power is sliced
-once.  Values are immutable; inner tables may be shared and are never
-mutated.
+lexicographically with the highest generator most significant.  One
+constructor, ``from_table``, puts a {t-exps: {m-key: Fraction}} table over
+the lcm of its denominators; ``TruncSeries(vars, coeffs, guarantee)`` packs
+its {t-exps: GradedCoeff} map into such a table first, so an exponent above
+``kernels.MAX_EXP`` raises TooLarge there, and the Lagrange inversion and
+``gkm``'s expansion coordinates build their tables directly.  ``coeffs`` and
+``coefficient`` unpack through ``GradedCoeff.from_numerators``.  The form is
+canonical (no zero numerator, gcd of den and the numerators 1), so
+equality, hashing and rendering are structural.  The kernel runs on ``num``
+with Python ints; one gcd sweep settles each result.  Two views are built
+on first read and kept in a slot: ``coeffs``, the value as {t-exps:
+GradedCoeff}, and ``divisor``, the t-degree slices and leading data that
+``divide_exact`` reads of a divisor, so a cached divisor such as a Chern
+power is sliced once.  Values are immutable; inner tables may be shared and
+are never mutated.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-from torcob.coeff import GradedCoeff, _mon_text, inverse_powers, join_signed, mweight
+from torcob.coeff import GradedCoeff, _term_text, inverse_powers, join_signed, mweight
 from torcob.errors import (
     NotDivisible,
     NotInvertible,
@@ -38,18 +42,13 @@ class TruncSeries:
 
     def __init__(self, vars, coeffs, guarantee):
         """The series of {t-exps: GradedCoeff} ``coeffs``, truncated to ``guarantee``."""
-        kept = [(t, c.terms.items()) for t, c in coeffs.items() if sum(t) <= guarantee]
-        # the lcm of the denominators leaves no common factor
-        den = lcm(*(q.denominator for _, c in kept for _, q in c if q))
-        num = {
-            t: {pack(m): q.numerator * (den // q.denominator) for m, q in c if q} for t, c in kept
+        table = {
+            t: {pack(m): q for m, q in c.terms.items()}
+            for t, c in coeffs.items() if sum(t) <= guarantee
         }
-        self.vars = tuple(vars)
-        self.num = {t: c for t, c in num.items() if c}
-        self.den = den
-        self.guarantee = guarantee
-        self._coeffs = None
-        self._divisor = None
+        s = from_table(vars, table, guarantee)
+        self.vars, self.num, self.den, self.guarantee = s.vars, s.num, s.den, guarantee
+        self._coeffs = self._divisor = None
 
     # -- constructors ------------------------------------------------------
 
@@ -80,12 +79,11 @@ class TruncSeries:
         """{t-exps: GradedCoeff}, built on first read; do not mutate."""
         out = self._coeffs
         if out is None:
-            out = self._coeffs = {t: self._coeff(c) for t, c in self.num.items()}
+            den = self.den
+            out = self._coeffs = {
+                t: GradedCoeff.from_numerators(c, den) for t, c in self.num.items()
+            }
         return out
-
-    def _coeff(self, c) -> GradedCoeff:
-        den = self.den
-        return GradedCoeff({unpack(m): Fraction(x, den) for m, x in c.items()})
 
     def is_zero(self) -> bool:
         return not self.num
@@ -102,7 +100,7 @@ class TruncSeries:
 
     def coefficient(self, exps) -> GradedCoeff:
         c = self.num.get(tuple(exps))
-        return GradedCoeff.zero() if c is None else self._coeff(c)
+        return GradedCoeff.zero() if c is None else GradedCoeff.from_numerators(c, self.den)
 
     def homogeneous_degree(self):
         """Cohomological degree if homogeneous and nonzero, else None.
@@ -401,11 +399,14 @@ class TruncSeries:
         c1 = self.num.get((1,))
         if c1 is None or not _is_rational(c1):
             raise NotInvertible("linear coefficient must be an invertible rational")
+        # M(u) = self / (c*u) - 1, c = c1 / den: the numerators of u^k over c1 give M_(k-1)
+        M = {k - 1: {m: Fraction(x, c1[0]) for m, x in c.items()} for (k,), c in self.num.items()}
         c = Fraction(c1[0], self.den)
-        M = {k - 1: self.coefficient((k,)).scale(1 / c).terms for (k,) in self.num}
-        powers = inverse_powers(M, self.guarantee - 1, 1)
-        coeffs = {(n,): GradedCoeff(p).scale(c ** -n / n) for n, p in enumerate(powers, 1)}
-        return TruncSeries(self.vars, coeffs, self.guarantee)
+        table = {}
+        for n, p in enumerate(inverse_powers(M, self.guarantee - 1, 1), 1):
+            scale = c ** -n / n
+            table[(n,)] = {m: q * scale for m, q in p.items()}
+        return from_table(self.vars, table, self.guarantee)
 
     # -- rendering ----------------------------------------------------------
 
@@ -418,16 +419,25 @@ class TruncSeries:
             mon = _t_mon_text(self.vars, texp)
             if not mon:
                 for e, q in c.sorted_terms():
-                    pieces.append((q < 0, _coeff_term_text(e, abs(q), "")))
+                    pieces.append((q < 0, _term_text(e, abs(q))))
             elif len(c.terms) == 1:
                 (e, q), = c.terms.items()
-                pieces.append((q < 0, _coeff_term_text(e, abs(q), mon)))
+                pieces.append((q < 0, _term_text(e, abs(q), mon)))
             else:
                 pieces.append((False, f"({c})*{mon}"))
         return join_signed(pieces)
 
     def __repr__(self) -> str:
         return f"TruncSeries[{','.join(self.vars)};G={self.guarantee}]({self})"
+
+
+def from_table(vars, table, guarantee) -> TruncSeries:
+    """The series of a {t-exps: {m-key: Fraction}} table, truncated to ``guarantee``."""
+    kept = [(t, c.items()) for t, c in table.items() if sum(t) <= guarantee]
+    # the lcm of the denominators leaves no common factor
+    den = lcm(*(q.denominator for _, c in kept for _, q in c if q))
+    num = {t: {m: q.numerator * (den // q.denominator) for m, q in c if q} for t, c in kept}
+    return _series(tuple(vars), {t: c for t, c in num.items() if c}, den, guarantee)
 
 
 def _series(vars, num, den, guarantee) -> TruncSeries:
@@ -516,15 +526,3 @@ def _t_mon_text(vars, exps) -> str:
             continue
         parts.append(v if e == 1 else f"{v}^{e}")
     return "*".join(parts)
-
-
-def _coeff_term_text(mexp, mag, mon) -> str:
-    head = _mon_text(mexp) if mexp else ""
-    factors = []
-    if mag != 1 or (not head and not mon):
-        factors.append(str(mag))
-    if head:
-        factors.append(head)
-    if mon:
-        factors.append(mon)
-    return "*".join(factors)

@@ -190,14 +190,9 @@ class TorusContext:
                 continue
             nser = self.fgl.n_series(m)
             parts.append(nser.substitute({"u": self.var(i)}))
-        if not parts:
-            out = self.zero()
-        elif len(parts) == 1:
-            out = parts[0]
-        else:
-            out = parts[0]
-            for p in parts[1:]:
-                out = self.fgl.plus(out, p)
+        out = parts[0] if parts else self.zero()
+        for p in parts[1:]:
+            out = self.fgl.plus(out, p)
         self._chern[chi] = out
         return out
 

@@ -12,12 +12,11 @@ for constant classes and this one for every other class.
 
 import weakref
 from collections import Counter
-from fractions import Fraction
 
 from torcob import gkm
 from torcob.coeff import GradedCoeff
 from torcob.errors import NotDivisible
-from torcob.kernels import pack, unpack
+from torcob.kernels import pack
 from torcob.series import TruncSeries, _series
 
 _UNITS = weakref.WeakKeyDictionary()  # context -> {(m, d): ([m]u / u)^(-d)}
@@ -91,7 +90,7 @@ def _fundamental_class(ctx, g) -> GradedCoeff:
     """[X] = R_dim in the logarithmic coordinate; NotDivisible unless R_k = 0 for k < dim."""
     terms = [(v, (0,) * g.rank, 1) for v in g.vertices]
     num, den = gkm._log_integral(ctx.fgl, g, {(0, pack(())): terms})
-    return GradedCoeff({unpack(m): Fraction(x, den) for m, x in num.items()})
+    return GradedCoeff.from_numerators(num, den)
 
 
 def two_routes(ctx, g, alpha) -> GradedCoeff:

@@ -5,11 +5,21 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from torcob.coeff import GradedCoeff
 from torcob.errors import TooLarge
-from torcob.kernels import MAX_EXP, MAX_GENERATORS, W, convolve, mdiv, mul_acc, pack, unpack
+from torcob.kernels import (
+    MAX_EXP,
+    MAX_GENERATORS,
+    W,
+    above_generator,
+    convolve,
+    mdiv,
+    mul_acc,
+    pack,
+    unpack,
+)
 
 
 def _trim(exps):
@@ -169,9 +179,19 @@ monomials = st.lists(st.integers(0, MAX_EXP // 2), max_size=6).map(_trim)
 
 
 @given(monomials)
+@example(())  # the key 0
+@example((MAX_EXP,))  # the highest field is generator 1, at MAX_EXP
+@example((0, 0, 3, MAX_EXP))
+@example((0, 0, 1))  # the least key that uses generator 3
 def test_unpack_inverts_pack(m):
     assert unpack(pack(m)) == m
     assert pack(m + (0, 0)) == pack(m)  # trailing zeros do not change the key
+    # the bound admits every generator up to the last one m uses and refuses below it
+    top = len(m)
+    assert not above_generator([{pack(m): 1}], top)
+    assert not above_generator([{}, {pack(m): 1, 0: 2}], top + 1)
+    if top:
+        assert above_generator([{}, {0: 1, pack(m): 1}], top - 1)
 
 
 @given(monomials, monomials)
