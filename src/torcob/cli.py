@@ -16,7 +16,11 @@ above n = MAX_FLAG_GRAPH_N and ``gkm gen pn`` above n = MAX_PN_GRAPH_N (the
 README gives the measured times behind each limit).  Each raises
 ``TooLarge``, as the library's own guards do, and exits 2; ``gkm
 expand|forget`` learns its size from the basis, so its guard
-(``gkm.MAX_EXPAND_COLUMNS``) fires after the header line.
+(``gkm.MAX_EXPAND_COLUMNS``) fires after the header line.  ``gkm
+check|integrate|expand|forget`` check the truncation, given or computed
+from the graph's ``dim``, after reading the graph and the class but before
+validating the graph, so an input that is both invalid and too large exits
+2; the header line follows validation, so an invalid graph prints nothing.
 
 ``main`` may be called repeatedly in one process: the parser is built once,
 on the first call, and every byte of output, usage errors and ``--help``
@@ -112,13 +116,12 @@ def _load_json(text_or_path, stdin):
 
 
 def _load_graph(args, stdin) -> gkm.GKMGraph:
+    """The graph of --graph, not yet validated: its truncation is checked first."""
     obj = _load_json(getattr(args, "graph", None), stdin)
     try:
-        g = gkm.GKMGraph.from_json(obj)
+        return gkm.GKMGraph.from_json(obj)
     except TypeError as exc:
         raise UsageError(f"graph JSON has the wrong shape: {exc}") from exc
-    g.require_valid()
-    return g
 
 
 def _class_values(obj):
@@ -210,23 +213,20 @@ def _cmd_gkm(args, out, stdin):
         except TypeError as exc:
             raise UsageError(f"class truncation must be an integer, got {trunc!r}") from exc
     spec = _law(args)
+    computed = {"check": g.dim + 2, "integrate": gkm.required_guarantee(g, None)}
+    deg, header = _truncation(args, computed.get(args.sub, 2 * g.dim + 2))
+    g.require_valid()
+    out.write(header)
+    ctx = _torus_for(g, deg, args, spec)
+    alpha = _eval_class(ctx, g, values)
     if args.sub == "check":
-        deg = _default_deg(args, g.dim + 2, out)
-        ctx = _torus_for(g, deg, args, spec)
-        alpha = _eval_class(ctx, g, values)
         ok = gkm.is_class(ctx, g, alpha)
         print("true" if ok else "false", file=out)
         return 0 if ok else 1
     if args.sub == "integrate":
-        deg = _default_deg(args, gkm.required_guarantee(g, None), out)
-        ctx = _torus_for(g, deg, args, spec)
-        alpha = _eval_class(ctx, g, values)
         print(str(gkm.integrate(ctx, g, alpha)), file=out)
         return 0
     if args.sub in ("expand", "forget"):
-        deg = _default_deg(args, 2 * g.dim + 2, out)
-        ctx = _torus_for(g, deg, args, spec)
-        alpha = _eval_class(ctx, g, values)
         basis_obj = _load_json(args.basis, stdin)
         if not isinstance(basis_obj, list):
             raise UsageError("--basis must be a JSON array of class objects")

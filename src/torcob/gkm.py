@@ -1,9 +1,11 @@
 """Moment graphs: fixed points, character-labelled curves, and piecewise classes.
 
 A graph stores one character per edge, the tangent character at the first
-vertex (the second sees its negative); every vertex must have the same
-valence with pairwise non-proportional characters, matching smooth varieties
-with isolated fixed points and finitely many invariant curves.
+vertex (the second sees its negative); vertex ids are distinct, and an edge
+between ids not listed is refused on construction (``GraphInvalid``).
+Every vertex must have the same valence with pairwise non-proportional
+characters (``GKMGraph.validate``), matching smooth varieties with isolated
+fixed points and finitely many invariant curves.
 
 A piecewise class assigns a series to each fixed point; it is an honest
 equivariant class when every edge difference is divisible by the Chern class
@@ -72,7 +74,6 @@ from torcob.torus import (
     agree_on_diagonal,
     character_shape,
     content,
-    proportional,
 )
 
 
@@ -91,8 +92,14 @@ class GKMGraph:
         self.dim = dim
         self.vertices = list(vertices)
         self.edges = [(v, w, tuple(chi)) for v, w, chi in edges]
-        self._incident = {v: [] for v in self.vertices}
+        self._incident = {}
+        for v in self.vertices:
+            if v in self._incident:
+                raise GraphInvalid(f"vertex {v} is listed more than once")
+            self._incident[v] = []
         for v, w, chi in self.edges:
+            if v not in self._incident or w not in self._incident:
+                raise GraphInvalid(f"edge ({v},{w}) references an unknown vertex")
             self._incident[v].append((w, chi))
             self._incident[w].append((v, tuple(-x for x in chi)))
 
@@ -116,22 +123,31 @@ class GKMGraph:
         return self._incident[v]
 
     def validate(self):
-        """List of violation messages; empty means the graph is valid."""
-        problems = []
-        for v, w, chi in self.edges:
-            if v not in self._incident or w not in self._incident:
-                problems.append(f"edge ({v},{w}) references an unknown vertex")
-            if content(chi) == 0:
-                problems.append(f"edge ({v},{w}) has the zero character")
+        """List of violation messages; empty means the graph is valid.
+
+        Two nonzero characters are proportional exactly when they have the
+        same primitive direction up to sign (``_direction``), so each vertex
+        groups the nonzero characters of its star by direction, reducing each
+        distinct character once.  Every pair of star positions i < j inside
+        one group is reported, in increasing (i, j): the order of a pairwise
+        test over the star.
+        """
+        problems = [
+            f"edge ({v},{w}) has the zero character" for v, w, chi in self.edges if not any(chi)
+        ]
+        direction = functools.cache(_direction)
         for v in self.vertices:
             inc = self._incident[v]
             if len(inc) != self.dim:
                 problems.append(f"vertex {v} has valence {len(inc)}, expected {self.dim}")
-            for (_, chi_a), (_, chi_b) in itertools.combinations(inc, 2):
-                if content(chi_a) and content(chi_b) and proportional(chi_a, chi_b):
-                    problems.append(
-                        f"vertex {v} has proportional edge characters {chi_a} and {chi_b}"
-                    )
+            groups = {}
+            for i, (_, chi) in enumerate(inc):
+                if any(chi):
+                    groups.setdefault(direction(chi), []).append(i)
+            for i, j in sorted(p for ix in groups.values() for p in itertools.combinations(ix, 2)):
+                problems.append(
+                    f"vertex {v} has proportional edge characters {inc[i][1]} and {inc[j][1]}"
+                )
         return problems
 
     def require_valid(self):
@@ -155,6 +171,13 @@ class GKMGraph:
             [str(v) for v in obj["vertices"]],
             [(str(e["v"]), str(e["w"]), tuple(int(x) for x in e["char"])) for e in obj["edges"]],
         )
+
+
+def _direction(chi) -> tuple:
+    """The primitive direction of a nonzero chi up to sign: chi over its
+    content, signed so that the first nonzero entry is positive."""
+    c = content(chi) if next(filter(None, chi)) > 0 else -content(chi)
+    return tuple(x // c for x in chi)
 
 
 class PiecewiseClass:
@@ -334,11 +357,7 @@ def _tangent_moments(g: GKMGraph) -> tuple:
     the |prod_j a_vj|.  Vertices with the same pairings share one row.
     """
     lam = g.cocharacter
-    at = {v: [] for v in g.vertices}
-    for v, w, chi in g.edges:
-        a = _pairing(chi, lam)
-        at[v].append(a)
-        at[w].append(-a)
+    at = {v: [_pairing(chi, lam) for _, chi in g.incident(v)] for v in g.vertices}
     index = {}
     row_of = {v: index.setdefault(tuple(sorted(a)), len(index)) for v, a in at.items()}
     den = math.lcm(*(math.prod(a) for a in index))

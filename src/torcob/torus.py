@@ -70,16 +70,6 @@ def content(chi) -> int:
     return g
 
 
-def proportional(a, b) -> bool:
-    """Exact Q-proportionality for nonzero vectors: all 2x2 minors vanish."""
-    n = len(a)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if a[i] * b[j] - a[j] * b[i] != 0:
-                return False
-    return True
-
-
 def character_shape(chi):
     """The shape of chi for the short cuts: (a, None) when chi = m*e_a,
     (a, b) when chi = m*(e_a - e_b) with m > 0, and None for every other

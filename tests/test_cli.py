@@ -447,6 +447,36 @@ def test_gen_invalid_graph_rejected():
     assert code == 1 and "GraphInvalid" in err
 
 
+def test_repeated_vertex_id_exits_one():
+    dup = ('{"rank": 1, "dim": 1, "vertices": ["0", "0", "inf"], '
+           '"edges": [{"v": "0", "w": "inf", "char": [1]}]}')
+    code, out, err = run(["gkm", "integrate", "--graph", dup, "--class", '{"0":"t1","inf":"0"}'])
+    assert (code, out) == (1, "") and "GraphInvalid" in err and "listed more than once" in err
+
+
+def test_unknown_edge_endpoint_exits_one():
+    bad = ('{"rank": 1, "dim": 1, "vertices": ["0", "inf"], '
+           '"edges": [{"v": "0", "w": "x", "char": [1]}]}')
+    code, out, err = run(["gkm", "check", "--graph", bad, "--class", '{"0":"1","inf":"1"}'])
+    assert (code, out) == (1, "") and "GraphInvalid" in err and "unknown vertex" in err
+
+
+_VALENCE_BROKEN = ('{{"rank": 1, "dim": {dim}, "vertices": ["0", "inf"], '
+                   '"edges": [{{"v": "0", "w": "inf", "char": [1]}}]}}')
+
+
+@pytest.mark.parametrize("sub", ["check", "integrate", "expand", "forget"])
+def test_oversized_truncation_refused_before_validation(monkeypatch, sub):
+    monkeypatch.delenv("COBORDISM_DEFAULT_DEG", raising=False)
+    extra = ["--basis", "[]"] if sub in ("expand", "forget") else []
+    cls = ["--class", '{"0":"1","inf":"1"}'] + extra
+    code, out, err = run(["gkm", sub, "--graph", _VALENCE_BROKEN.format(dim=30)] + cls)
+    assert (code, out) == (2, "") and "TooLarge" in err
+    # within the limit the same graph is invalid, and no header is printed
+    code, out, err = run(["gkm", sub, "--graph", _VALENCE_BROKEN.format(dim=2)] + cls)
+    assert (code, out) == (1, "") and "GraphInvalid" in err
+
+
 def test_parse_error_exit_two():
     code, _, err = run(["flag", "nf", "x1 +* x2", "--rank", "2"])
     assert code == 2 and "column 4" in err

@@ -1,6 +1,7 @@
 """Moment graphs: validation, classes, residues, expansion, generators."""
 
 import functools
+import itertools
 import random
 from fractions import Fraction
 
@@ -12,6 +13,7 @@ from torcob.accept import _P1_CHARS
 from torcob.coeff import GradedCoeff
 from torcob.errors import (
     Ambiguous,
+    GraphInvalid,
     NoSolution,
     NotAClass,
     TooLarge,
@@ -21,7 +23,7 @@ from torcob.errors import (
 )
 from torcob.fgl import build
 from torcob.series import TruncSeries
-from torcob.torus import TorusContext
+from torcob.torus import TorusContext, content
 
 
 @pytest.fixture(scope="module")
@@ -58,6 +60,97 @@ def test_validate_zero_character():
 
 def problems_lower(g):
     return [p.lower() for p in g.validate()]
+
+
+# -- validation against the pairwise oracle -----------------------------------
+
+
+def proportional(a, b) -> bool:
+    """Exact Q-proportionality for nonzero vectors: all 2x2 minors vanish."""
+    n = len(a)
+    for i in range(n):
+        for j in range(i + 1, n):
+            if a[i] * b[j] - a[j] * b[i] != 0:
+                return False
+    return True
+
+
+def pairwise_validate(g):
+    """``GKMGraph.validate`` by 2x2 minors over every pair of characters in each star."""
+    problems = []
+    for v, w, chi in g.edges:
+        if content(chi) == 0:
+            problems.append(f"edge ({v},{w}) has the zero character")
+    for v in g.vertices:
+        inc = g.incident(v)
+        if len(inc) != g.dim:
+            problems.append(f"vertex {v} has valence {len(inc)}, expected {g.dim}")
+        for (_, chi_a), (_, chi_b) in itertools.combinations(inc, 2):
+            if content(chi_a) and content(chi_b) and proportional(chi_a, chi_b):
+                problems.append(f"vertex {v} has proportional edge characters {chi_a} and {chi_b}")
+    return problems
+
+
+def test_pairwise_oracle_proportional():
+    assert proportional((1, 2), (2, 4)) and proportional((1, -1), (-2, 2))
+    assert not proportional((1, 0), (1, 1))
+    assert gkm._direction((-2, 4)) == gkm._direction((1, -2)) == (1, -2)
+    assert gkm._direction((0, -3, 6)) == (0, 1, -2)
+
+
+@st.composite
+def small_graphs(draw):
+    """Graphs of rank 1-3 whose characters are multiples (negative, scaled,
+    zero) of a few base characters, with repeats, self-loops and any valence."""
+    rank = draw(st.integers(1, 3))
+    char = st.tuples(*[st.integers(-2, 2)] * rank)
+    bases = draw(st.lists(char, min_size=1, max_size=3))
+    vertices = [str(i) for i in range(draw(st.integers(1, 5)))]
+    vertex = st.sampled_from(vertices)
+    scale = st.sampled_from([-3, -2, -1, 0, 1, 2, 3])
+    edge = st.tuples(vertex, vertex, st.sampled_from(bases), scale)
+    edges = [(v, w, tuple(k * x for x in chi)) for v, w, chi, k in draw(st.lists(edge, max_size=8))]
+    return gkm.GKMGraph(rank, draw(st.integers(0, 4)), vertices, edges)
+
+
+@settings(max_examples=400, deadline=None)
+@given(small_graphs())
+def test_validate_matches_pairwise_oracle(g):
+    assert g.validate() == pairwise_validate(g)
+
+
+def _restricted(g):
+    """g with every character restricted along t_1 = t_2: (chi_1 + chi_2, chi_3, ...),
+    so that stars gain zero and proportional characters."""
+    edges = [(v, w, (chi[0] + chi[1],) + chi[2:]) for v, w, chi in g.edges]
+    return gkm.GKMGraph(g.rank - 1, g.dim, g.vertices, edges)
+
+
+@pytest.mark.parametrize(
+    "g",
+    [gkm.flag_graph(n) for n in range(1, 7)] + [gkm.pn_graph(n) for n in range(1, 6)],
+    ids=[f"flag-{n}" for n in range(1, 7)] + [f"pn-{n}" for n in range(1, 6)],
+)
+def test_validate_matches_pairwise_oracle_on_generated_graphs(g):
+    assert g.validate() == pairwise_validate(g) == []
+    if g.dim > 1:
+        bad = _restricted(g)
+        problems = bad.validate()
+        assert problems == pairwise_validate(bad) and any("proportional" in p for p in problems)
+
+
+def test_repeated_vertex_id_is_invalid():
+    obj = {"rank": 1, "dim": 1, "vertices": ["0", 0, "inf"],
+           "edges": [{"v": "0", "w": "inf", "char": [1]}]}
+    with pytest.raises(GraphInvalid, match="vertex 0 is listed more than once"):
+        gkm.GKMGraph.from_json(obj)
+
+
+def test_unknown_edge_endpoint_is_invalid():
+    with pytest.raises(GraphInvalid, match=r"edge \(a,x\) references an unknown vertex"):
+        gkm.GKMGraph(1, 1, ["a", "b"], [("a", "x", (1,))])
+    with pytest.raises(GraphInvalid, match=r"edge \(x,b\) references an unknown vertex"):
+        gkm.GKMGraph(1, 1, ["a", "b"], [("x", "b", (1,))])
 
 
 def test_is_class_examples(T1, P1):

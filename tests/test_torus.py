@@ -23,7 +23,6 @@ from torcob.torus import (
     TorusContext,
     content,
     pair_extends_to_basis,
-    proportional,
 )
 
 from residue_oracle import _unit_inverse_power
@@ -177,8 +176,6 @@ def test_character_helpers():
     assert content((2, -4)) == 2
     assert is_primitive((2, 3)) and not is_primitive((2, 4)) and not is_primitive((0, 0))
     assert primitive_part((4, -6)) == (2, (2, -3))
-    assert proportional((1, 2), (2, 4)) and proportional((1, -1), (-2, 2))
-    assert not proportional((1, 0), (1, 1))
     assert pair_extends_to_basis((1, 0), (1, 1))
     assert not pair_extends_to_basis((1, 1), (1, -1))  # minor 2
 
