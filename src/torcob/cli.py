@@ -179,19 +179,11 @@ def _cmd_fgl(args, out, stdin):
 def _cmd_gkm(args, out, stdin):
     if args.sub == "gen":
         spec = _law(args) if args.classes else None
-        if args.kind == "p1":
-            if args.char is None:
-                raise UsageError("p1 needs --char")
-            g = gkm.p1_graph(_parse_char(args.char))
-        elif args.kind in ("pn", "flag"):
-            if args.n is None:
-                raise UsageError(f"{args.kind} needs --n")
-            limit = MAX_FLAG_GRAPH_N if args.kind == "flag" else MAX_PN_GRAPH_N
-            if args.n > limit:
-                raise TooLarge(f"--n {args.n} for gkm gen {args.kind} is above the limit {limit}")
-            g = gkm.generate(args.kind, n=args.n)
-        else:
-            raise UsageError(f"unknown graph kind {args.kind!r}")
+        limit = {"pn": MAX_PN_GRAPH_N, "flag": MAX_FLAG_GRAPH_N}.get(args.kind)
+        if limit is not None and args.n is not None and args.n > limit:
+            raise TooLarge(f"--n {args.n} for gkm gen {args.kind} is above the limit {limit}")
+        char = _parse_char(args.char) if args.kind == "p1" and args.char is not None else None
+        g = gkm.generate(args.kind, char=char, n=args.n)
         if args.classes:
             deg, header = _truncation(args, 2 * g.dim + 2)
         print(json.dumps(g.to_json()), file=out)
@@ -226,18 +218,16 @@ def _cmd_gkm(args, out, stdin):
     if args.sub == "integrate":
         print(str(gkm.integrate(ctx, g, alpha)), file=out)
         return 0
-    if args.sub in ("expand", "forget"):
-        basis_obj = _load_json(args.basis, stdin)
-        if not isinstance(basis_obj, list):
-            raise UsageError("--basis must be a JSON array of class objects")
-        basis = [_eval_class(ctx, g, _class_values(b)[1]) for b in basis_obj]
-        coords = gkm.basis_expand(ctx, g, basis, alpha)
-        if args.sub == "forget":
-            print(json.dumps([str(ctx.augment(c)) for c in coords]), file=out)
-        else:
-            print(json.dumps([str(c) for c in coords]), file=out)
-        return 0
-    raise UsageError(f"unknown gkm subcommand {args.sub!r}")
+    basis_obj = _load_json(args.basis, stdin)  # expand or forget
+    if not isinstance(basis_obj, list):
+        raise UsageError("--basis must be a JSON array of class objects")
+    basis = [_eval_class(ctx, g, _class_values(b)[1]) for b in basis_obj]
+    coords = gkm.basis_expand(ctx, g, basis, alpha)
+    if args.sub == "forget":
+        print(json.dumps([str(ctx.augment(c)) for c in coords]), file=out)
+    else:
+        print(json.dumps([str(c) for c in coords]), file=out)
+    return 0
 
 
 def _cmd_flag(args, out, stdin):
@@ -262,21 +252,19 @@ def _cmd_flag(args, out, stdin):
     if args.sub == "nf":
         print(str(flagmod.normal_form(n, p)), file=out)
         return 0
-    if args.sub == "kernel":
-        # The default truncation, and so the "# deg" header, keeps the bytes it
-        # had when the Artin basis was restricted up to degree n(n-1)/2; the
-        # pairing reads the law's characteristic series through degree dim,
-        # which needs the logarithm through dim + 1, so the context is built
-        # at dim + 1 where the truncation is lower.
-        dim = n * (n - 1) // 2
-        computed = max(max(p.max_degree() or 0, 1) + 1, dim)
-        deg = _default_deg(args, computed, out)
-        flagmod.require_degree(p, deg)
-        ctx = TorusContext(n, fgl_build(args.coeff_deg, max(deg, dim + 1), spec))
-        ok = flagmod.kernel_check(ctx, n, p)
-        print("true" if ok else "false", file=out)
-        return 0
-    raise UsageError(f"unknown flag subcommand {args.sub!r}")
+    # kernel: the default truncation, and so the "# deg" header, keeps the
+    # bytes it had when the Artin basis was restricted up to degree n(n-1)/2;
+    # the pairing reads the law's characteristic series through degree dim,
+    # which needs the logarithm through dim + 1, so the context is built at
+    # dim + 1 where the truncation is lower.
+    dim = n * (n - 1) // 2
+    computed = max(max(p.max_degree() or 0, 1) + 1, dim)
+    deg = _default_deg(args, computed, out)
+    flagmod.require_degree(p, deg)
+    ctx = TorusContext(n, fgl_build(args.coeff_deg, max(deg, dim + 1), spec))
+    ok = flagmod.kernel_check(ctx, n, p)
+    print("true" if ok else "false", file=out)
+    return 0
 
 
 def _cmd_selftest(args, out, stdin):

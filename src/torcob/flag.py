@@ -8,7 +8,10 @@ lexicographic order with x_n largest, whose leading terms are the staircase
 walls x_{n+1-i}^i.
 
 The bridge to the moment-graph model evaluates a polynomial at the
-tautological weights t_{w(1)}, ..., t_{w(n)} of each coset w.  Membership
+tautological weights t_{w(1)}, ..., t_{w(n)} of each coset w, read from
+the coset table ``gkm.flag_cosets``: x^c restricts to the t-monomial whose
+exponents are c permuted by w (``_t_exponent``), so restriction permutes
+the polynomial's exponent keys and does no arithmetic.  Membership
 in the ideal is decided twice: by the normal form, and by pairing against
 the Artin basis.  The pairing integrates x-monomials by the sum of
 ``gkm.integrate``, in the logarithmic coordinate (integer power-sum moments
@@ -25,11 +28,11 @@ import operator
 from torcob.coeff import GradedCoeff
 from torcob.errors import TooLarge, TruncationInsufficient
 from torcob.fgl import build
-from torcob.gkm import PiecewiseClass, _log_integral, flag_graph
+from torcob.gkm import PiecewiseClass, _log_integral, flag_cosets, flag_graph
 # Looked up here by the benchmark's tracer (e2ebench/spans.py); unused in this module.
 from torcob.gkm import basis_expand  # noqa: F401
 from torcob.kernels import mul_acc
-from torcob.series import TruncSeries, _canonical
+from torcob.series import TruncSeries, _canonical, _series
 from torcob.torus import TorusContext
 
 XBOUND = 1 << 30  # polynomials: no truncation in practice
@@ -151,17 +154,36 @@ def require_degree(p: TruncSeries, D: int):
         raise TruncationInsufficient(f"polynomial degree {deg} exceeds series truncation {D}")
 
 
+def _t_exponent(w):
+    """The map from an x-exponent c to its t-exponent at the coset w.
+
+    x_k restricts to t_{w(k)}, so t_i carries the exponent c_k with w(k) = i.
+    """
+    inverse = [0] * len(w)
+    for k, i in enumerate(w):
+        inverse[i - 1] = k
+    return operator.itemgetter(*inverse) if len(w) > 1 else tuple
+
+
 def flag_restriction(ctx: TorusContext, n: int, p: TruncSeries) -> PiecewiseClass:
-    """Evaluate p at the tautological weights of each coset: x_k -> t_{w(k)}."""
+    """Evaluate p at the tautological weights of each coset: x_k -> t_{w(k)}.
+
+    At each coset the t-exponents are p's x-exponents permuted
+    (``_t_exponent``), over p's numerators and denominator, so the value
+    is canonical as it stands; its guarantee is the lower of p's and the
+    context's truncation, which bounds p's degree.
+    """
     if ctx.rank != n:
         raise ValueError("torus rank must equal n")
-    g = flag_graph(n)
+    if p.vars != xvars(n):
+        raise ValueError("polynomial is not in the expected x-variables")
+    cosets = flag_cosets(n)
     require_degree(p, ctx.D)
+    guarantee = min(p.guarantee, ctx.D)
     values = {}
-    for v in g.vertices:
-        w = [int(c) for c in v]
-        assignment = {f"x{k + 1}": ctx.var(w[k] - 1) for k in range(n)}
-        values[v] = p.substitute(assignment)
+    for v, w in cosets:
+        at = _t_exponent(w)
+        values[v] = _series(ctx.vars, {at(c): x for c, x in p.num.items()}, p.den, guarantee)
     return PiecewiseClass(values)
 
 
@@ -176,7 +198,9 @@ def artin_pairing(ctx: TorusContext, n: int, p: TruncSeries) -> list:
     computed once per call, and the integral of p x^a is
     sum_b p_b R_dim(a + b) over the monomials p_b x^b of p, accumulated
     with ``mul_acc``.  A truncation at or below dim = n(n-1)/2 is raised to
-    dim + 1 in a law built here.
+    dim + 1 in a law built here.  The cosets and their exponent maps come
+    from ``gkm.flag_cosets`` and ``_t_exponent``; the flag graph is built
+    only for its tangent moments.
     """
     if ctx.rank != n:
         raise ValueError("torus rank must equal n")
@@ -186,11 +210,7 @@ def artin_pairing(ctx: TorusContext, n: int, p: TruncSeries) -> list:
     law = ctx.fgl
     if law.D <= g.dim:
         law = build(law.Dc, g.dim + 1, law.specialization)
-    # at the coset w, t_i carries the exponent of x_k with w(k) = i
-    cosets = []
-    for v in g.vertices:
-        inverse = sorted(range(n), key=lambda k: v[k])
-        cosets.append((v, operator.itemgetter(*inverse) if n > 1 else tuple))
+    cosets = [(v, _t_exponent(w)) for v, w in flag_cosets(n)]
     integrals = {}
     den = 1  # shared by every integral, set by the first
     out = []

@@ -2,7 +2,8 @@
 
 A graph stores one character per edge, the tangent character at the first
 vertex (the second sees its negative); vertex ids are distinct, and an edge
-between ids not listed is refused on construction (``GraphInvalid``).
+between ids not listed, or with a character whose length is not the rank,
+is refused on construction (``GraphInvalid``).
 Every vertex must have the same valence with pairwise non-proportional
 characters (``GKMGraph.validate``), matching smooth varieties with isolated
 fixed points and finitely many invariant curves.
@@ -100,6 +101,10 @@ class GKMGraph:
         for v, w, chi in self.edges:
             if v not in self._incident or w not in self._incident:
                 raise GraphInvalid(f"edge ({v},{w}) references an unknown vertex")
+            if len(chi) != rank:
+                raise GraphInvalid(
+                    f"edge ({v},{w}) has a character of length {len(chi)}, not the rank {rank}"
+                )
             self._incident[v].append((w, chi))
             self._incident[w].append((v, tuple(-x for x in chi)))
 
@@ -700,85 +705,99 @@ def p1_graph(chi) -> GKMGraph:
     return GKMGraph(len(chi), 1, ["0", "inf"], [("0", "inf", chi)])
 
 
+def _pn_characters(n: int) -> list:
+    """The vertex characters of P^n, by vertex: e_0 = 0, then e_1, ..., e_n."""
+    return [(0,) * n] + [tuple(int(k == i) for k in range(n)) for i in range(n)]
+
+
 def pn_graph(n: int) -> GKMGraph:
     """Projective n-space for the rank-n torus; vertices 0..n, e_0 = 0."""
     if n < 1:
         raise ValueError("need n >= 1")
-
-    def e(i):
-        return tuple(1 if k == i - 1 else 0 for k in range(n)) if i else (0,) * n
-
+    e = _pn_characters(n)
     vertices = [str(i) for i in range(n + 1)]
-    edges = []
-    for i in range(n + 1):
-        for j in range(i + 1, n + 1):
-            chi = tuple(a - b for a, b in zip(e(i), e(j)))
-            edges.append((str(i), str(j), chi))
+    edges = [
+        (vertices[i], vertices[j], tuple(map(operator.sub, e[i], e[j])))
+        for i, j in itertools.combinations(range(n + 1), 2)
+    ]
     return GKMGraph(n, n, vertices, edges)
 
 
-# flag_graph refuses n above this (n! vertices; vertex ids are single digits).
+# flag_cosets refuses n above this (n! cosets; vertex ids are single digits).
 MAX_FLAG_GRAPH_N = 8
 
 
-def flag_graph(n: int) -> GKMGraph:
-    """Complete flag variety of GL_n: vertices are permutations of 1..n."""
+def flag_cosets(n: int) -> list:
+    """[(vertex id, w)] over the cosets of the flag variety of GL_n, in vertex order.
+
+    A coset is a permutation w of 1..n in one-line notation
+    (w(1), ..., w(n)), and its vertex id is that notation written as
+    digits, so the ids sort as the permutations do.  This is the only code
+    that reads or writes a flag vertex id: the graph, its tautological
+    classes, ``flag.flag_restriction`` and ``flag.artin_pairing`` take w
+    from this table.  TooLarge above MAX_FLAG_GRAPH_N, before any
+    permutation is listed.
+    """
     if n < 1:
         raise ValueError("need n >= 1")
     if n > MAX_FLAG_GRAPH_N:
         raise TooLarge(f"flag graph n = {n} is above the limit {MAX_FLAG_GRAPH_N}")
-    perms = sorted(itertools.permutations(range(1, n + 1)))
-    ident = {w: "".join(str(x) for x in w) for w in perms}
+    return [("".join(map(str, w)), w) for w in itertools.permutations(range(1, n + 1))]
+
+
+def flag_graph(n: int) -> GKMGraph:
+    """Complete flag variety of GL_n, on the cosets of ``flag_cosets``.
+
+    The tangent characters at w are e_{w(i)} - e_{w(j)} for i < j, and the
+    curve along that character ends at w with positions i and j
+    transposed.  Each edge is listed once, from the coset that comes first
+    in vertex order: the two agree before position i, so that is w exactly
+    when w(i) < w(j), and no ids are compared.
+    """
+    cosets = flag_cosets(n)
+    ids = {w: v for v, w in cosets}
+    pairs = list(itertools.combinations(range(n), 2))
+    roots = {}  # e_a - e_b by (a, b), a < b
+    for i, j in pairs:
+        chi = [0] * n
+        chi[i], chi[j] = 1, -1
+        roots[i + 1, j + 1] = tuple(chi)
     edges = []
-    for w in perms:
-        for i in range(n):
-            for j in range(i + 1, n):
-                wp = list(w)
-                wp[i], wp[j] = wp[j], wp[i]
-                wp = tuple(wp)
-                if ident[w] < ident[wp]:
-                    chi = [0] * n
-                    chi[w[i] - 1] += 1
-                    chi[w[j] - 1] -= 1
-                    edges.append((ident[w], ident[wp], tuple(chi)))
-    return GKMGraph(n, n * (n - 1) // 2, [ident[w] for w in perms], edges)
+    for v, w in cosets:
+        for i, j in pairs:
+            a, b = w[i], w[j]
+            if a < b:
+                u = list(w)
+                u[i], u[j] = b, a
+                edges.append((v, ids[tuple(u)], roots[a, b]))
+    return GKMGraph(n, n * (n - 1) // 2, [v for v, _ in cosets], edges)
 
 
 def pn_hyperplane(ctx: TorusContext, g: GKMGraph) -> PiecewiseClass:
     """Tautological hyperplane class on pn: restriction c(e_v) at vertex v."""
-    n = g.rank
-    values = {}
-    for v in g.vertices:
-        i = int(v)
-        chi = tuple(1 if k == i - 1 else 0 for k in range(n)) if i else (0,) * n
-        values[v] = ctx.character_series(chi)
-    return PiecewiseClass(values)
+    e = _pn_characters(g.rank)
+    return PiecewiseClass({v: ctx.character_series(e[int(v)]) for v in g.vertices})
 
 
 def flag_tautological(ctx: TorusContext, g: GKMGraph, k: int) -> PiecewiseClass:
-    """The class x_k with restriction t_{w(k)} at the flag w (k is 1-based)."""
-    values = {}
-    for v in g.vertices:
-        w = [int(c) for c in v]
-        values[v] = ctx.var(w[k - 1] - 1)
-    return PiecewiseClass(values)
+    """The class x_k with restriction t_{w(k)} at the coset w (k is 1-based)."""
+    return PiecewiseClass({v: ctx.var(w[k - 1] - 1) for v, w in flag_cosets(g.rank)})
 
 
 def generate(kind: str, *, char=None, n=None) -> GKMGraph:
-    """Dispatch for the CLI: p1(char), pn(n), flag(n)."""
+    """The graph of ``gkm gen``: p1(char), pn(n), flag(n).
+
+    A missing argument is a ValueError worded as the command line's.
+    """
     if kind == "p1":
         if char is None:
-            raise ValueError("p1 needs a character")
+            raise ValueError("p1 needs --char")
         return p1_graph(char)
-    if kind == "pn":
-        if n is None:
-            raise ValueError("pn needs n")
-        return pn_graph(n)
-    if kind == "flag":
-        if n is None:
-            raise ValueError("flag needs n")
-        return flag_graph(n)
-    raise ValueError(f"unsupported graph kind {kind!r}")
+    if kind not in ("pn", "flag"):
+        raise ValueError(f"unsupported graph kind {kind!r}")
+    if n is None:
+        raise ValueError(f"{kind} needs --n")
+    return pn_graph(n) if kind == "pn" else flag_graph(n)
 
 
 def distinguished_classes(ctx: TorusContext, g: GKMGraph, kind: str) -> dict:

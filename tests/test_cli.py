@@ -461,6 +461,27 @@ def test_unknown_edge_endpoint_exits_one():
     assert (code, out) == (1, "") and "GraphInvalid" in err and "unknown vertex" in err
 
 
+def test_character_length_not_the_rank_exits_one():
+    rank2 = ('{"rank": 2, "dim": 1, "vertices": ["0", "inf"], '
+             '"edges": [{"v": "0", "w": "inf", "char": [1]}]}')
+    for cls in ('{"0":"1","inf":"1"}', '{"0":"t1","inf":"0"}'):
+        code, out, err = run(["gkm", "integrate", "--graph", rank2, "--class", cls])
+        assert (code, out) == (1, "") and err.startswith("error: GraphInvalid:"), cls
+        assert "length 1, not the rank 2" in err
+    rank1 = ('{"rank": 1, "dim": 1, "vertices": ["0", "inf"], '
+             '"edges": [{"v": "0", "w": "inf", "char": [1, 5]}]}')
+    for sub in ("check", "integrate"):
+        code, out, err = run(["gkm", sub, "--graph", rank1, "--class", '{"0":"1","inf":"1"}'])
+        assert (code, out) == (1, "") and err.startswith("error: GraphInvalid:"), sub
+        assert "length 2, not the rank 1" in err
+
+
+@pytest.mark.parametrize("kind", ["pn", "flag"])
+def test_gen_without_n_is_a_usage_error(kind):
+    assert run(["gkm", "gen", kind]) == (2, "", f"usage error: {kind} needs --n\n")
+    assert run(["gkm", "gen", kind, "--classes"]) == (2, "", f"usage error: {kind} needs --n\n")
+
+
 _VALENCE_BROKEN = ('{{"rank": 1, "dim": {dim}, "vertices": ["0", "inf"], '
                    '"edges": [{{"v": "0", "w": "inf", "char": [1]}}]}}')
 

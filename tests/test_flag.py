@@ -357,6 +357,80 @@ def test_artin_pairing_at_one_is_the_integral(dc, spec):
             assert flag.artin_pairing(T, n, p)[0] == want
 
 
+def test_restriction_and_pairing_refuse_another_rank():
+    T = TorusContext(3, build(3, 5))
+    p = flag.x_var(2, 1)
+    with pytest.raises(ValueError, match="torus rank must equal n"):
+        flag.flag_restriction(T, 2, p)
+    with pytest.raises(ValueError, match="torus rank must equal n"):
+        flag.artin_pairing(T, 2, p)
+
+
+def test_flag_restriction_refuses_other_variables():
+    T = TorusContext(3, build(3, 5))
+    for p in (flag.x_var(2, 1), flag.x_poly(4, {(1, 0, 0, 0): GradedCoeff.one()}), T.var(0)):
+        with pytest.raises(ValueError, match="expected x-variables"):
+            flag.flag_restriction(T, 3, p)
+
+
+def flag_restriction_oracle(ctx, n, p):
+    """The substitution route: w read from each vertex id of the flag graph,
+    then x_k -> t_{w(k)} through ``TruncSeries.substitute``."""
+    g = gkm.flag_graph(n)
+    flag.require_degree(p, ctx.D)
+    values = {}
+    for v in g.vertices:
+        w = [int(c) for c in v]
+        values[v] = p.substitute({f"x{k + 1}": ctx.var(w[k] - 1) for k in range(n)})
+    return gkm.PiecewiseClass(values)
+
+
+def _rand_restriction_input(rng, n, top, lazard):
+    """Up to five monomials of degree <= top with rational coefficients, Lazard
+    terms when ``lazard``, and a guarantee that is sometimes below top."""
+    terms = {}
+    for _ in range(rng.randint(0, 5)):
+        e = tuple(rng.randint(0, 3) for _ in range(n))
+        if sum(e) > top:
+            continue
+        c = GradedCoeff.from_rational(Fraction(rng.randint(-6, 6), rng.choice((1, 2, 3, 4))))
+        if lazard and rng.random() < 0.5:
+            c = c + GradedCoeff.monomial((0,) * rng.randint(0, 2) + (1,), rng.randint(-2, 2))
+        if not c.is_zero():
+            terms[e] = c
+    guarantee = rng.choice((flag.XBOUND, top, max(top - 2, 0)))
+    return TruncSeries(flag.xvars(n), terms, guarantee)
+
+
+@pytest.mark.parametrize(
+    "dc, spec",
+    [(4, None), (3, "additive"), (2, ("multiplicative", Fraction(2, 5)))],
+    ids=["universal", "additive", "multiplicative-2/5"],
+)
+def test_flag_restriction_matches_substitution_oracle(dc, spec):
+    rng = random.Random(repr((dc, spec)))
+    for n in (1, 2, 3, 4):
+        for D in (2, 5):
+            T = TorusContext(n, build(dc, D, spec))
+            for _ in range(8):
+                p = _rand_restriction_input(rng, n, D, spec is None)
+                got, want = flag.flag_restriction(T, n, p), flag_restriction_oracle(T, n, p)
+                assert list(got.values) == list(want.values)
+                for v, s in want.values.items():
+                    assert got.values[v] == s and got.values[v].guarantee == s.guarantee
+
+
+def test_flag_restriction_builds_no_graph_and_substitutes_nothing(monkeypatch):
+    def boom(*args, **kwargs):
+        raise AssertionError("the restriction built a graph or substituted")
+
+    monkeypatch.setattr(gkm.GKMGraph, "__init__", boom)
+    monkeypatch.setattr(TruncSeries, "substitute", boom)
+    T = TorusContext(3, build(3, 5))
+    alpha = flag.flag_restriction(T, 3, flag.x_var(3, 1) * flag.x_var(3, 2) ** 2)
+    assert alpha.restrict("312") == T.var(2) * T.var(0) ** 2
+
+
 def test_artin_pairing_refuses_other_variables():
     T = TorusContext(3, build(3, 6))
     with pytest.raises(ValueError):

@@ -153,6 +153,15 @@ def test_unknown_edge_endpoint_is_invalid():
         gkm.GKMGraph(1, 1, ["a", "b"], [("x", "b", (1,))])
 
 
+def test_character_length_must_be_the_rank():
+    with pytest.raises(GraphInvalid, match=r"edge \(0,inf\) has a character of length 1, not the rank 2"):
+        gkm.GKMGraph(2, 1, ["0", "inf"], [("0", "inf", (1,))])
+    obj = {"rank": 1, "dim": 1, "vertices": ["0", "inf"],
+           "edges": [{"v": "0", "w": "inf", "char": [1, 5]}]}
+    with pytest.raises(GraphInvalid, match="length 2, not the rank 1"):
+        gkm.GKMGraph.from_json(obj)
+
+
 def test_is_class_examples(T1, P1):
     c = T1.character_series((1,))
     point = gkm.PiecewiseClass({"0": c, "inf": T1.zero()})
@@ -502,6 +511,50 @@ def test_flag_graph_above_its_limit_is_refused_before_any_permutation(monkeypatc
         gkm.flag_graph(gkm.MAX_FLAG_GRAPH_N + 1)
     with pytest.raises(AssertionError):
         gkm.flag_graph(gkm.MAX_FLAG_GRAPH_N)
+
+
+def flag_graph_oracle(n):
+    """The swap-and-compare construction: every transposition of two positions
+    of each sorted permutation, kept when the transposed id sorts after the id."""
+    perms = sorted(itertools.permutations(range(1, n + 1)))
+    ident = {w: "".join(str(x) for x in w) for w in perms}
+    edges = []
+    for w in perms:
+        for i in range(n):
+            for j in range(i + 1, n):
+                wp = list(w)
+                wp[i], wp[j] = wp[j], wp[i]
+                wp = tuple(wp)
+                if ident[w] < ident[wp]:
+                    chi = [0] * n
+                    chi[w[i] - 1] += 1
+                    chi[w[j] - 1] -= 1
+                    edges.append((ident[w], ident[wp], tuple(chi)))
+    return gkm.GKMGraph(n, n * (n - 1) // 2, [ident[w] for w in perms], edges)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_flag_graph_matches_swap_oracle(n):
+    got, want = gkm.flag_graph(n), flag_graph_oracle(n)
+    assert (got.rank, got.dim, got.vertices) == (want.rank, want.dim, want.vertices)
+    assert got.edges == want.edges  # order included
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_flag_cosets_are_the_graph_vertices(n):
+    cosets = gkm.flag_cosets(n)
+    assert [v for v, _ in cosets] == gkm.flag_graph(n).vertices
+    assert [w for _, w in cosets] == sorted(itertools.permutations(range(1, n + 1)))
+    assert all(v == "".join(map(str, w)) for v, w in cosets)
+
+
+def test_pn_hyperplane_restricts_to_the_vertex_character():
+    T = TorusContext(3, build(2, 4))
+    g = gkm.pn_graph(3)
+    h = gkm.pn_hyperplane(T, g)
+    chars = {"0": (0, 0, 0), "1": (1, 0, 0), "2": (0, 1, 0), "3": (0, 0, 1)}
+    assert h.values == {v: T.character_series(chi) for v, chi in chars.items()}
+    assert g.edges[:3] == [("0", w, tuple(-x for x in chars[w])) for w in "123"]
 
 
 # -- the compiled edge tests against the per-edge loop ----------------------------
