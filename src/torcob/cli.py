@@ -21,6 +21,8 @@ check|integrate|expand|forget`` check the truncation, given or computed
 from the graph's ``dim``, after reading the graph and the class but before
 validating the graph, so an input that is both invalid and too large exits
 2; the header line follows validation, so an invalid graph prints nothing.
+A rank below 1, given to ``flag nf|kernel`` or in a graph, is a usage
+error before any output.
 
 ``main`` may be called repeatedly in one process: the parser is built once,
 on the first call, and every byte of output, usage errors and ``--help``
@@ -246,6 +248,8 @@ def _cmd_flag(args, out, stdin):
             texts = [str(flagmod.x_poly(n, {a: GradedCoeff.one()})) for a in basis]
             print(json.dumps(texts), file=out)
         return 0
+    if n < 1:
+        raise ValueError("rank must be positive")
     spec = _law(args) if args.sub == "kernel" else _parse_spec(args.spec)
     m_value = None if spec is None else (lambda i: spec_value(spec, i))
     p = exprs.eval_xpoly(exprs.parse(args.expr), n, m_value)

@@ -10,15 +10,20 @@
 Rationals are "p/q" with no spaces around the slash.  Columns in error
 messages are zero-based.  ``render`` emits text that ``parse`` maps back to
 the identical tree.
+
+``eval_series`` (over a torus context) and ``eval_xpoly`` (x-polynomials
+for the flag variety) share one walk, ``_evaluate``, and differ in their
+leaves.  A rational, a variable or a generator is one term, built directly
+by ``series.term``; a chain of sums and differences is added in one table
+by ``series.signed_sum``; products and powers are ``TruncSeries``'s; the
+calls F, rho, nser and chern are the law's series.
 """
 
 from __future__ import annotations
 
-import operator
 from fractions import Fraction
 
-from torcob.coeff import GradedCoeff
-from torcob.series import TruncSeries
+from torcob.series import TruncSeries, signed_sum, term
 
 CALL_NAMES = ("F", "rho", "nser", "chern")
 
@@ -216,22 +221,42 @@ def _int_arg(node):
     raise EvalError("expected an integer argument")
 
 
-_BINARY = {"add": operator.add, "sub": operator.sub, "mul": operator.mul}
+def _summands(node, sign, out):
+    """Append the (sign, node) pairs of a chain of add, sub and neg, left to right."""
+    kind = node[0]
+    if kind == "add" or kind == "sub":
+        _summands(node[1], sign, out)
+        _summands(node[2], -sign if kind == "sub" else sign, out)
+    elif kind == "neg":
+        _summands(node[1], -sign, out)
+    else:
+        out.append((sign, node))
+    return out
 
 
 def _evaluate(node, leaf, *env):
-    """The arithmetic both evaluators share; ``leaf(node, *env)`` does the rest."""
+    """The arithmetic both evaluators share; ``leaf(node, *env)`` does the rest.
+
+    A chain of add, sub and neg is one sum: its summands are evaluated left
+    to right and added in one table (``series.signed_sum``), so no partial
+    sum is formed.  Products and powers are those of ``TruncSeries``.
+    """
     kind = node[0]
-    op = _BINARY.get(kind)
-    if op is not None:
-        return op(_evaluate(node[1], leaf, *env), _evaluate(node[2], leaf, *env))
-    if kind == "neg":
-        return -_evaluate(node[1], leaf, *env)
+    if kind in ("add", "sub", "neg"):
+        parts = _summands(node, 1, [])
+        return signed_sum([(sign, _evaluate(part, leaf, *env)) for sign, part in parts])
+    if kind == "mul":
+        return _evaluate(node[1], leaf, *env) * _evaluate(node[2], leaf, *env)
     if kind == "pow":
         if node[2] < 0:
             raise EvalError("negative exponent")
         return _evaluate(node[1], leaf, *env) ** node[2]
     return leaf(node, *env)
+
+
+def _unit(rank, k):
+    """The exponents of the k-th of ``rank`` variables, 1-based."""
+    return (0,) * (k - 1) + (1,) + (0,) * (rank - k)
 
 
 def eval_series(node, ctx) -> TruncSeries:
@@ -242,17 +267,17 @@ def eval_series(node, ctx) -> TruncSeries:
 def _series_leaf(node, ctx) -> TruncSeries:
     kind = node[0]
     if kind == "rat":
-        return ctx.constant(node[1])
+        return term(ctx.vars, (0,) * ctx.rank, node[1], ctx.D)
     if kind == "var":
         flavor, k = node[1], node[2]
         if flavor == "t":
             if not 1 <= k <= ctx.rank:
                 raise EvalError(f"t{k} out of range for rank {ctx.rank}")
-            return ctx.var(k - 1)
+            return term(ctx.vars, _unit(ctx.rank, k), 1, ctx.D)
         if flavor == "m":
             if ctx.fgl.is_specialized:
-                return ctx.constant(ctx.fgl.spec_value(k))
-            return ctx.constant(GradedCoeff.generator(k))
+                return term(ctx.vars, (0,) * ctx.rank, ctx.fgl.spec_value(k), ctx.D)
+            return term(ctx.vars, (0,) * ctx.rank, 1, ctx.D, k)
         raise EvalError("x-variables are only meaningful in flag expressions")
     if kind == "call":
         name, args = node[1], node[2]
@@ -279,27 +304,24 @@ def _series_leaf(node, ctx) -> TruncSeries:
 
 def eval_xpoly(node, n: int, spec_value=None) -> TruncSeries:
     """Evaluate a polynomial in x_1..x_n with Lazard coefficients."""
-    return _evaluate(node, _xpoly_leaf, n, spec_value)
+    from torcob.flag import XBOUND, xvars
+
+    return _evaluate(node, _xpoly_leaf, n, xvars(n), XBOUND, spec_value)
 
 
-def _xpoly_leaf(node, n, spec_value) -> TruncSeries:
-    from torcob import flag as _flag
-
+def _xpoly_leaf(node, n, vars, bound, spec_value) -> TruncSeries:
     kind = node[0]
     if kind == "rat":
-        return TruncSeries.constant(_flag.xvars(n), node[1], _flag.XBOUND)
+        return term(vars, (0,) * len(vars), node[1], bound)
     if kind == "var":
         flavor, k = node[1], node[2]
         if flavor == "x":
             if not 1 <= k <= n:
                 raise EvalError(f"x{k} out of range for n={n}")
-            return _flag.x_var(n, k)
+            return term(vars, _unit(n, k), 1, bound)
         if flavor == "m":
-            c = (
-                GradedCoeff.from_rational(spec_value(k))
-                if spec_value is not None
-                else GradedCoeff.generator(k)
-            )
-            return TruncSeries.constant(_flag.xvars(n), c, _flag.XBOUND)
+            if spec_value is not None:
+                return term(vars, (0,) * len(vars), spec_value(k), bound)
+            return term(vars, (0,) * len(vars), 1, bound, k)
         raise EvalError("t-variables are not part of the coinvariant ring")
     raise EvalError("function calls are not allowed in coinvariant expressions")

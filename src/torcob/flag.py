@@ -16,7 +16,8 @@ in the ideal is decided twice: by the normal form, and by pairing against
 the Artin basis.  The pairing integrates x-monomials by the sum of
 ``gkm.integrate``, in the logarithmic coordinate (integer power-sum moments
 over the cosets, weighted by the law's characteristic series), one
-integral per monomial with no class or series formed.
+integral per monomial with no class or series formed; ``kernel_check``
+pairs in descending Artin degree and stops at the first nonzero pairing.
 """
 
 from __future__ import annotations
@@ -202,6 +203,12 @@ def artin_pairing(ctx: TorusContext, n: int, p: TruncSeries) -> list:
     from ``gkm.flag_cosets`` and ``_t_exponent``; the flag graph is built
     only for its tangent moments.
     """
+    return list(_pairings(ctx, n, p, artin_exponents(n)))
+
+
+def _pairings(ctx, n, p, exponents):
+    """Yield the integral of p * x^a for each a of ``exponents`` in turn, as
+    ``artin_pairing`` computes it; nothing is computed for an a not reached."""
     if ctx.rank != n:
         raise ValueError("torus rank must equal n")
     if p.vars != xvars(n):
@@ -213,8 +220,7 @@ def artin_pairing(ctx: TorusContext, n: int, p: TruncSeries) -> list:
     cosets = [(v, _t_exponent(w)) for v, w in flag_cosets(n)]
     integrals = {}
     den = 1  # shared by every integral, set by the first
-    out = []
-    for a in artin_exponents(n):
+    for a in exponents:
         acc = {}
         for b, pb in p.num.items():
             c = tuple(map(operator.add, a, b))
@@ -224,9 +230,7 @@ def artin_pairing(ctx: TorusContext, n: int, p: TruncSeries) -> list:
                 terms = [(v, get(c), 1) for v, get in cosets]
                 integrals[c], den = _log_integral(law, g, {(sum(c), 0): terms})
             mul_acc(acc, pb.items(), integrals[c])
-        out.append(acc)
-    den *= p.den
-    return [GradedCoeff.from_numerators(acc, den) for acc in out]
+        yield GradedCoeff.from_numerators(acc, den * p.den)
 
 
 def kernel_check(ctx: TorusContext, n: int, p: TruncSeries) -> bool:
@@ -235,15 +239,19 @@ def kernel_check(ctx: TorusContext, n: int, p: TruncSeries) -> bool:
     Two independent routes must agree: the coinvariant normal form, and the
     Bott residue pairing of ``artin_pairing``, summed as integer power-sum
     moments: p is zero iff its integral against every Artin monomial
-    vanishes (Poincare duality; the pairing matrix is unimodular).  A
-    polynomial above the truncation, or a rank above MAX_KERNEL_RANK, is
-    refused.
+    vanishes (Poincare duality; the pairing matrix is unimodular).  The
+    pairings run in descending Artin degree and stop at the first nonzero
+    one, so a polynomial outside the kernel usually needs one integral
+    (under the additive law only |a| = dim - deg p pairs nonzero); a
+    polynomial in the kernel needs all n! of them.  A polynomial above the
+    truncation, or a rank above MAX_KERNEL_RANK, is refused.
     """
     if n > MAX_KERNEL_RANK:
         raise TooLarge(f"rank {n} is above the limit {MAX_KERNEL_RANK}")
     require_degree(p, ctx.D)
     nf_zero = normal_form(n, p).is_zero()
-    pairing_zero = all(c.is_zero() for c in artin_pairing(ctx, n, p))
+    descending = reversed(artin_exponents(n))
+    pairing_zero = all(c.is_zero() for c in _pairings(ctx, n, p, descending))
     if nf_zero != pairing_zero:
         raise ArithmeticError(
             f"normal-form route ({nf_zero}) disagrees with the residue-pairing route ({pairing_zero})"

@@ -3,7 +3,8 @@
 A graph stores one character per edge, the tangent character at the first
 vertex (the second sees its negative); vertex ids are distinct, and an edge
 between ids not listed, or with a character whose length is not the rank,
-is refused on construction (``GraphInvalid``).
+is refused on construction (``GraphInvalid``), as is a rank below 1
+(``ValueError``).
 Every vertex must have the same valence with pairwise non-proportional
 characters (``GKMGraph.validate``), matching smooth varieties with isolated
 fixed points and finitely many invariant curves.
@@ -89,6 +90,8 @@ class GKMGraph:
     """
 
     def __init__(self, rank, dim, vertices, edges):
+        if rank < 1:
+            raise ValueError("rank must be positive")
         self.rank = rank
         self.dim = dim
         self.vertices = list(vertices)

@@ -11,9 +11,9 @@ An m-key is an m-monomial packed into one integer (FLINT's packed exponent
 vectors; Monagan-Pearce, CASC 2007): the exponent of m_i sits in bit field
 i - 1, each field W bits wide, so the product of two monomials is the sum of
 their keys and 1 is the key 0.  ``pack`` and ``unpack`` convert from and to
-the trimmed exponent tuples of ``coeff``.  Integer order on keys is the
-lexicographic order with the highest generator most significant, a monomial
-order.  The top bit of every field is a guard that a valid key keeps clear:
+the trimmed exponent tuples of ``coeff``, and ``generator`` gives the key of
+one m_k.  Integer order on keys is the lexicographic order with the highest
+generator most significant, a monomial order.  The top bit of every field is a guard that a valid key keeps clear:
 exponents run up to MAX_EXP and generators up to m_MAX_GENERATORS, and
 ``pack`` refuses anything beyond with TooLarge.  Two valid fields sum to
 less than 2^W, so a product never carries into the next field; an exponent
@@ -48,6 +48,15 @@ def pack(m) -> int:
             raise ValueError(f"negative exponent {e}")
         key = key << W | e
     return key
+
+
+def generator(k: int) -> int:
+    """The m-key of the Lazard generator m_k, refused as ``pack`` refuses it."""
+    if k < 1:
+        raise ValueError("generator index must be >= 1")
+    if k > MAX_GENERATORS:
+        raise TooLarge(f"generator m{k} is above the limit m{MAX_GENERATORS}")
+    return 1 << W * (k - 1)
 
 
 def unpack(key: int) -> tuple:

@@ -10,16 +10,19 @@ constructor, ``from_table``, puts a {t-exps: {m-key: Fraction}} table over
 the lcm of its denominators; ``TruncSeries(vars, coeffs, guarantee)`` packs
 its {t-exps: GradedCoeff} map into such a table first, so an exponent above
 ``kernels.MAX_EXP`` raises TooLarge there, and the Lagrange inversion and
-``gkm``'s expansion coordinates build their tables directly.  ``coeffs`` and
-``coefficient`` unpack through ``GradedCoeff.from_numerators``.  The form is
-canonical (no zero numerator, gcd of den and the numerators 1), so
-equality, hashing and rendering are structural.  The kernel runs on ``num``
-with Python ints; one gcd sweep settles each result.  Two views are built
-on first read and kept in a slot: ``coeffs``, the value as {t-exps:
-GradedCoeff}, and ``divisor``, the t-degree slices and leading data that
-``divide_exact`` reads of a divisor, so a cached divisor such as a Chern
-power is sliced once.  Values are immutable; inner tables may be shared and
-are never mutated.
+``gkm``'s expansion coordinates build their tables directly, as does
+``term``, the one-term series of a rational, a t-monomial and at most one
+generator, which rational ``monomial``s (constants, variables) use.
+Sums go through ``signed_sum``, which adds any number of series in one
+table.  ``coeffs`` and ``coefficient`` unpack through
+``GradedCoeff.from_numerators``.  The form is canonical (no zero numerator,
+gcd of den and the numerators 1), so equality, hashing and rendering are
+structural.  The kernel runs on ``num`` with Python ints; one gcd sweep
+settles each result.  Two views are built on first read and kept in a slot:
+``coeffs``, the value as {t-exps: GradedCoeff}, and ``divisor``, the
+t-degree slices and leading data that ``divide_exact`` reads of a divisor,
+so a cached divisor such as a Chern power is sliced once.  Values are
+immutable; inner tables may be shared and are never mutated.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ from torcob.errors import (
     VariableMismatch,
 )
 from torcob.kernels import convolve, mdiv, mul_acc, pack, unpack
+from torcob.kernels import generator as generator_key
 
 
 class TruncSeries:
@@ -69,8 +73,9 @@ class TruncSeries:
 
     @classmethod
     def monomial(cls, vars, exps, coeff, guarantee) -> TruncSeries:
-        c = coeff if isinstance(coeff, GradedCoeff) else GradedCoeff.from_rational(coeff)
-        return cls(vars, {tuple(exps): c}, guarantee)
+        if isinstance(coeff, GradedCoeff):
+            return cls(vars, {tuple(exps): coeff}, guarantee)
+        return term(vars, exps, Fraction(coeff), guarantee)
 
     # -- inspection --------------------------------------------------------
 
@@ -129,25 +134,11 @@ class TruncSeries:
         if self.vars != other.vars:
             raise VariableMismatch(f"{self.vars} vs {other.vars}")
 
-    def _combine(self, other: TruncSeries, sign: int) -> TruncSeries:
-        """self + sign * other over the common denominator."""
-        self._check_vars(other)
-        g = min(self.guarantee, other.guarantee)
-        den = lcm(self.den, other.den)
-        out = {t: _times(c, den // self.den) for t, c in self.num.items() if sum(t) <= g}
-        f = {0: sign * (den // other.den)}
-        for t, c in other.num.items():
-            if sum(t) <= g:
-                tgt = out.setdefault(t, {})
-                if not mul_acc(tgt, c.items(), f):
-                    del out[t]
-        return _canonical(self.vars, out, den, g)
-
     def __add__(self, other: TruncSeries) -> TruncSeries:
-        return self._combine(other, 1)
+        return signed_sum(((1, self), (1, other)))
 
     def __sub__(self, other: TruncSeries) -> TruncSeries:
-        return self._combine(other, -1)
+        return signed_sum(((1, self), (-1, other)))
 
     def __neg__(self) -> TruncSeries:
         num = {t: _times(c, -1) for t, c in self.num.items()}
@@ -438,6 +429,50 @@ def from_table(vars, table, guarantee) -> TruncSeries:
     den = lcm(*(q.denominator for _, c in kept for _, q in c if q))
     num = {t: {m: q.numerator * (den // q.denominator) for m, q in c if q} for t, c in kept}
     return _series(tuple(vars), {t: c for t, c in num.items() if c}, den, guarantee)
+
+
+def term(vars, exps, q, guarantee, generator=None) -> TruncSeries:
+    """The one-term series q * m_generator * t^exps, with no m_generator when
+    None; q an int or a Fraction.
+
+    Built in canonical form as it stands (q's numerator over its
+    denominator), with no ``GradedCoeff``, lcm or gcd; the key of m_k comes
+    from ``kernels.generator``, which refuses k < 1 and k above
+    ``kernels.MAX_GENERATORS`` as ``pack`` does.
+    """
+    vars = tuple(vars)
+    key = 0 if generator is None else generator_key(generator)
+    if not q or sum(exps) > guarantee:
+        return _series(vars, {}, 1, guarantee)
+    return _series(vars, {tuple(exps): {key: q.numerator}}, q.denominator, guarantee)
+
+
+def signed_sum(summands) -> TruncSeries:
+    """The sum of sign * s over the (sign, s) pairs, on one set of variables.
+
+    One integer table over the lcm of the denominators, truncated once at
+    the least guarantee: a t-monomial's first coefficient is copied into it,
+    later ones are accumulated by ``mul_acc``, and one gcd sweep settles it,
+    so a sum of k series copies no partial sum.  Series on other variables
+    than the first's raise VariableMismatch.
+    """
+    vars = summands[0][1].vars
+    g = min([s.guarantee for _, s in summands])
+    den = lcm(*[s.den for _, s in summands])
+    out = {}
+    for sign, s in summands:
+        if s.vars != vars:
+            raise VariableMismatch(f"{vars} vs {s.vars}")
+        f = sign * (den // s.den)
+        fmap = {0: f}
+        for t, c in s.num.items():
+            if sum(t) <= g:
+                tgt = out.get(t)
+                if tgt is None:
+                    out[t] = _times(c, f)
+                elif not mul_acc(tgt, c.items(), fmap):
+                    del out[t]
+    return _canonical(vars, out, den, g)
 
 
 def _series(vars, num, den, guarantee) -> TruncSeries:

@@ -476,6 +476,27 @@ def test_character_length_not_the_rank_exits_one():
         assert "length 2, not the rank 1" in err
 
 
+_RANK0 = '{"rank": 0, "dim": 0, "vertices": ["a"], "edges": []}'
+_RANK_POSITIVE = "usage error: rank must be positive\n"
+
+
+@pytest.mark.parametrize(
+    "argv, want",
+    [
+        (["gkm", "integrate", "--graph", _RANK0, "--class", '{"a": "1"}'], _RANK_POSITIVE),
+        (["gkm", "check", "--graph", _RANK0, "--class", '{"a": "1"}'], _RANK_POSITIVE),
+        (["flag", "kernel", "1", "--rank", "0"], _RANK_POSITIVE),
+        (["flag", "nf", "1", "--rank", "0"], _RANK_POSITIVE),
+        (["flag", "nf", "2", "--rank", "-2"], _RANK_POSITIVE),
+        (["flag", "rank", "--rank", "0"], "usage error: need n >= 1\n"),
+    ],
+    ids=["integrate", "check", "kernel", "nf-0", "nf-negative", "rank"],
+)
+def test_rank_below_one_is_refused_before_output(monkeypatch, argv, want):
+    monkeypatch.delenv("COBORDISM_DEFAULT_DEG", raising=False)
+    assert run(argv) == (2, "", want)
+
+
 @pytest.mark.parametrize("kind", ["pn", "flag"])
 def test_gen_without_n_is_a_usage_error(kind):
     assert run(["gkm", "gen", kind]) == (2, "", f"usage error: {kind} needs --n\n")

@@ -1,12 +1,16 @@
 """Expression grammar: parsing, diagnostics, rendering, evaluation."""
 
+import operator
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from torcob import exprs
+from torcob import exprs, flag
+from torcob.coeff import GradedCoeff
+from torcob.errors import TooLarge
 from torcob.fgl import build
+from torcob.series import TruncSeries
 from torcob.torus import TorusContext
 
 
@@ -112,7 +116,7 @@ def test_eval_series_matches_engine():
     got = exprs.eval_series(exprs.parse("nser(2, t1)"), T)
     assert got == T.fgl.n_series(2).substitute({"u": T.var(0)})
     got = exprs.eval_series(exprs.parse("1/2*m1*t1 - t2^2"), T)
-    want = T.var(0).mul_coeff(exprs.GradedCoeff.generator(1)).scale(Fraction(1, 2)) - T.var(1) ** 2
+    want = T.var(0).mul_coeff(GradedCoeff.generator(1)).scale(Fraction(1, 2)) - T.var(1) ** 2
     assert got == want
 
 
@@ -139,9 +143,233 @@ def test_eval_xpoly():
     from torcob import flag
 
     want = flag.x_var(2, 1) ** 2 - flag.x_var(2, 2) * flag.x_var(2, 1)
-    want = want + flag.x_poly(2, {(0, 0): exprs.GradedCoeff.generator(2)})
+    want = want + flag.x_poly(2, {(0, 0): GradedCoeff.generator(2)})
     assert got == want
     with pytest.raises(exprs.EvalError):
         exprs.eval_xpoly(exprs.parse("t1"), 2)
     with pytest.raises(exprs.EvalError):
         exprs.eval_xpoly(exprs.parse("F(x1, x2)"), 2)
+
+
+# -- the evaluator against the series-per-node oracle ----------------------------
+#
+# The oracle is the former walk: every leaf a series built through
+# GradedCoeff and the TruncSeries constructor, every +, - and negation one
+# binary series operation.
+
+
+def _oracle_walk(node, leaf, *env):
+    kind = node[0]
+    op = {"add": operator.add, "sub": operator.sub, "mul": operator.mul}.get(kind)
+    if op is not None:
+        return op(_oracle_walk(node[1], leaf, *env), _oracle_walk(node[2], leaf, *env))
+    if kind == "neg":
+        return -_oracle_walk(node[1], leaf, *env)
+    if kind == "pow":
+        if node[2] < 0:
+            raise exprs.EvalError("negative exponent")
+        return _oracle_walk(node[1], leaf, *env) ** node[2]
+    return leaf(node, *env)
+
+
+def _oracle_term(vars, exps, c, guarantee):
+    return TruncSeries(vars, {tuple(exps): c}, guarantee)
+
+
+def series_oracle(node, ctx):
+    return _oracle_walk(node, _oracle_series_leaf, ctx)
+
+
+def _oracle_series_leaf(node, ctx):
+    origin = (0,) * ctx.rank
+    kind = node[0]
+    if kind == "rat":
+        return _oracle_term(ctx.vars, origin, GradedCoeff.from_rational(node[1]), ctx.D)
+    if kind == "var":
+        flavor, k = node[1], node[2]
+        if flavor == "t":
+            if not 1 <= k <= ctx.rank:
+                raise exprs.EvalError(f"t{k} out of range for rank {ctx.rank}")
+            exps = tuple(int(i == k - 1) for i in range(ctx.rank))
+            return _oracle_term(ctx.vars, exps, GradedCoeff.one(), ctx.D)
+        if flavor == "m":
+            if ctx.fgl.is_specialized:
+                c = GradedCoeff.from_rational(ctx.fgl.spec_value(k))
+            else:
+                c = GradedCoeff.generator(k)
+            return _oracle_term(ctx.vars, origin, c, ctx.D)
+        raise exprs.EvalError("x-variables are only meaningful in flag expressions")
+    if kind == "call":
+        name, args = node[1], node[2]
+        if name == "F":
+            if len(args) != 2:
+                raise exprs.EvalError("F takes two arguments")
+            return ctx.fgl.plus(series_oracle(args[0], ctx), series_oracle(args[1], ctx))
+        if name == "rho":
+            if len(args) != 1:
+                raise exprs.EvalError("rho takes one argument")
+            return ctx.fgl.rho.substitute({"u": series_oracle(args[0], ctx)})
+        if name == "nser":
+            if len(args) != 2:
+                raise exprs.EvalError("nser takes an integer and a series")
+            n = exprs._int_arg(args[0])
+            return ctx.fgl.n_series(n).substitute({"u": series_oracle(args[1], ctx)})
+        if name == "chern":
+            chi = tuple(exprs._int_arg(a) for a in args)
+            if len(chi) != ctx.rank:
+                raise exprs.EvalError(f"chern needs {ctx.rank} integers")
+            return ctx.character_series(chi)
+    raise exprs.EvalError(f"cannot evaluate node {node!r}")
+
+
+def xpoly_oracle(node, n, spec_value=None):
+    return _oracle_walk(node, _oracle_xpoly_leaf, n, spec_value)
+
+
+def _oracle_xpoly_leaf(node, n, spec_value):
+    vars = flag.xvars(n)
+    origin = (0,) * len(vars)
+    kind = node[0]
+    if kind == "rat":
+        return _oracle_term(vars, origin, GradedCoeff.from_rational(node[1]), flag.XBOUND)
+    if kind == "var":
+        flavor, k = node[1], node[2]
+        if flavor == "x":
+            if not 1 <= k <= n:
+                raise exprs.EvalError(f"x{k} out of range for n={n}")
+            exps = tuple(int(i == k - 1) for i in range(n))
+            return _oracle_term(vars, exps, GradedCoeff.one(), flag.XBOUND)
+        if flavor == "m":
+            c = (
+                GradedCoeff.from_rational(spec_value(k))
+                if spec_value is not None
+                else GradedCoeff.generator(k)
+            )
+            return _oracle_term(vars, origin, c, flag.XBOUND)
+        raise exprs.EvalError("t-variables are not part of the coinvariant ring")
+    raise exprs.EvalError("function calls are not allowed in coinvariant expressions")
+
+
+def _outcome(evaluate, *args):
+    """The value, its guarantee and its text, or the error's type and message."""
+    try:
+        value = evaluate(*args)
+    except Exception as exc:  # every error must match the oracle's
+        return type(exc), str(exc)
+    return value, value.guarantee, str(value)
+
+
+LAWS = {"universal": None, "additive": "additive", "multiplicative:2/5": ("multiplicative", Fraction(2, 5))}
+_CONTEXTS = {}
+
+
+def _context(rank, law):
+    key = rank, law
+    if key not in _CONTEXTS:
+        _CONTEXTS[key] = TorusContext(rank, build(3, 4, LAWS[law]))
+    return _CONTEXTS[key]
+
+
+_RATIONALS = st.one_of(
+    st.just(Fraction(0)),
+    st.integers(-5, 5).map(Fraction),
+    st.fractions(min_value=-9, max_value=9, max_denominator=7),
+)
+
+
+@st.composite
+def eval_trees(draw, flavors, depth=3):
+    """Trees of sums, differences, negations, products, powers and, when
+    ``flavors`` has t, calls, over rational and variable leaves.  A leaf is
+    one of ``flavors`` with index 1 to 3, except now and then, when it is
+    any flavor with index 0 to 4, and an exponent is now and then -1, so
+    that each evaluator's refusals are drawn too."""
+    calls = "t" in flavors
+    kinds = ["rat", "var", "var"]
+    if depth:
+        kinds += ["add", "sub", "neg", "mul", "pow"] + (["call"] if calls else [])
+    kind = draw(st.sampled_from(kinds))
+    if kind == "rat":
+        return ("rat", draw(_RATIONALS))
+    if kind == "var":
+        if draw(st.integers(0, 11)):
+            return ("var", draw(st.sampled_from(flavors)), draw(st.integers(1, 3)))
+        return ("var", draw(st.sampled_from("tmx")), draw(st.integers(0, 4)))
+    sub = eval_trees(flavors, depth - 1)
+    if kind in ("add", "sub", "mul"):
+        return (kind, draw(sub), draw(sub))
+    if kind == "neg":
+        return ("neg", draw(sub))
+    if kind == "pow":
+        return ("pow", draw(sub), draw(st.integers(-1, 4) if draw(st.integers(0, 15)) == 0 else st.integers(0, 4)))
+    name = draw(st.sampled_from(exprs.CALL_NAMES))
+    if name == "chern":
+        k = draw(st.integers(1, 3))
+        return ("call", "chern", [("rat", Fraction(draw(st.integers(-2, 2)))) for _ in range(k)])
+    if name == "nser":
+        return ("call", "nser", [("rat", Fraction(draw(st.integers(-2, 3)))), draw(sub)])
+    if name == "rho":
+        return ("call", "rho", [draw(sub)])
+    return ("call", "F", [draw(sub), draw(sub)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(eval_trees("tm"), st.integers(1, 3), st.sampled_from(sorted(LAWS)))
+def test_eval_series_matches_the_oracle(tree, rank, law):
+    T = _context(rank, law)
+    assert _outcome(exprs.eval_series, tree, T) == _outcome(series_oracle, tree, T)
+
+
+@settings(max_examples=300, deadline=None)
+@given(eval_trees("xm"), st.integers(1, 3), st.sampled_from(sorted(LAWS)))
+def test_eval_xpoly_matches_the_oracle(tree, n, law):
+    spec = _context(1, law).fgl
+    m_value = spec.spec_value if spec.is_specialized else None
+    assert _outcome(exprs.eval_xpoly, tree, n, m_value) == _outcome(xpoly_oracle, tree, n, m_value)
+
+
+@pytest.mark.parametrize(
+    "text, error",
+    [
+        ("t1 + t3", exprs.EvalError),
+        ("x1*t1", exprs.EvalError),
+        ("m0", ValueError),
+        ("m1025", TooLarge),
+        ("m1^40000*t1", TooLarge),
+    ],
+)
+def test_eval_series_refusals_match_the_oracle(text, error):
+    T = _context(2, "universal")
+    tree = exprs.parse(text)
+    got = _outcome(exprs.eval_series, tree, T)
+    assert got == _outcome(series_oracle, tree, T) and got[0] is error
+
+
+@pytest.mark.parametrize(
+    "tree, error",
+    [
+        (exprs.parse("x1 - x4"), exprs.EvalError),
+        (exprs.parse("x1 + t1"), exprs.EvalError),
+        (exprs.parse("x1*F(x1, x2)"), exprs.EvalError),
+        (("pow", ("var", "x", 1), -1), exprs.EvalError),
+        (exprs.parse("m1^40000*x1 + x2"), TooLarge),
+        (exprs.parse("m1^40000*x1"), TooLarge),
+        (exprs.parse("x2 - m1025"), TooLarge),
+    ],
+)
+def test_eval_xpoly_refusals_match_the_oracle(tree, error):
+    got = _outcome(exprs.eval_xpoly, tree, 2)
+    assert got == _outcome(xpoly_oracle, tree, 2) and got[0] is error
+
+
+def test_a_sum_is_added_in_one_table(monkeypatch):
+    """A chain of k summands is one signed_sum and forms no partial sum."""
+    tree = exprs.parse("x1 - x2 + 1/2 - (x3 - -x1) + m1*x2")
+    want = xpoly_oracle(tree, 3)
+    calls = []
+    real = exprs.signed_sum
+    monkeypatch.setattr(exprs, "signed_sum", lambda parts: calls.append(len(parts)) or real(parts))
+    for name in ("__add__", "__sub__", "__neg__"):
+        monkeypatch.setattr(TruncSeries, name, None)
+    assert exprs.eval_xpoly(tree, 3) == want
+    assert calls == [6]

@@ -169,13 +169,56 @@ def test_kernel_check_random_agreement():
 def test_kernel_check_runs_both_routes(monkeypatch):
     T = TorusContext(2, build(3, 5))
     x1 = flag.x_var(2, 1)
-    monkeypatch.setattr(flag, "artin_pairing", lambda ctx, n, p: [GradedCoeff.zero()] * 2)
+    # the pairing route calls _pairings, in descending Artin degree
+    monkeypatch.setattr(flag, "_pairings", lambda ctx, n, p, exps: iter([GradedCoeff.zero()] * 2))
     with pytest.raises(ArithmeticError):
         flag.kernel_check(T, 2, x1)
     monkeypatch.undo()
     monkeypatch.setattr(flag, "normal_form", lambda n, p: x_zero(n))
     with pytest.raises(ArithmeticError):
         flag.kernel_check(T, 2, x1)
+
+
+def _count_integrals(monkeypatch):
+    calls = []
+    real = flag._log_integral
+    monkeypatch.setattr(flag, "_log_integral", lambda *args: calls.append(args) or real(*args))
+    return calls
+
+
+@pytest.mark.parametrize("n, spec", [(4, None), (5, "additive")], ids=["universal-4", "additive-5"])
+def test_kernel_check_stops_at_the_first_nonzero_pairing(monkeypatch, n, spec):
+    dim = n * (n - 1) // 2
+    T = TorusContext(n, build(dim, dim + 1, spec))
+    calls = _count_integrals(monkeypatch)
+    assert not flag.kernel_check(T, n, flag.x_var(n, 1))
+    assert len(calls) == 1
+
+
+def test_kernel_check_pairs_everything_for_a_true_answer(monkeypatch):
+    T = TorusContext(3, build(3, 4))
+    p = flag.elementary_symmetric(3, 1) * (flag.x_var(3, 1) + flag.x_var(3, 2) ** 2)
+    calls = _count_integrals(monkeypatch)
+    assert all(c.is_zero() for c in flag.artin_pairing(T, 3, p))
+    whole = len(calls)
+    calls.clear()
+    assert flag.kernel_check(T, 3, p)
+    assert len(calls) == whole > 1
+
+
+@pytest.mark.parametrize("spec", [None, "additive", ("multiplicative", Fraction(2, 5))],
+                         ids=["universal", "additive", "multiplicative"])
+def test_descending_pairings_are_the_pairing_reversed(spec):
+    rng = random.Random(repr(spec))
+    for n in (1, 2, 3, 4):
+        dim = n * (n - 1) // 2
+        T = TorusContext(n, build(3, dim + 1, spec))
+        exps = flag.artin_exponents(n)
+        for _ in range(4):
+            p = _rand_pairing_input(rng, n, dim)
+            pairing = flag.artin_pairing(T, n, p)
+            assert list(flag._pairings(T, n, p, reversed(exps))) == pairing[::-1]
+            assert flag.kernel_check(T, n, p) == all(c.is_zero() for c in pairing)
 
 
 # -- the moment-graph route, kept as an oracle for the residue pairing ----------

@@ -162,6 +162,14 @@ def test_character_length_must_be_the_rank():
         gkm.GKMGraph.from_json(obj)
 
 
+def test_rank_must_be_positive():
+    for rank in (0, -1):
+        with pytest.raises(ValueError, match="rank must be positive"):
+            gkm.GKMGraph(rank, 0, ["a"], [])
+    with pytest.raises(ValueError, match="rank must be positive"):
+        gkm.GKMGraph.from_json({"rank": 0, "dim": 0, "vertices": ["a"], "edges": []})
+
+
 def test_is_class_examples(T1, P1):
     c = T1.character_series((1,))
     point = gkm.PiecewiseClass({"0": c, "inf": T1.zero()})
