@@ -9,14 +9,19 @@
 
 Rationals are "p/q" with no spaces around the slash.  Columns in error
 messages are zero-based.  ``render`` emits text that ``parse`` maps back to
-the identical tree.
+the identical tree.  The parser builds sums and products in loops and
+recurses only into atoms; an atom nested more than MAX_NESTING deep
+(parentheses, unary minus and call arguments each add a level) is a
+ParseError, so no input exhausts the interpreter's stack.
 
 ``eval_series`` (over a torus context) and ``eval_xpoly`` (x-polynomials
 for the flag variety) share one walk, ``_evaluate``, and differ in their
 leaves.  A rational, a variable or a generator is one term, built directly
 by ``series.term``; a chain of sums and differences is added in one table
 by ``series.signed_sum``; products and powers are ``TruncSeries``'s; the
-calls F, rho, nser and chern are the law's series.
+calls F, rho, nser and chern are the law's series.  Sum and product chains
+are walked in loops, so the evaluator and ``render`` recurse only as deep
+as the atoms nest.
 """
 
 from __future__ import annotations
@@ -26,6 +31,7 @@ from fractions import Fraction
 from torcob.series import TruncSeries, signed_sum, term
 
 CALL_NAMES = ("F", "rho", "nser", "chern")
+MAX_NESTING = 100
 
 
 class ParseError(Exception):
@@ -82,6 +88,7 @@ class _Parser:
     def __init__(self, tokens):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.pos]
@@ -122,6 +129,14 @@ class _Parser:
 
     def parse_atom(self):
         tok = self.peek()
+        if self.depth == MAX_NESTING:
+            raise ParseError(f"expression nested deeper than {MAX_NESTING} levels", tok[2])
+        self.depth += 1
+        node = self._atom(tok)
+        self.depth -= 1
+        return node
+
+    def _atom(self, tok):
         kind, text, col = tok
         if kind == "-":
             self.advance()
@@ -172,6 +187,7 @@ def parse(text: str):
 # -- renderer -------------------------------------------------------------------
 
 _PREC = {"add": 1, "sub": 1, "mul": 2, "neg": 3, "pow": 4}
+_INFIX = {"add": " + ", "sub": " - ", "mul": "*"}
 _ATOMIC = 5
 
 
@@ -188,12 +204,14 @@ def render(node) -> str:
         return str(node[1])
     if kind == "var":
         return f"{node[1]}{node[2]}"
-    if kind == "add":
-        return f"{_wrap(node[1], 1)} + {_wrap(node[2], 2)}"
-    if kind == "sub":
-        return f"{_wrap(node[1], 1)} - {_wrap(node[2], 2)}"
-    if kind == "mul":
-        return f"{_wrap(node[1], 2)}*{_wrap(node[2], 3)}"
+    if kind in _INFIX:
+        # the left operand of a chain needs no parentheses: walk it in a loop
+        prec = _PREC[kind]
+        right = []
+        while _PREC.get(node[0]) == prec:
+            right.append(_INFIX[node[0]] + _wrap(node[2], prec + 1))
+            node = node[1]
+        return _wrap(node, prec) + "".join(reversed(right))
     if kind == "neg":
         return f"-{_wrap(node[1], 3)}"
     if kind == "pow":
@@ -221,16 +239,20 @@ def _int_arg(node):
     raise EvalError("expected an integer argument")
 
 
-def _summands(node, sign, out):
-    """Append the (sign, node) pairs of a chain of add, sub and neg, left to right."""
-    kind = node[0]
-    if kind == "add" or kind == "sub":
-        _summands(node[1], sign, out)
-        _summands(node[2], -sign if kind == "sub" else sign, out)
-    elif kind == "neg":
-        _summands(node[1], -sign, out)
-    else:
-        out.append((sign, node))
+def _summands(node):
+    """The (sign, node) pairs of a chain of add, sub and neg, left to right."""
+    out = []
+    stack = [(1, node)]
+    while stack:
+        sign, node = stack.pop()
+        kind = node[0]
+        if kind == "add" or kind == "sub":
+            stack.append((-sign if kind == "sub" else sign, node[2]))
+            stack.append((sign, node[1]))
+        elif kind == "neg":
+            stack.append((-sign, node[1]))
+        else:
+            out.append((sign, node))
     return out
 
 
@@ -239,14 +261,22 @@ def _evaluate(node, leaf, *env):
 
     A chain of add, sub and neg is one sum: its summands are evaluated left
     to right and added in one table (``series.signed_sum``), so no partial
-    sum is formed.  Products and powers are those of ``TruncSeries``.
+    sum is formed.  Products and powers are those of ``TruncSeries``; a
+    chain a*b*c*... is multiplied left to right as each factor is evaluated.
     """
     kind = node[0]
     if kind in ("add", "sub", "neg"):
-        parts = _summands(node, 1, [])
+        parts = _summands(node)
         return signed_sum([(sign, _evaluate(part, leaf, *env)) for sign, part in parts])
     if kind == "mul":
-        return _evaluate(node[1], leaf, *env) * _evaluate(node[2], leaf, *env)
+        right = []
+        while node[0] == "mul":
+            right.append(node[2])
+            node = node[1]
+        out = _evaluate(node, leaf, *env)
+        for factor in reversed(right):
+            out = out * _evaluate(factor, leaf, *env)
+        return out
     if kind == "pow":
         if node[2] < 0:
             raise EvalError("negative exponent")

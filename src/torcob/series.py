@@ -293,13 +293,15 @@ class TruncSeries:
 
     @property
     def divisor(self) -> tuple:
-        """(e, slices, lt, lc, lm, content): what ``divide_exact`` reads of a
-        nonzero divisor, built on first read and kept like ``coeffs``.
+        """(e, slices, lt, lc, lm, content, tail): what ``divide_exact``
+        reads of a nonzero divisor, built on first read and kept like
+        ``coeffs``.
 
         e is the lowest t-degree, slices the numerator table split by
         t-degree (``_slices``), lt the leading t-monomial of the slice at e,
-        lc its coefficient map, lm the leading m-key of lc and content the
-        gcd of lc's numerators.  Do not mutate.
+        lc its coefficient map, lm the leading m-key of lc, content the gcd
+        of lc's numerators and tail the slice at e without lt.  Do not
+        mutate.
         """
         out = self._divisor
         if out is None:
@@ -317,7 +319,9 @@ class TruncSeries:
         t-monomial per step: with rt the leading t-monomial of the remainder
         and lc the coefficient of g_e's leading t-monomial lt, the
         remainder's coefficient at rt is divided by lc in Q[m], and
-        q_st*x^st*g_e (st = rt - lt) is subtracted by one product.
+        q_st*x^st*g_e (st = rt - lt) is subtracted: its term at rt cancels
+        the remainder's there exactly, so that entry is deleted and only
+        q_st*x^st times the rest of g_e is multiplied out.
         When lc is a rational, as for every Chern power, Euler class and
         unit, that quotient is one scaled copy; otherwise it is the
         leading-term algorithm over m-monomials.  In the domain Q[m][t] a
@@ -334,7 +338,7 @@ class TruncSeries:
         self._check_vars(g)
         if g.is_zero():
             raise NotInvertible("division by the zero series")
-        e, g_sl, lt, lc, lm, cont = g.divisor
+        e, g_sl, lt, lc, lm, cont, tail = g.divisor
         gq = min(self.guarantee, g.guarantee) - e
         if gq < 0:
             raise TruncationInsufficient("divisor degree exceeds the guarantee")
@@ -343,7 +347,6 @@ class TruncSeries:
         f_sl = _slices(self.num)
         if min(f_sl) < e:
             raise NotDivisible("dividend has terms below the divisor's lowest degree")
-        ge = g_sl[e]
         scale = 1
         neg_q = []  # -scale*q by slice, so that each update is one accumulating product
         for k in range(gq + 1):
@@ -370,7 +373,8 @@ class TruncSeries:
                 if c is None:
                     raise NotDivisible("leading term not divisible")
                 qk[st] = c
-                convolve({st: c}, ge, None, out=r)
+                del r[rt]
+                convolve({st: c}, tail, None, out=r)
             neg_q.append(qk)
         num = {t: _times(c, -g.den) for qk in neg_q for t, c in qk.items()}
         return _canonical(self.vars, num, scale * self.den, gq)
@@ -501,7 +505,8 @@ def _divisor_slices(num) -> tuple:
     e = min(slices)
     lt = max(slices[e])
     lc = slices[e][lt]
-    return e, slices, lt, lc, max(lc), gcd(*lc.values())
+    tail = {t: c for t, c in slices[e].items() if t != lt}
+    return e, slices, lt, lc, max(lc), gcd(*lc.values()), tail
 
 
 def _canonical(vars, num, den, guarantee) -> TruncSeries:

@@ -24,26 +24,28 @@ without forming x - y: ``agree_off_axis`` compares their terms free of
 t_a, ``agree_on_diagonal`` their restrictions to t_a = t_b, both through
 the lower of the two guarantees and across the two denominators.
 
-Product membership is decided by successive division.  Each c(chi)^d is a
-non-zero-divisor (its lowest part is nonzero in the domain Q[m][t]), so f
-lies in (a*b) iff f = a*q with q in (b).  When the characters extend
-pairwise to a lattice basis, the c(chi_j)^(d_j) form a regular sequence, so
-the product of the ideals (c(chi_j)^(d_j)) equals their intersection;
-acceptance criterion 9 tests that identity.  In any ring (a*b) lies in
-(a) and in (b), so a product that holds certifies the intersection.
-``ideal_membership_product`` therefore divides f once, by the first factor
-without a short cut, and ``product_divides`` divides that quotient by each
-further factor in turn; the product of the Chern powers is never formed.
-Only when the product fails is the intersection tested factor by factor,
-each remaining factor against f itself, so the non-trivial inclusion
-(intersection in product) is still computed wherever it could fail.
-Truncation does not change either answer: with a = c(chi)^d, the quotient
-q_1 of f by a is exact through G - d, and q*b = q_1 through G - d iff
-q*b*a = f through G; so a product that holds through G puts f in every
-factor's ideal through G.  Nor do the divisions run out of guarantee: the
-lowest parts (chi_j . t)^(d_j) are pairwise coprime, so a nonzero f in
-every factor's ideal has lowest degree at least sum d_j, which is then at
-most G.
+Product membership is decided by one exact division.  Each c(chi)^d is a
+non-zero-divisor (its lowest part is nonzero in the domain Q[m][t]), so the
+product P = prod c(chi_j)^(d_j) is one too, and f lies in (P) iff
+``divide_exact`` of f by P succeeds.  ``chern_product`` caches P per
+context under the sorted factor list, so the quotient of a multiple is the
+small cofactor, reached without a dense intermediate quotient.  When the
+characters extend pairwise to a lattice basis, the c(chi_j)^(d_j) form a
+regular sequence, so the product of the ideals (c(chi_j)^(d_j)) equals
+their intersection; acceptance criterion 9 tests that identity.  In any
+ring (a*b) lies in (a) and in (b), so a product that holds certifies the
+intersection.  Only when the product fails is the intersection tested
+factor by factor, f itself against each factor without a short cut, so the
+non-trivial inclusion (intersection in product) is still computed wherever
+it could fail.  Truncation does not change either answer: if q*P = f
+through G, then (q * prod_{k != j} c(chi_k)^(d_k)) * c(chi_j)^(d_j) = f
+through G, so a product that holds through G puts f in every factor's
+ideal through G.  Nor does the division run out of guarantee: the lowest
+parts (chi_j . t)^(d_j) are pairwise coprime, so a nonzero f in every
+factor's ideal has lowest degree at least sum d_j, which is then at most
+G.  A nonzero f with a term below t-degree d is no multiple of c(chi)^d,
+whose multiples start at degree d; the short cuts refuse it before any
+division.
 """
 
 from __future__ import annotations
@@ -137,8 +139,8 @@ def _free_of(s: TruncSeries, a: int, top: int) -> dict:
 class TorusContext:
     """Rank-n torus with a formal group law context; pure and cache-backed.
 
-    Chern classes and their powers are cached on first use, with the same
-    thread-sharing guarantee as ``FGLContext``.
+    Chern classes and products of their powers are cached on first use,
+    with the same thread-sharing guarantee as ``FGLContext``.
     """
 
     def __init__(self, rank: int, fgl: FGLContext):
@@ -149,7 +151,7 @@ class TorusContext:
         self.D = fgl.D
         self.vars = tuple(f"t{i + 1}" for i in range(rank))
         self._chern = {}
-        self._chern_pow = {}
+        self._chern_prod = {}
 
     # -- basic series --------------------------------------------------------
 
@@ -189,12 +191,28 @@ class TorusContext:
     chern = character_series
 
     def chern_power(self, chi, d: int) -> TruncSeries:
-        """c(chi)^d, cached like the Chern classes themselves."""
-        key = (tuple(chi), d)
-        out = self._chern_pow.get(key)
+        """c(chi)^d, the one-factor case of ``chern_product``."""
+        key = ((tuple(chi), d),)
+        out = self._chern_prod.get(key)
+        return self.chern_product(key) if out is None else out
+
+    def chern_product(self, factors) -> TruncSeries:
+        """prod c(chi_j)^(d_j) over the (chi, d) pairs, cached like the Chern
+        classes themselves under the sorted pairs, so the order of the
+        factors does not matter.  A product of several factors multiplies
+        their cached powers.
+        """
+        key = tuple(sorted((tuple(chi), d) for chi, d in factors))
+        out = self._chern_prod.get(key)
         if out is None:
-            out = self.character_series(chi) ** d
-            self._chern_pow[key] = out
+            if len(key) == 1:
+                (chi, d), = key
+                out = self.character_series(chi) ** d
+            else:
+                out = self.one()
+                for chi, d in key:
+                    out = out * self.chern_power(chi, d)
+            self._chern_prod[key] = out
         return out
 
     def augment(self, f: TruncSeries) -> GradedCoeff:
@@ -222,7 +240,7 @@ class TorusContext:
         """``chern_divides`` where no division is needed, else None."""
         if f.is_zero() or d == 0:
             return True
-        if d > f.guarantee:
+        if f.lowest_degree() < d:  # also when d exceeds the guarantee
             return False
         shape = character_shape(chi)
         if shape is None:
@@ -253,11 +271,10 @@ class TorusContext:
     def product_divides(self, factors, f: TruncSeries) -> bool:
         """Whether prod c(chi_j)^(d_j) divides f through its guarantee.
 
-        Decided by successive division (module docstring), for any factors:
-        f is divided by each factor but the last in turn, and the last is
-        tested by ``chern_divides``.  No product of Chern powers is formed.
-        A nonzero f whose guarantee is below sum d_j is not a multiple: it
-        keeps a term below the product's lowest degree.
+        One exact division of f by the cached ``chern_product`` (module
+        docstring), for any factors.  A nonzero f whose guarantee is below
+        sum d_j is not a multiple: it keeps a term below the product's
+        lowest degree.
         """
         factors = [(tuple(chi), int(d)) for chi, d in factors]
         for chi, d in factors:
@@ -267,12 +284,7 @@ class TorusContext:
             return True
         if sum(d for _, d in active) > f.guarantee:
             return False
-        try:
-            for chi, d in active[:-1]:
-                f = self.divide_by_chern(f, chi, d)
-        except NotDivisible:
-            return False
-        return self.chern_divides(f, *active[-1])
+        return _try(lambda: f.divide_exact(self.chern_product(active)))
 
     def ideal_membership_product(self, factors, f: TruncSeries):
         """(in_product, in_intersection) for the ideal generated by
@@ -282,13 +294,12 @@ class TorusContext:
         (checked through the gcd of the 2x2 minors of the pair matrix), so
         the c(chi_j)^(d_j) form a regular sequence and the two answers agree.
         The short cuts of ``chern_divides`` run on every factor first; a
-        factor that fails ends both tests.  Then f is divided once, by the
-        first factor without a short cut, and the product is
-        ``product_divides`` of that quotient by the other factors (of f by
-        all of them when every factor took a short cut).  A product that
-        holds certifies the intersection with no further division; when it
-        fails, the intersection tests f by ``chern_divides`` against each
-        remaining factor without a short cut.
+        factor that fails ends both tests.  A single factor is then one
+        division, which answers both.  Otherwise the product is
+        ``product_divides``, one division by the cached product; a product
+        that holds certifies the intersection with no further division, and
+        when it fails, the intersection tests f by ``chern_divides`` against
+        each factor without a short cut.
         """
         factors = [(tuple(chi), int(d)) for chi, d in factors]
         for chi, d in factors:
@@ -306,16 +317,12 @@ class TorusContext:
         decided = [self._divides_without_division(f, chi, d) for chi, d in active]
         if False in decided:
             return False, False
-        if None not in decided:
-            return len(active) < 2 or self.product_divides(active, f), True
-        k = decided.index(None)
-        try:
-            q = self.divide_by_chern(f, *active[k])
-        except NotDivisible:
-            return False, False
-        if self.product_divides(active[:k] + active[k + 1:], q):
+        if len(active) < 2:
+            holds = None not in decided or _try(lambda: self.divide_by_chern(f, *active[0]))
+            return holds, holds
+        if self.product_divides(active, f):
             return True, True
-        rest = [fac for fac, dec in zip(active[k + 1:], decided[k + 1:]) if dec is None]
+        rest = [fac for fac, dec in zip(active, decided) if dec is None]
         return False, all(self.chern_divides(f, chi, d) for chi, d in rest)
 
 

@@ -10,7 +10,7 @@ import sys
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from torcob import cli, fgl, flag, gkm, kernels
+from torcob import cli, exprs, fgl, flag, gkm, kernels
 
 P1_JSON = '{"rank": 1, "dim": 1, "vertices": ["0", "inf"], "edges": [{"v": "0", "w": "inf", "char": [1]}]}'
 
@@ -522,6 +522,30 @@ def test_oversized_truncation_refused_before_validation(monkeypatch, sub):
 def test_parse_error_exit_two():
     code, _, err = run(["flag", "nf", "x1 +* x2", "--rank", "2"])
     assert code == 2 and "column 4" in err
+
+
+LONG_CHAIN = 1200
+
+
+@pytest.mark.parametrize("op, short", [("+", f"{LONG_CHAIN}*x1"), ("*", f"x1^{LONG_CHAIN}")],
+                         ids=["sum", "product"])
+def test_a_long_chain_is_evaluated(op, short):
+    # a chain is walked in a loop, so its length does not reach the stack limit
+    code, out, err = run(["flag", "nf", op.join(["x1"] * LONG_CHAIN), "--rank", "2"])
+    assert (code, out, err) == run(["flag", "nf", short, "--rank", "2"])
+    assert code == 0 and err == ""
+
+
+def test_deep_nesting_is_a_parse_error():
+    deep = "(" * 400 + "x1" + ")" * 400
+    code, out, err = run(["flag", "nf", deep, "--rank", "2"])
+    assert (code, out) == (2, "")
+    assert err == (
+        f"parse error: line 1, column {exprs.MAX_NESTING}: "
+        f"expression nested deeper than {exprs.MAX_NESTING} levels\n"
+    )
+    depth = exprs.MAX_NESTING - 1
+    assert run(["flag", "nf", "(" * depth + "x1" + ")" * depth, "--rank", "2"]) == (0, "x1\n", "")
 
 
 def test_usage_error_exit_two():

@@ -373,3 +373,51 @@ def test_a_sum_is_added_in_one_table(monkeypatch):
         monkeypatch.setattr(TruncSeries, name, None)
     assert exprs.eval_xpoly(tree, 3) == want
     assert calls == [6]
+
+
+# -- deep and long expressions -----------------------------------------------------
+
+NESTING_SHAPES = {  # each wraps an atom into an atom one level deeper
+    "parens": "({})",
+    "minus": "-{}",
+    "sum-product-power": "({v}1 - 2*{}^1*{v}1)",
+    "F": "F(t1, {})",
+    "nser": "nser(2, {})",
+}
+
+
+def _nested(shape, levels, v):
+    text = f"{v}1"
+    for _ in range(levels - 1):
+        text = shape.replace("{v}", v).format(text)
+    return text
+
+
+@pytest.mark.parametrize("shape", sorted(NESTING_SHAPES))
+def test_nesting_is_refused_beyond_the_limit(shape):
+    ctx = TorusContext(2, build(1, 2))
+    v = "t" if shape in ("F", "nser") else "x"
+    tree = exprs.parse(_nested(NESTING_SHAPES[shape], exprs.MAX_NESTING, v))
+    got = exprs.eval_series(tree, ctx) if v == "t" else exprs.eval_xpoly(tree, 2)
+    if shape == "parens":
+        assert got == exprs.eval_xpoly(exprs.parse("x1"), 2)
+    if shape == "minus":
+        assert got == exprs.eval_xpoly(exprs.parse(f"{(-1) ** (exprs.MAX_NESTING - 1)}*x1"), 2)
+    deeper = _nested(NESTING_SHAPES[shape], exprs.MAX_NESTING + 1, v)
+    with pytest.raises(exprs.ParseError, match=f"nested deeper than {exprs.MAX_NESTING}"):
+        exprs.parse(deeper)
+
+
+@pytest.mark.parametrize("op, compact", [("+", "1200*{}"), ("-", "-1198*{}"), ("*", "{}^1200")])
+def test_long_chains_evaluate_in_loops(op, compact):
+    ctx = TorusContext(2, build(1, 3))
+    for v, evaluate in (("t", lambda tree: exprs.eval_series(tree, ctx)),
+                        ("x", lambda tree: exprs.eval_xpoly(tree, 2))):
+        chain = exprs.parse(op.join([f"{v}1"] * 1200))
+        assert evaluate(chain) == evaluate(exprs.parse(compact.format(f"{v}1")))
+
+
+@pytest.mark.parametrize("op", [" + ", " - ", "*"])
+def test_long_chains_render_in_loops(op):
+    text = op.join(["x1", "(x2 - 1/2)", "m1^2", "-x3"] * 300)
+    assert exprs.render(exprs.parse(text)) == text

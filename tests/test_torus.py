@@ -21,6 +21,7 @@ from torcob.fgl import build
 from torcob.series import TruncSeries
 from torcob.torus import (
     TorusContext,
+    _try,
     content,
     pair_extends_to_basis,
 )
@@ -374,6 +375,40 @@ def test_divide_by_chern_matches_adapted_oracle(rank, law, data):
         assert got.eq_through(q, got.guarantee)
 
 
+SHORT_CUT_DEG = 6
+
+
+@functools.lru_cache(maxsize=None)
+def short_cut_context(rank):
+    return TorusContext(rank, build(2, SHORT_CUT_DEG))
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_short_cuts_agree_with_division(rank, data):
+    # wherever a short cut answers (the lowest degree one for every shape of
+    # character, the axis and difference ones for theirs), it is the answer
+    # of the division it saves
+    T = short_cut_context(rank)
+    chi = data.draw(st.sampled_from(ORACLE_CHARS[rank]))
+    d = data.draw(st.integers(1, 3))
+    f = data.draw(elements(T)) * T.chern_power(chi, data.draw(st.integers(0, d)))
+    f = f.truncated(data.draw(st.integers(1, SHORT_CUT_DEG)))
+    decided = T._divides_without_division(f, chi, d)
+    if not f.is_zero() and f.lowest_degree() < d:
+        assert decided is False
+    if decided is None:
+        return
+    if d > f.guarantee:
+        # divide_by_chern refuses; a nonzero f keeps a term below degree d
+        assert decided is f.is_zero()
+        with pytest.raises(TruncationInsufficient):
+            T.divide_by_chern(f, chi, d)
+    else:
+        assert decided is _try(lambda: T.divide_by_chern(f, chi, d))
+
+
 def test_multiplicity_above_truncation_refused():
     T = TorusContext(2, build(2, 4))
     for chi in [(2, 1), (1, 0), (1, -1), (2, 2)]:
@@ -559,7 +594,7 @@ def test_membership_matches_the_product_oracle(rank, law, data):
             assert want == (True, True)
 
 
-def test_membership_forms_no_product(T3, monkeypatch):
+def test_membership_forms_no_product_once_the_product_is_cached(T3, monkeypatch):
     f = T3.one() + T3.var(2)
     cases = [
         ([((1, 1, 1), 2), ((0, 1, -1), 1)], True),   # a general factor, then a difference
@@ -569,11 +604,11 @@ def test_membership_forms_no_product(T3, monkeypatch):
     ]
     fs = []
     for factors, multiple in cases:
-        powers = [T3.chern_power(chi, d) for chi, d in factors]  # warms the cache
         g = f
-        for p in powers[: len(powers) if multiple else 1]:
-            g = g * p
+        for chi, d in factors[: len(factors) if multiple else 1]:
+            g = g * T3.chern_power(chi, d)
         fs.append(g)
+        T3.chern_product(factors)  # also caches each factor's power
     want = [membership_product_oracle(T3, factors, g) for (factors, _), g in zip(cases, fs)]
     assert want == [(True, True), (True, True), (True, True), (False, False)]
 
@@ -586,43 +621,54 @@ def test_membership_forms_no_product(T3, monkeypatch):
     assert got == want
 
 
-def test_membership_divides_once_per_factor(T3, monkeypatch):
-    # a product that holds certifies the intersection: f is divided by
-    # c(2,1,1)^2 once, and only that quotient by c(1,0,1)
-    factors = [((2, 1, 1), 2), ((1, 0, 1), 1)]
-    f = (T3.one() + T3.var(2)) * T3.chern_power((2, 1, 1), 2) * T3.chern_power((1, 0, 1), 1)
+@pytest.mark.parametrize("factors", [
+    [((2, 1, 1), 2), ((1, 0, 1), 1)],
+    [((2, 1, 1), 1), ((1, 0, 1), 1), ((1, 1, 0), 1)],
+    # the axis factor holds by its short cut and still divides inside the product
+    [((2, 1, 1), 2), ((1, 0, 0), 1)],
+], ids=["2", "3", "short-cut"])
+def test_membership_divides_a_multiple_once_by_the_cached_product(T3, monkeypatch, factors):
+    # a product that holds certifies the intersection: one exact division of
+    # f, by the product of the Chern powers the context caches, in either order
+    f = T3.one() + T3.var(2)
+    for chi, d in factors:
+        f = f * T3.chern_power(chi, d)
     calls, quotients = [], []
-    divide = TorusContext.divide_by_chern
+    divide = TruncSeries.divide_exact
 
-    def spy(self, g, chi, d=1):
-        calls.append((g, tuple(chi), d))
-        quotients.append(divide(self, g, chi, d))
+    def spy(self, g):
+        calls.append((self, g))
+        quotients.append(divide(self, g))
         return quotients[-1]
 
-    monkeypatch.setattr(TorusContext, "divide_by_chern", spy)
-    assert T3.ideal_membership_product(factors, f) == (True, True)
-    assert [(chi, d) for _, chi, d in calls] == factors
-    (first, _, _), (second, _, _) = calls
-    assert first is f and second is quotients[0]
-    assert second.guarantee == f.guarantee - 2
-    assert not any(g is f and chi == (1, 0, 1) for g, chi, _ in calls)
+    monkeypatch.setattr(TruncSeries, "divide_exact", spy)
+    for order in (factors, factors[::-1]):
+        calls.clear()
+        assert T3.ideal_membership_product(order, f) == (True, True)
+        assert len(calls) == 1
+        dividend, divisor = calls[0]
+        assert dividend is f
+        assert divisor is T3.chern_product(factors) is T3.chern_product(factors[::-1])
+        assert quotients[-1].guarantee == f.guarantee - sum(d for _, d in factors)
+        assert quotients[-1].eq_through(T3.one() + T3.var(2), quotients[-1].guarantee)
 
 
 @pytest.mark.parametrize("factors, multiplied, tested", [
     # multiples of the first factor only, with 2 and 3 factors
-    ([((2, 1, 1), 2), ((1, 0, 1), 1)], 1, [(1, 0, 1)]),
-    ([((2, 1, 1), 1), ((1, 0, 1), 1), ((1, 1, 0), 1)], 1, [(1, 0, 1)]),
+    ([((2, 1, 1), 2), ((1, 0, 1), 1)], 1, [(2, 1, 1), (1, 0, 1)]),
+    ([((2, 1, 1), 1), ((1, 0, 1), 1), ((1, 1, 0), 1)], 1, [(2, 1, 1), (1, 0, 1)]),
     # a multiple of the first two: the fallback reaches the third factor
-    ([((2, 1, 1), 1), ((1, 0, 1), 1), ((1, 1, 0), 1)], 2, [(1, 0, 1), (1, 1, 0)]),
+    ([((2, 1, 1), 1), ((1, 0, 1), 1), ((1, 1, 0), 1)], 2,
+     [(2, 1, 1), (1, 0, 1), (1, 1, 0)]),
     # the axis factor holds by its short cut and is not tested again
-    ([((2, 1, 1), 2), ((1, 0, 0), 1), ((1, 1, 0), 1)], 2, [(1, 1, 0)]),
+    ([((2, 1, 1), 2), ((1, 0, 0), 1), ((1, 1, 0), 1)], 2, [(2, 1, 1), (1, 1, 0)]),
 ], ids=["2-first", "3-first", "3-first-two", "3-short-cut"])
 def test_membership_tests_the_intersection_where_the_product_fails(
         T3, monkeypatch, factors, multiplied, tested):
     # the product fails, so the intersection tests f itself against each
-    # remaining factor without a short cut, in order, up to the first that
-    # fails; by the regular-sequence theorem its answer is then False, which
-    # only these calls show was computed rather than assumed
+    # factor without a short cut, in order, up to the first that fails; by
+    # the regular-sequence theorem its answer is then False, which only
+    # these calls show was computed rather than assumed
     f = T3.one() + T3.var(2)
     for chi, d in factors[:multiplied]:
         f = f * T3.chern_power(chi, d)
@@ -637,7 +683,8 @@ def test_membership_tests_the_intersection_where_the_product_fails(
 
     monkeypatch.setattr(TorusContext, "chern_divides", spy)
     assert T3.ideal_membership_product(factors, f) == want
-    assert [chi for g, chi in calls if g is f] == tested
+    assert all(g is f for g, _ in calls)
+    assert [chi for _, chi in calls] == tested
 
 
 @pytest.mark.parametrize("chi", [(1, 0, 0), (0, 1, -1), (1, 1, 1), (2, 1, 0)], ids=str)
