@@ -20,7 +20,11 @@ flag varieties Fl(6) and Fl(7) (every edge character e_a - e_b) for the
 classes x1^3 and x1*x2, where the first call also builds the graph's edge
 tests, and on the point classes of the six P^1 characters of the
 ``integrate`` benchmark whose edge takes neither short cut (truncation 2,
-``Dc = 1``, both fixed points, 50 passes).  Run from the repository root:
+``Dc = 1``, both fixed points, 50 passes).  The expansion rows run the
+universal ``gkm forget`` of 1 + m1*h^2 on P^3, P^4 and P^5 in the basis
+1, h, ..., h^n, in the library at the command line's defaults (truncation
+2n + 2, ``Dc = 6``), and report the linear systems the t-degree lifting
+solves.  Run from the repository root:
 
     PYTHONPATH=src python benchmarks/bench_kernels.py
 """
@@ -208,6 +212,34 @@ def workload_p1_point_edges():
     return check_all
 
 
+def workload_expansion(n):
+    """(best of 3, systems solved): forget of 1 + m1*h^2 on universal P^n in 1, h, ..., h^n."""
+    from torcob import gkm
+
+    g = gkm.pn_graph(n)
+    T = TorusContext(n, build(6, 2 * n + 2))
+    h = gkm.pn_hyperplane(T, g)
+    basis = [gkm.constant_class(T, g, 1)]
+    for _ in range(n):
+        basis.append(basis[-1] * h)
+    alpha = basis[0] + basis[2].mul_coeff(GradedCoeff.generator(1))
+    systems = []
+    solve = gkm.solve
+
+    def counted(rows, rhs, ncols):
+        systems.append(ncols)
+        return solve(rows, rhs, ncols)
+
+    gkm.solve = counted  # for one counted call
+    try:
+        coords = [str(c) for c in gkm.tensor_with_L(T, g, basis, alpha)]
+    finally:
+        gkm.solve = solve
+    if coords != ["1", "0", "m1"] + ["0"] * (n - 2):
+        raise AssertionError(f"forget on P^{n} gave {coords}")
+    return timeit(gkm.tensor_with_L, T, g, basis, alpha, repeat=3), len(systems)
+
+
 def main():
     rng = random.Random(2024)
     rows = []
@@ -230,6 +262,9 @@ def main():
             first, best = workload_flag_is_class(n, exps)
             rows.append((f"is_class Fl({n}) {label}", best, f"first call {first * 1e3:.1f}ms"))
     rows.append(("is_class p1 point classes (x50)", timeit(workload_p1_point_edges())))
+    for n in (3, 4, 5):
+        best, systems = workload_expansion(n)
+        rows.append((f"forget 1 + m1*h^2 on P^{n}", best, f"{systems} systems solved"))
 
     print(f"{'workload':34s} {'time':>10s}")
     for name, t, *note in rows:

@@ -136,11 +136,22 @@ def _class_values(obj):
 
 
 def _eval_class(ctx, g, values) -> gkm.PiecewiseClass:
+    """The class with the value texts ``values``, read in vertex order.
+
+    Each distinct text is parsed and evaluated once, and the vertices that
+    share it share its series, so the first vertex that fails is the first
+    whose value is missing or fails.
+    """
+    series = {}
     out = {}
     for v in g.vertices:
         if v not in values:
             raise UsageError(f"class is missing a value for vertex {v!r}")
-        out[v] = exprs.eval_series(exprs.parse(str(values[v])), ctx)
+        text = str(values[v])
+        s = series.get(text)
+        if s is None:
+            s = series[text] = exprs.eval_series(exprs.parse(text), ctx)
+        out[v] = s
     return gkm.PiecewiseClass(out)
 
 

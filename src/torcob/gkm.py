@@ -140,9 +140,7 @@ class GKMGraph:
         one group is reported, in increasing (i, j): the order of a pairwise
         test over the star.
         """
-        problems = [
-            f"edge ({v},{w}) has the zero character" for v, w, chi in self.edges if not any(chi)
-        ]
+        problems = _zero_characters(self)
         direction = functools.cache(_direction)
         for v in self.vertices:
             inc = self._incident[v]
@@ -179,6 +177,11 @@ class GKMGraph:
             [str(v) for v in obj["vertices"]],
             [(str(e["v"]), str(e["w"]), tuple(int(x) for x in e["char"])) for e in obj["edges"]],
         )
+
+
+def _zero_characters(g: GKMGraph) -> list:
+    """One ``validate`` message per edge of g whose character is zero, in edge order."""
+    return [f"edge ({v},{w}) has the zero character" for v, w, chi in g.edges if not any(chi)]
 
 
 def _direction(chi) -> tuple:
@@ -325,8 +328,13 @@ def _generic_cocharacter(g: GKMGraph) -> tuple:
 
     Smallest by max-norm, then lexicographically with the entries ordered
     0, 1, -1, 2, -2, ...; a depth-first search tests each character as soon
-    as its last nonzero entry is assigned.
+    as its last nonzero entry is assigned.  No lambda pairs nonzero with
+    the zero character, so an edge that carries it raises GraphInvalid,
+    with ``validate``'s message for each such edge.
     """
+    zero = _zero_characters(g)
+    if zero:
+        raise GraphInvalid("; ".join(zero))
     checks = [[] for _ in range(g.rank)]
     for chi in {chi for _, _, chi in g.edges}:
         checks[max(i for i, x in enumerate(chi) if x)].append(chi)
@@ -532,6 +540,21 @@ def basis_expand(ctx: TorusContext, g: GKMGraph, basis, alpha: PiecewiseClass):
     truncation).  On both routes a coordinate that needs a generator above
     ``Dc`` (any generator under a specialized law) is NoSolution.
 
+    Whether every A_d is injective is decided once, before the lifting
+    (``_free_at_cocharacter``).  With Lambda the lead matrix, Lambda[v][k]
+    the lowest part of basis_k at v (zero where basis_k starts higher at
+    v), A_d y = 0 exactly when sum_k Lambda[v][k] Y_k = 0 at every vertex,
+    Y_k homogeneous of t-degree d - low_k.  So det Lambda != 0 in Q(t)
+    makes every A_d injective, and a nonzero det Lambda(lambda) at the
+    graph's generic cocharacter lambda certifies it.  Then a degree whose
+    residual is zero has the zero solution and is skipped, with no system
+    built; the degrees solved see the residuals they would see otherwise.
+    When the certificate fails (a lowest part that carries a generator, a
+    zero edge character, or det Lambda(lambda) = 0) every degree is solved.
+    Non-injectivity is monotone in d: the kernel is a graded
+    S(T)-submodule, so t_1 times a kernel vector of degree d is one of
+    degree d + 1, and the first singular degree is well defined.
+
     With every A_d injective the system in all coefficients at once is
     block lower-triangular with injective diagonal blocks, so the
     coordinates and the status are that system's: NoSolution when some r_d
@@ -594,7 +617,8 @@ def _expand_linear(ctx, g, basis, alpha, guar, top):
             f"expansion needs {width} unknowns in one t-degree, above the limit {MAX_EXPAND_COLUMNS}"
         )
     leads, tails = _split_lowest(basis, lows)
-    tmons = [_t_monomials(ctx.rank, e) for e in range(guar + 1)]
+    free = _free_at_cocharacter(ctx, g, leads)
+    tmons = functools.cache(functools.partial(_t_monomials, ctx.rank))
     residual = [{} for _ in range(guar + 1)]  # per t-degree: {(vertex, t-exps): {m-key: q}}
     for v, s in alpha.values.items():
         for t, c in s.num.items():
@@ -602,7 +626,9 @@ def _expand_linear(ctx, g, basis, alpha, guar, top):
                 residual[sum(t)][(v, t)] = _over(c, s.den)
     coords = [{} for _ in basis]
     for d in range(guar + 1):
-        cols = [(k, s) for k, low in enumerate(lows) if low <= d for s in tmons[d - low]]
+        if free and not any(residual[d].values()):
+            continue  # A_d is injective, so a zero residual has the zero solution
+        cols = [(k, s) for k, low in enumerate(lows) if low <= d for s in tmons(d - low)]
         rows, rhs = _lifting_system(cols, leads, residual[d])
         if not cols and not rows:
             continue
@@ -623,6 +649,27 @@ def _expand_linear(ctx, g, basis, alpha, guar, top):
                     key = (v, tuple(map(operator.add, s, t)))
                     mul_acc(residual[d + dt].setdefault(key, {}), neg, c)
     return [from_table(ctx.vars, c, min(guar, ctx.D) - low) for c, low in zip(coords, lows)]
+
+
+def _free_at_cocharacter(ctx, g, leads) -> bool:
+    """Whether the lead matrix has full column rank at the generic cocharacter.
+
+    Lambda[v][k] is the lowest part of basis_k at v (``leads[k]``, zero
+    where basis_k starts higher at v), evaluated at t = lambda, the graph's
+    cocharacter.  A nonzero maximal minor at one integer point is nonzero as
+    a polynomial, and then every A_d of the lifting is injective.  False,
+    without reading the cocharacter, on a graph with a zero edge character
+    (it has none) or of another rank than the context.
+    """
+    if g.rank != ctx.rank or _zero_characters(g):
+        return False
+    lam = g.cocharacter
+    rows = {}
+    for k, lead in enumerate(leads):
+        for v, t, q in lead:
+            row = rows.setdefault(v, {})
+            row[k] = row.get(k, 0) + q * math.prod(map(pow, lam, t))
+    return matrix_rank([{k: x for k, x in r.items() if x} for r in rows.values()]) == len(leads)
 
 
 def _split_lowest(basis, lows):

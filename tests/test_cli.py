@@ -11,6 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from torcob import cli, exprs, fgl, flag, gkm, kernels
+from torcob.torus import TorusContext
 
 P1_JSON = '{"rank": 1, "dim": 1, "vertices": ["0", "inf"], "edges": [{"v": "0", "w": "inf", "char": [1]}]}'
 
@@ -445,6 +446,45 @@ def test_gen_invalid_graph_rejected():
     bad = '{"rank": 1, "dim": 1, "vertices": ["a", "b"], "edges": [{"v": "a", "w": "b", "char": [0]}]}'
     code, _, err = run(["gkm", "check", "--graph", bad, "--class", '{"a":"1","b":"1"}', "--deg", "4"])
     assert code == 1 and "GraphInvalid" in err
+
+
+_ZERO_EDGE = ('{"rank": 1, "dim": 1, "vertices": ["0", "inf"], '
+              '"edges": [{"v": "0", "w": "inf", "char": [0]}]}')
+
+
+@pytest.mark.parametrize("sub", ["check", "integrate", "expand", "forget"])
+def test_zero_edge_character_is_refused_by_validation(sub):
+    extra = ["--basis", '[{"0":"1","inf":"1"}, {"0":"t1","inf":"0"}]'] if sub in ("expand", "forget") else []
+    argv = ["gkm", sub, "--graph", _ZERO_EDGE, "--class", '{"0":"1","inf":"1"}'] + extra
+    assert run(argv) == (1, "", "error: GraphInvalid: edge (0,inf) has the zero character\n")
+
+
+def test_class_values_are_parsed_and_evaluated_once_per_distinct_text(monkeypatch):
+    g = gkm.flag_graph(3)
+    ctx = TorusContext(3, fgl.build(3, 4))
+    texts = ["1", "t1 + m1*t2", "1", "t3^2", "t1 + m1*t2", "1"]
+    values = dict(zip(g.vertices, texts))
+    want = gkm.PiecewiseClass({v: exprs.eval_series(exprs.parse(values[v]), ctx) for v in g.vertices})
+    parsed = []
+    parse = exprs.parse
+    monkeypatch.setattr(exprs, "parse", lambda text: parsed.append(text) or parse(text))
+    alpha = cli._eval_class(ctx, g, values)
+    assert alpha == want and parsed == ["1", "t1 + m1*t2", "t3^2"]
+    assert alpha.values["123"] is alpha.values["213"] is alpha.values["321"]
+
+
+def test_first_failing_class_value_decides_the_error():
+    p2 = json.dumps(gkm.pn_graph(2).to_json())
+    unexpected = "parse error: line 1, column 4: unexpected '*'\n"
+    for values, want in [
+        ({"0": "1", "1": "t1 +* t2", "2": "(("}, unexpected),
+        ({"0": "x1", "1": "t1 +* t2", "2": "x1"},
+         "usage error: x-variables are only meaningful in flag expressions\n"),
+        ({"0": "1", "2": "(("}, "usage error: class is missing a value for vertex '1'\n"),
+        ({"0": "1", "1": "1", "2": "t1 +* t2"}, unexpected),
+    ]:
+        argv = ["gkm", "integrate", "--graph", p2, "--class", json.dumps(values)]
+        assert run(argv) == (2, "# deg 3\n", want), values
 
 
 def test_repeated_vertex_id_exits_one():

@@ -3,6 +3,8 @@ slot solve it replaced, which makes one unknown per (basis element,
 t-monomial, m-monomial) and solves one linear system."""
 
 import itertools
+import math
+import operator
 from fractions import Fraction
 
 import pytest
@@ -12,10 +14,11 @@ from hypothesis import strategies as st
 from torcob import flag, gkm
 from torcob.accept import _P1_CHARS, _m_monomials
 from torcob.coeff import GradedCoeff
-from torcob.errors import Ambiguous, NoSolution, TooLarge
+from torcob.errors import Ambiguous, GraphInvalid, NoSolution, TooLarge
 from torcob.fgl import build
-from torcob.linalg import INCONSISTENT, UNDERDETERMINED, solve
-from torcob.series import TruncSeries
+from torcob.kernels import above_generator, mul_acc
+from torcob.linalg import INCONSISTENT, UNDERDETERMINED, rank, solve
+from torcob.series import TruncSeries, from_table
 from torcob.torus import TorusContext
 
 from test_coeff import degree_component
@@ -147,6 +150,71 @@ def _slot_component(ctx, g, basis, alpha, guar, lows, j, bdegs):
         terms = {t: GradedCoeff({m: q for m, q in mm.items() if q}) for t, mm in coeffs.items()}
         out.append(TruncSeries(ctx.vars, terms, min(guar, ctx.D)))
     return out
+
+
+# -- the lifting with every t-degree solved ---------------------------------------------
+
+
+def lifting_oracle(ctx, g, basis, alpha):
+    """``gkm.basis_expand`` with every t-degree of the lifting solved.
+
+    This is the lifting as it ran before the lead certificate: each degree
+    builds and solves A_d, also where the residual is zero, and the rank
+    of A_d decides Ambiguous against NoSolution.  A basis of point classes
+    takes ``basis_expand``'s own point route, which the certificate does not
+    touch.  ``solve`` is looked up through ``gkm``, so a spy sees its calls.
+    """
+    if len(basis) != len(g.vertices):
+        raise ValueError("basis size must equal the number of fixed points")
+    supports = [[v for v, s in b.values.items() if not s.is_zero()] for b in basis]
+    if all(len(s) == 1 for s in supports) and len({s[0] for s in supports}) == len(basis):
+        return gkm.basis_expand(ctx, g, basis, alpha)
+    guar = min([alpha.guarantee] + [b.guarantee for b in basis])
+    top = 0 if ctx.fgl.is_specialized else ctx.fgl.Dc
+    lows = []
+    for b in basis:
+        degs = [s.lowest_degree() for s in b.values.values() if not s.is_zero()]
+        if not degs:
+            raise Ambiguous("zero basis element")
+        lows.append(min(degs))
+    if not ctx.fgl.is_specialized:
+        for b in basis:
+            degs = {s.homogeneous_degree() for s in b.values.values() if not s.is_zero()}
+            if len(degs) != 1 or None in degs:
+                raise ValueError("basis element is not homogeneous")
+    width = sum(math.comb(guar - low + ctx.rank - 1, ctx.rank - 1) for low in lows if low <= guar)
+    if width > gkm.MAX_EXPAND_COLUMNS:
+        raise TooLarge(
+            f"expansion needs {width} unknowns in one t-degree, above the limit {gkm.MAX_EXPAND_COLUMNS}"
+        )
+    leads, tails = gkm._split_lowest(basis, lows)
+    tmons = [gkm._t_monomials(ctx.rank, e) for e in range(guar + 1)]
+    residual = [{} for _ in range(guar + 1)]
+    for v, s in alpha.values.items():
+        for t, c in s.num.items():
+            if sum(t) <= guar:
+                residual[sum(t)][(v, t)] = {m: Fraction(x, s.den) for m, x in c.items()}
+    coords = [{} for _ in basis]
+    for d in range(guar + 1):
+        cols = [(k, s) for k, low in enumerate(lows) if low <= d for s in tmons[d - low]]
+        rows, rhs = gkm._lifting_system(cols, leads, residual[d])
+        if not cols and not rows:
+            continue
+        status, y = gkm.solve(rows, rhs, len(cols))
+        if status == UNDERDETERMINED or (status == INCONSISTENT and rank(rows) < len(cols)):
+            raise Ambiguous("basis is not free through the truncation")
+        if status == INCONSISTENT or above_generator(y, top):
+            raise NoSolution("class is not in the span of the basis")
+        for (k, s), part in zip(cols, y):
+            if not part:
+                continue
+            coords[k][s] = part
+            neg = [(m, -q) for m, q in part.items()]
+            for v, t, dt, c in tails[k]:
+                if d + dt <= guar:
+                    key = (v, tuple(map(operator.add, s, t)))
+                    mul_acc(residual[d + dt].setdefault(key, {}), neg, c)
+    return [from_table(ctx.vars, c, min(guar, ctx.D) - low) for c, low in zip(coords, lows)]
 
 
 def outcome(expand, ctx, g, basis, alpha):
@@ -447,3 +515,87 @@ def test_expansion_size_guard_admits_its_limit(monkeypatch, T1, P1):
     monkeypatch.setattr(gkm, "MAX_EXPAND_COLUMNS", 1)
     with pytest.raises(TooLarge):
         gkm.basis_expand(T1, P1, basis, basis[1])
+
+
+# -- the lead certificate ---------------------------------------------------------------
+
+
+def full_outcome(expand, ctx, g, basis, alpha):
+    """The coordinates and their guarantees, or the type and message of the error raised."""
+    try:
+        coords = expand(ctx, g, basis, alpha)
+    except (Ambiguous, NoSolution, TooLarge, ValueError) as exc:
+        return type(exc), str(exc)
+    return coords, [c.guarantee for c in coords]
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.booleans().flatmap(lambda degenerate: expansion_problems(degenerate=degenerate)))
+def test_skipping_empty_degrees_matches_the_lifting_of_every_degree(problem):
+    T, g, basis, alpha, _ = problem
+    got = full_outcome(gkm.basis_expand, T, g, basis, alpha)
+    assert got == full_outcome(lifting_oracle, T, g, basis, alpha)
+
+
+def _spy_solve(monkeypatch):
+    calls = []
+
+    def spy(rows, rhs, ncols):
+        calls.append((rows, rhs, ncols))
+        return solve(rows, rhs, ncols)
+
+    monkeypatch.setattr(gkm, "solve", spy)
+    return calls
+
+
+def test_only_degrees_with_a_residual_are_solved(monkeypatch):
+    # universal P^4 forget of 1 + m1*h^2 in 1, h, ..., h^4 at the command line's
+    # default truncation 2*dim + 2
+    g = gkm.pn_graph(4)
+    T = TorusContext(4, build(6, 10))
+    basis = _powers(gkm.pn_hyperplane(T, g), T, g, 4)
+    alpha = basis[0] + basis[2].mul_coeff(GradedCoeff.generator(1))
+    calls = _spy_solve(monkeypatch)
+    want = lifting_oracle(T, g, basis, alpha)
+    every = list(calls)
+    calls.clear()
+    got = gkm.basis_expand(T, g, basis, alpha)
+    assert got == want and [c.guarantee for c in got] == [c.guarantee for c in want]
+    assert [str(T.augment(c)) for c in got] == ["1", "0", "m1", "0", "0"]
+    # the same systems in the same order, less those with a zero right-hand side
+    assert calls == [c for c in every if any(c[1])]
+    assert (len(calls), len(every)) == (2, 11)
+
+
+def test_a_lead_determinant_zero_at_the_cocharacter_solves_every_degree(monkeypatch):
+    # det [[1, t2], [1, 0]] = -t2 is nonzero, but zero at lambda = (1, 0)
+    T = TorusContext(2, build(3, 4))
+    g = gkm.p1_graph((1, 0))
+    assert g.cocharacter == (1, 0)
+    t1, t2 = T.var(0), T.var(1)
+    basis = [gkm.constant_class(T, g, 1), gkm.PiecewiseClass({"0": t2, "inf": T.zero()})]
+    assert not gkm._free_at_cocharacter(T, g, gkm._split_lowest(basis, [0, 1])[0])
+    inside = basis[0].mul_series(T.one() + t1) + basis[1].mul_series(t1)
+    outside = gkm.PiecewiseClass({"0": T.one(), "inf": T.zero()})
+    calls = _spy_solve(monkeypatch)
+    got = gkm.basis_expand(T, g, basis, inside)
+    assert len(calls) == 5 and not all(any(rhs) for _, rhs, _ in calls)
+    assert got == slot_expand_oracle(T, g, basis, inside)
+    assert got == [T.one() + t1, t1]
+    assert full_outcome(gkm.basis_expand, T, g, basis, inside) == full_outcome(
+        lifting_oracle, T, g, basis, inside)
+    for expand in (gkm.basis_expand, lifting_oracle, slot_expand_oracle):
+        assert outcome(expand, T, g, basis, outside) == NoSolution
+
+
+def test_zero_edge_character_keeps_the_lifting_and_reads_no_cocharacter():
+    g = gkm.GKMGraph(1, 1, ["0", "inf"], [("0", "inf", (0,))])
+    with pytest.raises(GraphInvalid):
+        g.cocharacter
+    T = TorusContext(1, build(3, 4))
+    t = T.var(0)
+    basis = [gkm.constant_class(T, g, 1), gkm.PiecewiseClass({"0": t, "inf": T.zero()})]
+    for alpha in (basis[1], gkm.PiecewiseClass({"0": T.one(), "inf": T.zero()})):
+        got = full_outcome(gkm.basis_expand, T, g, basis, alpha)
+        assert got == full_outcome(lifting_oracle, T, g, basis, alpha)
+    assert gkm.basis_expand(T, g, basis, basis[1]) == [T.zero(), T.one()]

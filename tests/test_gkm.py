@@ -162,6 +162,24 @@ def test_character_length_must_be_the_rank():
         gkm.GKMGraph.from_json(obj)
 
 
+def test_zero_edge_character_has_no_cocharacter_and_is_graph_invalid():
+    # validate's messages, for every zero edge, in edge order; integrate on the
+    # unvalidated graph reaches the cocharacter and refuses with the same text
+    g = gkm.GKMGraph(2, 1, ["0", "inf", "a", "b"],
+                     [("0", "inf", (0, 0)), ("a", "b", (1, 0)), ("b", "a", (0, 0))])
+    msg = r"^edge \(0,inf\) has the zero character; edge \(b,a\) has the zero character$"
+    with pytest.raises(GraphInvalid, match=msg):
+        g.cocharacter
+    T = TorusContext(2, build(1, 3))
+    with pytest.raises(GraphInvalid, match=msg):
+        gkm.integrate(T, g, gkm.constant_class(T, g, 1))
+    p1 = gkm.GKMGraph(1, 1, ["0", "inf"], [("0", "inf", (0,))])
+    assert p1.validate() == ["edge (0,inf) has the zero character"]
+    T1 = TorusContext(1, build(1, 3))
+    with pytest.raises(GraphInvalid, match=r"^edge \(0,inf\) has the zero character$"):
+        gkm.integrate(T1, p1, gkm.constant_class(T1, p1, 1))
+
+
 def test_rank_must_be_positive():
     for rank in (0, -1):
         with pytest.raises(ValueError, match="rank must be positive"):
