@@ -24,12 +24,30 @@ tests, and on the point classes of the six P^1 characters of the
 universal ``gkm forget`` of 1 + m1*h^2 on P^3, P^4 and P^5 in the basis
 1, h, ..., h^n, in the library at the command line's defaults (truncation
 2n + 2, ``Dc = 6``), and report the linear systems the t-degree lifting
-solves.  Run from the repository root:
+solves.
+
+The reach rows run whole commands, each in a child process with a
+wall-clock limit: ``flag kernel x1`` and ``flag kernel x1+...+x6`` at rank
+6, and ``gkm integrate`` of the class 1 on ``gkm gen pn --n 9`` and
+``--n 12`` with ``--coeff-deg n`` (the graph made beforehand, untimed, and
+read from stdin).  Each prints one JSON object: the wall time of the child,
+its peak RSS (``VmHWM``, read by the child), its exit status and the
+SHA-256 of its stdout; a command that outlives ``REACH_LIMIT`` seconds is
+killed and recorded as a timeout, and the run goes on.  ``--src DIR`` picks the source
+tree the children import, so one copy of this script measures two trees.
+Run from the repository root:
 
     PYTHONPATH=src python benchmarks/bench_kernels.py
+    PYTHONPATH=src python benchmarks/bench_kernels.py --reach [--src DIR]
 """
 
+import argparse
+import hashlib
+import json
+import os
 import random
+import subprocess
+import sys
 import time
 from fractions import Fraction
 
@@ -240,7 +258,7 @@ def workload_expansion(n):
     return timeit(gkm.tensor_with_L, T, g, basis, alpha, repeat=3), len(systems)
 
 
-def main():
+def timing_rows():
     rng = random.Random(2024)
     rows = []
     for name, make in [
@@ -270,6 +288,79 @@ def main():
     for name, t, *note in rows:
         print(f"{name:34s} {t * 1e3:9.2f}ms", *note)
 
+
+REACH_LIMIT = 30.0  # seconds of wall time per reach row
+
+# The child: the command line's main, then its own peak RSS (KiB) as the last
+# stderr line.  That is VmHWM, the peak of the child's own address space:
+# getrusage's ru_maxrss keeps the parent's peak across fork and exec.
+CHILD = """import sys
+from torcob.cli import main
+code = main(sys.argv[1:])
+sys.stdout.flush()
+with open("/proc/self/status") as status:
+    print(next(l.split()[1] for l in status if l.startswith("VmHWM:")), file=sys.stderr)
+sys.exit(code)
+"""
+
+
+def run_child(src, argv, stdin_text=""):
+    """(seconds, max RSS in KiB or None, exit status or None, stdout): one command in a child."""
+    env = dict(os.environ, PYTHONPATH=src)
+    t0 = time.perf_counter()
+    proc = subprocess.Popen(
+        [sys.executable, "-c", CHILD, *argv], env=env,
+        stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    try:
+        out, err = proc.communicate(stdin_text.encode(), timeout=REACH_LIMIT)
+    except subprocess.TimeoutExpired:
+        proc.kill()
+        out, _ = proc.communicate()
+        return time.perf_counter() - t0, None, None, out
+    seconds = time.perf_counter() - t0
+    last = err.decode().splitlines()[-1:]
+    rss = int(last[0]) if last and last[0].isdigit() else None
+    return seconds, rss, proc.returncode, out
+
+
+def reach_rows(src):
+    """Yield one JSON-ready dict per reach command, run in a child under ``src``."""
+    jobs = [
+        ("flag kernel x1 --rank 6", ["flag", "kernel", "x1", "--rank", "6"], ""),
+        ("flag kernel x1+...+x6 --rank 6",
+         ["flag", "kernel", "+".join(f"x{k}" for k in range(1, 7)), "--rank", "6"], ""),
+    ]
+    for n in (9, 12):
+        _, _, code, graph = run_child(src, ["gkm", "gen", "pn", "--n", str(n)])
+        if code != 0:
+            raise RuntimeError(f"gkm gen pn --n {n} exited {code}")
+        cls = json.dumps({v: "1" for v in json.loads(graph)["vertices"]})
+        argv = ["gkm", "integrate", "--class", cls, "--coeff-deg", str(n)]
+        jobs.append((f"gkm integrate 1 on pn({n})", argv, graph.decode()))
+    for name, argv, stdin_text in jobs:
+        seconds, rss, code, out = run_child(src, argv, stdin_text)
+        yield {
+            "row": name,
+            "seconds": round(seconds, 4),
+            "max_rss_mib": None if rss is None else round(rss / 1024, 1),
+            "exit": code,
+            "timed_out": code is None,
+            "stdout_sha256": hashlib.sha256(out).hexdigest(),
+        }
+
+
+def main():
+    here = os.path.dirname(os.path.abspath(__file__))
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--reach", action="store_true", help="run only the reach rows")
+    parser.add_argument("--src", default=os.path.join(here, os.pardir, "src"),
+                        help="source tree the reach rows import (default: this repository's)")
+    args = parser.parse_args()
+    if not args.reach:
+        timing_rows()
+    for row in reach_rows(os.path.abspath(args.src)):
+        print(json.dumps(row), flush=True)
 
 if __name__ == "__main__":
     main()

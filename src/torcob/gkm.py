@@ -324,13 +324,16 @@ def required_guarantee(g: GKMGraph, alpha: PiecewiseClass) -> int:
 
 
 def _generic_cocharacter(g: GKMGraph) -> tuple:
-    """Smallest lambda with <chi, lambda> != 0 on every edge character.
+    """A lambda with <chi, lambda> != 0 on every edge character, by a greedy rule.
 
-    Smallest by max-norm, then lexicographically with the entries ordered
-    0, 1, -1, 2, -2, ...; a depth-first search tests each character as soon
-    as its last nonzero entry is assigned.  No lambda pairs nonzero with
-    the zero character, so an edge that carries it raises GraphInvalid,
-    with ``validate``'s message for each such edge.
+    The entries are assigned in index order.  A character whose last nonzero
+    entry is i pairs with lambda linearly in lambda_i, with the nonzero
+    coefficient chi_i, once the entries before i are set, so it forbids at
+    most one value of lambda_i; lambda_i is the first of 0, 1, -1, 2, -2, ...
+    that no such character forbids.  This takes time linear in the edges.
+    No lambda pairs nonzero with the zero character, so an edge that
+    carries it raises GraphInvalid, with ``validate``'s message for each
+    such edge.
     """
     zero = _zero_characters(g)
     if zero:
@@ -338,26 +341,18 @@ def _generic_cocharacter(g: GKMGraph) -> tuple:
     checks = [[] for _ in range(g.rank)]
     for chi in {chi for _, _, chi in g.edges}:
         checks[max(i for i, x in enumerate(chi) if x)].append(chi)
-
-    def search(lam, values):
-        if len(lam) == g.rank:
-            return tuple(lam)
-        for x in values:
-            lam.append(x)
-            if all(_pairing(chi, lam) for chi in checks[len(lam) - 1]):
-                found = search(lam, values)
-                if found:
-                    return found
-            lam.pop()
-        return None
-
-    radius = 0
-    while True:
-        values = [0] + [s * k for k in range(1, radius + 1) for s in (1, -1)]
-        found = search([], values)
-        if found:
-            return found
-        radius += 1
+    lam = []
+    for i, chars in enumerate(checks):
+        forbidden = set()
+        for chi in chars:
+            partial = _pairing(chi[:i], lam)
+            if partial % chi[i] == 0:
+                forbidden.add(-partial // chi[i])
+        x = 0
+        while x in forbidden:
+            x = -x if x > 0 else 1 - x
+        lam.append(x)
+    return tuple(lam)
 
 
 def _pairing(chi, lam) -> int:

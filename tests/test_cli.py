@@ -72,6 +72,17 @@ def test_gkm_gen_and_integrate_pipe():
     assert code == 0 and out == "2*m1\n"
 
 
+@pytest.mark.parametrize("n", [12, 23])
+def test_projective_space_integrates_to_its_cobordism_class(monkeypatch, n):
+    # [P^n] = (n+1) m_n; the generic cocharacter of P^n takes linear time
+    monkeypatch.delenv("COBORDISM_DEFAULT_DEG", raising=False)
+    code, graph, _ = run(["gkm", "gen", "pn", "--n", str(n)])
+    assert code == 0
+    cls = json.dumps({v: "1" for v in json.loads(graph)["vertices"]})
+    argv = ["gkm", "integrate", "--class", cls, "--coeff-deg", str(n)]
+    assert run(argv, stdin_text=graph) == (0, f"# deg {n + 1}\n{n + 1}*m{n}\n", "")
+
+
 def test_gkm_gen_flag_and_pn():
     code, out, _ = run(["gkm", "gen", "flag", "--n", "3"])
     g = json.loads(out)

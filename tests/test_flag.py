@@ -1,10 +1,12 @@
 """Coinvariant algebra of the flag variety, its moment-graph bridge and its residue pairing."""
 
+import functools
 import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from torcob import flag, gkm
 from torcob.coeff import GradedCoeff
@@ -166,17 +168,79 @@ def test_kernel_check_random_agreement():
         flag.kernel_check(T, n, p)
 
 
-def test_kernel_check_runs_both_routes(monkeypatch):
+def _symmetric_parts(n, variables, k, elementary):
+    """[h_0, ..., h_k] (complete) or [e_0, ..., e_k] (elementary) in the x_l, l in variables."""
+    out = [x_one(n)] + [x_zero(n)] * k
+    for l in variables:
+        x = flag.x_var(n, l)
+        degrees = range(k, 0, -1) if elementary else range(1, k + 1)
+        for d in degrees:
+            out[d] = out[d] + x * out[d - 1]
+    return out
+
+
+def test_groebner_basis_lies_in_the_symmetric_ideal():
+    # the certificate's h_i come from _groebner_basis; each is
+    # sum_j (-1)^j e_j(x_(m+1), ..., x_n) h_(i-j)(x_1, ..., x_n) with m = n + 1 - i,
+    # and every h_(i-j) with j < i is symmetric of positive degree (e_i of
+    # i - 1 variables is zero)
+    for n in range(1, 6):
+        for i, (lead, rest) in enumerate(flag._groebner_basis(n), start=1):
+            m = n + 1 - i
+            h = flag.x_poly(n, {e: GradedCoeff.one() for e in (lead, *rest)})
+            assert h == _symmetric_parts(n, range(1, m + 1), i, False)[i]
+            complete = _symmetric_parts(n, range(1, n + 1), i, False)
+            elementary = _symmetric_parts(n, range(m + 1, n + 1), i, True)
+            assert elementary[i].is_zero()
+            combination = x_zero(n)
+            for j in range(i):
+                combination = combination + (elementary[j] * complete[i - j]).scale((-1) ** j)
+            assert h == combination
+
+
+def test_kernel_check_certifies_each_answer(monkeypatch):
+    # a false answer is certified by the pairing, a true one by the cofactors
     T = TorusContext(2, build(3, 5))
     x1 = flag.x_var(2, 1)
-    # the pairing route calls _pairings, in descending Artin degree
     monkeypatch.setattr(flag, "_pairings", lambda ctx, n, p, exps: iter([GradedCoeff.zero()] * 2))
     with pytest.raises(ArithmeticError):
         flag.kernel_check(T, 2, x1)
     monkeypatch.undo()
-    monkeypatch.setattr(flag, "normal_form", lambda n, p: x_zero(n))
+    real = flag._divide
+    monkeypatch.setattr(flag, "_divide", lambda n, p: (x_zero(n), real(n, p)[1]))
     with pytest.raises(ArithmeticError):
         flag.kernel_check(T, 2, x1)
+
+
+def _kernel_poly(n):
+    """A polynomial in the kernel at rank n whose division uses every h_i."""
+    x = [flag.x_var(n, k) for k in range(1, n + 1)]
+    p = flag.elementary_symmetric(n, 1) * (x[0] + x[-1] ** 2).scale(Fraction(2, 3))
+    for k in range(2, n + 1):
+        p = p + flag.elementary_symmetric(n, k).mul_coeff(GradedCoeff.generator(1))
+    return p
+
+
+@pytest.mark.parametrize("forge", ["drop a term", "change a numerator", "add a term"])
+def test_a_forged_cofactor_raises(monkeypatch, forge):
+    T = TorusContext(3, build(2, 4))
+    p = _kernel_poly(3)
+    nf, cofactors = flag._divide(3, p)
+    assert nf.is_zero() and all(cofactors)
+    flag._certify(3, p, cofactors)
+    forged = [dict(g) for g in cofactors]
+    shift, c = next(iter(forged[1].items()))
+    if forge == "drop a term":
+        del forged[1][shift]
+    elif forge == "change a numerator":
+        forged[1][shift] = {m: x + 1 for m, x in c.items()}
+    else:
+        forged[0][(5, 0, 0)] = {0: 1}
+    with pytest.raises(ArithmeticError, match="cofactors"):
+        flag._certify(3, p, forged)
+    monkeypatch.setattr(flag, "_divide", lambda n, q: (nf, forged))
+    with pytest.raises(ArithmeticError, match="cofactors"):
+        flag.kernel_check(T, 3, p)
 
 
 def _count_integrals(monkeypatch):
@@ -195,15 +259,17 @@ def test_kernel_check_stops_at_the_first_nonzero_pairing(monkeypatch, n, spec):
     assert len(calls) == 1
 
 
-def test_kernel_check_pairs_everything_for_a_true_answer(monkeypatch):
-    T = TorusContext(3, build(3, 4))
-    p = flag.elementary_symmetric(3, 1) * (flag.x_var(3, 1) + flag.x_var(3, 2) ** 2)
+@pytest.mark.parametrize("n", [3, 6])
+def test_kernel_check_pairs_nothing_for_a_true_answer(monkeypatch, n):
+    dim = n * (n - 1) // 2
+    T = TorusContext(n, build(0, dim + 1, "additive"))
+    p = _kernel_poly(n)
     calls = _count_integrals(monkeypatch)
-    assert all(c.is_zero() for c in flag.artin_pairing(T, 3, p))
-    whole = len(calls)
-    calls.clear()
-    assert flag.kernel_check(T, 3, p)
-    assert len(calls) == whole > 1
+    assert flag.kernel_check(T, n, p)
+    assert calls == []
+    if n == 3:
+        assert all(c.is_zero() for c in flag.artin_pairing(T, n, p))
+        assert calls
 
 
 @pytest.mark.parametrize("spec", [None, "additive", ("multiplicative", Fraction(2, 5))],
@@ -219,6 +285,62 @@ def test_descending_pairings_are_the_pairing_reversed(spec):
             pairing = flag.artin_pairing(T, n, p)
             assert list(flag._pairings(T, n, p, reversed(exps))) == pairing[::-1]
             assert flag.kernel_check(T, n, p) == all(c.is_zero() for c in pairing)
+
+
+KERNEL_LAWS = {"universal": None, "additive": "additive", "multiplicative:2/5": ("multiplicative", Fraction(2, 5))}
+
+
+@functools.cache
+def _kernel_context(n, law):
+    """The context of rank n under ``KERNEL_LAWS[law]``, at truncation dim + 1."""
+    return TorusContext(n, build(2, n * (n - 1) // 2 + 1, KERNEL_LAWS[law]))
+
+
+@st.composite
+def kernel_inputs(draw):
+    """(n, law, p): up to three monomials, times e_k for a drawn k >= 1 about
+    half the time, of total degree at most dim + 1 at ranks 1-4."""
+    n = draw(st.integers(1, 4))
+    law = draw(st.sampled_from(sorted(KERNEL_LAWS)))
+    k = draw(st.sampled_from([0, 0, *range(1, n + 1)]))
+    top = n * (n - 1) // 2 + 1 - k
+    terms = {}
+    for _ in range(draw(st.integers(1, 3))):
+        e = [0] * n
+        for i in draw(st.lists(st.integers(0, n - 1), max_size=top)):
+            e[i] += 1
+        c = GradedCoeff.from_rational(Fraction(draw(st.integers(-3, 3)), draw(st.integers(1, 3))))
+        if law == "universal" and draw(st.booleans()):
+            c = c + GradedCoeff.generator(draw(st.integers(1, 2)))
+        if not c.is_zero():
+            terms[tuple(e)] = c
+    p = flag.x_poly(n, terms)
+    return n, law, p * flag.elementary_symmetric(n, k) if k else p
+
+
+def _pairing_says_zero(T, n, p):
+    return all(c.is_zero() for c in flag.artin_pairing(T, n, p))
+
+
+@settings(max_examples=120, deadline=None)
+@given(kernel_inputs())
+def test_kernel_check_is_the_all_zero_pairing(case):
+    n, law, p = case
+    T = _kernel_context(n, law)
+    assert flag.kernel_check(T, n, p) == _pairing_says_zero(T, n, p)
+
+
+@pytest.mark.parametrize("law", sorted(KERNEL_LAWS))
+def test_kernel_check_is_the_all_zero_pairing_at_rank5(law):
+    T = _kernel_context(5, law)
+    x = [flag.x_var(5, k) for k in range(1, 6)]
+    cases = [
+        (_kernel_poly(5), True),
+        (flag.elementary_symmetric(5, 3) * (x[0] ** 2 - x[4]) + x[1] ** 11, True),
+        (x[0] ** 4 * x[1] ** 3 * x[2] ** 2 * x[3] - flag.elementary_symmetric(5, 2), False),
+    ]
+    for p, want in cases:
+        assert flag.kernel_check(T, 5, p) == want == _pairing_says_zero(T, 5, p)
 
 
 # -- the moment-graph route, kept as an oracle for the residue pairing ----------

@@ -3,6 +3,8 @@ all-vertex sum, the one-variable residue series of ``residue_oracle`` and
 Kosniowski's chi_y formula."""
 
 import functools
+import json
+import pathlib
 from fractions import Fraction
 
 import pytest
@@ -12,7 +14,7 @@ from hypothesis import strategies as st
 from torcob import gkm
 from torcob.accept import _P1_CHARS
 from torcob.coeff import GradedCoeff
-from torcob.errors import NotDivisible
+from torcob.errors import NotDivisible, TorcobError
 from torcob.fgl import FGLContext, build
 from torcob.series import TruncSeries
 from torcob.torus import TorusContext
@@ -318,6 +320,73 @@ def test_graph_keeps_its_generic_cocharacter():
         lam = g.cocharacter
         assert lam == gkm._generic_cocharacter(g)
         assert g.cocharacter is lam
+
+
+def _searched_cocharacter(g):
+    """The smallest lambda by max-norm with <chi, lambda> != 0 on every edge.
+
+    The former library rule, kept as the oracle of the greedy one: lambda is
+    smallest by max-norm, then lexicographically with the entries ordered
+    0, 1, -1, 2, -2, ...; a depth-first search, radius by radius, tests each
+    character as soon as its last nonzero entry is assigned.  Exponential in
+    the rank on P^n, so run on small graphs only.
+    """
+    checks = [[] for _ in range(g.rank)]
+    for chi in {chi for _, _, chi in g.edges}:
+        checks[max(i for i, x in enumerate(chi) if x)].append(chi)
+
+    def search(lam, values):
+        if len(lam) == g.rank:
+            return tuple(lam)
+        for x in values:
+            lam.append(x)
+            if all(gkm._pairing(chi, lam) for chi in checks[len(lam) - 1]):
+                found = search(lam, values)
+                if found:
+                    return found
+            lam.pop()
+        return None
+
+    radius = 0
+    while True:
+        found = search([], [0] + [s * k for k in range(1, radius + 1) for s in (1, -1)])
+        if found:
+            return found
+        radius += 1
+
+
+def _golden_graphs():
+    """The valid graphs given inline by ``--graph`` in the golden corpus, each once."""
+    cases = json.loads((pathlib.Path(__file__).parent / "golden" / "cases.json").read_text("utf-8"))
+    texts = {c["argv"][c["argv"].index("--graph") + 1] for c in cases if "--graph" in c["argv"]}
+    graphs = []
+    for text in sorted(texts):
+        try:
+            g = gkm.GKMGraph.from_json(json.loads(text))
+            g.validate()
+        except (TorcobError, TypeError, ValueError):
+            continue
+        graphs.append(g)
+    return graphs
+
+
+def test_greedy_cocharacter_is_the_searched_one():
+    graphs = [gkm.pn_graph(n) for n in range(1, 9)] + [gkm.flag_graph(n) for n in range(1, 7)]
+    golden = _golden_graphs()
+    assert len(golden) >= 10
+    for g in graphs + golden:
+        lam = gkm._generic_cocharacter(g)
+        assert lam == _searched_cocharacter(g)
+        assert all(gkm._pairing(chi, lam) for _, _, chi in g.edges)
+
+
+@pytest.mark.parametrize("n", [12, 23])
+def test_greedy_cocharacter_on_large_projective_spaces(n):
+    # the search is exponential here; the greedy rule is linear in the edges
+    g = gkm.pn_graph(n)
+    lam = gkm._generic_cocharacter(g)
+    assert all(gkm._pairing(chi, lam) for _, _, chi in g.edges)
+    assert lam == tuple(k * s for k in range(1, n) for s in (1, -1))[:n]
 
 
 def test_non_class_fails_the_certificate():
