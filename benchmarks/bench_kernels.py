@@ -14,7 +14,11 @@ membership row tests, in the same ring, three two-factor multiples whose
 factors take no short cut; its time is the best warm pass, and it reports
 apart the first pass, which also fills the context's cache of Chern-power
 products, and the exact divisions (``divide_exact`` calls) each call runs.  The F row builds F = e(l(u) + l(v)) of the universal law at
-truncation 20 with ``Dc = 6``, its exponential built beforehand.  The
+truncation 20 with ``Dc = 6``, its exponential built beforehand.  The law
+rows time, on a fresh universal context at truncation D = 8, 16 and 24 with
+``Dc = D``, the exponential ``exp`` (its Lagrange inversion, the partition
+sum of ``coeff.inverse_powers``, and the check e(l(u)) = u) and the
+integration weights ``weight_factors(D - 1)``.  The
 ``is_class`` rows run the edge congruence test of ``gkm``: on the universal
 flag varieties Fl(6) and Fl(7) (every edge character e_a - e_b) for the
 classes x1^3 and x1*x2, where the first call also builds the graph's edge
@@ -192,6 +196,15 @@ def workload_bivariate_law():
     return build_F
 
 
+def workload_law(D):
+    """(exp, weights): best of 3 of the universal law's exponential (its
+    Lagrange inversion and the check e(l(u)) = u) and of ``weight_factors(D - 1)``,
+    each on a fresh context at truncation D with ``Dc = D``."""
+    exp = timeit(lambda: build(D, D).exp, repeat=3)
+    weights = timeit(lambda: build(D, D).weight_factors(D - 1), repeat=3)
+    return exp, weights
+
+
 def workload_flag_is_class(n, exps):
     """(first, best of 3): is_class of x^exps on the universal flag variety Fl(n)."""
     from torcob import gkm
@@ -275,6 +288,10 @@ def timing_rows():
     ))
     build_F = workload_bivariate_law()
     rows.append(("F at D = 20, Dc = 6", min(build_F() for _ in range(3))))
+    for D in (8, 16, 24):
+        exp, weights = workload_law(D)
+        rows.append((f"law exp at D = Dc = {D}", exp))
+        rows.append((f"law weight_factors({D - 1}), Dc = {D}", weights))
     for n in (6, 7):
         for label, exps in (("x1^3", (3,)), ("x1*x2", (1, 1))):
             first, best = workload_flag_is_class(n, exps)

@@ -325,25 +325,38 @@ class _Parser(argparse.ArgumentParser):
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built on the first call and shared after it."""
+    """The command-line parser, built on the first call and shared after it.
+
+    Its ``commands`` attribute maps each (group, sub) pair to that
+    subcommand's own parser.
+    """
     ap = _Parser(prog="torcob", description=__doc__)
+    ap.commands = {}
     top = ap.add_subparsers(dest="group", required=True)
 
-    fglp = top.add_parser("fgl", help="formal group law outputs")
-    fsub = fglp.add_subparsers(dest="sub", required=True)
-    p = fsub.add_parser("print", help="print F(u, v)")
+    def group(name, text):
+        """The function that adds a subcommand of ``name`` and records its parser."""
+        subs = top.add_parser(name, help=text).add_subparsers(dest="sub", required=True)
+
+        def add(sub, **kw):
+            ap.commands[name, sub] = p = subs.add_parser(sub, **kw)
+            return p
+
+        return add
+
+    add = group("fgl", "formal group law outputs")
+    p = add("print", help="print F(u, v)")
     _add_common(p)
-    p = fsub.add_parser("nseries", help="print the n-series [n]u")
+    p = add("nseries", help="print the n-series [n]u")
     p.add_argument("--n", type=int, required=True)
     _add_common(p)
-    p = fsub.add_parser("acoeff", help="print the coefficient of u^i v^j in F")
+    p = add("acoeff", help="print the coefficient of u^i v^j in F")
     p.add_argument("--i", type=int, required=True)
     p.add_argument("--j", type=int, required=True)
     _add_common(p)
 
-    gkmp = top.add_parser("gkm", help="moment-graph computations")
-    gsub = gkmp.add_subparsers(dest="sub", required=True)
-    p = gsub.add_parser("gen", help="generate a graph as JSON")
+    add = group("gkm", "moment-graph computations")
+    p = add("gen", help="generate a graph as JSON")
     p.add_argument("kind", choices=["p1", "pn", "flag"])
     p.add_argument("--char", default=None, help="character for p1, e.g. 1 or 1,-1")
     p.add_argument("--n", type=int, default=None, help="n for pn/flag")
@@ -351,27 +364,26 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also emit the distinguished classes as class JSON")
     _add_common(p)
     for name in ("check", "integrate"):
-        p = gsub.add_parser(name)
+        p = add(name)
         p.add_argument("--graph", default=None, help="graph JSON (@file or inline); default stdin")
         p.add_argument("--class", dest="cls", required=True, help="class JSON")
         _add_common(p)
     for name in ("expand", "forget"):
-        p = gsub.add_parser(name)
+        p = add(name)
         p.add_argument("--graph", default=None)
         p.add_argument("--class", dest="cls", required=True)
         p.add_argument("--basis", required=True, help="JSON array of class objects")
         _add_common(p)
 
-    flp = top.add_parser("flag", help="flag-variety coinvariant algebra")
-    flsub = flp.add_subparsers(dest="sub", required=True)
-    p = flsub.add_parser("nf", help="normal form on the Artin staircase")
+    add = group("flag", "flag-variety coinvariant algebra")
+    p = add("nf", help="normal form on the Artin staircase")
     p.add_argument("expr")
     p.add_argument("--rank", type=int, required=True)
     _add_common(p, deg=False)
-    p = flsub.add_parser("rank", help="free rank and Artin basis")
+    p = add("rank", help="free rank and Artin basis")
     p.add_argument("--rank", type=int, required=True)
     p.add_argument("--basis", action="store_true", help="also list the basis monomials")
-    p = flsub.add_parser("kernel", help="does the polynomial map to zero?")
+    p = add("kernel", help="does the polynomial map to zero?")
     p.add_argument("expr")
     p.add_argument("--rank", type=int, required=True)
     _add_common(p)
@@ -381,12 +393,36 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _parse(argv):
+    """The namespace of ``argv``: by the subcommand's own parser when
+    ``argv[:2]`` names one and that parse succeeds with nothing left over,
+    else by the whole parser, whose help, usage errors and "unrecognized
+    arguments" text are the ones printed.
+
+    The whole parser hands ``argv[2:]`` to that same subcommand parser and
+    adds ``group`` and ``sub``, so both routes give one namespace; the first
+    runs one argparse level instead of three.
+    """
+    ap = build_parser()
+    sub = ap.commands.get(tuple(argv[:2]))
+    if sub is not None:
+        try:
+            args, rest = sub.parse_known_args(argv[2:])
+        except _ParserExit:
+            pass
+        else:
+            if not rest:
+                args.group, args.sub = argv[:2]
+                return args
+    return ap.parse_args(argv)
+
+
 def main(argv=None, stdout=None, stderr=None, stdin=None) -> int:
     out = stdout if stdout is not None else sys.stdout
     err = stderr if stderr is not None else sys.stderr
     inp = stdin if stdin is not None else sys.stdin
     try:
-        args = build_parser().parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else list(argv))
     except _ParserExit as exc:
         status, text = exc.args
         (out if status == 0 else err).write(text)

@@ -13,7 +13,8 @@ integer keys of ``kernels``, and this module and ``series`` are the only
 ones that convert: ``__mul__`` packs on entry and unpacks on exit, and
 ``GradedCoeff.from_numerators`` is the one step from a map of integer
 numerators over a denominator to a ``GradedCoeff``.  ``inverse_powers``
-takes and returns key maps, so the law's sums never leave that format.
+takes and returns key maps of integer numerators, so the law's sums never
+leave that format and form no ``Fraction``.
 """
 
 from __future__ import annotations
@@ -90,9 +91,6 @@ class GradedCoeff:
 
     def is_rational(self) -> bool:
         return not self.terms or (len(self.terms) == 1 and () in self.terms)
-
-    def rational_part(self) -> Fraction:
-        return self.terms.get((), Fraction(0))
 
     # -- grading -----------------------------------------------------------
 
@@ -228,32 +226,38 @@ def partitions(n: int) -> list:
     return out
 
 
-def inverse_powers(M: dict, n: int, shift: int) -> list:
-    """[p_0, ..., p_n] with p_k = [u^k] (1 + M(u))^-(k + shift), as {m-key: Fraction} maps.
+def inverse_powers(M: dict, den: int, n: int, shift: int) -> list:
+    """[P_0, ..., P_n], {m-key: int} maps with P_k / den^k = [u^k] (1 + M(u))^-(k + shift).
 
-    ``M`` maps j to the {m-key: Fraction} map of u^j in M(u), with no entry
-    where that is zero; only the keys 1..n are read.  For shift >= 0 and
-    N = k + shift, the binomial series gives
+    ``M`` maps j to the {m-key: int} numerators, over ``den``, of u^j in
+    M(u), with no entry where that is zero; only the keys 1..n are read.
+    For shift >= 0 and N = k + shift, the binomial series gives
 
         p_k = sum over partitions lambda of k of
               (-1)^l (N + l - 1)! / ((N - 1)! aut(lambda)) * M^lambda,
 
     where l is the length of lambda, M^lambda = prod_j M_j^(k_j) and
-    aut(lambda) = prod_j k_j! over the part multiplicities k_j.  One
-    depth-first walk over the partitions of size <= n, along their prefixes,
-    makes one coefficient product per step and skips the parts j with
-    M_j = 0.  These are the Lagrange-Burmann sums of the law's exponential
-    and characteristic series (see ``fgl``).
+    aut(lambda) = prod_j k_j! over the part multiplicities k_j.  The weight
+    is the integer +-C(N + l - 1, l) l! / aut(lambda), taken by exact floor
+    division, and over den^k the term M^lambda carries den^(k - l): each
+    part j enters as den^(j - 1) times the numerators of M_j.  So the sums
+    run on integers only.  One depth-first walk over the partitions of size
+    <= n, along their prefixes, makes one coefficient product per step and
+    skips the parts j with M_j = 0.  These are the Lagrange-Burmann sums of
+    the law's exponential and characteristic series (see ``fgl``).
     """
-    out = [{0: Fraction(1)}] + [{} for _ in range(n)]
+    out = [{0: 1}] + [{} for _ in range(n)]
+    parts = {j: {m: x * den ** (j - 1) for m, x in c.items()} for j, c in M.items() if 1 <= j <= n}
 
     def grow(prod, size, last, run, length, aut):
-        # prod = M^mu and aut = (-1)^l aut(mu) for the prefix mu, run = multiplicity of last
+        # prod = M^mu den^(|mu| - l) and aut = (-1)^l aut(mu) for the prefix mu,
+        # run = multiplicity of last
         for p in range(1, min(last, n - size) + 1):
-            if p in M:
+            c = parts.get(p)
+            if c is not None:
                 k, r = size + p, run + 1 if p == last else 1
-                prod_p = mul_acc({}, prod.items(), M[p])
-                w = Fraction(factorial(k + shift + length), -factorial(k + shift - 1) * aut * r)
+                prod_p = mul_acc({}, prod.items(), c)
+                w = factorial(k + shift + length) // (-factorial(k + shift - 1) * aut * r)
                 mul_acc(out[k], prod_p.items(), {0: w})
                 grow(prod_p, k, p, r, length + 1, -aut * r)
 

@@ -26,7 +26,11 @@ The characteristic series of the law is Q(x) = x / e(x) (Hirzebruch), a
 unit written exp(sum_k q_k x^k) with q_k in Q[m] of weight k.  Since
 e(x) / x = 1 / (1 + M(e(x))), the Lagrange-Burmann formula for logarithms
 gives q_k = -[u^k] (1 + M)^-k / k: the same partition sum as e's
-(``coeff.inverse_powers``), read from l, not from e.  The
+(``coeff.inverse_powers``), read from l, not from e.  Both sums run on
+l's integer numerators over its one denominator d, built as a table with
+no ``GradedCoeff``: ``inverse_powers`` returns integer maps P_k with
+[u^k] (1 + M)^-N = P_k / d^k, so e and the weights are written as
+numerator tables with no ``Fraction`` per term.  The
 exponential expansion prod_j Q(a_j z) = sum_mu q_mu p_mu(a) z^|mu| / aut(mu)
 over partitions mu, with power sums p_k(a) = sum_j a_j^k and aut(mu) the
 product of the factorials of the part multiplicities, is what
@@ -43,7 +47,8 @@ from fractions import Fraction
 
 from torcob.coeff import GradedCoeff, inverse_powers, partitions
 from torcob.errors import TooLarge, TruncationInsufficient
-from torcob.series import TruncSeries
+from torcob.kernels import generator
+from torcob.series import TruncSeries, _series
 
 ADDITIVE = "additive"
 MULTIPLICATIVE = "multiplicative"
@@ -82,18 +87,22 @@ class FGLContext:
 
     # -- construction -------------------------------------------------------
 
-    def _log_coeff(self, i):
-        if self.specialization is None:
-            return GradedCoeff.generator(i) if i <= self.Dc else GradedCoeff.zero()
-        return GradedCoeff.from_rational(spec_value(self.specialization, i))
-
     def _build_log(self):
-        coeffs = {(1,): GradedCoeff.one()}
-        for i in range(1, self.D):
-            c = self._log_coeff(i)
-            if not c.is_zero():
-                coeffs[(i + 1,)] = c
-        return TruncSeries(("u",), coeffs, self.D)
+        """l(u) = u + sum_i c_i u^(i+1), written as its numerator table: the
+        universal law's c_i = m_i (i <= Dc) over 1, a specialization's
+        rationals over the lcm of their denominators."""
+        if self.specialization is None:
+            num = {(1,): {0: 1}}
+            for i in range(1, min(self.Dc, self.D - 1) + 1):
+                num[(i + 1,)] = {generator(i): 1}
+            return _series(("u",), num, 1, self.D)
+        values = [spec_value(self.specialization, i) for i in range(1, self.D)]
+        den = math.lcm(*(q.denominator for q in values))
+        num = {(1,): {0: den}}
+        for i, q in enumerate(values, 1):
+            if q:
+                num[(i + 1,)] = {0: q.numerator * (den // q.denominator)}
+        return _series(("u",), num, den, self.D)
 
     @functools.cached_property
     def exp(self) -> TruncSeries:
@@ -148,30 +157,32 @@ class FGLContext:
         (packed keys, as in ``kernels``), where p is its last part and j the
         multiplicity of p; the empty partition maps to 1.  The weight of mu
         is the product of the factors of mu and of its nonempty prefixes,
-        over den^|mu|.  Reads l through degree dim + 1, so the weights
-        respect Dc and the specialization; cached per dim.
+        over den^|mu|, and den is the lcm of the denominators of the q_p / j.
+        The factor of mu depends only on (p, j) and is one map shared by
+        those mu.  Reads l through degree dim + 1, so the weights respect Dc
+        and the specialization; cached per dim.
         """
         out = self._weights.get(dim)
         if out is None:
             if dim + 1 > self.D:
                 raise TruncationInsufficient(f"weights of degree {dim} need truncation {dim + 1}")
-            # q_k = -[u^k] (1 + M)^-k / k, with l(u) = u (1 + M(u))
-            log = self.log
-            M = {
-                k - 1: {m: Fraction(x, log.den) for m, x in c.items()}
-                for (k,), c in log.num.items()
-            }
-            p = inverse_powers(M, dim, 0)
-            rational = {}
-            for mu in partitions(dim):
-                if mu:
-                    w = Fraction(-1, mu[-1] * mu.count(mu[-1]))
-                    rational[mu] = {m: q * w for m, q in p[mu[-1]].items()}
-            den = math.lcm(*(q.denominator for f in rational.values() for q in f.values()))
+            # q_p / j = -P_p / (d^p p j), with l(u) = u (1 + M(u)) over d = den(l);
+            # each map goes over its least denominator, and den is their lcm
+            d = self.log.den
+            M = {k - 1: c for (k,), c in self.log.num.items()}
+            P = inverse_powers(M, d, dim, 0)
+            reduced = {}
+            for p in range(1, dim + 1):
+                for j in range(1, dim // p + 1):
+                    q = d ** p * p * j
+                    g = math.gcd(q, *P[p].values())
+                    reduced[p, j] = ({m: -x // g for m, x in P[p].items()}, q // g)
+            den = math.lcm(*(q for _, q in reduced.values()))
+            by_part = {pj: {m: x * (den ** pj[0] // q) for m, x in c.items()}
+                       for pj, (c, q) in reduced.items()}
             factors = {(): {0: 1}}
-            for mu, f in rational.items():
-                scale = den ** mu[-1]
-                factors[mu] = {m: q.numerator * (scale // q.denominator) for m, q in f.items()}
+            for mu in partitions(dim)[1:]:
+                factors[mu] = by_part[mu[-1], mu.count(mu[-1])]
             out = self._weights[dim] = (den, factors)
         return out
 

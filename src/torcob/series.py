@@ -9,10 +9,11 @@ lexicographically with the highest generator most significant.  One
 constructor, ``from_table``, puts a {t-exps: {m-key: Fraction}} table over
 the lcm of its denominators; ``TruncSeries(vars, coeffs, guarantee)`` packs
 its {t-exps: GradedCoeff} map into such a table first, so an exponent above
-``kernels.MAX_EXP`` raises TooLarge there, and the Lagrange inversion and
-``gkm``'s expansion coordinates build their tables directly, as does
-``term``, the one-term series of a rational, a t-monomial and at most one
-generator, which rational ``monomial``s (constants, variables) use.
+``kernels.MAX_EXP`` raises TooLarge there, and ``gkm``'s expansion
+coordinates build their tables directly, as does ``term``, the one-term
+series of a rational, a t-monomial and at most one generator, which
+rational ``monomial``s (constants, variables) use.  The Lagrange inversion
+writes integer numerators over one denominator, settled by one gcd sweep.
 Sums go through ``signed_sum``, which adds any number of series in one
 table.  ``coeffs`` and ``coefficient`` unpack through
 ``GradedCoeff.from_numerators``.  The form is canonical (no zero numerator,
@@ -383,8 +384,12 @@ class TruncSeries:
         """Inverse under composition for a one-variable series c*u + higher.
 
         Lagrange inversion (Stanley, EC2 5.4): with self = c*u*(1 + M(u)),
-        the coefficient of x^(n+1) in the inverse is [u^n] (1 + M)^-(n+1)
-        over (n+1) c^(n+1), one partition sum per n (``inverse_powers``).
+        the coefficient of x^n in the inverse is [u^(n-1)] (1 + M)^-n over
+        n c^n, one partition sum per n (``inverse_powers``).  M's numerators
+        are those of self over the numerator a of c, and with c = a1 / b in
+        lowest terms that coefficient is P_(n-1) b^n / (a^(n-1) a1^n n), so
+        the table is written over |a|^(G-1) |a1|^G lcm(1..G) (G the
+        guarantee) with integer numerators and settled by one gcd sweep.
         The guarantee is unchanged.
         """
         if len(self.vars) != 1:
@@ -394,14 +399,15 @@ class TruncSeries:
         c1 = self.num.get((1,))
         if c1 is None or not _is_rational(c1):
             raise NotInvertible("linear coefficient must be an invertible rational")
-        # M(u) = self / (c*u) - 1, c = c1 / den: the numerators of u^k over c1 give M_(k-1)
-        M = {k - 1: {m: Fraction(x, c1[0]) for m, x in c.items()} for (k,), c in self.num.items()}
-        c = Fraction(c1[0], self.den)
+        g, a = self.guarantee, c1[0]
+        M = {k - 1: c for (k,), c in self.num.items()}
+        a1, b = a // gcd(a, self.den), self.den // gcd(a, self.den)
+        sign, top = (1 if a > 0 else -1), lcm(*range(1, g + 1))
         table = {}
-        for n, p in enumerate(inverse_powers(M, self.guarantee - 1, 1), 1):
-            scale = c ** -n / n
-            table[(n,)] = {m: q * scale for m, q in p.items()}
-        return from_table(self.vars, table, self.guarantee)
+        for n, p in enumerate(inverse_powers(M, a, g - 1, 1), 1):
+            if p:
+                table[(n,)] = _times(p, sign * b ** n * abs(a * a1) ** (g - n) * (top // n))
+        return _canonical(self.vars, table, abs(a) ** (g - 1) * abs(a1) ** g * top, g)
 
     # -- rendering ----------------------------------------------------------
 

@@ -1,5 +1,6 @@
 """End-to-end command-line behavior: outputs, exit codes, determinism."""
 
+import argparse
 import io
 import json
 import os
@@ -672,8 +673,103 @@ def test_parser_is_built_once_per_process():
     cli.build_parser.cache_clear()
     for i in range(20):
         run(["flag", "nf", f"x1^{i % 3}", "--rank", "2"] if i % 2 else ["fgl", "print", "--bogus"])
-    info = cli.build_parser.cache_info()
-    assert (info.misses, info.hits) == (1, 19)
+    assert cli.build_parser.cache_info().misses == 1
+
+
+def whole_parse(argv):
+    """The namespace of the whole parser, or the (status, text) it exits with."""
+    try:
+        return cli.build_parser().parse_args(argv)
+    except cli._ParserExit as exc:
+        return exc.args
+
+
+def dispatched_parse(argv):
+    try:
+        return cli._parse(argv)
+    except cli._ParserExit as exc:
+        return exc.args
+
+
+def subcommand_parse(argv):
+    """The namespace of the subcommand's own parser, None if it fails or leaves words over."""
+    sub = cli.build_parser().commands.get(tuple(argv[:2]))
+    if sub is None:
+        return None
+    try:
+        args, rest = sub.parse_known_args(argv[2:])
+    except cli._ParserExit:
+        return None
+    if rest:
+        return None
+    args.group, args.sub = argv[:2]
+    return args
+
+
+def test_subcommand_table_names_every_subcommand():
+    assert sorted(cli.build_parser().commands) == sorted(
+        [("fgl", s) for s in ("print", "nseries", "acoeff")]
+        + [("gkm", s) for s in ("gen", "check", "integrate", "expand", "forget")]
+        + [("flag", s) for s in ("nf", "rank", "kernel")]
+    )
+
+
+def test_subcommand_parser_matches_the_whole_parser_on_the_golden_corpus():
+    cases = json.loads((pathlib.Path(__file__).parent / "golden" / "cases.json").read_text("utf-8"))
+    direct = 0
+    for case in cases:
+        argv = case["argv"]
+        whole = whole_parse(argv)
+        assert dispatched_parse(argv) == whole, argv
+        sub = subcommand_parse(argv)
+        if sub is not None:
+            assert sub == whole, argv
+            direct += 1
+    assert direct > len(cases) // 2
+
+
+# One command of each kind the ``cli`` workload runs, with the options it passes.
+WORKLOAD_KINDS = [
+    ["flag", "kernel", "(-2*x1 + 3/2*m1*x2)*(x1 + x2 + x3)", "--rank", "3"],
+    ["flag", "nf", "-3*x1^2*x2 + m2*x1", "--rank", "3"],
+    ["fgl", "print", "--deg", "5", "--spec", "multiplicative:-1/3"],
+    ["fgl", "nseries", "--n", "-2", "--deg", "4", "--spec", "additive"],
+    ["fgl", "acoeff", "--i", "2", "--j", "1"],
+    ["gkm", "gen", "flag", "--n", "3", "--classes"],
+    ["gkm", "check", "--graph", P1_JSON, "--class", '{"0": "t1", "inf": "0"}'],
+    ["gkm", "integrate", "--graph", P1_JSON, "--class", '{"0": "1", "inf": "1"}'],
+    ["gkm", "expand", "--graph", P1_JSON, "--class", '{"0": "1", "inf": "1"}',
+     "--basis", '[{"0": "1", "inf": "1"}, {"0": "t1", "inf": "0"}]'],
+    ["gkm", "forget", "--graph", P1_JSON, "--class", '{"0": "1", "inf": "1"}',
+     "--basis", '[{"0": "1", "inf": "1"}, {"0": "t1", "inf": "0"}]'],
+]
+
+
+@pytest.mark.parametrize("argv", WORKLOAD_KINDS, ids=lambda argv: " ".join(argv[:2]))
+def test_subcommand_parser_matches_the_whole_parser_on_workload_kinds(argv):
+    whole = whole_parse(argv)
+    assert isinstance(whole, argparse.Namespace)
+    assert subcommand_parse(argv) == dispatched_parse(argv) == whole
+
+
+HELP_AND_ERRORS = (
+    [["--help"], ["-h"], ["selftest", "--help"]]
+    + [[group, "--help"] for group in ("fgl", "gkm", "flag")]
+    + [[*pair, "--help"] for pair in sorted(cli.build_parser().commands)]
+    + [
+        [], ["bogus"], ["fgl"], ["fgl", "bogus"], ["gkm", "bogus", "--deg", "3"],
+        ["fgl", "print", "--deg", "3", "extra"], ["fgl", "print", "--bogus"],
+        ["fgl", "print", "--he"], ["flag", "nf", "x1"], ["flag", "nf", "x1", "--rank", "x"],
+        ["flag", "kernel", "x1", "--rank"], ["gkm", "gen", "p2"],
+    ]
+)
+
+
+@pytest.mark.parametrize("argv", HELP_AND_ERRORS, ids=" ".join)
+def test_help_and_usage_errors_print_the_whole_parsers_bytes(argv):
+    status, text = whole_parse(argv)
+    want = (status, text, "") if status == 0 else (status, "", text)
+    assert run(argv) == want
 
 
 def test_parser_is_not_built_at_import():
