@@ -99,7 +99,6 @@ def _oracle_universal_F(deg):
     for k in range(2, deg + 1):
         # coefficient of u^k in sum_{j<k} b_j l(u)^j must be cancelled
         acc = {}
-        power = {0: dict(one)}
         lp = {0: dict(one)}
         for j in range(1, k):
             lp = _omul1(lp, log, deg)
@@ -293,6 +292,21 @@ def _slot_index(slots):
     return {s: i for i, s in enumerate(slots)}
 
 
+def _reduce(row, echelon):
+    """row, reduced in place against the echelon rows (lead, row scaled to 1 at lead)."""
+    for lead, brow in echelon:
+        fct = row.get(lead)
+        if fct is None:
+            continue
+        for c2, v2 in brow.items():
+            val = row.get(c2, Fraction(0)) - fct * v2
+            if val:
+                row[c2] = val
+            elif c2 in row:
+                del row[c2]
+    return row
+
+
 def criterion_4():
     """Congruent-pair dimensions on P^1 match the module generated by (1,1)
     and the point class, degree by degree through t-degree 4."""
@@ -329,35 +343,12 @@ def criterion_4():
                 # brute side: pairs (f, g) with f - g in the truncated image
                 echelon = []
                 for row in image_rows:
-                    row = dict(row)
-                    for lead, brow in echelon:
-                        fct = row.get(lead)
-                        if fct is None:
-                            continue
-                        for c2, v2 in brow.items():
-                            val = row.get(c2, Fraction(0)) - fct * v2
-                            if val:
-                                row[c2] = val
-                            elif c2 in row:
-                                del row[c2]
+                    row = _reduce(dict(row), echelon)
                     if row:
                         lead = min(row)
                         piv = row[lead]
                         echelon.append((lead, {cc: vv / piv for cc, vv in row.items()}))
-                residue_rows = []
-                for idx in range(n_f):
-                    row = {idx: Fraction(1)}
-                    for lead, brow in echelon:
-                        fct = row.get(lead)
-                        if fct is None:
-                            continue
-                        for c2, v2 in brow.items():
-                            val = row.get(c2, Fraction(0)) - fct * v2
-                            if val:
-                                row[c2] = val
-                            elif c2 in row:
-                                del row[c2]
-                    residue_rows.append(row)
+                residue_rows = [_reduce({idx: Fraction(1)}, echelon) for idx in range(n_f)]
                 constraint_rank = mat_rank(residue_rows)
                 brute_dim = 2 * n_f - constraint_rank
                 # span side: columns (a, a) and (b*c truncated, 0)

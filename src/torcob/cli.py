@@ -269,14 +269,12 @@ def _cmd_flag(args, out, stdin):
         return 0
     # kernel: the default truncation, and so the "# deg" header, keeps the
     # bytes it had when the Artin basis was restricted up to degree n(n-1)/2;
-    # the pairing reads the law's characteristic series through degree dim,
-    # which needs the logarithm through dim + 1, so the context is built at
-    # dim + 1 where the truncation is lower.
+    # the context is built at that truncation, and the pairing reads the law
+    # through dim + 1 however low it is (``flag._pairings``).
     dim = n * (n - 1) // 2
     computed = max(max(p.max_degree() or 0, 1) + 1, dim)
     deg = _default_deg(args, computed, out)
-    flagmod.require_degree(p, deg)
-    ctx = TorusContext(n, fgl_build(args.coeff_deg, max(deg, dim + 1), spec))
+    ctx = TorusContext(n, fgl_build(args.coeff_deg, deg, spec))
     ok = flagmod.kernel_check(ctx, n, p)
     print("true" if ok else "false", file=out)
     return 0
@@ -328,7 +326,8 @@ def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built on the first call and shared after it.
 
     Its ``commands`` attribute maps each (group, sub) pair to that
-    subcommand's own parser.
+    subcommand's own parser, which ``_parse`` runs alone when argv names
+    the pair; the whole parser runs only for argv that names none.
     """
     ap = _Parser(prog="torcob", description=__doc__)
     ap.commands = {}
@@ -394,27 +393,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _parse(argv):
-    """The namespace of ``argv``: by the subcommand's own parser when
-    ``argv[:2]`` names one and that parse succeeds with nothing left over,
-    else by the whole parser, whose help, usage errors and "unrecognized
-    arguments" text are the ones printed.
+    """The namespace of ``argv``: by the subcommand's own parser alone when
+    ``argv[:2]`` names one, else by the whole parser.
 
-    The whole parser hands ``argv[2:]`` to that same subcommand parser and
-    adds ``group`` and ``sub``, so both routes give one namespace; the first
-    runs one argparse level instead of three.
+    The whole parser would hand ``argv[2:]`` to that same subcommand parser
+    and add ``group`` and ``sub``, so the subcommand's parse, its help and
+    its usage errors are the whole parser's, one argparse level instead of
+    three.  Words it leaves over are refused by the whole parser's own
+    "unrecognized arguments" call.
     """
     ap = build_parser()
     sub = ap.commands.get(tuple(argv[:2]))
-    if sub is not None:
-        try:
-            args, rest = sub.parse_known_args(argv[2:])
-        except _ParserExit:
-            pass
-        else:
-            if not rest:
-                args.group, args.sub = argv[:2]
-                return args
-    return ap.parse_args(argv)
+    if sub is None:
+        return ap.parse_args(argv)
+    args, rest = sub.parse_known_args(argv[2:])
+    if rest:
+        ap.error(f"unrecognized arguments: {' '.join(rest)}")
+    args.group, args.sub = argv[:2]
+    return args
 
 
 def main(argv=None, stdout=None, stderr=None, stdin=None) -> int:

@@ -24,7 +24,9 @@ without forming x - y: ``agree_off_axis`` compares their terms free of
 t_a, ``agree_on_diagonal`` their restrictions to t_a = t_b, both through
 the lower of the two guarantees and across the two denominators.
 
-Product membership is decided by one exact division.  Each c(chi)^d is a
+Membership that needs a division, of one factor (``chern_divides`` past its
+short cuts) or of a product (``ideal_membership_product``), is decided by
+one helper, ``_divides``: one exact division.  Each c(chi)^d is a
 non-zero-divisor (its lowest part is nonzero in the domain Q[m][t]), so the
 product P = prod c(chi_j)^(d_j) is one too, and f lies in (P) iff
 ``divide_exact`` of f by P succeeds.  ``chern_product`` caches P per
@@ -34,18 +36,18 @@ characters extend pairwise to a lattice basis, the c(chi_j)^(d_j) form a
 regular sequence, so the product of the ideals (c(chi_j)^(d_j)) equals
 their intersection; acceptance criterion 9 tests that identity.  In any
 ring (a*b) lies in (a) and in (b), so a product that holds certifies the
-intersection.  Only when the product fails is the intersection tested
-factor by factor, f itself against each factor without a short cut, so the
-non-trivial inclusion (intersection in product) is still computed wherever
-it could fail.  Truncation does not change either answer: if q*P = f
-through G, then (q * prod_{k != j} c(chi_k)^(d_k)) * c(chi_j)^(d_j) = f
-through G, so a product that holds through G puts f in every factor's
-ideal through G.  Nor does the division run out of guarantee: the lowest
-parts (chi_j . t)^(d_j) are pairwise coprime, so a nonzero f in every
-factor's ideal has lowest degree at least sum d_j, which is then at most
-G.  A nonzero f with a term below t-degree d is no multiple of c(chi)^d,
-whose multiples start at degree d; the short cuts refuse it before any
-division.
+intersection.  Only when a product of several factors fails is the
+intersection tested factor by factor, f itself against each factor without
+a short cut, so the non-trivial inclusion (intersection in product) is
+still computed wherever it could fail.  Truncation does not change either
+answer: if q*P = f through G, then
+(q * prod_{k != j} c(chi_k)^(d_k)) * c(chi_j)^(d_j) = f through G, so a
+product that holds through G puts f in every factor's ideal through G.
+Nor does the division run out of guarantee: the lowest parts
+(chi_j . t)^(d_j) are pairwise coprime, so a nonzero f in every factor's
+ideal has lowest degree at least sum d_j, which is then at most G.  A
+nonzero f with a term below t-degree d is no multiple of c(chi)^d, whose
+multiples start at degree d; the short cuts refuse it before any division.
 """
 
 from __future__ import annotations
@@ -225,8 +227,8 @@ class TorusContext:
         """Whether c(chi)^d divides f through its guarantee.
 
         The two short cuts of the module docstring answer axis characters and
-        e_a - e_b with d = 1 without dividing; every other case is
-        ``divide_by_chern``.  Always a bool: when d exceeds the guarantee, a
+        e_a - e_b with d = 1 without dividing; every other case is one
+        ``_divides``.  Always a bool: when d exceeds the guarantee, a
         nonzero f keeps a term below degree d, which no multiple of c(chi)^d
         has.
         """
@@ -234,7 +236,7 @@ class TorusContext:
         decided = self._divides_without_division(f, chi, d)
         if decided is not None:
             return decided
-        return _try(lambda: self.divide_by_chern(f, chi, d))
+        return self._divides(f, [(chi, d)])
 
     def _divides_without_division(self, f: TruncSeries, chi, d: int):
         """``chern_divides`` where no division is needed, else None."""
@@ -266,25 +268,23 @@ class TorusContext:
             )
         return f.divide_exact(self.chern_power(chi, d))
 
-    # -- ideal membership ---------------------------------------------------
-
-    def product_divides(self, factors, f: TruncSeries) -> bool:
-        """Whether prod c(chi_j)^(d_j) divides f through its guarantee.
+    def _divides(self, f: TruncSeries, factors) -> bool:
+        """Whether prod c(chi_j)^(d_j) divides the nonzero f through its
+        guarantee, for checked factors with every d_j > 0.
 
         One exact division of f by the cached ``chern_product`` (module
-        docstring), for any factors.  A nonzero f whose guarantee is below
-        sum d_j is not a multiple: it keeps a term below the product's
-        lowest degree.
+        docstring), for any factors.  An f whose guarantee is below sum d_j
+        is not a multiple: it keeps a term below the product's lowest degree.
         """
-        factors = [(tuple(chi), int(d)) for chi, d in factors]
-        for chi, d in factors:
-            _check_factor(chi, d)
-        active = [(chi, d) for chi, d in factors if d > 0]
-        if f.is_zero() or not active:
-            return True
-        if sum(d for _, d in active) > f.guarantee:
+        if sum(d for _, d in factors) > f.guarantee:
             return False
-        return _try(lambda: f.divide_exact(self.chern_product(active)))
+        try:
+            f.divide_exact(self.chern_product(factors))
+        except NotDivisible:
+            return False
+        return True
+
+    # -- ideal membership ---------------------------------------------------
 
     def ideal_membership_product(self, factors, f: TruncSeries):
         """(in_product, in_intersection) for the ideal generated by
@@ -293,13 +293,15 @@ class TorusContext:
         Every pair of distinct characters must extend to a lattice basis
         (checked through the gcd of the 2x2 minors of the pair matrix), so
         the c(chi_j)^(d_j) form a regular sequence and the two answers agree.
-        The short cuts of ``chern_divides`` run on every factor first; a
-        factor that fails ends both tests.  A single factor is then one
-        division, which answers both.  Otherwise the product is
-        ``product_divides``, one division by the cached product; a product
-        that holds certifies the intersection with no further division, and
-        when it fails, the intersection tests f by ``chern_divides`` against
-        each factor without a short cut.
+        Each factor is checked once.  A zero f, or no factor with d > 0, lies
+        in both.  The short cuts of ``chern_divides`` run on every factor
+        first; a factor that fails ends both tests.  A single factor that a
+        short cut answers needs nothing more; otherwise the product is one
+        ``_divides`` by the cached product, which for a single factor
+        answers both.  A product that holds certifies the intersection with
+        no further division; when a product of several factors fails, the
+        intersection tests f by ``chern_divides`` against each factor
+        without a short cut.
         """
         factors = [(tuple(chi), int(d)) for chi, d in factors]
         for chi, d in factors:
@@ -310,20 +312,17 @@ class TorusContext:
                     raise ValueError(
                         f"{factors[i][0]} and {factors[j][0]} do not extend to a basis"
                     )
-        if f.is_zero():
-            return True, True
         active = [(chi, d) for chi, d in factors if d > 0]
+        if f.is_zero() or not active:
+            return True, True
         # a factor that fails ends both tests, so the short cuts run first
         decided = [self._divides_without_division(f, chi, d) for chi, d in active]
         if False in decided:
             return False, False
-        if len(active) < 2:
-            holds = None not in decided or _try(lambda: self.divide_by_chern(f, *active[0]))
-            return holds, holds
-        if self.product_divides(active, f):
+        if (len(active) == 1 and decided[0]) or self._divides(f, active):
             return True, True
         rest = [fac for fac, dec in zip(active, decided) if dec is None]
-        return False, all(self.chern_divides(f, chi, d) for chi, d in rest)
+        return False, len(active) > 1 and all(self.chern_divides(f, chi, d) for chi, d in rest)
 
 
 def pair_extends_to_basis(a, b) -> bool:
@@ -342,10 +341,3 @@ def _check_factor(chi, d):
     if d < 0:
         raise ValueError("negative multiplicity")
 
-
-def _try(thunk) -> bool:
-    try:
-        thunk()
-        return True
-    except NotDivisible:
-        return False

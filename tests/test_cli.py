@@ -348,8 +348,27 @@ def test_flag_kernel_below_artin_degree():
     # polynomial above --deg is still refused
     code, out, _ = run(["flag", "kernel", "x1", "--rank", "3", "--deg", "2"])
     assert code == 0 and out == "false\n"
-    code, out, _ = run(["flag", "kernel", "x1^2*x2 - x1*x2^2", "--rank", "3", "--deg", "2"])
-    assert code == 1 and out == ""
+    code, out, err = run(["flag", "kernel", "x1^2*x2 - x1*x2^2", "--rank", "3", "--deg", "2"])
+    want = "error: TruncationInsufficient: polynomial degree 3 exceeds series truncation 2\n"
+    assert (code, out, err) == (1, "", want)
+
+
+# (rank, polynomial of degree at most 2, answer)
+LOW_DEG_KERNELS = [
+    (2, "x1", "false"), (2, "m1*x1 + m1*x2", "true"),
+    (3, "x1^2 - 2*m1*x2", "false"), (3, "x1*x2 + x1*x3 + x2*x3", "true"),
+    (4, "x1*x2 + 3/2*x4", "false"), (4, "(x1 + x2 + x3 + x4)*(m1 - x2)", "true"),
+]
+
+
+@pytest.mark.parametrize("spec", ["universal", "additive", "multiplicative:2/5"])
+@pytest.mark.parametrize("n, expr, want", LOW_DEG_KERNELS, ids=str)
+def test_flag_kernel_at_or_below_dim_prints_the_bytes_of_dim_plus_one(spec, n, expr, want):
+    dim = n * (n - 1) // 2
+    argv = ["flag", "kernel", expr, "--rank", str(n), "--spec", spec, "--deg"]
+    assert run([*argv, str(dim + 1)]) == (0, want + "\n", "")
+    for deg in sorted({min(2, dim), dim}):
+        assert run([*argv, str(deg)]) == (0, want + "\n", "")
 
 
 def test_flag_commands():
@@ -691,21 +710,6 @@ def dispatched_parse(argv):
         return exc.args
 
 
-def subcommand_parse(argv):
-    """The namespace of the subcommand's own parser, None if it fails or leaves words over."""
-    sub = cli.build_parser().commands.get(tuple(argv[:2]))
-    if sub is None:
-        return None
-    try:
-        args, rest = sub.parse_known_args(argv[2:])
-    except cli._ParserExit:
-        return None
-    if rest:
-        return None
-    args.group, args.sub = argv[:2]
-    return args
-
-
 def test_subcommand_table_names_every_subcommand():
     assert sorted(cli.build_parser().commands) == sorted(
         [("fgl", s) for s in ("print", "nseries", "acoeff")]
@@ -714,18 +718,31 @@ def test_subcommand_table_names_every_subcommand():
     )
 
 
-def test_subcommand_parser_matches_the_whole_parser_on_the_golden_corpus():
+def _spy_on_whole_parse(monkeypatch):
+    """The list that records each call of the whole parser's ``parse_args``."""
+    calls = []
+    ap = cli.build_parser()
+    whole = ap.parse_args
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return whole(*args, **kwargs)
+
+    monkeypatch.setattr(ap, "parse_args", spy)
+    return calls
+
+
+def test_subcommand_parser_matches_the_whole_parser_on_the_golden_corpus(monkeypatch):
+    # every golden argv names a subcommand, whose parser alone gives the
+    # whole parser's namespace or exit
     cases = json.loads((pathlib.Path(__file__).parent / "golden" / "cases.json").read_text("utf-8"))
-    direct = 0
+    calls = _spy_on_whole_parse(monkeypatch)
     for case in cases:
         argv = case["argv"]
-        whole = whole_parse(argv)
-        assert dispatched_parse(argv) == whole, argv
-        sub = subcommand_parse(argv)
-        if sub is not None:
-            assert sub == whole, argv
-            direct += 1
-    assert direct > len(cases) // 2
+        got = dispatched_parse(argv)
+        assert calls == [], argv
+        assert got == whole_parse(argv), argv
+        calls.clear()
 
 
 # One command of each kind the ``cli`` workload runs, with the options it passes.
@@ -746,10 +763,15 @@ WORKLOAD_KINDS = [
 
 
 @pytest.mark.parametrize("argv", WORKLOAD_KINDS, ids=lambda argv: " ".join(argv[:2]))
-def test_subcommand_parser_matches_the_whole_parser_on_workload_kinds(argv):
+def test_subcommand_parser_matches_the_whole_parser_on_workload_kinds(monkeypatch, argv):
+    monkeypatch.delenv("COBORDISM_DEFAULT_DEG", raising=False)
+    calls = _spy_on_whole_parse(monkeypatch)
+    got = dispatched_parse(argv)
+    assert run(argv)[0] == 0
+    assert calls == []
     whole = whole_parse(argv)
     assert isinstance(whole, argparse.Namespace)
-    assert subcommand_parse(argv) == dispatched_parse(argv) == whole
+    assert got == whole
 
 
 HELP_AND_ERRORS = (
@@ -770,6 +792,36 @@ def test_help_and_usage_errors_print_the_whole_parsers_bytes(argv):
     status, text = whole_parse(argv)
     want = (status, text, "") if status == 0 else (status, "", text)
     assert run(argv) == want
+
+
+# Words the subcommand's parser reads as the whole parser would: "--", values
+# that look like options, repeats, abbreviations, "=" and words left over.
+EDGE_ARGV = [
+    ["fgl", "print", "--deg", "3", "--", "x"], ["fgl", "print", "--deg", "3", "--"],
+    ["--", "fgl", "print"], ["flag", "nf", "-x1", "--rank", "2"],
+    ["flag", "nf", "--rank", "2", "--", "-x1"], ["fgl", "print", "--deg", "3", "--deg", "2"],
+    ["fgl", "print", "--deg"], ["fgl", "print", "--he"],
+    ["fgl", "print", "--co", "2", "--deg", "3"], ["fgl", "print", "--deg=3"],
+    ["fgl", "print", "--deg=3", "extra", "words"], ["fgl", "print", "extra", "--deg", "3"],
+    ["gkm", "gen", "p1", "extra"], ["gkm", "gen", "p1", "--char", "-1"],
+    ["flag", "rank", "--rank", "3", "--basis", "--basis"], ["flag", "rank", "--rank", "3", "--deg", "3"],
+    ["flag", "kernel", "x1", "x2", "--rank", "2"], ["fgl", "acoeff", "--i", "1", "--j"],
+    ["fgl", "acoeff", "--i", "1", "--j", "1", "--i", "2", "--deg", "3"], ["fgl", "nseries", "--n", "x"],
+    ["fgl", "nseries", "--n", "-2", "--deg", "3"], ["fgl", "print", "-h", "--bogus"],
+    ["fgl", "print", "--bogus", "-h"], ["fgl", "print", "--spec"],
+    ["fgl", "print", "--spec", "additive", "--deg", "2", "-"], ["gkm", "gen", "--n", "2"],
+    ["flag", "nf", "x1", "--rank", "2", "--coeff-deg", "3", "--rank", "3"], ["selftest", "--only"],
+    ["fgl", "print", "--deg", "-1"],
+]
+
+
+@pytest.mark.parametrize("argv", EDGE_ARGV, ids=" ".join)
+def test_edge_argv_print_the_whole_parsers_bytes(monkeypatch, argv):
+    monkeypatch.delenv("COBORDISM_DEFAULT_DEG", raising=False)
+    assert dispatched_parse(argv) == whole_parse(argv)
+    got = run(argv)
+    monkeypatch.setattr(cli, "_parse", cli.build_parser().parse_args)
+    assert run(argv) == got
 
 
 def test_parser_is_not_built_at_import():

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from torcob import flag, gkm
+from torcob import exprs, flag, gkm
 from torcob.coeff import GradedCoeff
 from torcob.errors import TooLarge, TruncationInsufficient
 from torcob.fgl import build
@@ -403,6 +403,26 @@ def test_kernel_check_refuses_polynomial_above_truncation():
     assert not flag.kernel_check(T, 3, flag.x_var(3, 1) ** 2)
     with pytest.raises(TruncationInsufficient):
         flag.kernel_check(T, 3, flag.x_var(3, 1) ** 3)
+
+
+# (rank, polynomial, answer): each polynomial of degree at most 2
+LOW_TRUNCATION_CASES = [
+    (2, "x1", False), (2, "x1 + x2", True),
+    (3, "x1^2 + x1*x2", False), (3, "x1*x2 + x1*x3 + x2*x3", True),
+    (4, "x1*x2 - 2*x3", False), (4, "(x1 + x2 + x3 + x4)*(x1 - 3*x2)", True),
+]
+
+
+@pytest.mark.parametrize("law", sorted(KERNEL_LAWS))
+@pytest.mark.parametrize("n, text, want", LOW_TRUNCATION_CASES, ids=str)
+def test_kernel_check_at_or_below_dim_answers_as_at_dim_plus_one(law, n, text, want):
+    # the pairing reads the law through dim + 1 whatever the context's truncation
+    dim = n * (n - 1) // 2
+    p = exprs.eval_xpoly(exprs.parse(text), n)
+    assert flag.kernel_check(_kernel_context(n, law), n, p) is want
+    for D in sorted({min(2, dim), dim}):
+        low = TorusContext(n, build(2, D, KERNEL_LAWS[law]))
+        assert flag.kernel_check(low, n, p) is want
 
 
 def test_kernel_check_rank5_specialized():

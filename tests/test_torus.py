@@ -21,7 +21,6 @@ from torcob.fgl import build
 from torcob.series import TruncSeries
 from torcob.torus import (
     TorusContext,
-    _try,
     content,
     pair_extends_to_basis,
 )
@@ -406,7 +405,12 @@ def test_short_cuts_agree_with_division(rank, data):
         with pytest.raises(TruncationInsufficient):
             T.divide_by_chern(f, chi, d)
     else:
-        assert decided is _try(lambda: T.divide_by_chern(f, chi, d))
+        try:
+            T.divide_by_chern(f, chi, d)
+        except NotDivisible:
+            assert decided is False
+        else:
+            assert decided is True
 
 
 def test_multiplicity_above_truncation_refused():
@@ -653,6 +657,28 @@ def test_membership_divides_a_multiple_once_by_the_cached_product(T3, monkeypatc
         assert quotients[-1].eq_through(T3.one() + T3.var(2), quotients[-1].guarantee)
 
 
+@pytest.mark.parametrize("multiple", [True, False], ids=["multiple", "not"])
+def test_membership_of_one_factor_is_one_division(T3, monkeypatch, multiple):
+    # one factor: its product and its intersection are one ideal, decided by
+    # one exact division whatever the answer
+    chi, d = (2, 1, 1), 2
+    f = (T3.one() + T3.var(2)) * T3.chern_power(chi, d if multiple else 1)
+    if not multiple:
+        f = f * T3.var(0)  # lowest degree d, so no short cut refuses it
+    want = membership_product_oracle(T3, [(chi, d)], f)
+    assert want == (multiple, multiple)
+    calls = []
+    divide = TruncSeries.divide_exact
+
+    def spy(self, g):
+        calls.append(g)
+        return divide(self, g)
+
+    monkeypatch.setattr(TruncSeries, "divide_exact", spy)
+    assert T3.ideal_membership_product([(chi, d)], f) == want
+    assert calls == [T3.chern_power(chi, d)]
+
+
 @pytest.mark.parametrize("factors, multiplied, tested", [
     # multiples of the first factor only, with 2 and 3 factors
     ([((2, 1, 1), 2), ((1, 0, 1), 1)], 1, [(2, 1, 1), (1, 0, 1)]),
@@ -696,7 +722,7 @@ def test_successive_division_where_product_and_intersection_differ(T3, chi):
         product = T3.chern_power(factors[0][0], 1) * T3.chern_power(factors[1][0], 1)
         for f, want in ((T3.character_series(chi), (False, True)), (product, (True, True))):
             assert membership_product_oracle(T3, factors, f) == want
-            assert T3.product_divides(factors, f) == want[0]
+            assert T3._divides(f, factors) == want[0]
 
 
 def test_membership_refuses_bad_factors_before_dividing(T2, monkeypatch):
