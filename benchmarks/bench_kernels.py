@@ -28,13 +28,17 @@ tests, and on the point classes of the six P^1 characters of the
 universal ``gkm forget`` of 1 + m1*h^2 on P^3, P^4 and P^5 in the basis
 1, h, ..., h^n, in the library at the command line's defaults (truncation
 2n + 2, ``Dc = 6``), and report the linear systems the t-degree lifting
-solves.
+solves.  The powers rows build c(1, 1, 1)^d for d = 2, 3 and 4 on a fresh
+context at rank 3, truncation 8 and ``Dc = 3``, its Chern class built
+beforehand, and report the ``mul_acc`` calls and coefficient products of one
+build: a square forms each unordered pair of t-entries once.
 
 The reach rows run whole commands, each in a child process with a
 wall-clock limit: ``flag kernel x1`` and ``flag kernel x1+...+x6`` at rank
-6, and ``gkm integrate`` of the class 1 on ``gkm gen pn --n 9`` and
+6, ``gkm integrate`` of the class 1 on ``gkm gen pn --n 9`` and
 ``--n 12`` with ``--coeff-deg n`` (the graph made beforehand, untimed, and
-read from stdin).  Each prints one JSON object: the wall time of the child,
+read from stdin), and ``flag nf`` of x4^60 at rank 4, x3^3000 at rank 3 and
+x1 at rank 24.  Each prints one JSON object: the wall time of the child,
 its peak RSS (``VmHWM``, read by the child), its exit status and the
 SHA-256 of its stdout; a command that outlives ``REACH_LIMIT`` seconds is
 killed and recorded as a timeout, and the run goes on.  ``--src DIR`` picks the source
@@ -58,6 +62,7 @@ from fractions import Fraction
 from torcob.coeff import GradedCoeff
 from torcob.errors import NotDivisible
 from torcob.fgl import build
+from torcob import kernels
 from torcob.kernels import convolve, pack, unpack
 from torcob.series import TruncSeries
 from torcob.torus import TorusContext
@@ -183,6 +188,39 @@ def workload_membership(rng):
     return test_all, first, len(divisions) / len(cases)
 
 
+def workload_chern_power(d):
+    """(best of 7, mul_acc calls, coefficient products): c(1, 1, 1)^d on a
+    fresh context at rank 3, truncation 8, Dc = 3, its Chern class built first."""
+    chi = (1, 1, 1)
+
+    def fresh():
+        T = TorusContext(3, build(3, 8))
+        T.character_series(chi)
+        return T
+
+    best = float("inf")
+    for _ in range(7):
+        T = fresh()
+        t0 = time.perf_counter()
+        T.chern_power(chi, d)
+        best = min(best, time.perf_counter() - t0)
+    counts = [0, 0]
+    real = kernels.mul_acc
+
+    def counting(out, a_items, b):
+        counts[0] += 1
+        counts[1] += len(a_items) * len(b)
+        return real(out, a_items, b)
+
+    T = fresh()
+    kernels.mul_acc = counting  # for one counted build
+    try:
+        T.chern_power(chi, d)
+    finally:
+        kernels.mul_acc = real
+    return best, *counts
+
+
 def workload_bivariate_law():
     """F of the universal law at truncation 20, Dc = 6, from a fresh context per run."""
 
@@ -286,6 +324,10 @@ def timing_rows():
         "membership of 3 products (x3)", timeit(test_all),
         f"first pass {first * 1e3:.1f}ms, {per_call:.2f} divide_exact/call",
     ))
+    for d in (2, 3, 4):
+        best, calls, products = workload_chern_power(d)
+        rows.append((f"chern_power((1,1,1), {d})", best,
+                     f"{calls} mul_acc calls, {products} coefficient products"))
     build_F = workload_bivariate_law()
     rows.append(("F at D = 20, Dc = 6", min(build_F() for _ in range(3))))
     for D in (8, 16, 24):
@@ -355,6 +397,8 @@ def reach_rows(src):
         cls = json.dumps({v: "1" for v in json.loads(graph)["vertices"]})
         argv = ["gkm", "integrate", "--class", cls, "--coeff-deg", str(n)]
         jobs.append((f"gkm integrate 1 on pn({n})", argv, graph.decode()))
+    for expr, rank in (("x4^60", 4), ("x3^3000", 3), ("x1", 24)):
+        jobs.append((f"flag nf {expr} --rank {rank}", ["flag", "nf", expr, "--rank", str(rank)], ""))
     for name, argv, stdin_text in jobs:
         seconds, rss, code, out = run_child(src, argv, stdin_text)
         yield {

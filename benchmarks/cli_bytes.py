@@ -18,7 +18,7 @@ and compare the two lines.  The battery runs in this one process through
 
 Prints one JSON line: the number of commands and the SHA-256 of the
 (argv, exit status, stdout, stderr) of every command in turn.  The hash
-covers the help text, so a change to the ``cli`` module docstring, which
+covers the help text, so a change to ``cli.DESCRIPTION``, which
 ``torcob --help`` prints, changes it.
 """
 

@@ -22,7 +22,13 @@ from the graph's ``dim``, after reading the graph and the class but before
 validating the graph, so an input that is both invalid and too large exits
 2; the header line follows validation, so an invalid graph prints nothing.
 A rank below 1, given to ``flag nf|kernel`` or in a graph, is a usage
-error before any output.
+error before any output.  ``flag nf`` reduces only the parts of degree at
+most n(n-1)/2, the top degree of the coinvariant ring, and drops the rest
+as zero, so a high power or a high rank answers at once; ``flag kernel``
+reduces every part, as its certificate needs their cofactors.
+
+``torcob --help`` prints ``DESCRIPTION``, a summary kept apart from this
+docstring, so a note added here changes no help bytes.
 
 ``main`` may be called repeatedly in one process: the parser is built once,
 on the first call, and every byte of output, usage errors and ``--help``
@@ -45,6 +51,38 @@ from torcob.flag import MAX_COINV_RANK, MAX_KERNEL_RANK
 from torcob.gkm import MAX_FLAG_GRAPH_N
 from torcob.torus import TorusContext
 
+# The top-level parser's description, printed by ``torcob --help``: kept
+# apart from the module docstring so that notes there change no help bytes.
+DESCRIPTION = """Command-line front end.
+
+Commands: ``fgl print|nseries|acoeff``, ``gkm gen|check|integrate|expand|forget``,
+``flag nf|rank|kernel``, ``selftest``.  Output is deterministic and exact;
+exit status 0 on success, 1 on mathematical failure (non-divisibility, not a
+class, no expansion), 2 on usage or parse errors.
+
+When --deg is omitted the default truncation is computed per command (for
+integrate: the dimension plus one) and announced on a header line;
+COBORDISM_DEFAULT_DEG overrides the computed default.
+
+Size guards refuse, before any output, inputs whose cost grows without
+useful bound: a truncation above MAX_DEG, ``flag kernel`` above rank
+MAX_KERNEL_RANK, ``flag rank`` above rank MAX_COINV_RANK, ``gkm gen flag``
+above n = MAX_FLAG_GRAPH_N and ``gkm gen pn`` above n = MAX_PN_GRAPH_N (the
+README gives the measured times behind each limit).  Each raises
+``TooLarge``, as the library's own guards do, and exits 2; ``gkm
+expand|forget`` learns its size from the basis, so its guard
+(``gkm.MAX_EXPAND_COLUMNS``) fires after the header line.  ``gkm
+check|integrate|expand|forget`` check the truncation, given or computed
+from the graph's ``dim``, after reading the graph and the class but before
+validating the graph, so an input that is both invalid and too large exits
+2; the header line follows validation, so an invalid graph prints nothing.
+A rank below 1, given to ``flag nf|kernel`` or in a graph, is a usage
+error before any output.
+
+``main`` may be called repeatedly in one process: the parser is built once,
+on the first call, and every byte of output, usage errors and ``--help``
+included, goes to the streams given to that call.
+"""
 
 # Size guards, fixed in the library with no option or environment variable:
 # MAX_DEG, MAX_KERNEL_RANK, MAX_COINV_RANK and MAX_FLAG_GRAPH_N.
@@ -181,6 +219,8 @@ def _cmd_fgl(args, out, stdin):
         ctx = fgl_build(args.coeff_deg, deg, spec)
         print(str(ctx.n_series(args.n)), file=out)
     elif args.sub == "acoeff":
+        if args.i < 0 or args.j < 0:
+            raise UsageError("need --i >= 0 and --j >= 0")
         if args.i + args.j < 1:
             raise UsageError("need --i + --j >= 1")
         deg = _default_deg(args, args.i + args.j, out)
@@ -329,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     subcommand's own parser, which ``_parse`` runs alone when argv names
     the pair; the whole parser runs only for argv that names none.
     """
-    ap = _Parser(prog="torcob", description=__doc__)
+    ap = _Parser(prog="torcob", description=DESCRIPTION)
     ap.commands = {}
     top = ap.add_subparsers(dest="group", required=True)
 

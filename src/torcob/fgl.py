@@ -137,6 +137,8 @@ class FGLContext:
 
     def a_coeff(self, i: int, j: int) -> GradedCoeff:
         """Coefficient of u^i v^j in F; homogeneous of degree 1 - i - j."""
+        if i < 0 or j < 0:
+            raise ValueError(f"a[{i},{j}] has a negative index")
         if i + j > self.D:
             raise TruncationInsufficient(f"a[{i},{j}] beyond truncation {self.D}")
         return self.F.coefficient((i, j))

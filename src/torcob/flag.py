@@ -79,14 +79,16 @@ def _order_key(exps):
     return tuple(reversed(exps))
 
 
-def _groebner_basis(n: int):
-    """(leading exponent, the other exponents) of each h_i(x_1, ..., x_{n+1-i}).
+def _groebner_basis(n: int, top: int):
+    """(leading exponent, the other exponents) of each h_i(x_1, ..., x_{n+1-i})
+    with i <= ``top``.
 
     Every h_i is monic with all coefficients 1, so its exponents are the
-    whole polynomial.
+    whole polynomial.  Its lead has degree i, so the h_i above a polynomial's
+    degree divide none of its terms, and they are not built.
     """
     out = []
-    for i in range(1, n + 1):
+    for i in range(1, min(n, top) + 1):
         lead = [0] * n
         lead[n - i] = i
         lead = tuple(lead)
@@ -102,11 +104,15 @@ def _groebner_basis(n: int):
 
 
 def normal_form(n: int, p: TruncSeries) -> TruncSeries:
-    """Reduce onto the Artin staircase; a ring map to the quotient."""
-    return _divide(n, p)[0]
+    """Reduce onto the Artin staircase; a ring map to the quotient.
+
+    The basis is homogeneous and the quotient is zero above degree
+    n(n-1)/2, so the parts of p above that degree are dropped unreduced.
+    """
+    return _divide(n, p, n * (n - 1) // 2)[0]
 
 
-def _divide(n: int, p: TruncSeries) -> tuple:
+def _divide(n: int, p: TruncSeries, top=None) -> tuple:
     """(normal form, cofactors): the division of p by the Groebner basis.
 
     Runs on p's integer numerators: each step takes the largest term c x^t
@@ -117,13 +123,15 @@ def _divide(n: int, p: TruncSeries) -> tuple:
     {shift: numerator map} over p's denominator, so that
     p = sum_i h_i g_i + nf(p); a term, once reduced, never comes back (every
     term of the shifted h_i lies below it), so each (i, shift) is recorded
-    once and is never added to.
+    once and is never added to.  With ``top``, the terms of p above that
+    degree are dropped first, and no cofactor accounts for them.  Only the
+    h_i up to the degree of what is left are built, one cofactor each.
     """
     if p.vars != xvars(n):
         raise ValueError("polynomial is not in the expected x-variables")
-    gb = _groebner_basis(n)
+    work = {t: dict(c) for t, c in p.num.items() if top is None or sum(t) <= top}
+    gb = _groebner_basis(n, max(map(sum, work), default=0))
     cofactors = [{} for _ in gb]
-    work = {t: dict(c) for t, c in p.num.items()}
     done = {}
     while work:
         t = max(work, key=_order_key)
@@ -154,7 +162,7 @@ def _certify(n: int, p: TruncSeries, cofactors) -> None:
     products and the signed sum share no code with ``_divide``'s loop.
     """
     summands = [(1, p)]
-    for (lead, rest), g in zip(_groebner_basis(n), cofactors):
+    for (lead, rest), g in zip(_groebner_basis(n, len(cofactors)), cofactors):
         if g:
             h = _series(p.vars, {e: _ONE for e in (lead, *rest)}, 1, XBOUND)
             summands.append((-1, h * _canonical(p.vars, g, p.den, XBOUND)))

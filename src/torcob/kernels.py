@@ -5,7 +5,10 @@ table maps t-exponent tuples to such maps.  Series pass integer numerators
 (over their one denominator) and ``GradedCoeff`` passes Fractions; the loops
 never convert.  ``mul_acc`` accumulates coefficient products and
 ``convolve`` multiplies series tables, into a new table or added into a
-given one.  Zero entries never survive in any result.
+given one; given the same table twice, it squares it in about half the
+coefficient products, each unordered pair of t-entries formed once (the
+classical squaring rule, Knuth, TAOCP Vol. 2, 4.6.3).  Zero entries never
+survive in any result.
 
 An m-key is an m-monomial packed into one integer (FLINT's packed exponent
 vectors; Monagan-Pearce, CASC 2007): the exponent of m_i sits in bit field
@@ -120,11 +123,32 @@ def convolve(a, b, cap, *, out=None):
 
     Products of total t-degree above ``cap`` are dropped; pass None for no
     truncation.  With ``out`` the products are added into that table, which
-    is returned; a t-entry that cancels is removed.
+    is returned; a t-entry that cancels is removed.  A square (``a is b``)
+    forms each unordered pair of t-entries once: a pair of one entry with
+    itself as it is, any other pair with the first entry's coefficients
+    doubled, so about half the coefficient products of a general product.
     """
     if out is None:
         out = {}
     bitems = [(tb, sum(tb), cb) for tb, cb in b.items()]
+    if a is b:
+        # A loop of its own, so that the product loop below stays branch-free:
+        # most products, division's multiply-subtract steps among them, have
+        # a few entries, and a per-entry branch cost up to a tenth of a call.
+        for i, (ta, da, ca) in enumerate(bitems):
+            ca_items = list(ca.items())
+            twice = [(m, q + q) for m, q in ca_items]
+            for j in range(i, len(bitems)):
+                tb, db, cb = bitems[j]
+                if cap is not None and da + db > cap:
+                    continue
+                t = tuple(map(add, ta, tb))
+                tgt = out.get(t)
+                if tgt is None:
+                    tgt = out[t] = {}
+                if not mul_acc(tgt, twice if j > i else ca_items, cb):
+                    del out[t]
+        return out
     for ta, ca in a.items():
         da = sum(ta)
         ca_items = list(ca.items())

@@ -170,6 +170,14 @@ def test_acoeff_validates_before_header(monkeypatch):
     assert code == 0 and out == "# deg 3\n4*m1^2 - 3*m2\n"
 
 
+@pytest.mark.parametrize("i, j", [(-1, 3), (3, -1), (-1, -1), (-2, 2)])
+def test_acoeff_refuses_a_negative_index_before_header(monkeypatch, i, j):
+    monkeypatch.delenv("COBORDISM_DEFAULT_DEG", raising=False)
+    code, out, err = run(["fgl", "acoeff", "--i", str(i), "--j", str(j)])
+    assert (code, out) == (2, "")
+    assert err == "usage error: need --i >= 0 and --j >= 0\n"
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -471,6 +479,24 @@ def test_gen_p1_multi_component_char():
 def test_flag_nf_with_generator_coefficients():
     code, out, _ = run(["flag", "nf", "m1*x2 + x1^2", "--rank", "2"])
     assert code == 0 and out == "-m1*x1\n"
+
+
+@pytest.mark.parametrize(
+    "expr, rank, want",
+    [("x4^60", 4, "0"), ("x3^3000", 3, "0"), ("x1", 24, "x1"), ("x1 + x3^7", 3, "x1"),
+     ("x2 + x4^7", 4, "x2")],
+)
+def test_flag_nf_drops_the_parts_above_the_top_degree(expr, rank, want):
+    assert run(["flag", "nf", expr, "--rank", str(rank)]) == (0, want + "\n", "")
+
+
+def test_top_level_help_prints_the_description_not_the_docstring():
+    assert cli.build_parser().description is cli.DESCRIPTION != cli.__doc__
+    code, out, _ = run(["--help"])
+    assert code == 0
+    # argparse refills the description, so compare its words
+    assert " ".join(cli.DESCRIPTION.split()) in " ".join(out.split())
+    assert "DESCRIPTION" not in out
 
 
 def test_gen_invalid_graph_rejected():

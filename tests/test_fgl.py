@@ -92,6 +92,9 @@ def test_a_coeff_values_and_symmetry():
     assert ctx.a_coeff(2, 1) == ctx.a_coeff(1, 2)
     with pytest.raises(TruncationInsufficient):
         ctx.a_coeff(3, 3)
+    for i, j in [(-1, 3), (2, -1), (-1, 0)]:
+        with pytest.raises(ValueError, match="negative"):
+            ctx.a_coeff(i, j)
 
 
 def test_a_coeff_grading():

@@ -89,6 +89,31 @@ def test_normal_form_does_no_coefficient_arithmetic(n, monkeypatch):
         assert flag.artin_pairing(T, n, nf) == w
 
 
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_normal_form_drops_the_parts_above_the_top_degree(n):
+    # the full division, every part reduced and every h_i built, is the oracle
+    dim = n * (n - 1) // 2
+    rng = random.Random(57 + n)
+    for _ in range(6):
+        p = _rand_xpoly(n, rng, maxdeg=dim + 2)
+        top = flag.x_poly(n, {(0,) * (n - 1) + (dim + 1,): GradedCoeff.generator(2)})
+        for q in (p, p + top, p * flag.x_var(n, n)):
+            assert flag.normal_form(n, q) == flag._divide(n, q)[0]
+    assert flag.normal_form(n, top).is_zero()
+
+
+def test_division_builds_no_basis_element_above_the_degree(monkeypatch):
+    built = []
+    real = flag._groebner_basis
+    monkeypatch.setattr(flag, "_groebner_basis", lambda n, top: built.append(top) or real(n, top))
+    assert len(real(24, 2)) == 2 and len(real(3, 5)) == 3
+    x = functools.partial(flag.x_var, 24)
+    assert flag.normal_form(24, x(1)) == x(1)
+    assert flag.normal_form(24, x(24)) == x(24) - flag.elementary_symmetric(24, 1)
+    assert flag.normal_form(4, flag.x_var(4, 4) ** 60).is_zero()
+    assert built == [1, 1, 0]
+
+
 def _rand_xpoly(n, rng, maxdeg=2, lazard=True):
     terms = {}
     for _ in range(3):
@@ -186,7 +211,7 @@ def test_groebner_basis_lies_in_the_symmetric_ideal():
     # and every h_(i-j) with j < i is symmetric of positive degree (e_i of
     # i - 1 variables is zero)
     for n in range(1, 6):
-        for i, (lead, rest) in enumerate(flag._groebner_basis(n), start=1):
+        for i, (lead, rest) in enumerate(flag._groebner_basis(n, n), start=1):
             m = n + 1 - i
             h = flag.x_poly(n, {e: GradedCoeff.one() for e in (lead, *rest)})
             assert h == _symmetric_parts(n, range(1, m + 1), i, False)[i]

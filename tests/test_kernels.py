@@ -112,9 +112,12 @@ def test_convolve_matches_dense_product():
     for _ in range(300):
         a, b = rand_table(rng), rand_table(rng)
         cap = rng.choice([None, 0, 2, 3, 4])
-        got = convolve(packed_table(a), packed_table(b), cap)
+        pa = packed_table(a)
+        got = convolve(pa, packed_table(b), cap)
         assert got == packed_table(dense_product(a, b, cap))
-        for c in got.values():
+        square = convolve(pa, pa, cap)  # the same table twice: each unordered pair once
+        assert square == packed_table(dense_product(a, a, cap))
+        for c in (*got.values(), *square.values()):
             assert c and all(q for q in c.values())
         ca, cb = rand_coeff(rng), rand_coeff(rng)
         prod = GradedCoeff(ca) * GradedCoeff(cb)
@@ -137,17 +140,18 @@ def test_convolve_accumulates_into_out():
     for _ in range(200):
         a, b, c = rand_table(rng), rand_table(rng), rand_table(rng)
         cap = rng.choice([None, 2, 4])
-        want = dense_product(a, b, cap)
-        for t, cc in c.items():
-            tgt = want.setdefault(t, {})
-            for mm, q in cc.items():
-                tgt[mm] = tgt.get(mm, Fraction(0)) + q
-        want = {t: {mm: q for mm, q in cc.items() if q} for t, cc in want.items()}
-        pa, pb = packed_table(a), packed_table(b)
-        out = packed_table(c)
-        assert convolve(pa, pb, cap, out=out) == packed_table({t: cc for t, cc in want.items() if cc})
-        neg = {t: {mm: -q for mm, q in cc.items()} for t, cc in dense_product(a, b, cap).items()}
-        assert convolve(pa, pb, cap, out=packed_table(neg)) == {}
+        pa = packed_table(a)
+        for x, px in ((b, packed_table(b)), (a, pa)):  # a product, then a square
+            want = dense_product(a, x, cap)
+            for t, cc in c.items():
+                tgt = want.setdefault(t, {})
+                for mm, q in cc.items():
+                    tgt[mm] = tgt.get(mm, Fraction(0)) + q
+            want = {t: {mm: q for mm, q in cc.items() if q} for t, cc in want.items()}
+            out = packed_table(c)
+            assert convolve(pa, px, cap, out=out) == packed_table({t: cc for t, cc in want.items() if cc})
+            neg = {t: {mm: -q for mm, q in cc.items()} for t, cc in dense_product(a, x, cap).items()}
+            assert convolve(pa, px, cap, out=packed_table(neg)) == {}
 
 
 def test_mdiv_inverts_madd():
@@ -240,6 +244,22 @@ def test_exponent_at_the_field_limit(i):
     assert (half * GradedCoeff.monomial((0,) * i + (2 ** (W - 2) - 1,))).terms == {m: 1}
     with pytest.raises(TooLarge):
         half * half
+
+
+def test_a_square_above_the_exponent_limit_is_refused():
+    half = 2 ** (W - 2)  # twice half is MAX_EXP + 1
+    one = pack(())
+    table = {(0,): {pack((half,)): 1}}
+    with pytest.raises(TooLarge):  # the pair of the one entry with itself
+        convolve(table, table, None)
+    # the cap drops both pairs of an entry with itself, so only the doubled
+    # pair of the two entries passes the limit
+    table = {(0,): {one: 3, pack((half - 1,)): 1}, (2,): {pack((0, 5)): 2, pack((half + 1,)): 1}}
+    with pytest.raises(TooLarge):
+        convolve(table, table, 2)
+    assert convolve(table, table, 1) == {(0,): {one: 9, pack((half - 1,)): 6, pack((2 * half - 2,)): 1}}
+    low = {(0,): {one: 3}, (2,): {pack((0, 5)): 2}}
+    assert convolve(low, low, 2) == {(0,): {one: 9}, (2,): {pack((0, 5)): 12}}
 
 
 def test_generators_beyond_the_last_field_are_refused():

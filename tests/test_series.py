@@ -14,6 +14,7 @@ from torcob.errors import (
     VariableMismatch,
 )
 from torcob.fgl import build
+from torcob import kernels
 from torcob.kernels import convolve, pack
 from torcob import series as series_module
 from torcob.series import TruncSeries
@@ -696,6 +697,39 @@ def test_power_by_squaring_matches_repeated_products(f, n, guarantee):
     got = f ** n
     assert got == want and got.guarantee == want.guarantee
     assert_canonical(got)
+
+
+@pytest.mark.parametrize("chi", [(1, 1, 1), (2, -1, 0), (1, 0, 0)])
+def test_power_equals_products_of_distinct_copies(chi):
+    # a product of two copies takes the general path, a power squares its base
+    T = TorusContext(3, build(3, 6))
+    c = T.character_series(chi) + TruncSeries.constant(T.vars, Fraction(1, 3), T.D)
+    for d in range(2, 6):
+        copies = [TruncSeries(c.vars, c.coeffs, c.guarantee) for _ in range(d)]
+        assert len({id(x.num) for x in copies}) == d
+        want = copies[0]
+        for x in copies[1:]:
+            want = want * x
+        got = c ** d
+        assert got == want and got.guarantee == want.guarantee
+        assert_canonical(got)
+
+
+def test_chern_square_forms_each_pair_of_t_entries_once(monkeypatch):
+    # c(1,1,1)^2 at rank 3, truncation 8, Dc = 3: 8,902 coefficient products
+    # when every ordered pair is formed, 4,522 when each unordered one is
+    T = TorusContext(3, build(3, 8))
+    T.character_series((1, 1, 1))
+    products = []
+    real = kernels.mul_acc
+
+    def counting(out, a_items, b):
+        products.append(len(a_items) * len(b))
+        return real(out, a_items, b)
+
+    monkeypatch.setattr(kernels, "mul_acc", counting)
+    T.chern_power((1, 1, 1), 2)
+    assert len(products) <= 808 and sum(products) <= 4522
 
 
 def test_power_squares(monkeypatch):
