@@ -37,11 +37,14 @@ The reach rows run whole commands, each in a child process with a
 wall-clock limit: ``flag kernel x1`` and ``flag kernel x1+...+x6`` at rank
 6, ``gkm integrate`` of the class 1 on ``gkm gen pn --n 9`` and
 ``--n 12`` with ``--coeff-deg n`` (the graph made beforehand, untimed, and
-read from stdin), and ``flag nf`` of x4^60 at rank 4, x3^3000 at rank 3 and
-x1 at rank 24.  Each prints one JSON object: the wall time of the child,
-its peak RSS (``VmHWM``, read by the child), its exit status and the
-SHA-256 of its stdout; a command that outlives ``REACH_LIMIT`` seconds is
-killed and recorded as a timeout, and the run goes on.  ``--src DIR`` picks the source
+read from stdin), ``flag nf`` of x4^60 at rank 4, x3^3000 at rank 3 and
+x1 at rank 24, ``flag kernel`` of x6^16 and x6^20 at rank 6 (every part
+reduced, far above the top degree 15), and ``flag nf`` of x6^12 at rank 6
+and of the staircase monomial x1^2*x2^2*x3^2*x4^2*x5^2 at rank 22.  Each
+prints one JSON object: the wall time of the child, its peak RSS
+(``VmHWM``, read by the child), its exit status and the SHA-256 of its
+stdout; a command that outlives ``REACH_LIMIT`` seconds is killed and
+recorded as a timeout, and the run goes on.  ``--src DIR`` picks the source
 tree the children import, so one copy of this script measures two trees.
 Run from the repository root:
 
@@ -398,6 +401,10 @@ def reach_rows(src):
         argv = ["gkm", "integrate", "--class", cls, "--coeff-deg", str(n)]
         jobs.append((f"gkm integrate 1 on pn({n})", argv, graph.decode()))
     for expr, rank in (("x4^60", 4), ("x3^3000", 3), ("x1", 24)):
+        jobs.append((f"flag nf {expr} --rank {rank}", ["flag", "nf", expr, "--rank", str(rank)], ""))
+    for expr in ("x6^16", "x6^20"):
+        jobs.append((f"flag kernel {expr} --rank 6", ["flag", "kernel", expr, "--rank", "6"], ""))
+    for expr, rank in (("x6^12", 6), ("x1^2*x2^2*x3^2*x4^2*x5^2", 22)):
         jobs.append((f"flag nf {expr} --rank {rank}", ["flag", "nf", expr, "--rank", str(rank)], ""))
     for name, argv, stdin_text in jobs:
         seconds, rss, code, out = run_child(src, argv, stdin_text)

@@ -1,38 +1,19 @@
 """Command-line front end.
 
-Commands: ``fgl print|nseries|acoeff``, ``gkm gen|check|integrate|expand|forget``,
-``flag nf|rank|kernel``, ``selftest``.  Output is deterministic and exact;
-exit status 0 on success, 1 on mathematical failure (non-divisibility, not a
-class, no expansion), 2 on usage or parse errors.
+``DESCRIPTION`` below is the summary printed by ``torcob --help``: the
+commands, their exit statuses, the default truncation and the size guards.
+It is kept apart from this docstring, so a note added here changes no help
+bytes.  Notes it lacks:
 
-When --deg is omitted the default truncation is computed per command (for
-integrate: the dimension plus one) and announced on a header line;
-COBORDISM_DEFAULT_DEG overrides the computed default.
-
-Size guards refuse, before any output, inputs whose cost grows without
-useful bound: a truncation above MAX_DEG, ``flag kernel`` above rank
-MAX_KERNEL_RANK, ``flag rank`` above rank MAX_COINV_RANK, ``gkm gen flag``
-above n = MAX_FLAG_GRAPH_N and ``gkm gen pn`` above n = MAX_PN_GRAPH_N (the
-README gives the measured times behind each limit).  Each raises
-``TooLarge``, as the library's own guards do, and exits 2; ``gkm
-expand|forget`` learns its size from the basis, so its guard
-(``gkm.MAX_EXPAND_COLUMNS``) fires after the header line.  ``gkm
-check|integrate|expand|forget`` check the truncation, given or computed
-from the graph's ``dim``, after reading the graph and the class but before
-validating the graph, so an input that is both invalid and too large exits
-2; the header line follows validation, so an invalid graph prints nothing.
-A rank below 1, given to ``flag nf|kernel`` or in a graph, is a usage
-error before any output.  ``flag nf`` reduces only the parts of degree at
-most n(n-1)/2, the top degree of the coinvariant ring, and drops the rest
-as zero, so a high power or a high rank answers at once; ``flag kernel``
-reduces every part, as its certificate needs their cofactors.
-
-``torcob --help`` prints ``DESCRIPTION``, a summary kept apart from this
-docstring, so a note added here changes no help bytes.
-
-``main`` may be called repeatedly in one process: the parser is built once,
-on the first call, and every byte of output, usage errors and ``--help``
-included, goes to the streams given to that call.
+- ``flag nf`` reduces only the parts of degree at most n(n-1)/2, the top
+  degree of the coinvariant ring, and drops the rest as zero, so a high
+  power or a high rank answers at once; ``flag kernel`` reduces every part,
+  as its certificate needs their cofactors.
+- A float or a boolean where graph or class JSON needs an integer (a rank,
+  a dimension, a character entry, a class truncation) is a usage error
+  before any output; int() would truncate it.
+- ``selftest --only`` refuses a criterion number outside 1-10 as a usage
+  error before running any criterion.
 """
 
 from __future__ import annotations
@@ -254,7 +235,7 @@ def _cmd_gkm(args, out, stdin):
     trunc, values = _class_values(_load_json(args.cls, stdin))
     if args.deg is None and trunc is not None:
         try:
-            args.deg = int(trunc)
+            args.deg = gkm._json_int(trunc)
         except TypeError as exc:
             raise UsageError(f"class truncation must be an integer, got {trunc!r}") from exc
     spec = _law(args)
@@ -321,11 +302,14 @@ def _cmd_flag(args, out, stdin):
 
 
 def _cmd_selftest(args, out, stdin):
-    from torcob.accept import run_criteria
+    from torcob.accept import CRITERIA, run_criteria
 
     only = None
     if args.only:
         only = {int(x) for x in args.only.split(",")}
+        unknown = sorted(only - {num for num, _, _ in CRITERIA})
+        if unknown:
+            raise UsageError(f"no criterion {unknown[0]}; the criteria are numbered 1 to {len(CRITERIA)}")
     results = run_criteria(only=only, out=out)
     return 0 if all(ok for _, _, ok, _ in results) else 1
 

@@ -3,9 +3,13 @@
 The ring is the coinvariant algebra: polynomials in x_1..x_n over the
 Lazard coefficients modulo the ideal of positive-degree symmetric
 polynomials.  Normal forms live on the Artin staircase {x^a : a_i <= n-i};
-reduction divides by the Groebner basis h_i(x_1, ..., x_{n+1-i}) under the
-lexicographic order with x_n largest, whose leading terms are the staircase
-walls x_{n+1-i}^i.
+reduction divides by the Groebner basis h_i(x_1, ..., x_{n+1-i}) (the
+complete homogeneous polynomials; lexicographic order with x_n largest),
+whose leading terms are the staircase walls x_{n+1-i}^i.  The division runs
+one pass per wall, i = 1, ..., n: pass i lowers the power of x_{n+1-i}
+below i, highest power first, and no later pass raises it again.  No global
+term order is kept, as none is needed: the remainder of a division by a
+Groebner basis is the same whatever order the reductions run in.
 
 The bridge to the moment-graph model evaluates a polynomial at the
 tautological weights t_{w(1)}, ..., t_{w(n)} of each coset w, read from
@@ -27,6 +31,7 @@ oracle for both answers.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 import operator
@@ -74,33 +79,17 @@ def elementary_symmetric(n: int, k: int) -> TruncSeries:
     return x_poly(n, terms)
 
 
-def _order_key(exps):
-    # lexicographic with x_n > ... > x_1
-    return tuple(reversed(exps))
-
-
-def _groebner_basis(n: int, top: int):
-    """(leading exponent, the other exponents) of each h_i(x_1, ..., x_{n+1-i})
-    with i <= ``top``.
+def _wall(n: int, i: int) -> list:
+    """The exponents of h_i(x_1, ..., x_m), m = n + 1 - i: every monomial of
+    degree i in those variables, read off i stars and m - 1 bars, with the
+    lead x_m^i first.
 
     Every h_i is monic with all coefficients 1, so its exponents are the
-    whole polynomial.  Its lead has degree i, so the h_i above a polynomial's
-    degree divide none of its terms, and they are not built.
+    whole polynomial.
     """
-    out = []
-    for i in range(1, min(n, top) + 1):
-        lead = [0] * n
-        lead[n - i] = i
-        lead = tuple(lead)
-        rest = []
-        for c in itertools.combinations_with_replacement(range(n + 1 - i), i):
-            exps = [0] * n
-            for j in c:
-                exps[j] += 1
-            if tuple(exps) != lead:
-                rest.append(tuple(exps))
-        out.append((lead, rest))
-    return out
+    m = n + 1 - i
+    return [tuple(b - a - 1 for a, b in zip((-1, *c), (*c, i + m - 1))) + (0,) * (i - 1)
+            for c in itertools.combinations(range(i + m - 1), m - 1)]
 
 
 def normal_form(n: int, p: TruncSeries) -> TruncSeries:
@@ -115,57 +104,65 @@ def normal_form(n: int, p: TruncSeries) -> TruncSeries:
 def _divide(n: int, p: TruncSeries, top=None) -> tuple:
     """(normal form, cofactors): the division of p by the Groebner basis.
 
-    Runs on p's integer numerators: each step takes the largest term c x^t
-    left, and where a leading term x^lead divides it subtracts
-    c x^(t - lead) h_i, that is the numerator map -c added to every other
-    term of the shifted h_i; the normal form is p's denominator over the
-    terms no lead divides.  The cofactors are one table per h_i,
-    {shift: numerator map} over p's denominator, so that
-    p = sum_i h_i g_i + nf(p); a term, once reduced, never comes back (every
-    term of the shifted h_i lies below it), so each (i, shift) is recorded
-    once and is never added to.  With ``top``, the terms of p above that
-    degree are dropped first, and no cofactor accounts for them.  Only the
-    h_i up to the degree of what is left are built, one cofactor each.
+    Runs on p's integer numerators, one pass per wall i = 1, ..., n.  With
+    k = n + 1 - i, the lead x_k^i of h_i is the only lead in x_k, and every
+    other term of h_i has a lower power of x_k and no variable above x_k.
+    So pass i takes the terms c x^t with t_k >= i, the highest power of x_k
+    first, and subtracts c x^(t - lead) h_i from each: the numerator map -c
+    is added to every other term of the shifted h_i.  Those terms have a
+    lower power of x_k, and the same powers of x_(k+1), ..., x_n, so no term
+    is reduced twice and no later pass undoes an earlier one; what is left
+    lies on the staircase.  The remainder of a division by a Groebner basis
+    is unique whatever order the reductions run in (Cox, Little, O'Shea,
+    Ideals, Varieties, and Algorithms, ch. 2 sec. 6), so it is the normal
+    form, over p's denominator.  The cofactors are one table per wall used,
+    {i: {shift: numerator map}} over p's denominator, so that
+    p = sum_i h_i g_i + nf(p); h_i is built only when some term needs it.
+    With ``top``, the terms of p above that degree are dropped first, and no
+    cofactor accounts for them.
     """
     if p.vars != xvars(n):
         raise ValueError("polynomial is not in the expected x-variables")
     work = {t: dict(c) for t, c in p.num.items() if top is None or sum(t) <= top}
-    gb = _groebner_basis(n, max(map(sum, work), default=0))
-    cofactors = [{} for _ in gb]
-    done = {}
-    while work:
-        t = max(work, key=_order_key)
-        c = work.pop(t)
-        for (lead, rest), g in zip(gb, cofactors):
-            if all(l <= e for l, e in zip(lead, t)):
-                shift = tuple(e - l for e, l in zip(t, lead))
-                g[shift] = c
-                neg = [(m, -x) for m, x in c.items()]
-                for gt in rest:
-                    key = tuple(a + b for a, b in zip(gt, shift))
-                    tgt = work.get(key)
-                    if tgt is None:
-                        work[key] = dict(neg)
-                    elif not mul_acc(tgt, neg, _ONE):
-                        del work[key]
-                break
-        else:
-            done[t] = c
-    return _canonical(p.vars, done, p.den, XBOUND), cofactors
+    cofactors = {}
+    for i, k in enumerate(reversed(range(n)), start=1):  # x_(k+1) carries the lead of h_i
+        heap = sorted((-t[k], t) for t in work if t[k] >= i)  # a sorted list is a heap
+        if not heap:
+            continue
+        rest = _wall(n, i)[1:]
+        g = cofactors[i] = {}
+        while heap:
+            t = heapq.heappop(heap)[1]
+            c = work.pop(t, None)
+            if c is None:  # cancelled after it was queued
+                continue
+            shift = t[:k] + (t[k] - i,) + t[k + 1:]
+            g[shift] = c
+            neg = [(m, -x) for m, x in c.items()]
+            for e in rest:
+                key = tuple(map(operator.add, e, shift))
+                tgt = work.get(key)
+                if tgt is None:
+                    work[key] = dict(neg)
+                    if key[k] >= i:
+                        heapq.heappush(heap, (-key[k], key))
+                elif not mul_acc(tgt, neg, _ONE):
+                    del work[key]
+    return _canonical(p.vars, work, p.den, XBOUND), cofactors
 
 
 def _certify(n: int, p: TruncSeries, cofactors) -> None:
     """Check p = sum_i h_i g_i by ``TruncSeries`` products; raise ArithmeticError if not.
 
-    Each h_i is built afresh from its exponents as a series with every
-    coefficient 1, and each g_i from its table over p's denominator; the
-    products and the signed sum share no code with ``_divide``'s loop.
+    Each h_i is built afresh from the exponents of ``_wall(n, i)`` as a
+    series with every coefficient 1, and each g_i from its table over p's
+    denominator; the products and the signed sum share no code with
+    ``_divide``'s passes.
     """
     summands = [(1, p)]
-    for (lead, rest), g in zip(_groebner_basis(n, len(cofactors)), cofactors):
-        if g:
-            h = _series(p.vars, {e: _ONE for e in (lead, *rest)}, 1, XBOUND)
-            summands.append((-1, h * _canonical(p.vars, g, p.den, XBOUND)))
+    for i, g in cofactors.items():
+        h = _series(p.vars, {e: _ONE for e in _wall(n, i)}, 1, XBOUND)
+        summands.append((-1, h * _canonical(p.vars, g, p.den, XBOUND)))
     if not signed_sum(summands).is_zero():
         raise ArithmeticError("the division's cofactors do not recombine to the polynomial")
 

@@ -171,12 +171,22 @@ class GKMGraph:
 
     @classmethod
     def from_json(cls, obj):
+        """The graph of ``to_json``'s object; a float or a boolean where an
+        integer belongs raises TypeError (``_json_int``)."""
         return cls(
-            int(obj["rank"]),
-            int(obj["dim"]),
+            _json_int(obj["rank"]),
+            _json_int(obj["dim"]),
             [str(v) for v in obj["vertices"]],
-            [(str(e["v"]), str(e["w"]), tuple(int(x) for x in e["char"])) for e in obj["edges"]],
+            [(str(e["v"]), str(e["w"]), tuple(map(_json_int, e["char"]))) for e in obj["edges"]],
         )
+
+
+def _json_int(x) -> int:
+    """int(x) for a JSON value, refusing with TypeError a float or a boolean,
+    which int() would truncate or read as 0 or 1."""
+    if isinstance(x, (bool, float)):
+        raise TypeError(f"expected an integer, got {x!r}")
+    return int(x)
 
 
 def _zero_characters(g: GKMGraph) -> list:

@@ -213,6 +213,34 @@ def test_malformed_input_is_a_usage_error(argv):
     assert code == 2 and out == "" and "usage error" in err
 
 
+_P1_CLASS = '{"0": "1", "inf": "1"}'
+
+
+@pytest.mark.parametrize(
+    "graph, cls",
+    [
+        (P1_JSON.replace('"char": [1]', '"char": [1.5]'), _P1_CLASS),
+        (P1_JSON.replace('"char": [1]', '"char": [true]'), _P1_CLASS),
+        (P1_JSON.replace('"rank": 1', '"rank": 1.9'), _P1_CLASS),
+        (P1_JSON.replace('"dim": 1', '"dim": 1.0'), _P1_CLASS),
+        (P1_JSON, '{"truncation": 3.7, "values": %s}' % _P1_CLASS),
+        (P1_JSON, '{"truncation": true, "values": %s}' % _P1_CLASS),
+    ],
+    ids=["char-float", "char-bool", "rank-float", "dim-float", "truncation-float", "truncation-bool"],
+)
+def test_a_non_integer_number_is_a_usage_error(graph, cls):
+    # int() would truncate it: "char": [1.5] integrated as [1], with exit 0
+    code, out, err = run(["gkm", "integrate", "--graph", graph, "--class", cls])
+    assert (code, out) == (2, "")
+    assert err.startswith("usage error: ") and ("must be an integer" in err or "expected an integer" in err)
+
+
+def test_integers_written_as_strings_stay_accepted():
+    code, out, _ = run(["gkm", "integrate", "--graph", P1_JSON.replace("1", '"1"'), "--class",
+                        '{"truncation": "3", "values": %s}' % _P1_CLASS])
+    assert (code, out) == (0, "2*m1\n")
+
+
 @pytest.mark.parametrize("how", [{"COBORDISM_DEFAULT_DEG": "0"}, {"argv": ["--deg", "0"]}],
                          ids=["env", "deg"])
 def test_gen_classes_refuses_truncation_before_graph(monkeypatch, how):
@@ -891,6 +919,15 @@ def test_selftest_only_subset():
     assert code == 0
     lines = out.getvalue().splitlines()
     assert lines == ["PASS  2 specializations", "PASS  7 additive-cross-check"]
+
+
+@pytest.mark.parametrize("only", ["99", "0,1", "2,11", "-1"])
+def test_selftest_refuses_an_unknown_criterion_before_running_any(monkeypatch, only):
+    from torcob import accept
+
+    monkeypatch.setattr(accept, "run_criteria", lambda **kw: pytest.fail("a criterion ran"))
+    code, out, err = run(["selftest", "--only", only])
+    assert (code, out) == (2, "") and "numbered 1 to 10" in err
 
 
 # -- argv fuzzing ---------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Coinvariant algebra of the flag variety, its moment-graph bridge and its residue pairing."""
 
 import functools
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -91,7 +92,7 @@ def test_normal_form_does_no_coefficient_arithmetic(n, monkeypatch):
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_normal_form_drops_the_parts_above_the_top_degree(n):
-    # the full division, every part reduced and every h_i built, is the oracle
+    # the full division, every part reduced, is the oracle
     dim = n * (n - 1) // 2
     rng = random.Random(57 + n)
     for _ in range(6):
@@ -102,16 +103,125 @@ def test_normal_form_drops_the_parts_above_the_top_degree(n):
     assert flag.normal_form(n, top).is_zero()
 
 
-def test_division_builds_no_basis_element_above_the_degree(monkeypatch):
+def _lex_groebner_basis(n, top):
+    """(leading exponent, the other exponents) of each h_i(x_1, ..., x_{n+1-i})
+    with i <= ``top``, built from multisets of variables."""
+    out = []
+    for i in range(1, min(n, top) + 1):
+        lead = [0] * n
+        lead[n - i] = i
+        lead = tuple(lead)
+        rest = []
+        for c in itertools.combinations_with_replacement(range(n + 1 - i), i):
+            exps = [0] * n
+            for j in c:
+                exps[j] += 1
+            if tuple(exps) != lead:
+                rest.append(tuple(exps))
+        out.append((lead, rest))
+    return out
+
+
+def _lex_division(n, p, top=None):
+    """(normal form, [cofactor table of h_1, h_2, ...]): the oracle for ``flag._divide``.
+
+    The division under the lexicographic order with x_n largest: each step
+    takes the largest term left and reduces it by the first lead that divides
+    it, with every h_i up to the degree built up front.  Its remainder is
+    unique, so it equals the one-pass-per-wall division's; its cofactors may
+    differ.
+    """
+    work = {t: dict(c) for t, c in p.num.items() if top is None or sum(t) <= top}
+    gb = _lex_groebner_basis(n, max(map(sum, work), default=0))
+    cofactors = [{} for _ in gb]
+    done = {}
+    while work:
+        t = max(work, key=lambda e: tuple(reversed(e)))
+        c = work.pop(t)
+        for (lead, rest), g in zip(gb, cofactors):
+            if all(l <= e for l, e in zip(lead, t)):
+                shift = tuple(e - l for e, l in zip(t, lead))
+                g[shift] = c
+                for gt in rest:
+                    key = tuple(a + b for a, b in zip(gt, shift))
+                    tgt = work.setdefault(key, {})
+                    for m, x in c.items():
+                        tgt[m] = tgt.get(m, 0) - x
+                        if not tgt[m]:
+                            del tgt[m]
+                    if not tgt:
+                        del work[key]
+                break
+        else:
+            done[t] = c
+    nf = flag.x_poly(n, {t: GradedCoeff.from_numerators(c, p.den) for t, c in done.items()})
+    return nf, cofactors
+
+
+def _recombine(n, p, nf, cofactors):
+    """nf + sum_i h_i g_i, with g_i over p's denominator."""
+    total = nf
+    for i, g in cofactors.items():
+        h = flag.x_poly(n, {e: GradedCoeff.one() for e in flag._wall(n, i)})
+        total = total + h * flag.x_poly(n, {s: GradedCoeff.from_numerators(c, p.den) for s, c in g.items()})
+    return total
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_division_matches_the_lex_order_oracle(n):
+    # the remainder is unique, so the passes and the global-max division agree
+    # on it; each pass's cofactors recombine to p, and certify a zero remainder
+    rng = random.Random(71 + n)
+    dim = n * (n - 1) // 2
+    for _ in range(12 if n < 5 else 6):
+        terms = {}
+        for _ in range(rng.randint(1, 3)):
+            e = tuple(rng.randint(0, 4 if n < 5 else 3) for _ in range(n))
+            c = GradedCoeff.from_rational(Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
+            if rng.random() < 0.5:
+                c = c + GradedCoeff.generator(rng.randint(1, 2))
+            if not c.is_zero():
+                terms[e] = c
+        p = flag.x_poly(n, terms)
+        for top in (None, dim):
+            nf, cofactors = flag._divide(n, p, top)
+            assert nf == _lex_division(n, p, top)[0]
+            assert set(nf.num) <= set(flag.artin_exponents(n))
+            low = flag.x_poly(n, {t: c for t, c in p.coeffs.items() if top is None or sum(t) <= top})
+            assert _recombine(n, p, nf, cofactors) == low
+        q = p - nf
+        zero, cofactors = flag._divide(n, q)
+        assert zero.is_zero()
+        flag._certify(n, q, cofactors)
+
+
+def _spy_walls(monkeypatch):
     built = []
-    real = flag._groebner_basis
-    monkeypatch.setattr(flag, "_groebner_basis", lambda n, top: built.append(top) or real(n, top))
-    assert len(real(24, 2)) == 2 and len(real(3, 5)) == 3
+    real = flag._wall
+    monkeypatch.setattr(flag, "_wall", lambda n, i: built.append(i) or real(n, i))
+    return built
+
+
+def test_division_builds_no_basis_element_above_the_degree(monkeypatch):
+    # a wall is built only when some term reaches it, once per division
+    assert [len(flag._wall(24, i)) for i in (1, 2, 24)] == [24, math.comb(24, 2), 1]
+    built = _spy_walls(monkeypatch)
     x = functools.partial(flag.x_var, 24)
     assert flag.normal_form(24, x(1)) == x(1)
     assert flag.normal_form(24, x(24)) == x(24) - flag.elementary_symmetric(24, 1)
     assert flag.normal_form(4, flag.x_var(4, 4) ** 60).is_zero()
-    assert built == [1, 1, 0]
+    assert built == [1]
+    built.clear()
+    assert flag._divide(3, flag.x_var(3, 1) ** 3)[0].is_zero()
+    assert built == [3]
+
+
+def test_a_staircase_monomial_builds_no_wall(monkeypatch):
+    built = _spy_walls(monkeypatch)
+    p = flag.x_poly(22, {(2,) * 5 + (0,) * 17: GradedCoeff.one()})
+    nf, cofactors = flag._divide(22, p, 22 * 21 // 2)
+    assert nf == p and cofactors == {}
+    assert built == []
 
 
 def _rand_xpoly(n, rng, maxdeg=2, lazard=True):
@@ -206,14 +316,17 @@ def _symmetric_parts(n, variables, k, elementary):
 
 
 def test_groebner_basis_lies_in_the_symmetric_ideal():
-    # the certificate's h_i come from _groebner_basis; each is
+    # the certificate's h_i come from _wall, lead first; each is
     # sum_j (-1)^j e_j(x_(m+1), ..., x_n) h_(i-j)(x_1, ..., x_n) with m = n + 1 - i,
     # and every h_(i-j) with j < i is symmetric of positive degree (e_i of
     # i - 1 variables is zero)
     for n in range(1, 6):
-        for i, (lead, rest) in enumerate(flag._groebner_basis(n, n), start=1):
+        for i in range(1, n + 1):
             m = n + 1 - i
-            h = flag.x_poly(n, {e: GradedCoeff.one() for e in (lead, *rest)})
+            wall = flag._wall(n, i)
+            assert wall[0] == (0,) * (m - 1) + (i,) + (0,) * (i - 1)
+            assert len(set(wall)) == len(wall) == math.comb(n, i)
+            h = flag.x_poly(n, {e: GradedCoeff.one() for e in wall})
             assert h == _symmetric_parts(n, range(1, m + 1), i, False)[i]
             complete = _symmetric_parts(n, range(1, n + 1), i, False)
             elementary = _symmetric_parts(n, range(m + 1, n + 1), i, True)
@@ -252,16 +365,16 @@ def test_a_forged_cofactor_raises(monkeypatch, forge):
     T = TorusContext(3, build(2, 4))
     p = _kernel_poly(3)
     nf, cofactors = flag._divide(3, p)
-    assert nf.is_zero() and all(cofactors)
+    assert nf.is_zero() and set(cofactors) == {1, 2, 3}
     flag._certify(3, p, cofactors)
-    forged = [dict(g) for g in cofactors]
-    shift, c = next(iter(forged[1].items()))
+    forged = {i: dict(g) for i, g in cofactors.items()}
+    shift, c = next(iter(forged[2].items()))
     if forge == "drop a term":
-        del forged[1][shift]
+        del forged[2][shift]
     elif forge == "change a numerator":
-        forged[1][shift] = {m: x + 1 for m, x in c.items()}
+        forged[2][shift] = {m: x + 1 for m, x in c.items()}
     else:
-        forged[0][(5, 0, 0)] = {0: 1}
+        forged[1][(5, 0, 0)] = {0: 1}
     with pytest.raises(ArithmeticError, match="cofactors"):
         flag._certify(3, p, forged)
     monkeypatch.setattr(flag, "_divide", lambda n, q: (nf, forged))
@@ -296,6 +409,14 @@ def test_kernel_check_pairs_nothing_for_a_true_answer(monkeypatch, n):
     if n == 3:
         assert all(c.is_zero() for c in flag.artin_pairing(T, n, p))
         assert calls
+
+
+def test_kernel_check_of_a_high_power_at_rank_6(monkeypatch):
+    # every part is reduced for the certificate, far above the top degree 15
+    T = TorusContext(6, build(0, 16, "additive"))
+    calls = _count_integrals(monkeypatch)
+    assert flag.kernel_check(T, 6, flag.x_var(6, 6) ** 16)
+    assert calls == []
 
 
 @pytest.mark.parametrize("spec", [None, "additive", ("multiplicative", Fraction(2, 5))],

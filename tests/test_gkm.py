@@ -182,6 +182,20 @@ def test_zero_edge_character_has_no_cocharacter_and_is_graph_invalid():
         gkm.integrate(T1, p1, gkm.constant_class(T1, p1, 1))
 
 
+def test_from_json_refuses_a_float_or_a_boolean_integer():
+    # int() would read 1.5 as 1 and true as 1; strings of digits stay accepted
+    good = {"rank": 1, "dim": 1, "vertices": ["0", "inf"], "edges": [{"v": "0", "w": "inf", "char": [1]}]}
+    assert gkm.GKMGraph.from_json(good).to_json() == good
+    loose = dict(good, rank="1", edges=[{"v": "0", "w": "inf", "char": ["1"]}])
+    assert gkm.GKMGraph.from_json(loose).to_json() == good
+    for field, value in [("rank", 1.9), ("rank", True), ("dim", 1.0), ("dim", False)]:
+        with pytest.raises(TypeError, match="expected an integer"):
+            gkm.GKMGraph.from_json(dict(good, **{field: value}))
+    for char in ([1.5], [True], [1e400]):
+        with pytest.raises(TypeError, match="expected an integer"):
+            gkm.GKMGraph.from_json(dict(good, edges=[{"v": "0", "w": "inf", "char": char}]))
+
+
 def test_rank_must_be_positive():
     for rank in (0, -1):
         with pytest.raises(ValueError, match="rank must be positive"):
