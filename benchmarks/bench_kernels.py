@@ -39,10 +39,16 @@ wall-clock limit: ``flag kernel x1`` and ``flag kernel x1+...+x6`` at rank
 ``--n 12`` with ``--coeff-deg n`` (the graph made beforehand, untimed, and
 read from stdin), ``flag nf`` of x4^60 at rank 4, x3^3000 at rank 3 and
 x1 at rank 24, ``flag kernel`` of x6^16 and x6^20 at rank 6 (every part
-reduced, far above the top degree 15), and ``flag nf`` of x6^12 at rank 6
-and of the staircase monomial x1^2*x2^2*x3^2*x4^2*x5^2 at rank 22.  Each
-prints one JSON object: the wall time of the child, its peak RSS
-(``VmHWM``, read by the child), its exit status and the SHA-256 of its
+reduced, far above the top degree 15), ``flag nf`` of x6^12 at rank 6
+and of the staircase monomial x1^2*x2^2*x3^2*x4^2*x5^2 at rank 22, two
+``false`` ``flag kernel`` answers at rank 6, each an ideal part ((x1+...+x6)^3,
+or (x1+...+x6)(x1^2+...+x6^2)) plus the staircase monomial
+x1^5*x2^4*x3^3*x4^2, the universal ``gkm forget`` of 1 + m1*h^2 in the
+basis 1, h, ..., h^n on P^6 and P^11 at the command line's defaults (the
+graph made beforehand and read from stdin), and ``flag nf`` of x12^13 at
+rank 24, whose wall h_13(x1..x12) is refused (exit 2).  Each prints one
+JSON object: the wall time of the child, its peak RSS (``VmHWM``, read by
+the child), its exit status and the one expected, and the SHA-256 of its
 stdout; a command that outlives ``REACH_LIMIT`` seconds is killed and
 recorded as a timeout, and the run goes on.  ``--src DIR`` picks the source
 tree the children import, so one copy of this script measures two trees.
@@ -386,12 +392,27 @@ def run_child(src, argv, stdin_text=""):
     return seconds, rss, proc.returncode, out
 
 
+def _pn_forget(src, n):
+    """(argv, graph text): universal forget of 1 + m1*h^2 on P^n in 1, h, ..., h^n."""
+    _, _, code, graph = run_child(src, ["gkm", "gen", "pn", "--n", str(n)])
+    if code != 0:
+        raise RuntimeError(f"gkm gen pn --n {n} exited {code}")
+    vertices = json.loads(graph)["vertices"]
+    # h is c(e_v) at the vertex v, with e_0 = 0 (``gkm.pn_hyperplane``)
+    hyper = {v: "0" if v == "0" else f"chern({','.join(str(int(k == int(v) - 1)) for k in range(n))})"
+             for v in vertices}
+    basis = [{v: "1" if k == 0 else "0" if h == "0" else f"{h}^{k}" for v, h in hyper.items()}
+             for k in range(n + 1)]
+    cls = {v: "1" if h == "0" else f"1 + m1*{h}^2" for v, h in hyper.items()}
+    return ["gkm", "forget", "--class", json.dumps(cls), "--basis", json.dumps(basis)], graph.decode()
+
+
 def reach_rows(src):
     """Yield one JSON-ready dict per reach command, run in a child under ``src``."""
     jobs = [
-        ("flag kernel x1 --rank 6", ["flag", "kernel", "x1", "--rank", "6"], ""),
+        ("flag kernel x1 --rank 6", ["flag", "kernel", "x1", "--rank", "6"], "", 0),
         ("flag kernel x1+...+x6 --rank 6",
-         ["flag", "kernel", "+".join(f"x{k}" for k in range(1, 7)), "--rank", "6"], ""),
+         ["flag", "kernel", "+".join(f"x{k}" for k in range(1, 7)), "--rank", "6"], "", 0),
     ]
     for n in (9, 12):
         _, _, code, graph = run_child(src, ["gkm", "gen", "pn", "--n", str(n)])
@@ -399,20 +420,31 @@ def reach_rows(src):
             raise RuntimeError(f"gkm gen pn --n {n} exited {code}")
         cls = json.dumps({v: "1" for v in json.loads(graph)["vertices"]})
         argv = ["gkm", "integrate", "--class", cls, "--coeff-deg", str(n)]
-        jobs.append((f"gkm integrate 1 on pn({n})", argv, graph.decode()))
+        jobs.append((f"gkm integrate 1 on pn({n})", argv, graph.decode(), 0))
     for expr, rank in (("x4^60", 4), ("x3^3000", 3), ("x1", 24)):
-        jobs.append((f"flag nf {expr} --rank {rank}", ["flag", "nf", expr, "--rank", str(rank)], ""))
+        jobs.append((f"flag nf {expr} --rank {rank}", ["flag", "nf", expr, "--rank", str(rank)], "", 0))
     for expr in ("x6^16", "x6^20"):
-        jobs.append((f"flag kernel {expr} --rank 6", ["flag", "kernel", expr, "--rank", "6"], ""))
+        jobs.append((f"flag kernel {expr} --rank 6", ["flag", "kernel", expr, "--rank", "6"], "", 0))
     for expr, rank in (("x6^12", 6), ("x1^2*x2^2*x3^2*x4^2*x5^2", 22)):
-        jobs.append((f"flag nf {expr} --rank {rank}", ["flag", "nf", expr, "--rank", str(rank)], ""))
-    for name, argv, stdin_text in jobs:
+        jobs.append((f"flag nf {expr} --rank {rank}", ["flag", "nf", expr, "--rank", str(rank)], "", 0))
+    e1 = "(" + "+".join(f"x{k}" for k in range(1, 7)) + ")"
+    p2 = "(" + "+".join(f"x{k}^2" for k in range(1, 7)) + ")"
+    for label, ideal in (("e1^3", f"{e1}^3"), ("e1*p2", f"{e1}*{p2}")):
+        expr = f"{ideal} + x1^5*x2^4*x3^3*x4^2"
+        jobs.append((f"flag kernel {label} + x1^5*x2^4*x3^3*x4^2 --rank 6",
+                     ["flag", "kernel", expr, "--rank", "6"], "", 0))
+    for n in (6, 11):
+        argv, graph = _pn_forget(src, n)
+        jobs.append((f"gkm forget 1 + m1*h^2 on pn({n})", argv, graph, 0))
+    jobs.append(("flag nf x12^13 --rank 24", ["flag", "nf", "x12^13", "--rank", "24"], "", 2))
+    for name, argv, stdin_text, expect in jobs:
         seconds, rss, code, out = run_child(src, argv, stdin_text)
         yield {
             "row": name,
             "seconds": round(seconds, 4),
             "max_rss_mib": None if rss is None else round(rss / 1024, 1),
             "exit": code,
+            "expected_exit": expect,
             "timed_out": code is None,
             "stdout_sha256": hashlib.sha256(out).hexdigest(),
         }

@@ -463,10 +463,10 @@ def criterion_7():
 def criterion_8():
     """Flag presentation: coinvariant ranks 2, 6, 24; x1^2 = 0 for n=2;
     symmetric generators die under both kernel routes; 50 random polynomials
-    keep the two routes in agreement.  ``kernel_check`` certifies a true
-    answer by its cofactors and pairs only a false one, so each answer is
-    compared here with the whole Artin pairing: true iff every pairing is
-    zero."""
+    keep the two routes in agreement.  ``kernel_check`` certifies either
+    answer by its cofactors and pairs only the normal form of a false one,
+    so each answer is compared here with the whole Artin pairing of p
+    itself: true iff every pairing is zero."""
     t0 = time.monotonic()
     for n, want in ((2, 2), (3, 6), (4, 24)):
         if coinv_rank(n)[0] != want:

@@ -14,6 +14,12 @@ bytes.  Notes it lacks:
   before any output; int() would truncate it.
 - ``selftest --only`` refuses a criterion number outside 1-10 as a usage
   error before running any criterion.
+- ``flag nf`` refuses a division that would build a Groebner wall of more
+  than ``flag.MAX_WALL_TERMS`` terms; it prints nothing before the
+  division, so this is ``TooLarge`` before any output.
+- ``gkm expand|forget`` checks ``gkm.MAX_EXPAND_COLUMNS`` on each lifting
+  system as its columns are listed, so the systems below it are solved
+  first, and a certified basis never lists a degree it skips.
 """
 
 from __future__ import annotations
@@ -23,11 +29,10 @@ import functools
 import json
 import os
 import sys
-from fractions import Fraction
 
 from torcob import exprs, flag as flagmod, gkm
 from torcob.errors import TooLarge, TorcobError
-from torcob.fgl import MAX_DEG, build as fgl_build, spec_value
+from torcob.fgl import MAX_DEG, build as fgl_build, normalize_spec, spec_value
 from torcob.flag import MAX_COINV_RANK, MAX_KERNEL_RANK
 from torcob.gkm import MAX_FLAG_GRAPH_N
 from torcob.torus import TorusContext
@@ -74,22 +79,6 @@ MAX_PN_GRAPH_N = MAX_DEG - 1
 
 class UsageError(Exception):
     pass
-
-
-def _parse_spec(text):
-    """The --spec text as a normalized specialization (see ``fgl.spec_value``)."""
-    if text in (None, "universal"):
-        return None
-    if text == "additive":
-        return ("additive",)
-    if text.startswith("multiplicative:"):
-        try:
-            return ("multiplicative", Fraction(text.split(":", 1)[1]))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise UsageError(f"bad multiplicative parameter in {text!r}") from exc
-    if text == "multiplicative":
-        return ("multiplicative", Fraction(1))
-    raise UsageError(f"unknown specialization {text!r}")
 
 
 def _parse_char(text):
@@ -176,7 +165,7 @@ def _eval_class(ctx, g, values) -> gkm.PiecewiseClass:
 
 def _law(args):
     """Parsed --spec, after checking --coeff-deg; runs before any header is printed."""
-    spec = _parse_spec(args.spec)
+    spec = normalize_spec(args.spec)
     if args.coeff_deg < 0:
         raise UsageError("need --coeff-deg >= 0")
     return spec
@@ -282,7 +271,7 @@ def _cmd_flag(args, out, stdin):
         return 0
     if n < 1:
         raise ValueError("rank must be positive")
-    spec = _law(args) if args.sub == "kernel" else _parse_spec(args.spec)
+    spec = _law(args) if args.sub == "kernel" else normalize_spec(args.spec)
     m_value = None if spec is None else (lambda i: spec_value(spec, i))
     p = exprs.eval_xpoly(exprs.parse(args.expr), n, m_value)
     if args.sub == "nf":

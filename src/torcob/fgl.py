@@ -79,7 +79,7 @@ class FGLContext:
             raise TooLarge(f"truncation degree {degree} is above the limit {MAX_DEG}")
         self.Dc = coeff_degree
         self.D = degree
-        self.specialization = _normalize_spec(specialization)
+        self.specialization = normalize_spec(specialization)
         self.log = self._build_log()
         self._nser = {0: TruncSeries.zero(("u",), self.D), 1: _uvar(self.D)}
         self._weights = {}
@@ -219,15 +219,26 @@ def _uvar(guarantee):
     return TruncSeries.variable(("u",), "u", guarantee)
 
 
-def _normalize_spec(spec):
+def normalize_spec(spec):
     """None, (ADDITIVE,), (MULTIPLICATIVE, beta) or ("custom", {i: q}).
 
-    Idempotent, so a context can be rebuilt from its ``specialization``.
+    Reads the normalized forms and the command line's ``--spec`` text:
+    "universal", "additive", "multiplicative" (beta = 1) and
+    "multiplicative:BETA" with BETA a rational.  Idempotent, so a context
+    can be rebuilt from its ``specialization``.  Anything else is a
+    ValueError.
     """
     if spec is None or spec == UNIVERSAL:
         return None
     if spec in (ADDITIVE, (ADDITIVE,)):
         return (ADDITIVE,)
+    if spec == MULTIPLICATIVE:
+        return (MULTIPLICATIVE, Fraction(1))
+    if isinstance(spec, str) and spec.startswith(MULTIPLICATIVE + ":"):
+        try:
+            return (MULTIPLICATIVE, Fraction(spec.split(":", 1)[1]))
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ValueError(f"bad multiplicative parameter in {spec!r}") from exc
     if isinstance(spec, tuple) and spec and spec[0] == MULTIPLICATIVE:
         return (MULTIPLICATIVE, Fraction(spec[1]))
     if isinstance(spec, tuple) and len(spec) == 2 and spec[0] == CUSTOM:

@@ -17,16 +17,16 @@ the coset table ``gkm.flag_cosets``: x^c restricts to the t-monomial whose
 exponents are c permuted by w (``_t_exponent``), so restriction permutes
 the polynomial's exponent keys and does no arithmetic.  Membership
 in the ideal is decided by the normal form, and each answer is certified by
-a second route.  The division records its cofactors g_i, so that
-p = sum_i h_i g_i + nf(p); a zero normal form is certified by forming
-p - sum_i h_i g_i with series products and finding zero.  A nonzero one is
-certified by pairing against the Artin basis: the pairing integrates
-x-monomials by the sum of ``gkm.integrate``, in the logarithmic coordinate
-(integer power-sum moments over the cosets, weighted by the law's
-characteristic series), one integral per monomial with no class or series
-formed; ``kernel_check`` pairs in descending Artin degree and stops at the
-first nonzero pairing.  ``artin_pairing``, the whole pairing, is the test
-oracle for both answers.
+a second route.  The division records its cofactors g_i, and every answer
+checks p = nf(p) + sum_i h_i g_i in one integer table, so p and nf(p) are
+congruent modulo the ideal.  That settles a zero normal form.  A nonzero
+one is certified by pairing nf(p), not p, against the Artin basis: the
+pairing integrates x-monomials by the sum of ``gkm.integrate``, in the
+logarithmic coordinate (integer power-sum moments over the cosets, weighted
+by the law's characteristic series), one integral per monomial with no
+class or series formed; ``kernel_check`` pairs in descending Artin degree
+and stops at the first nonzero pairing.  ``artin_pairing``, the whole
+pairing of p, is the test oracle for both answers.
 """
 
 from __future__ import annotations
@@ -42,16 +42,18 @@ from torcob.fgl import build
 from torcob.gkm import PiecewiseClass, _log_integral, flag_cosets, flag_graph
 # Looked up here by the benchmark's tracer (e2ebench/spans.py); unused in this module.
 from torcob.gkm import basis_expand  # noqa: F401
-from torcob.kernels import mul_acc
-from torcob.series import TruncSeries, _canonical, _series, signed_sum
+from torcob.kernels import convolve, mul_acc
+from torcob.series import TruncSeries, _canonical, _series
 from torcob.torus import TorusContext
 
 XBOUND = 1 << 30  # polynomials: no truncation in practice
 _ONE = {0: 1}  # the numerator map of 1
 
-# Size guards: kernel_check above this rank, coinv_rank above this one.
+# Size guards: kernel_check above this rank, coinv_rank above this one, and
+# a division that would build a Groebner wall h_i of more terms.
 MAX_KERNEL_RANK = 6
 MAX_COINV_RANK = 9
+MAX_WALL_TERMS = 50000
 
 
 def xvars(n: int):
@@ -85,8 +87,12 @@ def _wall(n: int, i: int) -> list:
     lead x_m^i first.
 
     Every h_i is monic with all coefficients 1, so its exponents are the
-    whole polynomial.
+    whole polynomial.  It has C(n, i) terms; above MAX_WALL_TERMS it is
+    refused with TooLarge before any is built.
     """
+    size = math.comb(n, i)
+    if size > MAX_WALL_TERMS:
+        raise TooLarge(f"the wall h_{i} at rank {n} has {size} terms, above the limit {MAX_WALL_TERMS}")
     m = n + 1 - i
     return [tuple(b - a - 1 for a, b in zip((-1, *c), (*c, i + m - 1))) + (0,) * (i - 1)
             for c in itertools.combinations(range(i + m - 1), m - 1)]
@@ -151,19 +157,21 @@ def _divide(n: int, p: TruncSeries, top=None) -> tuple:
     return _canonical(p.vars, work, p.den, XBOUND), cofactors
 
 
-def _certify(n: int, p: TruncSeries, cofactors) -> None:
-    """Check p = sum_i h_i g_i by ``TruncSeries`` products; raise ArithmeticError if not.
+def _certify(n: int, p: TruncSeries, nf: TruncSeries, cofactors) -> None:
+    """Check p = nf + sum_i h_i g_i; raise ArithmeticError if not.
 
-    Each h_i is built afresh from the exponents of ``_wall(n, i)`` as a
-    series with every coefficient 1, and each g_i from its table over p's
-    denominator; the products and the signed sum share no code with
-    ``_divide``'s passes.
+    One integer table over p's denominator, which nf's divides (``_divide``
+    settles nf over p's denominator): nf rescaled to it, then each product
+    h_i g_i added by ``kernels.convolve``, with h_i built afresh from the
+    exponents of ``_wall(n, i)`` and every coefficient 1.  The table must
+    equal p's numerators.  The products share no code with ``_divide``'s
+    passes.
     """
-    summands = [(1, p)]
+    f = p.den // nf.den
+    acc = {t: {m: x * f for m, x in c.items()} for t, c in nf.num.items()}
     for i, g in cofactors.items():
-        h = _series(p.vars, {e: _ONE for e in _wall(n, i)}, 1, XBOUND)
-        summands.append((-1, h * _canonical(p.vars, g, p.den, XBOUND)))
-    if not signed_sum(summands).is_zero():
+        convolve({e: _ONE for e in _wall(n, i)}, g, None, out=acc)
+    if acc != p.num:
         raise ArithmeticError("the division's cofactors do not recombine to the polynomial")
 
 
@@ -276,19 +284,22 @@ def kernel_check(ctx: TorusContext, n: int, p: TruncSeries) -> bool:
     """True iff p maps to zero in the flag cobordism ring.
 
     The coinvariant normal form decides, and each answer is certified by a
-    route that shares no code with the reduction.  A zero normal form is
-    certified by the division's cofactors: p = sum_i h_i g_i is checked by
-    ``TruncSeries`` products (``_certify``), and every h_i lies in the
-    ideal of positive-degree symmetric polynomials.  A nonzero normal form
-    is certified by the Bott residue pairing of ``artin_pairing``, summed as
-    integer power-sum moments: p is nonzero iff its integral against some
-    Artin monomial is (Poincare duality; the pairing matrix is unimodular).
-    The pairings run in descending Artin degree and stop at the first
-    nonzero one, so a polynomial outside the kernel usually needs one
-    integral (under the additive law only |a| = dim - deg p pairs nonzero),
-    and a polynomial in the kernel needs none.  A failed certificate raises
-    ArithmeticError.  A polynomial above the truncation, or a rank above
-    MAX_KERNEL_RANK, is refused.
+    route that shares no code with the reduction.  Both answers check the
+    division's cofactors, p = nf + sum_i h_i g_i (``_certify``); every h_i
+    lies in the ideal of positive-degree symmetric polynomials, so p and nf
+    are congruent modulo it, and a zero nf is certified.  A nonzero nf is
+    certified by the Bott residue pairing of ``artin_pairing``, summed as
+    integer power-sum moments, of nf itself: nf is nonzero in the quotient
+    iff its integral against some Artin monomial is (Poincare duality; the
+    pairing matrix is unimodular).  Pairing p would give the same numbers,
+    but its ideal part pairs to zero only as a sum, not term by term, so
+    nf's few staircase terms are paired instead.  The pairings run in
+    descending Artin degree and stop at the first nonzero one, so a
+    polynomial outside the kernel usually needs one integral (under the
+    additive law only |a| = dim - deg nf pairs nonzero), and a polynomial in
+    the kernel needs none.  A failed certificate raises ArithmeticError.  A
+    polynomial above the truncation, or a rank above MAX_KERNEL_RANK, is
+    refused.
     """
     if n > MAX_KERNEL_RANK:
         raise TooLarge(f"rank {n} is above the limit {MAX_KERNEL_RANK}")
@@ -296,10 +307,10 @@ def kernel_check(ctx: TorusContext, n: int, p: TruncSeries) -> bool:
         raise ValueError("torus rank must equal n")
     require_degree(p, ctx.D)
     nf, cofactors = _divide(n, p)
+    _certify(n, p, nf, cofactors)
     if nf.is_zero():
-        _certify(n, p, cofactors)
         return True
     descending = reversed(artin_exponents(n))
-    if all(c.is_zero() for c in _pairings(ctx, n, p, descending)):
+    if all(c.is_zero() for c in _pairings(ctx, n, nf, descending)):
         raise ArithmeticError("the normal form is nonzero but every Artin pairing vanishes")
     return False

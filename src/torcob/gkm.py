@@ -177,7 +177,7 @@ class GKMGraph:
             _json_int(obj["rank"]),
             _json_int(obj["dim"]),
             [str(v) for v in obj["vertices"]],
-            [(str(e["v"]), str(e["w"]), tuple(map(_json_int, e["char"]))) for e in obj["edges"]],
+            [(str(e["v"]), str(e["w"]), _json_ints(e["char"])) for e in obj["edges"]],
         )
 
 
@@ -187,6 +187,12 @@ def _json_int(x) -> int:
     if isinstance(x, (bool, float)):
         raise TypeError(f"expected an integer, got {x!r}")
     return int(x)
+
+
+def _json_ints(xs) -> tuple:
+    """The tuple of ``_json_int`` over xs; taken as it stands when every entry is an int."""
+    t = tuple(xs)
+    return t if all(type(x) is int for x in t) else tuple(map(_json_int, t))
 
 
 def _zero_characters(g: GKMGraph) -> list:
@@ -569,9 +575,11 @@ def basis_expand(ctx: TorusContext, g: GKMGraph, basis, alpha: PiecewiseClass):
     degree, Ambiguous otherwise.  A lowest part that carries a generator
     gives zero columns, so it is Ambiguous; no basis has one, since at m = 0
     a basis reduces to a basis of equivariant cohomology.  A zero element is
-    Ambiguous, a non-homogeneous one under the universal law a ValueError,
-    and more than MAX_EXPAND_COLUMNS columns in A_G raise TooLarge before
-    any matrix is built.
+    Ambiguous, a non-homogeneous one under the universal law a ValueError.
+    A system of more than MAX_EXPAND_COLUMNS columns raises TooLarge where
+    its columns are listed, before its matrix is built; the degrees below it
+    are solved first, so their NoSolution or Ambiguous comes first, and a
+    certified basis never lists the columns of a degree it skips.
     """
     if len(basis) != len(g.vertices):
         raise ValueError("basis size must equal the number of fixed points")
@@ -599,7 +607,7 @@ def basis_expand(ctx: TorusContext, g: GKMGraph, basis, alpha: PiecewiseClass):
 _OUT_OF_SPAN = "class is not in the span of the basis"
 
 
-# Expansion refuses a basis whose largest lifting matrix has more columns.
+# Expansion refuses a lifting system with more columns.
 MAX_EXPAND_COLUMNS = 20000
 
 
@@ -616,14 +624,11 @@ def _expand_linear(ctx, g, basis, alpha, guar, top):
             degs = {s.homogeneous_degree() for s in b.values.values() if not s.is_zero()}
             if len(degs) != 1 or None in degs:
                 raise ValueError("basis element is not homogeneous")
-    width = sum(math.comb(guar - low + ctx.rank - 1, ctx.rank - 1) for low in lows if low <= guar)
-    if width > MAX_EXPAND_COLUMNS:
-        raise TooLarge(
-            f"expansion needs {width} unknowns in one t-degree, above the limit {MAX_EXPAND_COLUMNS}"
-        )
     leads, tails = _split_lowest(basis, lows)
     free = _free_at_cocharacter(ctx, g, leads)
-    tmons = functools.cache(functools.partial(_t_monomials, ctx.rank))
+    # one column past the limit tells a system over it, so no list grows further
+    cap = MAX_EXPAND_COLUMNS + 1
+    tmons = functools.cache(functools.partial(_t_monomials, ctx.rank, limit=cap))
     residual = [{} for _ in range(guar + 1)]  # per t-degree: {(vertex, t-exps): {m-key: q}}
     for v, s in alpha.values.items():
         for t, c in s.num.items():
@@ -633,7 +638,12 @@ def _expand_linear(ctx, g, basis, alpha, guar, top):
     for d in range(guar + 1):
         if free and not any(residual[d].values()):
             continue  # A_d is injective, so a zero residual has the zero solution
-        cols = [(k, s) for k, low in enumerate(lows) if low <= d for s in tmons(d - low)]
+        cols = list(itertools.islice(
+            ((k, s) for k, low in enumerate(lows) if low <= d for s in tmons(d - low)), cap))
+        if len(cols) > MAX_EXPAND_COLUMNS:
+            raise TooLarge(
+                f"expansion at t-degree {d} needs more unknowns than the limit {MAX_EXPAND_COLUMNS}"
+            )
         rows, rhs = _lifting_system(cols, leads, residual[d])
         if not cols and not rows:
             continue
@@ -733,10 +743,10 @@ def _lifting_system(cols, leads, part):
     return rows, rhs
 
 
-def _t_monomials(rank, deg):
-    """Every t-exponent tuple of total degree ``deg``."""
+def _t_monomials(rank, deg, limit=None):
+    """Every t-exponent tuple of total degree ``deg``; the first ``limit`` of them, if given."""
     out = []
-    for c in itertools.combinations_with_replacement(range(rank), deg):
+    for c in itertools.islice(itertools.combinations_with_replacement(range(rank), deg), limit):
         exps = [0] * rank
         for i in c:
             exps[i] += 1

@@ -479,13 +479,32 @@ def test_gkm_expand_statuses():
 
 
 def test_gkm_expand_size_guard_exits_two(monkeypatch):
-    monkeypatch.setattr(gkm, "MAX_EXPAND_COLUMNS", 2)  # rank 1: t1^4 and t1^3 at t-degree 4
-    argv = ["gkm", "expand", "--graph", P1_JSON, "--class", '{"0":"1","inf":"1"}',
-            "--basis", '[{"0":"1","inf":"1"},{"0":"chern(1)","inf":"0"}]']
-    assert run(argv)[:2] == (0, '# deg 4\n["1", "0"]\n')
+    # the certified basis {1, [0]} skips the zero residuals above t-degree 0,
+    # so one column suffices; the uncertified {1, t1} solves every t-degree,
+    # and its system at t-degree 1 has two columns
     monkeypatch.setattr(gkm, "MAX_EXPAND_COLUMNS", 1)
+    certified = ["gkm", "expand", "--graph", P1_JSON, "--class", '{"0":"1","inf":"1"}',
+                 "--basis", '[{"0":"1","inf":"1"},{"0":"chern(1)","inf":"0"}]']
+    assert run(certified)[:2] == (0, '# deg 4\n["1", "0"]\n')
+    uncertified = ["gkm", "expand", "--graph", P1_JSON, "--class", '{"0":"1","inf":"1"}',
+                   "--basis", '[{"0":"1","inf":"1"},{"0":"t1","inf":"t1"}]']
+    code, out, err = run(uncertified)
+    assert (code, out) == (2, "# deg 4\n") and "t-degree 1 needs more unknowns than the limit 1" in err
+    monkeypatch.setattr(gkm, "MAX_EXPAND_COLUMNS", 2)
+    code, out, err = run(uncertified)
+    assert (code, out) == (1, "# deg 4\n") and "Ambiguous" in err
+
+
+def test_flag_nf_wall_guard_exits_two(monkeypatch):
+    # x3^3 at rank 5 reaches h_3(x1, x2, x3), of C(5, 3) = 10 terms
+    argv = ["flag", "nf", "x3^3", "--rank", "5"]
+    monkeypatch.setattr(flag, "MAX_WALL_TERMS", 10)
+    code, out, _ = run(argv)
+    assert code == 0 and out.startswith("-")
+    monkeypatch.setattr(flag, "MAX_WALL_TERMS", 9)
     code, out, err = run(argv)
-    assert (code, out) == (2, "# deg 4\n") and "above the limit 1" in err
+    assert (code, out) == (2, "")
+    assert err == "error: TooLarge: the wall h_3 at rank 5 has 10 terms, above the limit 9\n"
 
 
 def test_graph_from_file(tmp_path):

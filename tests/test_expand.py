@@ -3,7 +3,6 @@ slot solve it replaced, which makes one unknown per (basis element,
 t-monomial, m-monomial) and solves one linear system."""
 
 import itertools
-import math
 import operator
 from fractions import Fraction
 
@@ -182,11 +181,6 @@ def lifting_oracle(ctx, g, basis, alpha):
             degs = {s.homogeneous_degree() for s in b.values.values() if not s.is_zero()}
             if len(degs) != 1 or None in degs:
                 raise ValueError("basis element is not homogeneous")
-    width = sum(math.comb(guar - low + ctx.rank - 1, ctx.rank - 1) for low in lows if low <= guar)
-    if width > gkm.MAX_EXPAND_COLUMNS:
-        raise TooLarge(
-            f"expansion needs {width} unknowns in one t-degree, above the limit {gkm.MAX_EXPAND_COLUMNS}"
-        )
     leads, tails = gkm._split_lowest(basis, lows)
     tmons = [gkm._t_monomials(ctx.rank, e) for e in range(guar + 1)]
     residual = [{} for _ in range(guar + 1)]
@@ -197,6 +191,10 @@ def lifting_oracle(ctx, g, basis, alpha):
     coords = [{} for _ in basis]
     for d in range(guar + 1):
         cols = [(k, s) for k, low in enumerate(lows) if low <= d for s in tmons[d - low]]
+        if len(cols) > gkm.MAX_EXPAND_COLUMNS:
+            raise TooLarge(
+                f"expansion at t-degree {d} needs more unknowns than the limit {gkm.MAX_EXPAND_COLUMNS}"
+            )
         rows, rhs = gkm._lifting_system(cols, leads, residual[d])
         if not cols and not rows:
             continue
@@ -494,18 +492,45 @@ def test_non_homogeneous_universal_element_is_a_value_error(T1, P1):
     assert coords[0].is_zero() and coords[1] == T.one()
 
 
-def test_expansion_size_guard_fires_before_any_matrix(monkeypatch):
-    def boom(*args, **kwargs):
-        raise AssertionError("the lifting started")
+def _spy_systems(monkeypatch):
+    """The column count of every lifting system built, through ``_lifting_system``."""
+    widths = []
+    real = gkm._lifting_system
+    monkeypatch.setattr(gkm, "_lifting_system", lambda cols, *rest: widths.append(len(cols)) or real(cols, *rest))
+    return widths
 
-    monkeypatch.setattr(gkm, "_lifting_system", boom)
-    monkeypatch.setattr(gkm, "solve", boom)
-    chi = (1,) + (0,) * 29  # rank 30: C(33, 4) + C(32, 3) unknowns at t-degree 4
+
+def test_expansion_size_guard_fires_before_any_matrix(monkeypatch):
+    # rank 30: C(33, 4) + C(32, 3) = 45880 unknowns at t-degree 4
+    chi = (1,) + (0,) * 29
     T = TorusContext(30, build(1, 4))
     g = gkm.p1_graph(chi)
     basis = [gkm.constant_class(T, g, 1), gkm.pushforward_point(T, g, "0", T.one())]
-    with pytest.raises(TooLarge, match="45880 unknowns"):
-        gkm.basis_expand(T, g, basis, basis[0])
+    widths = _spy_systems(monkeypatch)
+    # the basis is certified: a zero residual is skipped, so degree 0 alone is solved
+    assert [str(c) for c in gkm.basis_expand(T, g, basis, basis[0])] == ["1", "0"]
+    assert widths == [1]
+    # a residual at t-degree 4 needs that system, which is refused unbuilt;
+    # its 40920 t-monomials of degree 4 are listed only one past the limit
+    listed = []
+    real = gkm._t_monomials
+
+    def spy(*args, **kwargs):
+        out = real(*args, **kwargs)
+        listed.append(len(out))
+        return out
+
+    monkeypatch.setattr(gkm, "_t_monomials", spy)
+    t4 = gkm.PiecewiseClass({v: T.var(0) ** 4 for v in g.vertices})
+    with pytest.raises(TooLarge, match="t-degree 4 needs more unknowns than the limit 20000"):
+        gkm.basis_expand(T, g, basis, t4)
+    assert widths == [1] and max(listed) == gkm.MAX_EXPAND_COLUMNS + 1
+    # an uncertified basis solves every degree up to the first over the limit
+    monkeypatch.setattr(gkm, "MAX_EXPAND_COLUMNS", 30)
+    flat = [basis[0], gkm.PiecewiseClass({v: T.var(0) for v in g.vertices})]
+    with pytest.raises(TooLarge, match="t-degree 1 needs more unknowns than the limit 30"):
+        gkm.basis_expand(T, g, flat, basis[0])
+    assert widths == [1, 1]
 
 
 def test_expansion_size_guard_admits_its_limit(monkeypatch, T1, P1):
@@ -565,6 +590,19 @@ def test_only_degrees_with_a_residual_are_solved(monkeypatch):
     # the same systems in the same order, less those with a zero right-hand side
     assert calls == [c for c in every if any(c[1])]
     assert (len(calls), len(every)) == (2, 11)
+
+
+def test_p6_forget_solves_two_small_systems(monkeypatch):
+    # A_14 of this basis has 37044 columns, above MAX_EXPAND_COLUMNS, but the
+    # certificate skips it: only t-degrees 0 and 2 carry a residual
+    g = gkm.pn_graph(6)
+    T = TorusContext(6, build(6, 14))
+    basis = _powers(gkm.pn_hyperplane(T, g), T, g, 6)
+    alpha = basis[0] + basis[2].mul_coeff(GradedCoeff.generator(1))
+    calls = _spy_solve(monkeypatch)
+    got = [str(T.augment(c)) for c in gkm.basis_expand(T, g, basis, alpha)]
+    assert got == ["1", "0", "m1", "0", "0", "0", "0"]
+    assert [ncols for _, _, ncols in calls] == [1, 21 + 6 + 1]  # (n + 1)(n + 2)/2 at t-degree 2
 
 
 def test_a_lead_determinant_zero_at_the_cocharacter_solves_every_degree(monkeypatch):

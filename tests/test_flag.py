@@ -170,7 +170,8 @@ def _recombine(n, p, nf, cofactors):
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_division_matches_the_lex_order_oracle(n):
     # the remainder is unique, so the passes and the global-max division agree
-    # on it; each pass's cofactors recombine to p, and certify a zero remainder
+    # on it; each pass's cofactors recombine to p, and certify the remainder,
+    # zero or not
     rng = random.Random(71 + n)
     dim = n * (n - 1) // 2
     for _ in range(12 if n < 5 else 6):
@@ -189,10 +190,11 @@ def test_division_matches_the_lex_order_oracle(n):
             assert set(nf.num) <= set(flag.artin_exponents(n))
             low = flag.x_poly(n, {t: c for t, c in p.coeffs.items() if top is None or sum(t) <= top})
             assert _recombine(n, p, nf, cofactors) == low
+        flag._certify(n, p, *flag._divide(n, p))
         q = p - nf
         zero, cofactors = flag._divide(n, q)
         assert zero.is_zero()
-        flag._certify(n, q, cofactors)
+        flag._certify(n, q, zero, cofactors)
 
 
 def _spy_walls(monkeypatch):
@@ -360,13 +362,11 @@ def _kernel_poly(n):
     return p
 
 
-@pytest.mark.parametrize("forge", ["drop a term", "change a numerator", "add a term"])
-def test_a_forged_cofactor_raises(monkeypatch, forge):
-    T = TorusContext(3, build(2, 4))
-    p = _kernel_poly(3)
-    nf, cofactors = flag._divide(3, p)
-    assert nf.is_zero() and set(cofactors) == {1, 2, 3}
-    flag._certify(3, p, cofactors)
+FORGES = ["drop a term", "change a numerator", "add a term"]
+
+
+def _forged(cofactors, forge):
+    """A copy of the cofactors with one term of g_2 dropped or changed, or a term added to g_1."""
     forged = {i: dict(g) for i, g in cofactors.items()}
     shift, c = next(iter(forged[2].items()))
     if forge == "drop a term":
@@ -375,11 +375,59 @@ def test_a_forged_cofactor_raises(monkeypatch, forge):
         forged[2][shift] = {m: x + 1 for m, x in c.items()}
     else:
         forged[1][(5, 0, 0)] = {0: 1}
+    return forged
+
+
+@pytest.mark.parametrize("forge", FORGES)
+def test_a_forged_cofactor_raises(monkeypatch, forge):
+    T = TorusContext(3, build(2, 4))
+    p = _kernel_poly(3)
+    nf, cofactors = flag._divide(3, p)
+    assert nf.is_zero() and set(cofactors) == {1, 2, 3}
+    flag._certify(3, p, nf, cofactors)
+    forged = _forged(cofactors, forge)
     with pytest.raises(ArithmeticError, match="cofactors"):
-        flag._certify(3, p, forged)
+        flag._certify(3, p, nf, forged)
     monkeypatch.setattr(flag, "_divide", lambda n, q: (nf, forged))
     with pytest.raises(ArithmeticError, match="cofactors"):
         flag.kernel_check(T, 3, p)
+
+
+def _staircase_remainder():
+    """3/2 x1^2 x2 at rank 3: on the staircase, so its own normal form."""
+    return flag.x_poly(3, {(2, 1, 0): GradedCoeff.from_rational(Fraction(3, 2))})
+
+
+@pytest.mark.parametrize("forge", FORGES)
+def test_a_forged_cofactor_raises_on_a_false_answer(monkeypatch, forge):
+    # a kernel polynomial plus a staircase remainder: the pairing of the
+    # remainder alone would answer false, so only the identity sees the forgery
+    T = TorusContext(3, build(2, 4))
+    rem = _staircase_remainder()
+    p = _kernel_poly(3) + rem
+    nf, cofactors = flag._divide(3, p)
+    assert nf == rem and set(cofactors) == {1, 2, 3}
+    flag._certify(3, p, nf, cofactors)
+    assert not flag.kernel_check(T, 3, p)
+    with pytest.raises(ArithmeticError, match="cofactors"):
+        flag._certify(3, p, nf.scale(Fraction(2)), cofactors)
+    forged = _forged(cofactors, forge)
+    with pytest.raises(ArithmeticError, match="cofactors"):
+        flag._certify(3, p, nf, forged)
+    monkeypatch.setattr(flag, "_divide", lambda n, q: (nf, forged))
+    with pytest.raises(ArithmeticError, match="cofactors"):
+        flag.kernel_check(T, 3, p)
+
+
+def test_kernel_check_pairs_the_normal_form(monkeypatch):
+    # pairing p gives the same answer, so only a spy tells it from pairing nf
+    T = TorusContext(3, build(2, 4))
+    rem = _staircase_remainder()
+    paired = []
+    real = flag._pairings
+    monkeypatch.setattr(flag, "_pairings", lambda ctx, n, q, exps: paired.append(q) or real(ctx, n, q, exps))
+    assert not flag.kernel_check(T, 3, _kernel_poly(3) + rem)
+    assert paired == [rem]
 
 
 def _count_integrals(monkeypatch):
@@ -409,6 +457,16 @@ def test_kernel_check_pairs_nothing_for_a_true_answer(monkeypatch, n):
     if n == 3:
         assert all(c.is_zero() for c in flag.artin_pairing(T, n, p))
         assert calls
+
+
+def test_kernel_check_of_an_ideal_part_plus_a_remainder_at_rank_6(monkeypatch):
+    # the cube of e1 pairs to zero only as a sum; its remainder's pairing
+    # needs at most the five integrals of the degree-1 Artin monomials
+    T = TorusContext(6, build(0, 16, "additive"))
+    p = flag.elementary_symmetric(6, 1) ** 3 + flag.x_poly(6, {(5, 4, 3, 2, 0, 0): GradedCoeff.one()})
+    calls = _count_integrals(monkeypatch)
+    assert not flag.kernel_check(T, 6, p)
+    assert 1 <= len(calls) <= 5
 
 
 def test_kernel_check_of_a_high_power_at_rank_6(monkeypatch):
