@@ -18,7 +18,7 @@ bytes.  Notes it lacks:
   than ``flag.MAX_WALL_TERMS`` terms; it prints nothing before the
   division, so this is ``TooLarge`` before any output.
 - ``gkm expand|forget`` checks ``gkm.MAX_EXPAND_COLUMNS`` on each lifting
-  system as its columns are listed, so the systems below it are solved
+  system before its columns are listed, so the systems below it are solved
   first, and a certified basis never lists a degree it skips.
 """
 

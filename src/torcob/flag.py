@@ -164,8 +164,10 @@ def _certify(n: int, p: TruncSeries, nf: TruncSeries, cofactors) -> None:
     settles nf over p's denominator): nf rescaled to it, then each product
     h_i g_i added by ``kernels.convolve``, with h_i built afresh from the
     exponents of ``_wall(n, i)`` and every coefficient 1.  The table must
-    equal p's numerators.  The products share no code with ``_divide``'s
-    passes.
+    equal p's numerators.  The walls' exponents (``_wall``) and the
+    accumulate step (``kernels.mul_acc``, inside ``convolve``) are shared
+    with ``_divide``; what the check tests apart from it is the bookkeeping
+    of its passes: their order, the shifts and the cofactors recorded.
     """
     f = p.den // nf.den
     acc = {t: {m: x * f for m, x in c.items()} for t, c in nf.num.items()}
@@ -284,7 +286,7 @@ def kernel_check(ctx: TorusContext, n: int, p: TruncSeries) -> bool:
     """True iff p maps to zero in the flag cobordism ring.
 
     The coinvariant normal form decides, and each answer is certified by a
-    route that shares no code with the reduction.  Both answers check the
+    second route past the reduction's passes.  Both answers check the
     division's cofactors, p = nf + sum_i h_i g_i (``_certify``); every h_i
     lies in the ideal of positive-degree symmetric polynomials, so p and nf
     are congruent modulo it, and a zero nf is certified.  A nonzero nf is

@@ -177,7 +177,7 @@ class GKMGraph:
             _json_int(obj["rank"]),
             _json_int(obj["dim"]),
             [str(v) for v in obj["vertices"]],
-            [(str(e["v"]), str(e["w"]), _json_ints(e["char"])) for e in obj["edges"]],
+            [(str(e["v"]), str(e["w"]), tuple(map(_json_int, e["char"]))) for e in obj["edges"]],
         )
 
 
@@ -187,12 +187,6 @@ def _json_int(x) -> int:
     if isinstance(x, (bool, float)):
         raise TypeError(f"expected an integer, got {x!r}")
     return int(x)
-
-
-def _json_ints(xs) -> tuple:
-    """The tuple of ``_json_int`` over xs; taken as it stands when every entry is an int."""
-    t = tuple(xs)
-    return t if all(type(x) is int for x in t) else tuple(map(_json_int, t))
 
 
 def _zero_characters(g: GKMGraph) -> list:
@@ -576,8 +570,8 @@ def basis_expand(ctx: TorusContext, g: GKMGraph, basis, alpha: PiecewiseClass):
     gives zero columns, so it is Ambiguous; no basis has one, since at m = 0
     a basis reduces to a basis of equivariant cohomology.  A zero element is
     Ambiguous, a non-homogeneous one under the universal law a ValueError.
-    A system of more than MAX_EXPAND_COLUMNS columns raises TooLarge where
-    its columns are listed, before its matrix is built; the degrees below it
+    A system of more than MAX_EXPAND_COLUMNS columns raises TooLarge before
+    its columns are listed or its matrix is built; the degrees below it
     are solved first, so their NoSolution or Ambiguous comes first, and a
     certified basis never lists the columns of a degree it skips.
     """
@@ -626,9 +620,7 @@ def _expand_linear(ctx, g, basis, alpha, guar, top):
                 raise ValueError("basis element is not homogeneous")
     leads, tails = _split_lowest(basis, lows)
     free = _free_at_cocharacter(ctx, g, leads)
-    # one column past the limit tells a system over it, so no list grows further
-    cap = MAX_EXPAND_COLUMNS + 1
-    tmons = functools.cache(functools.partial(_t_monomials, ctx.rank, limit=cap))
+    tmons = functools.cache(functools.partial(_t_monomials, ctx.rank))
     residual = [{} for _ in range(guar + 1)]  # per t-degree: {(vertex, t-exps): {m-key: q}}
     for v, s in alpha.values.items():
         for t, c in s.num.items():
@@ -638,12 +630,12 @@ def _expand_linear(ctx, g, basis, alpha, guar, top):
     for d in range(guar + 1):
         if free and not any(residual[d].values()):
             continue  # A_d is injective, so a zero residual has the zero solution
-        cols = list(itertools.islice(
-            ((k, s) for k, low in enumerate(lows) if low <= d for s in tmons(d - low)), cap))
-        if len(cols) > MAX_EXPAND_COLUMNS:
+        width = sum(math.comb(d - low + ctx.rank - 1, ctx.rank - 1) for low in lows if low <= d)
+        if width > MAX_EXPAND_COLUMNS:
             raise TooLarge(
-                f"expansion at t-degree {d} needs more unknowns than the limit {MAX_EXPAND_COLUMNS}"
+                f"expansion needs {width} unknowns at t-degree {d}, above the limit {MAX_EXPAND_COLUMNS}"
             )
+        cols = [(k, s) for k, low in enumerate(lows) if low <= d for s in tmons(d - low)]
         rows, rhs = _lifting_system(cols, leads, residual[d])
         if not cols and not rows:
             continue
@@ -743,10 +735,10 @@ def _lifting_system(cols, leads, part):
     return rows, rhs
 
 
-def _t_monomials(rank, deg, limit=None):
-    """Every t-exponent tuple of total degree ``deg``; the first ``limit`` of them, if given."""
+def _t_monomials(rank, deg):
+    """Every t-exponent tuple of total degree ``deg``."""
     out = []
-    for c in itertools.islice(itertools.combinations_with_replacement(range(rank), deg), limit):
+    for c in itertools.combinations_with_replacement(range(rank), deg):
         exps = [0] * rank
         for i in c:
             exps[i] += 1

@@ -489,7 +489,7 @@ def test_gkm_expand_size_guard_exits_two(monkeypatch):
     uncertified = ["gkm", "expand", "--graph", P1_JSON, "--class", '{"0":"1","inf":"1"}',
                    "--basis", '[{"0":"1","inf":"1"},{"0":"t1","inf":"t1"}]']
     code, out, err = run(uncertified)
-    assert (code, out) == (2, "# deg 4\n") and "t-degree 1 needs more unknowns than the limit 1" in err
+    assert (code, out) == (2, "# deg 4\n") and "2 unknowns at t-degree 1, above the limit 1" in err
     monkeypatch.setattr(gkm, "MAX_EXPAND_COLUMNS", 2)
     code, out, err = run(uncertified)
     assert (code, out) == (1, "# deg 4\n") and "Ambiguous" in err
