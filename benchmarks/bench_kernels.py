@@ -1,11 +1,13 @@
 #!/usr/bin/env python3
 """Time the exact convolution kernel, ``torcob.kernels.convolve``, the
-exact division built on it, ``TruncSeries.divide_exact``, product
-membership, ``TorusContext.ideal_membership_product``, and the bivariate
-formal group law ``F``.
+exact division, ``TruncSeries.divide_exact`` (on packed t-keys, its steps
+``kernels.t_mul_acc``), product membership,
+``TorusContext.ideal_membership_product``, and the bivariate formal group
+law ``F``.
 
 The kernel (truncated sparse convolution) is the hot inner loop of every
-series multiplication, Euler-class product and exact division.  The tables
+series multiplication and Euler-class product; division's steps run the
+same coefficient loop, ``kernels.mul_acc``.  The tables
 hold integer numerators on packed m-keys, as ``TruncSeries`` passes them
 (its terms over one shared denominator).  The division row divides
 membership-sized Chern-power multiples, and as many near-multiples, by

@@ -20,6 +20,9 @@ bytes.  Notes it lacks:
 - ``gkm expand|forget`` checks ``gkm.MAX_EXPAND_COLUMNS`` on each lifting
   system before its columns are listed, so the systems below it are solved
   first, and a certified basis never lists a degree it skips.
+- Running out of memory anywhere in a command is ``TooLarge: out of
+  memory`` on stderr with exit 2, not a traceback; output already written
+  (a header line) stays.
 """
 
 from __future__ import annotations
@@ -447,6 +450,9 @@ def main(argv=None, stdout=None, stderr=None, stdin=None) -> int:
         return 2
     except TooLarge as exc:
         print(f"error: TooLarge: {exc}", file=err)
+        return 2
+    except MemoryError:
+        print("error: TooLarge: out of memory", file=err)
         return 2
     except TorcobError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=err)

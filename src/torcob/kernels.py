@@ -23,6 +23,18 @@ less than 2^W, so a product never carries into the next field; an exponent
 above MAX_EXP sets its field's guard bit, and ``mul_acc`` raises TooLarge
 before such a key enters a map.  The keys that use no generator above m_k
 are exactly those below 2^(W*k), which ``above_generator`` tests.
+
+Exact division packs t-monomials the same way (``t_width``, ``t_pack``,
+``t_unpack``), with fields sized to the division's truncation G rather than
+fixed: each of the n fields is w = G.bit_length() + 1 bits wide, its top bit
+a guard that every exponent up to G keeps clear, and t_1 sits in the most
+significant field, so integer order on t-keys is the lexicographic order on
+exponent tuples.  A t-monomial of degree at most G fits every field, so the
+product of two whose degrees sum to at most G is the sum of their keys, and
+whether one divides another is ``mdiv`` with the layout's guard bits
+(``t_guard``).  ``t_mul_acc`` adds a product of two such tables into a
+third, each coefficient product through ``mul_acc``; it is the
+multiply-subtract step of division, and ``convolve`` stays on tuple tables.
 """
 
 from operator import add
@@ -71,16 +83,17 @@ def unpack(key: int) -> tuple:
     return tuple(out)
 
 
-def mdiv(a: int, b: int):
-    """The m-key of a / b, None when b does not divide a.
+def mdiv(a: int, b: int, guard: int = GUARD):
+    """The key of a / b, None when b does not divide a: m-keys, or t-keys
+    with the guard bits of their layout (``t_guard``).
 
     With every guard bit of a set first, no field borrows from the next, and
     a field keeps its guard bit exactly when b's exponent there is at most a's.
     """
-    d = (a | GUARD) - b
-    if d & GUARD != GUARD:
+    d = (a | guard) - b
+    if d & guard != guard:
         return None
-    return d ^ GUARD
+    return d ^ guard
 
 
 def above_generator(maps, top) -> bool:
@@ -115,6 +128,51 @@ def mul_acc(out, a_items, b):
                     out[m] = s
                 else:
                     del out[m]
+    return out
+
+
+def t_width(guarantee: int) -> int:
+    """Bits per field of a t-key whose exponents are at most ``guarantee``,
+    the top one a guard."""
+    return guarantee.bit_length() + 1
+
+
+def t_guard(w: int, n: int) -> int:
+    """The guard bits of a t-key of n fields of w bits."""
+    return sum(1 << (w * i + w - 1) for i in range(n))
+
+
+def t_pack(t, w: int) -> int:
+    """The t-key of the exponent tuple ``t`` in w-bit fields, t_1 most significant."""
+    key = 0
+    for e in t:
+        key = key << w | e
+    return key
+
+
+def t_unpack(key: int, w: int, n: int) -> tuple:
+    """The exponent tuple of n variables of a t-key in w-bit fields."""
+    mask = (1 << w) - 1
+    return tuple(key >> w * i & mask for i in range(n - 1, -1, -1))
+
+
+def t_mul_acc(out, a, b):
+    """out += a*b for {t-key: coefficient map} tables; returns ``out``.
+
+    A product's t-key is ta + tb, so the caller sizes the fields for every
+    product it forms (``t_width``).  Every coefficient product goes through
+    ``mul_acc``; a t-entry that cancels is removed.
+    """
+    bitems = b.items()
+    for ta, ca in a.items():
+        ca_items = list(ca.items())
+        for tb, cb in bitems:
+            t = ta + tb
+            tgt = out.get(t)
+            if tgt is None:
+                tgt = out[t] = {}
+            if not mul_acc(tgt, ca_items, cb):
+                del out[t]
     return out
 
 

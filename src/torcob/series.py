@@ -21,8 +21,10 @@ gcd of den and the numerators 1), so equality, hashing and rendering are
 structural.  The kernel runs on ``num`` with Python ints; one gcd sweep
 settles each result.  Two views are built on first read and kept in a slot:
 ``coeffs``, the value as {t-exps: GradedCoeff}, and ``divisor``, the
-t-degree slices and leading data that ``divide_exact`` reads of a divisor,
-so a cached divisor such as a Chern power is sliced once.  Values are
+t-degree slices on packed t-keys (``kernels.t_pack``) and leading data that
+``divide_exact`` reads of a divisor, so a cached divisor such as a Chern
+power is sliced and packed once; division runs on packed t-keys throughout
+and builds no exponent tuple until it unpacks the quotient.  Values are
 immutable; inner tables may be shared and are never mutated.
 """
 
@@ -39,6 +41,7 @@ from torcob.errors import (
     VariableMismatch,
 )
 from torcob.kernels import convolve, mdiv, mul_acc, pack, unpack
+from torcob.kernels import t_guard, t_mul_acc, t_pack, t_unpack, t_width
 from torcob.kernels import generator as generator_key
 
 
@@ -294,35 +297,44 @@ class TruncSeries:
 
     @property
     def divisor(self) -> tuple:
-        """(e, slices, lt, lc, lm, content, tail): what ``divide_exact``
-        reads of a nonzero divisor, built on first read and kept like
-        ``coeffs``.
+        """(e, w, guard, slices, lt, lc, lm, content, tail): what
+        ``divide_exact`` reads of a nonzero divisor, built on first read and
+        kept like ``coeffs``.
 
-        e is the lowest t-degree, slices the numerator table split by
-        t-degree (``_slices``), lt the leading t-monomial of the slice at e,
-        lc its coefficient map, lm the leading m-key of lc, content the gcd
-        of lc's numerators and tail the slice at e without lt.  Do not
-        mutate.
+        Every t-monomial is a packed t-key (``kernels.t_pack``) in fields of
+        w = ``t_width(guarantee)`` bits with the guard bits ``guard``: a
+        division by this series forms no t-monomial above its guarantee, so
+        its products and quotients fit the same fields.  e is the lowest
+        t-degree, slices the numerator table split by t-degree on t-keys, lt
+        the leading t-key of the slice at e (the largest, as the largest
+        exponent tuple), lc its coefficient map, lm the leading m-key of lc,
+        content the gcd of lc's numerators and tail the slice at e without
+        lt.  Do not mutate.
         """
         out = self._divisor
         if out is None:
-            out = self._divisor = _divisor_slices(self.num)
+            out = self._divisor = _divisor_slices(self.num, self.guarantee)
         return out
 
     def divide_exact(self, g: TruncSeries) -> TruncSeries:
         """Exact quotient q with q*g = self through the guarantee.
 
-        Solved t-degree slice by t-degree slice on the numerator tables; the
+        Solved t-degree slice by t-degree slice on the numerator tables, with
+        every t-monomial a packed t-key in ``g.divisor``'s fields: the
         divisor's slices and leading data are read from ``g.divisor``, so
-        dividing many times by one series slices it once.  Slice k of the
-        dividend less sum_{d<k} q_d*g_{e+k-d} (e the lowest t-degree of
+        dividing many times by one series slices it once, the dividend's
+        slices e..e+G (G the quotient's guarantee) are packed once, and the
+        quotient is unpacked into exponent tuples once at the end.  Slice k
+        of the dividend less sum_{d<k} q_d*g_{e+k-d} (e the lowest t-degree of
         ``g``) is divided by g_e in Q[m][t] by leading t-monomials, one whole
         t-monomial per step: with rt the leading t-monomial of the remainder
         and lc the coefficient of g_e's leading t-monomial lt, the
         remainder's coefficient at rt is divided by lc in Q[m], and
-        q_st*x^st*g_e (st = rt - lt) is subtracted: its term at rt cancels
-        the remainder's there exactly, so that entry is deleted and only
-        q_st*x^st times the rest of g_e is multiplied out.
+        q_st*x^st*g_e (st = rt - lt, ``kernels.mdiv`` of the t-keys) is
+        subtracted: its term at rt cancels the remainder's there exactly,
+        so that entry is deleted and only q_st*x^st times the rest of g_e is
+        multiplied out.  Both kinds of multiply-subtract step, by earlier
+        quotient slices and by the tail, are ``kernels.t_mul_acc`` calls.
         When lc is a rational, as for every Chern power, Euler class and
         unit, that quotient is one scaled copy; otherwise it is the
         leading-term algorithm over m-monomials.  In the domain Q[m][t] a
@@ -339,15 +351,22 @@ class TruncSeries:
         self._check_vars(g)
         if g.is_zero():
             raise NotInvertible("division by the zero series")
-        e, g_sl, lt, lc, lm, cont, tail = g.divisor
+        e, w, guard, g_sl, lt, lc, lm, cont, tail = g.divisor
         gq = min(self.guarantee, g.guarantee) - e
         if gq < 0:
             raise TruncationInsufficient("divisor degree exceeds the guarantee")
         if self.is_zero():
             return TruncSeries.zero(self.vars, gq)
-        f_sl = _slices(self.num)
-        if min(f_sl) < e:
-            raise NotDivisible("dividend has terms below the divisor's lowest degree")
+        f_sl, top = {}, e + gq
+        for t, c in self.num.items():
+            d = sum(t)
+            if d < e:
+                raise NotDivisible("dividend has terms below the divisor's lowest degree")
+            if d <= top:
+                sl = f_sl.get(d)
+                if sl is None:
+                    sl = f_sl[d] = {}
+                sl[t_pack(t, w)] = c
         scale = 1
         neg_q = []  # -scale*q by slice, so that each update is one accumulating product
         for k in range(gq + 1):
@@ -355,12 +374,12 @@ class TruncSeries:
             for d, qd in enumerate(neg_q):
                 gs = g_sl.get(e + k - d)
                 if gs and qd:
-                    convolve(qd, gs, None, out=r)
+                    t_mul_acc(r, qd, gs)
             qk = {}
             while r:
                 rt = max(r)
-                st = tuple(y - x for x, y in zip(lt, rt))
-                if min(st, default=0) < 0:
+                st = mdiv(rt, lt, guard)
+                if st is None:
                     raise NotDivisible("leading term not divisible")
                 rc = r[rt]
                 f = cont // gcd(cont, *rc.values()) if cont > 1 else 1
@@ -375,9 +394,10 @@ class TruncSeries:
                     raise NotDivisible("leading term not divisible")
                 qk[st] = c
                 del r[rt]
-                convolve({st: c}, tail, None, out=r)
+                t_mul_acc(r, {st: c}, tail)
             neg_q.append(qk)
-        num = {t: _times(c, -g.den) for qk in neg_q for t, c in qk.items()}
+        n = len(self.vars)
+        num = {t_unpack(t, w, n): _times(c, -g.den) for qk in neg_q for t, c in qk.items()}
         return _canonical(self.vars, num, scale * self.den, gq)
 
     def compositional_inverse(self) -> TruncSeries:
@@ -497,22 +517,19 @@ def _series(vars, num, den, guarantee) -> TruncSeries:
     return s
 
 
-def _slices(num) -> dict:
-    """A numerator table split by t-degree: {degree: {t-exps: {m-key: int}}}."""
-    out = {}
+def _divisor_slices(num, guarantee) -> tuple:
+    """The data of ``TruncSeries.divisor`` from a nonzero numerator table
+    truncated to ``guarantee``."""
+    w = t_width(guarantee)
+    slices = {}
     for t, c in num.items():
-        out.setdefault(sum(t), {})[t] = c
-    return out
-
-
-def _divisor_slices(num) -> tuple:
-    """The data of ``TruncSeries.divisor`` from a nonzero numerator table."""
-    slices = _slices(num)
+        slices.setdefault(sum(t), {})[t_pack(t, w)] = c
     e = min(slices)
     lt = max(slices[e])
     lc = slices[e][lt]
     tail = {t: c for t, c in slices[e].items() if t != lt}
-    return e, slices, lt, lc, max(lc), gcd(*lc.values()), tail
+    n = len(next(iter(num)))
+    return e, w, t_guard(w, n), slices, lt, lc, max(lc), gcd(*lc.values()), tail
 
 
 def _canonical(vars, num, den, guarantee) -> TruncSeries:

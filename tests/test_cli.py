@@ -125,6 +125,37 @@ def test_gkm_expand_and_forget():
     assert code == 0 and json.loads(out) == ["1", "1"]
 
 
+def test_expand_divides_by_a_non_rational_leading_coefficient(monkeypatch):
+    # the basis's leading coefficient m1 at 0 sends each lifting division
+    # through the m-monomial leading-term loop (kernels.mdiv)
+    basis = '[{"0":"m1*chern(1)","inf":"0"},{"0":"0","inf":"chern(-1)"}]'
+    quotients = []
+
+    def mdiv(a, b, guard=kernels.GUARD):
+        if guard == kernels.GUARD:  # m-keys, not the leading t-monomials
+            quotients.append((a, b))
+        return kernels.mdiv(a, b, guard)
+
+    monkeypatch.setattr("torcob.series.mdiv", mdiv)
+
+    def expand(cls):
+        return run(["gkm", "expand", "--graph", P1_JSON, "--class", cls, "--basis", basis])
+
+    assert expand('{"0":"m1^2*chern(1)","inf":"0"}') == (0, '# deg 4\n["m1", "0"]\n', "")
+    code, out, err = expand('{"0":"(m1^2 + m1*m2)*chern(1) + m2*t1^2","inf":"0"}')
+    assert (code, out) == (1, "# deg 4\n")
+    assert err.startswith("error: NoSolution: ")
+    assert quotients
+
+
+def test_out_of_memory_is_a_typed_error(monkeypatch):
+    def exhausted(args, out, inp):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "_cmd_fgl", exhausted)
+    assert run(["fgl", "print", "--deg", "3"]) == (2, "", "error: TooLarge: out of memory\n")
+
+
 def test_gkm_class_truncation_field():
     cls = '{"truncation": 6, "values": {"0": "1", "inf": "1"}}'
     code, out, _ = run(["gkm", "integrate", "--graph", P1_JSON, "--class", cls])

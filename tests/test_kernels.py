@@ -18,6 +18,11 @@ from torcob.kernels import (
     mdiv,
     mul_acc,
     pack,
+    t_guard,
+    t_mul_acc,
+    t_pack,
+    t_unpack,
+    t_width,
     unpack,
 )
 
@@ -268,3 +273,49 @@ def test_generators_beyond_the_last_field_are_refused():
     with pytest.raises(TooLarge):
         pack(last + (1,))
 
+
+
+@st.composite
+def t_monomial_pairs(draw):
+    """(guarantee, rank, a, b): two exponent tuples of one rank, every
+    exponent at most the guarantee, at guarantees beside a power of two."""
+    g = draw(st.sampled_from([7, 8, 15, 16]))
+    n = draw(st.integers(1, 6))
+    exps = st.tuples(*[st.integers(0, g)] * n)
+    return g, n, draw(exps), draw(exps)
+
+
+@given(t_monomial_pairs())
+@example((8, 1, (8,), (0,)))  # 8 fills its field up to the guard bit
+@example((7, 2, (7, 0), (0, 7)))
+@example((16, 6, (16, 0, 0, 0, 0, 1), (0, 0, 0, 0, 0, 16)))
+def test_t_keys_keep_order_and_divisibility(case):
+    g, n, a, b = case
+    w = t_width(g)
+    guard = t_guard(w, n)
+    ka, kb = t_pack(a, w), t_pack(b, w)
+    assert t_unpack(ka, w, n) == a
+    assert not ka & guard  # every exponent up to g keeps its guard bit clear
+    assert (ka < kb) == (a < b)  # t_1 most significant: the tuple order
+    d = mdiv(ka, kb, guard)
+    divides = all(x >= y for x, y in zip(a, b))
+    assert (d is not None) == divides
+    if divides:
+        assert t_unpack(d, w, n) == tuple(x - y for x, y in zip(a, b))
+    if all(x + y <= g for x, y in zip(a, b)):
+        ab = tuple(x + y for x, y in zip(a, b))
+        assert ka + kb == t_pack(ab, w)
+        assert t_mul_acc({}, {ka: {0: 2}}, {kb: {pack((1,)): 3}}) == {t_pack(ab, w): {pack((1,)): 6}}
+
+
+def test_t_mul_acc_accumulates_and_cancels():
+    w = t_width(4)
+    one, t1, t2 = t_pack((0, 0), w), t_pack((1, 0), w), t_pack((0, 1), w)
+    m1 = pack((1,))
+    out = {t1: {0: 1, m1: 2}, t2: {0: 5}}
+    got = t_mul_acc(out, {one: {0: 1}, t1: {m1: 1}}, {t1: {0: -1}, t2: {0: 1}})
+    assert got is out
+    # t1 * t1 lands at t1^2; 1 * t1 cancels the 1 at t1; t2 gains 1; m1*t1*t2 is new
+    assert out == {t1: {m1: 2}, t2: {0: 6}, t_pack((2, 0), w): {m1: -1}, t_pack((1, 1), w): {m1: 1}}
+    t_mul_acc(out, {one: {0: -1}}, {t1: {m1: 2}})
+    assert t1 not in out  # a t-entry that cancels is removed

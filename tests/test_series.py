@@ -580,18 +580,40 @@ def test_divide_clears_one_t_monomial_per_step(monkeypatch):
     f = q * g
     calls = []
 
-    def counting(a, b, cap, *, out=None):
+    def counting(out, a, b):
         calls.append((a, b))
-        return convolve(a, b, cap, out=out)
+        return kernels.t_mul_acc(out, a, b)
 
-    monkeypatch.setattr("torcob.series.convolve", counting)
+    monkeypatch.setattr("torcob.series.t_mul_acc", counting)
+    monkeypatch.setattr("torcob.series.convolve", None)  # division forms no tuple product
     got = f.divide_exact(g)
     monkeypatch.undo()
     assert_same_value(got, q)
     assert_same_value(got, flat_divide_oracle(f, g))
-    leading = [a for a, b in calls if all(sum(t) == 2 for t in b)]
+    tail = g.divisor[-1]
+    leading = [a for a, b in calls if b is tail]
     assert len(leading) == len(exps)
     assert all(len(a) == 1 for a in leading)
+
+
+def test_a_quotient_fills_its_t_field_at_the_truncation():
+    # at truncation 8 a t-key field is 5 bits, and t1^8 sets its fourth
+    vars3 = ("t1", "t2", "t3")
+    exps = {(8, 0, 0): m(1), (7, 0, 0): m(2), (0, 8, 0): GradedCoeff.one(), (3, 0, 5): m(2),
+            (0, 0, 0): m(3)}
+    q = TruncSeries(vars3, exps, 8)
+    unit = TruncSeries(vars3, {(0, 0, 0): GradedCoeff.one(), (1, 0, 0): m(1), (0, 1, 1): m(2)}, 8)
+    f = q * unit
+    assert f.coefficient((8, 0, 0)) == m(1) + m(1) * m(2)
+    assert f.divide_exact(unit) == q
+    assert_same_value(f.divide_exact(unit), flat_divide_oracle(f, unit))
+    # lowest degree 1: the quotient has guarantee 7 and the dividend t1^8
+    g = TruncSeries(vars3, {(1, 0, 0): GradedCoeff.one(), (0, 0, 1): m(1)}, 8)
+    q7 = TruncSeries(vars3, {(7, 0, 0): GradedCoeff.one(), (0, 7, 0): m(2)}, 8)
+    assert (q7 * g).coefficient((8, 0, 0)) == GradedCoeff.one()
+    assert (q7 * g).divide_exact(g) == q7.truncated(7)
+    with pytest.raises(NotDivisible):  # t2^8 is no multiple of the leading t1
+        TruncSeries(vars3, {(0, 8, 0): GradedCoeff.one()}, 8).divide_exact(g)
 
 
 @settings(max_examples=40, deadline=None)
@@ -755,16 +777,16 @@ def test_divisor_is_sliced_once(monkeypatch):
     sliced = []
     real = series_module._divisor_slices
 
-    def spy(num):
-        sliced.append(num)
-        return real(num)
+    def spy(num, guarantee):
+        sliced.append((num, guarantee))
+        return real(num, guarantee)
 
     monkeypatch.setattr(series_module, "_divisor_slices", spy)
     first = T.divide_by_chern(q * g, chi, 2)
     with pytest.raises(NotDivisible):
         T.divide_by_chern(q * g + TruncSeries.monomial(T.vars, (0, 2, 0), m(2), T.D), chi, 2)
     again = T.divide_by_chern(q * g, chi, 2)
-    assert sliced == [g.num]
+    assert sliced == [(g.num, g.guarantee)]
     assert first == again == q.truncated(T.D - 2)
 
 
