@@ -46,8 +46,8 @@ and of the staircase monomial x1^2*x2^2*x3^2*x4^2*x5^2 at rank 22, two
 ``false`` ``flag kernel`` answers at rank 6, each an ideal part ((x1+...+x6)^3,
 or (x1+...+x6)(x1^2+...+x6^2)) plus the staircase monomial
 x1^5*x2^4*x3^3*x4^2, the universal ``gkm forget`` of 1 + m1*h^2 in the
-basis 1, h, ..., h^n on P^6 and P^11 at the command line's defaults (the
-graph made beforehand and read from stdin), and ``flag nf`` of x12^13 at
+basis 1, h, ..., h^n on P^5 through P^11 at the command line's defaults
+(the graph made beforehand and read from stdin), and ``flag nf`` of x12^13 at
 rank 24, whose wall h_13(x1..x12) is refused (exit 2).  Each prints one
 JSON object: the wall time of the child, its peak RSS (``VmHWM``, read by
 the child), its exit status and the one expected, and the SHA-256 of its
@@ -435,7 +435,7 @@ def reach_rows(src):
         expr = f"{ideal} + x1^5*x2^4*x3^3*x4^2"
         jobs.append((f"flag kernel {label} + x1^5*x2^4*x3^3*x4^2 --rank 6",
                      ["flag", "kernel", expr, "--rank", "6"], "", 0))
-    for n in (6, 11):
+    for n in (5, 6, 7, 8, 9, 10, 11):
         argv, graph = _pn_forget(src, n)
         jobs.append((f"gkm forget 1 + m1*h^2 on pn({n})", argv, graph, 0))
     jobs.append(("flag nf x12^13 --rank 24", ["flag", "nf", "x12^13", "--rank", "24"], "", 2))

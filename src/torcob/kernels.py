@@ -7,8 +7,12 @@ never convert.  ``mul_acc`` accumulates coefficient products and
 ``convolve`` multiplies series tables, into a new table or added into a
 given one; given the same table twice, it squares it in about half the
 coefficient products, each unordered pair of t-entries formed once (the
-classical squaring rule, Knuth, TAOCP Vol. 2, 4.6.3).  Zero entries never
-survive in any result.
+classical squaring rule, Knuth, TAOCP Vol. 2, 4.6.3).  It walks its right
+operand in order of total t-degree, so under a degree cap each entry of the
+left one stops at its first partner above the cap, a square's outer walk
+stops at the first entry whose own square is above it, and a pair above the
+cap is never visited (the short product).  Zero entries never survive in
+any result.
 
 An m-key is an m-monomial packed into one integer (FLINT's packed exponent
 vectors; Monagan-Pearce, CASC 2007): the exponent of m_i sits in bit field
@@ -37,7 +41,7 @@ third, each coefficient product through ``mul_acc``; it is the
 multiply-subtract step of division, and ``convolve`` stays on tuple tables.
 """
 
-from operator import add
+from operator import add, itemgetter
 
 from torcob.errors import TooLarge
 
@@ -49,6 +53,7 @@ MAX_EXP = (1 << (W - 1)) - 1
 MAX_GENERATORS = 1024
 _FIELD = (1 << W) - 1
 GUARD = sum(1 << (W * i + W - 1) for i in range(MAX_GENERATORS))
+_DEGREE = itemgetter(0)  # sort key of convolve's (degree, t-exponents, coefficients)
 
 
 def pack(m) -> int:
@@ -179,27 +184,42 @@ def t_mul_acc(out, a, b):
 def convolve(a, b, cap, *, out=None):
     """Truncated product of {t-exponents: coefficient map} tables.
 
-    Products of total t-degree above ``cap`` are dropped; pass None for no
-    truncation.  With ``out`` the products are added into that table, which
-    is returned; a t-entry that cancels is removed.  A square (``a is b``)
-    forms each unordered pair of t-entries once: a pair of one entry with
-    itself as it is, any other pair with the first entry's coefficients
-    doubled, so about half the coefficient products of a general product.
+    Products of total t-degree above ``cap`` are never formed; pass None for
+    no truncation.  With ``out`` the products are added into that table,
+    which is returned; a t-entry that cancels is removed.  A square
+    (``a is b``) forms each unordered pair of t-entries once: a pair of one
+    entry with itself as it is, any other pair with the first entry's
+    coefficients doubled, so about half the coefficient products of a
+    general product.
+
+    b's entries are walked in order of total degree, so an entry of a of
+    degree da stops at its first partner above its room, cap - da (b's top
+    degree when there is no cap), and a pair above the cap is never visited:
+    only the low part of the product is formed (Mulders' short product;
+    Hanrot and Zimmermann, J. Symb. Comput. 2004).
     """
     if out is None:
         out = {}
-    bitems = [(tb, sum(tb), cb) for tb, cb in b.items()]
+    bitems = [(sum(tb), tb, cb) for tb, cb in b.items()]
+    if not bitems:
+        return out
+    bitems.sort(key=_DEGREE)
+    low, top = bitems[0][0], bitems[-1][0]
     if a is b:
         # A loop of its own, so that the product loop below stays branch-free:
-        # most products, division's multiply-subtract steps among them, have
-        # a few entries, and a per-entry branch cost up to a tenth of a call.
-        for i, (ta, da, ca) in enumerate(bitems):
+        # most products have a few entries, and a per-entry branch cost up to
+        # a tenth of a call.  Both indices walk the one sorted list, so the
+        # outer loop ends at the first entry with 2*da above the cap.
+        for i, (da, ta, ca) in enumerate(bitems):
+            room = top if cap is None else cap - da
+            if da > room:
+                break
             ca_items = list(ca.items())
             twice = [(m, q + q) for m, q in ca_items]
             for j in range(i, len(bitems)):
-                tb, db, cb = bitems[j]
-                if cap is not None and da + db > cap:
-                    continue
+                db, tb, cb = bitems[j]
+                if db > room:
+                    break
                 t = tuple(map(add, ta, tb))
                 tgt = out.get(t)
                 if tgt is None:
@@ -208,11 +228,13 @@ def convolve(a, b, cap, *, out=None):
                     del out[t]
         return out
     for ta, ca in a.items():
-        da = sum(ta)
+        room = top if cap is None else cap - sum(ta)
+        if room < low:  # no partner fits: build nothing for this entry
+            continue
         ca_items = list(ca.items())
-        for tb, db, cb in bitems:
-            if cap is not None and da + db > cap:
-                continue
+        for db, tb, cb in bitems:
+            if db > room:
+                break
             t = tuple(map(add, ta, tb))
             tgt = out.get(t)
             if tgt is None:

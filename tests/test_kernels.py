@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, strategies as st
 
+from torcob import kernels
 from torcob.coeff import GradedCoeff
 from torcob.errors import TooLarge
 from torcob.kernels import (
@@ -157,6 +158,43 @@ def test_convolve_accumulates_into_out():
             assert convolve(pa, px, cap, out=out) == packed_table({t: cc for t, cc in want.items() if cc})
             neg = {t: {mm: -q for mm, q in cc.items()} for t, cc in dense_product(a, x, cap).items()}
             assert convolve(pa, px, cap, out=packed_table(neg)) == {}
+
+
+def test_convolve_forms_only_the_pairs_under_the_cap(monkeypatch):
+    # one mul_acc call per pair formed: exactly the pairs with da + db <= cap,
+    # each unordered pair i <= j once for a square, in any insertion order
+    calls = [0]
+    real = kernels.mul_acc
+
+    def counting(out, a_items, b):
+        calls[0] += 1
+        return real(out, a_items, b)
+
+    monkeypatch.setattr(kernels, "mul_acc", counting)
+
+    def descending(table):
+        return dict(sorted(table.items(), key=lambda e: -sum(e[0])))
+
+    def kept(da, db, cap):
+        return cap is None or da + db <= cap
+
+    rng = random.Random(39)
+    for _ in range(150):
+        a, b = rand_table(rng, maxdeg=2), rand_table(rng, maxdeg=2)
+        for x, y in ((a, b), (descending(a), descending(b))):
+            px, py = packed_table(x), packed_table(y)
+            dx = [sum(t) for t in x]
+            dy = [sum(t) for t in y]
+            for cap in (None, 0, 2, 3, 4):
+                calls[0] = 0
+                got = convolve(px, py, cap)
+                assert calls[0] == sum(kept(da, db, cap) for da in dx for db in dy)
+                assert got == packed_table(dense_product(x, y, cap))
+                calls[0] = 0
+                square = convolve(px, px, cap)
+                pairs = [(dx[i], dx[j]) for i in range(len(dx)) for j in range(i, len(dx))]
+                assert calls[0] == sum(kept(da, db, cap) for da, db in pairs)
+                assert square == packed_table(dense_product(x, x, cap))
 
 
 def test_mdiv_inverts_madd():
